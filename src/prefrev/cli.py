@@ -34,7 +34,7 @@ from .prefs import (
     write_profile,
 )
 from .rules import TieBreak, read_rule_table
-from .tally import condorcet_winner, margin_matrix
+from .tally import condorcet_winner, margin_key, margin_matrix
 
 SOLVER_ENV = "PREFREV_SOLVER"
 
@@ -253,6 +253,10 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     if args.budget is not None and args.budget <= 0:
         raise BadBudget(f"budget must be positive, got {args.budget}")
+    for flag, value in (("--n", args.n), ("--sample", args.sample),
+                        ("--workers", args.workers)):
+        if value is not None and value <= 0:
+            raise PrefRevError(f"{flag} must be positive, got {value}")
     alternatives = Alternatives(default_labels(args.m))
     tie_break = _tie_break(args.tie_break, alternatives)
     scan = dict(budget=args.budget, sample=args.sample, seed=args.seed,
@@ -422,8 +426,7 @@ def cmd_decode(args) -> int:
         varmap = satgen.VariableMap(n=args.n, m=args.m, mode="profile")
     else:
         matrices, _ = satgen.enumerate_margin_keys(args.n, args.m)
-        keys = tuple("_".join(str(x) for row in rows for x in row)
-                     for rows in matrices)
+        keys = tuple(margin_key(rows) for rows in matrices)
         varmap = satgen.VariableMap(n=args.n, m=args.m, mode="c2", keys=keys)
     with open(args.model, encoding="utf-8") as handle:
         assignment = satgen.read_dimacs_model(handle, varmap)

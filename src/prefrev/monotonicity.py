@@ -1,10 +1,31 @@
 """Checkers and witness searchers for the reversal and no-show paradoxes.
 
-Every checker scans a full domain of profiles (all (m!)^n of them) in
-ascending canonical index order, voter index second, so the first witness
-returned is deterministic, including under parallel execution.  A ``None``
-result from an exhaustive scan is a certificate that the property holds on
-the whole domain; sampled scans only report on the profiles they visited.
+Every paradox here is one event: a voter compares the outcome of the
+truthful profile with the outcome after one deviation of their own.  All
+six checkers run a single scan kernel over *units*, each naming an n-voter
+truthful profile (by canonical index), a voter and a deviation, in
+ascending unit order, so the first witness returned is deterministic,
+including under parallel execution.  A ``None`` result from an exhaustive
+scan is a certificate that the property holds on the whole domain; sampled
+scans visit seeded random blocks of consecutive units and only report on
+those.
+
+Unit layouts and sampled block spans, with ``index`` the truthful n-voter
+profile:
+
+- reversal (half-way monotonicity, strong reversal, and the optimistic and
+  pessimistic set-valued variants): unit ``index * n + voter``, the voter
+  submits the reverse of their vote; a block is one profile, n units.
+- manipulation: unit ``(index * n + voter) * m! + order``, the voter
+  reports the order with that canonical index; a block is one
+  (profile, voter) pair, m! units.
+- participation: unit ``index``, the last voter abstains.  The same number
+  reads as ``index_{n-1} * m! + joiner``, the (n-1)-voter profile the
+  joiner joins at the end; a block is one (n-1)-voter profile, m! units.
+
+Every witness is revalidated before it is returned: the rule is called
+again on both the truthful and the deviated profile and the comparison is
+re-applied.
 
 Rules are plain callables from :class:`~prefrev.prefs.Profile` to an
 alternative id (or to a frozenset for the set-valued checkers), so tables,
@@ -17,7 +38,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import (
     BudgetExceeded,
@@ -35,10 +56,11 @@ from .prefs import (
     format_profile,
     index_to_profile,
     num_profiles,
+    profile_digits,
 )
+from .rules import Rule, SetRule
+from .tally import margin_rows, rows_condorcet_winner
 
-Rule = Callable[[Profile], int]
-SetRule = Callable[[Profile], frozenset[int]]
 # either one rule valid at every electorate size, or a mapping size -> rule
 RuleFamily = Rule | Mapping[int, Rule]
 
@@ -65,6 +87,10 @@ class ReversalWitness:
         return (self.winner_after == self.truthful_order.top
                 and self.winner_after != self.winner_before)
 
+    def _event(self):
+        return (self.truthful_order, self.profile, self.winner_before,
+                self.profile.reverse_vote(self.voter), self.winner_after)
+
     def describe(self, alternatives: Alternatives) -> dict:
         return {
             "profile": format_profile(self.profile, alternatives),
@@ -83,6 +109,10 @@ class SetReversalWitness:
     set_before: frozenset[int]
     set_after: frozenset[int]
     mode: str  # "optimistic" or "pessimistic"
+
+    def _event(self):
+        return (self.profile.votes[self.voter], self.profile, self.set_before,
+                self.profile.reverse_vote(self.voter), self.set_after)
 
     def describe(self, alternatives: Alternatives) -> dict:
         return {
@@ -115,6 +145,10 @@ class ParticipationWitness:
     def is_violation(self) -> bool:
         return self.joiner_order.prefers(self.winner_without, self.winner_with)
 
+    def _event(self):
+        return (self.joiner_order, self.joined_profile(), self.winner_with,
+                self.profile_without, self.winner_without)
+
     def describe(self, alternatives: Alternatives) -> dict:
         return {
             "profile_without": format_profile(self.profile_without, alternatives),
@@ -139,6 +173,11 @@ class ManipulationWitness:
         truthful = self.profile.votes[self.voter]
         return truthful.prefers(self.winner_misreport, self.winner_truthful)
 
+    def _event(self):
+        return (self.profile.votes[self.voter], self.profile, self.winner_truthful,
+                self.profile.replace_vote(self.voter, self.misreport),
+                self.winner_misreport)
+
     def describe(self, alternatives: Alternatives) -> dict:
         return {
             "profile": format_profile(self.profile, alternatives),
@@ -149,178 +188,171 @@ class ManipulationWitness:
         }
 
 
-# --- scan plumbing ------------------------------------------------------------
+# --- comparisons -------------------------------------------------------------
+# Each takes the deviating voter's truthful order and the outcomes of the
+# truthful and the deviated profile, and says whether the deviation paid.
 
 
-def _profile_digits(index: int, n: int, fact: int) -> list[int]:
-    digits = []
-    for _ in range(n):
-        index, d = divmod(index, fact)
-        digits.append(d)
-    digits.reverse()
-    return digits
+def _weak(order: LinearOrder, before, after) -> bool:
+    return order.prefers(after, before)
 
 
-class _WinnerMemo:
-    """Per-scan cache of rule outcomes keyed by profile index."""
+def _strong(order: LinearOrder, before, after) -> bool:
+    return after == order.top and after != before
 
-    def __init__(self, rule, n: int, m: int):
+
+def _optimistic(order: LinearOrder, before, after) -> bool:
+    return order.prefers(order.best_of(after), order.best_of(before))
+
+
+def _pessimistic(order: LinearOrder, before, after) -> bool:
+    return order.prefers(order.worst_of(after), order.worst_of(before))
+
+
+_COMPARE = {"weak": _weak, "strong": _strong,
+            "optimistic": _optimistic, "pessimistic": _pessimistic}
+_SET_MODES = ("optimistic", "pessimistic")
+
+
+# --- the scan kernel -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """One paradox search: the deviation each unit tries and how outcomes
+    compare.  ``rule_small`` is the (n-1)-voter rule, used by "abstain"."""
+
+    rule: object
+    n: int
+    m: int
+    deviation: str  # "reverse", "misreport" or "abstain"
+    compare: str    # a key of _COMPARE
+    condorcet_only: bool = False
+    rule_small: object = None
+
+    @property
+    def voters(self) -> int:
+        """Voters per profile that deviate: only the last one abstains."""
+        return 1 if self.deviation == "abstain" else self.n
+
+    @property
+    def width(self) -> int:
+        """Deviations tried per (profile, voter)."""
+        return math.factorial(self.m) if self.deviation == "misreport" else 1
+
+    @property
+    def total_units(self) -> int:
+        return num_profiles(self.n, self.m) * self.voters * self.width
+
+    @property
+    def block_span(self) -> int:
+        return self.n if self.deviation == "reverse" else math.factorial(self.m)
+
+
+class _Outcomes(dict):
+    """Rule outcomes by profile index, evaluated on first lookup."""
+
+    def __init__(self, rule, n: int, m: int, *, sets: bool):
+        super().__init__()
         self.rule = rule
         self.n = n
         self.m = m
-        self.cache: dict[int, object] = {}
+        self.orders = enumerate_orders(m)
+        self.sets = sets
 
-    def __call__(self, index: int):
-        value = self.cache.get(index)
-        if value is None:
-            value = self.rule(index_to_profile(index, self.n, self.m))
-            self.cache[index] = value
-        return value
-
-
-def _reversal_chunk(rule: Rule, n: int, m: int, strong: bool,
-                    lo: int, hi: int) -> tuple | None:
-    """First reversal violation with unit index in [lo, hi).
-
-    Units are ``profile_index * n + voter``.
-    """
-    fact = math.factorial(m)
-    orders = enumerate_orders(m)
-    rev = _reverse_index_table(m)
-    winner = _WinnerMemo(rule, n, m)
-    for index in range(lo // n, (hi + n - 1) // n):
-        digits = _profile_digits(index, n, fact)
-        before = None
-        for voter in range(n):
-            unit = index * n + voter
-            if not lo <= unit < hi:
-                continue
-            if before is None:
-                before = winner(index)
-            truthful = orders[digits[voter]]
-            place = fact ** (n - 1 - voter)
-            after = winner(index + (rev[digits[voter]] - digits[voter]) * place)
-            if strong:
-                hit = after == truthful.top and after != before
-            else:
-                hit = truthful.prefers(after, before)
-            if hit:
-                return (unit, index, voter, before, after)
-    return None
-
-
-def _set_reversal_chunk(set_rule: SetRule, n: int, m: int, mode: str,
-                        lo: int, hi: int) -> tuple | None:
-    fact = math.factorial(m)
-    orders = enumerate_orders(m)
-    rev = _reverse_index_table(m)
-    outcome = _WinnerMemo(set_rule, n, m)
-
-    def checked(index: int) -> frozenset[int]:
-        value = outcome(index)
-        if not value:
+    def evaluate(self, index: int, digits: list[int]):
+        """The outcome at ``index`` (with these digits), not cached."""
+        value = self.rule(Profile(tuple(map(self.orders.__getitem__, digits))))
+        if self.sets and not value:
             raise EmptyOutcomeSet(f"set-valued rule returned an empty set "
                                   f"at profile index {index}")
         return value
 
-    for index in range(lo // n, (hi + n - 1) // n):
-        digits = _profile_digits(index, n, fact)
-        before = None
-        for voter in range(n):
-            unit = index * n + voter
-            if not lo <= unit < hi:
-                continue
-            if before is None:
-                before = checked(index)
-            truthful = orders[digits[voter]]
-            place = fact ** (n - 1 - voter)
-            after = checked(index + (rev[digits[voter]] - digits[voter]) * place)
-            if mode == "optimistic":
-                rep_before, rep_after = truthful.best_of(before), truthful.best_of(after)
-            else:
-                rep_before, rep_after = truthful.worst_of(before), truthful.worst_of(after)
-            if truthful.prefers(rep_after, rep_before):
-                return (unit, index, voter, before, after)
-    return None
+    def __missing__(self, index: int):
+        value = self[index] = self.evaluate(index, profile_digits(index, self.n, self.m))
+        return value
 
 
-def _participation_chunk(rules_pair, n: int, m: int,
-                         lo: int, hi: int) -> tuple | None:
-    """Units are ``profile_index_over_n_minus_1 * m! + joiner_order_index``."""
-    rule_small, rule_big = rules_pair
+def _scan_chunk(scan: _Scan, lo: int, hi: int) -> tuple | None:
+    """First violating unit in [lo, hi).
+
+    Returns ``(unit, index, voter, order, before, after)``: the truthful
+    profile index, the deviating voter, the order they deviate to (their
+    own order when abstaining), and the outcomes of the truthful and the
+    deviated profile.
+    """
+    n, m = scan.n, scan.m
     fact = math.factorial(m)
+    places = [fact ** (n - 1 - voter) for voter in range(n)]
     orders = enumerate_orders(m)
-    small = _WinnerMemo(rule_small, n - 1, m)
-    for index in range(lo // fact, (hi + fact - 1) // fact):
-        base = None
-        without = None
-        for oix in range(fact):
-            unit = index * fact + oix
-            if not lo <= unit < hi:
-                continue
-            if base is None:
-                base = index_to_profile(index, n - 1, m)
-                without = small(index)
-            joiner = orders[oix]
-            with_joiner = rule_big(base.add_voter(joiner))
-            if joiner.prefers(without, with_joiner):
-                return (unit, index, oix, without, with_joiner)
-    return None
-
-
-def _manipulation_chunk(rule: Rule, n: int, m: int, condorcet_only: bool,
-                        lo: int, hi: int) -> tuple | None:
-    """Units are ``(profile_index * n + voter) * m! + misreport_order_index``."""
-    from .tally import condorcet_domain_member
-
-    fact = math.factorial(m)
-    orders = enumerate_orders(m)
-    winner = _WinnerMemo(rule, n, m)
+    rev = _reverse_index_table(m)
+    compare = _COMPARE[scan.compare]
+    sets = scan.compare in _SET_MODES
+    reverse = scan.deviation == "reverse"
+    abstain = scan.deviation == "abstain"
+    condorcet_only = scan.condorcet_only
+    width, voters = scan.width, scan.voters
+    outcome = _Outcomes(scan.rule, n, m, sets=sets)
+    deviated = (_Outcomes(scan.rule_small, n - 1, m, sets=sets) if abstain
+                else outcome)
     membership: dict[int, bool] = {}
 
     def in_domain(index: int) -> bool:
         ok = membership.get(index)
         if ok is None:
-            ok = condorcet_domain_member(index_to_profile(index, n, m))
+            ok = rows_condorcet_winner(
+                margin_rows(m, profile_digits(index, n, m))) is not None
             membership[index] = ok
         return ok
 
+    index = -1
     for unit in range(lo, hi):
-        rest, oix = divmod(unit, fact)
-        index, voter = divmod(rest, n)
-        digits = _profile_digits(index, n, fact)
-        if digits[voter] == oix:
+        row, target = divmod(unit, width)
+        profile_ix, voter = divmod(row, voters)
+        if profile_ix != index:
+            index = profile_ix
+            digits = profile_digits(index, n, m)
+            before = None
+        if abstain:
+            voter = n - 1
+            target, other = digits[voter], index // fact
+        else:
+            d = digits[voter]
+            if reverse:
+                target = rev[d]
+            elif target == d:
+                continue
+            other = index + (target - d) * places[voter]
+        if condorcet_only and not (in_domain(index) and in_domain(other)):
             continue
-        if condorcet_only and not in_domain(index):
-            continue
-        place = fact ** (n - 1 - voter)
-        other = index + (oix - digits[voter]) * place
-        if condorcet_only and not in_domain(other):
-            continue
-        truthful = orders[digits[voter]]
-        if truthful.prefers(winner(other), winner(index)):
-            return (unit, index, voter, oix, winner(index), winner(other))
+        if before is None:
+            # participation meets each n-voter profile once: caching is waste
+            before = outcome.evaluate(index, digits) if abstain else outcome[index]
+        after = deviated[other]
+        if compare(orders[digits[voter]], before, after):
+            return (unit, index, voter, target, before, after)
     return None
 
 
-def _run_scan(chunk_fn, chunk_args: tuple, total_units: int, *,
-              budget: int | None, sample: int | None, seed: int,
-              block_span: int, workers: int) -> tuple | None:
-    """Dispatch a first-witness scan over ``total_units`` scan units.
+def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
+              seed: int, workers: int) -> tuple | None:
+    """Dispatch a first-witness scan over all of ``scan``'s units.
 
     Exhaustive mode covers units [0, min(total, budget)) and raises
     :class:`BudgetExceeded` if that had to stop short without a witness.
-    Sampled mode visits ``sample`` random blocks of ``block_span`` units
-    drawn from a seeded generator.
+    Sampled mode visits ``sample`` random blocks of ``scan.block_span``
+    units drawn from a seeded generator.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
+    total_units = scan.total_units
     if sample is not None:
         rng = random.Random(seed)
-        blocks = total_units // block_span
+        span = scan.block_span
+        blocks = total_units // span
         hit = None
         for _ in range(sample):
             block = rng.randrange(blocks)
-            found = chunk_fn(*chunk_args, block * block_span, (block + 1) * block_span)
+            found = _scan_chunk(scan, block * span, (block + 1) * span)
             if found is not None and (hit is None or found[0] < hit[0]):
                 hit = found
         return hit
@@ -328,14 +360,14 @@ def _run_scan(chunk_fn, chunk_args: tuple, total_units: int, *,
     region = min(total_units, budget)
     if workers > 1 and region > workers:
         step = -(-region // workers)
-        jobs = [(chunk_fn, chunk_args, lo, min(lo + step, region))
-                for lo in range(0, region, step)]
+        los = range(0, region, step)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_runner, jobs))
+            results = list(pool.map(_scan_chunk, [scan] * len(los), los,
+                                    [min(lo + step, region) for lo in los]))
         hits = [r for r in results if r is not None]
         hit = min(hits, key=lambda t: t[0]) if hits else None
     else:
-        hit = chunk_fn(*chunk_args, 0, region)
+        hit = _scan_chunk(scan, 0, region)
     if hit is None and region < total_units:
         raise BudgetExceeded(
             f"scanned {region} of {total_units} scan units without a verdict",
@@ -343,9 +375,37 @@ def _run_scan(chunk_fn, chunk_args: tuple, total_units: int, *,
     return hit
 
 
-def _chunk_runner(packed):
-    chunk_fn, chunk_args, lo, hi = packed
-    return chunk_fn(*chunk_args, lo, hi)
+def _revalidate(witness, rule, deviated_rule, compare: str) -> None:
+    """Call the rules again on the witness's truthful and deviated profiles
+    and re-apply the comparison; :class:`NotAViolation` on any mismatch."""
+    order, truthful, before, deviated, after = witness._event()
+    if (rule(truthful) != before or deviated_rule(deviated) != after
+            or not _COMPARE[compare](order, before, after)):
+        raise NotAViolation(f"{type(witness).__name__} failed revalidation "
+                            f"against the rule")
+
+
+def _check(scan: _Scan, *, budget, sample, seed, workers):
+    """Run the scan and turn its first hit into a revalidated witness."""
+    hit = _run_scan(scan, budget=budget, sample=sample, seed=seed, workers=workers)
+    if hit is None:
+        return None
+    _, index, voter, target, before, after = hit
+    profile = index_to_profile(index, scan.n, scan.m)
+    order = enumerate_orders(scan.m)[target]
+    if scan.deviation == "abstain":
+        witness = ParticipationWitness(profile.remove_voter(voter), order,
+                                       after, before, position=voter)
+    elif scan.deviation == "misreport":
+        witness = ManipulationWitness(profile, voter, order, before, after)
+    elif scan.compare in _SET_MODES:
+        witness = SetReversalWitness(profile, voter, frozenset(before),
+                                     frozenset(after), scan.compare)
+    else:
+        witness = ReversalWitness(profile, voter, before, after)
+    deviated_rule = scan.rule if scan.rule_small is None else scan.rule_small
+    _revalidate(witness, scan.rule, deviated_rule, scan.compare)
+    return witness
 
 
 # --- checkers ----------------------------------------------------------------
@@ -360,8 +420,8 @@ def check_halfway_monotonicity(rule: Rule, n: int, m: int, *,
     ``None`` from an exhaustive scan certifies the rule half-way monotonic
     on the whole (n, m) domain.
     """
-    return _check_reversal(rule, n, m, strong=False, budget=budget,
-                           sample=sample, seed=seed, workers=workers)
+    return _check(_Scan(rule, n, m, "reverse", "weak"), budget=budget,
+                  sample=sample, seed=seed, workers=workers)
 
 
 def check_strong_reversal(rule: Rule, n: int, m: int, *,
@@ -370,31 +430,8 @@ def check_strong_reversal(rule: Rule, n: int, m: int, *,
                           workers: int = 1) -> ReversalWitness | None:
     """Like :func:`check_halfway_monotonicity`, but the reversal must make
     the voter's truthful favourite win."""
-    return _check_reversal(rule, n, m, strong=True, budget=budget,
-                           sample=sample, seed=seed, workers=workers)
-
-
-def _check_reversal(rule: Rule, n: int, m: int, *, strong: bool,
-                    budget, sample, seed, workers) -> ReversalWitness | None:
-    total = num_profiles(n, m) * n
-    hit = _run_scan(_reversal_chunk, (rule, n, m, strong), total,
-                    budget=budget, sample=sample, seed=seed,
-                    block_span=n, workers=workers)
-    if hit is None:
-        return None
-    _, index, voter, before, after = hit
-    witness = ReversalWitness(index_to_profile(index, n, m), voter, before, after)
-    _revalidate_reversal(witness, rule, strong=strong)
-    return witness
-
-
-def _revalidate_reversal(witness: ReversalWitness, rule: Rule, *, strong: bool) -> None:
-    before = rule(witness.profile)
-    after = rule(witness.profile.reverse_vote(witness.voter))
-    ok = (before == witness.winner_before and after == witness.winner_after
-          and witness.is_violation() and (witness.is_strong() if strong else True))
-    if not ok:
-        raise NotAViolation("witness failed revalidation against the rule")
+    return _check(_Scan(rule, n, m, "reverse", "strong"), budget=budget,
+                  sample=sample, seed=seed, workers=workers)
 
 
 def check_hwm_optimistic(set_rule: SetRule, n: int, m: int, *,
@@ -403,8 +440,8 @@ def check_hwm_optimistic(set_rule: SetRule, n: int, m: int, *,
                          workers: int = 1) -> SetReversalWitness | None:
     """Half-way monotonicity when outcome sets are compared by their best
     element under the reversing voter's truthful order."""
-    return _check_set_reversal(set_rule, n, m, "optimistic", budget=budget,
-                               sample=sample, seed=seed, workers=workers)
+    return _check(_Scan(set_rule, n, m, "reverse", "optimistic"), budget=budget,
+                  sample=sample, seed=seed, workers=workers)
 
 
 def check_hwm_pessimistic(set_rule: SetRule, n: int, m: int, *,
@@ -412,21 +449,8 @@ def check_hwm_pessimistic(set_rule: SetRule, n: int, m: int, *,
                           sample: int | None = None, seed: int = 0,
                           workers: int = 1) -> SetReversalWitness | None:
     """As optimistic, but sets are compared by their worst element."""
-    return _check_set_reversal(set_rule, n, m, "pessimistic", budget=budget,
-                               sample=sample, seed=seed, workers=workers)
-
-
-def _check_set_reversal(set_rule: SetRule, n: int, m: int, mode: str, *,
-                        budget, sample, seed, workers) -> SetReversalWitness | None:
-    total = num_profiles(n, m) * n
-    hit = _run_scan(_set_reversal_chunk, (set_rule, n, m, mode), total,
-                    budget=budget, sample=sample, seed=seed,
-                    block_span=n, workers=workers)
-    if hit is None:
-        return None
-    _, index, voter, before, after = hit
-    return SetReversalWitness(index_to_profile(index, n, m), voter,
-                              frozenset(before), frozenset(after), mode)
+    return _check(_Scan(set_rule, n, m, "reverse", "pessimistic"), budget=budget,
+                  sample=sample, seed=seed, workers=workers)
 
 
 def family_rule(family: RuleFamily, size: int) -> Rule:
@@ -458,20 +482,8 @@ def check_participation(family: RuleFamily, n: int, m: int, *,
         return None  # no outcome is defined for an empty election
     rule_small = family_rule(family, n - 1)
     rule_big = family_rule(family, n)
-    fact = math.factorial(m)
-    total = num_profiles(n - 1, m) * fact
-    hit = _run_scan(_participation_chunk, ((rule_small, rule_big), n, m),
-                    total, budget=budget, sample=sample, seed=seed,
-                    block_span=fact, workers=workers)
-    if hit is None:
-        return None
-    _, index, oix, without, with_joiner = hit
-    joiner = enumerate_orders(m)[oix]
-    witness = ParticipationWitness(index_to_profile(index, n - 1, m),
-                                   joiner, without, with_joiner, position=n - 1)
-    if not witness.is_violation() or rule_big(witness.joined_profile()) != with_joiner:
-        raise NotAViolation("participation witness failed revalidation")
-    return witness
+    return _check(_Scan(rule_big, n, m, "abstain", "weak", rule_small=rule_small),
+                  budget=budget, sample=sample, seed=seed, workers=workers)
 
 
 def check_manipulability(rule: Rule, n: int, m: int, *,
@@ -486,19 +498,9 @@ def check_manipulability(rule: Rule, n: int, m: int, *,
     """
     if domain not in ("full", "condorcet"):
         raise ValueError(f"unknown domain {domain!r}")
-    fact = math.factorial(m)
-    total = num_profiles(n, m) * n * fact
-    hit = _run_scan(_manipulation_chunk, (rule, n, m, domain == "condorcet"),
-                    total, budget=budget, sample=sample, seed=seed,
-                    block_span=fact, workers=workers)
-    if hit is None:
-        return None
-    _, index, voter, oix, w_true, w_lie = hit
-    witness = ManipulationWitness(index_to_profile(index, n, m), voter,
-                                  enumerate_orders(m)[oix], w_true, w_lie)
-    if not witness.is_violation():
-        raise NotAViolation("manipulation witness failed revalidation")
-    return witness
+    return _check(_Scan(rule, n, m, "misreport", "weak",
+                         condorcet_only=domain == "condorcet"),
+                  budget=budget, sample=sample, seed=seed, workers=workers)
 
 
 def explain_hwm_via_participation(witness: ReversalWitness,
@@ -518,12 +520,8 @@ def explain_hwm_via_participation(witness: ReversalWitness,
         raise NotAViolation("a reversal witness needs at least 2 voters to explain")
     rule_small = family_rule(family, n - 1)
 
-    before = rule_big(witness.profile)
-    reversed_profile = witness.profile.reverse_vote(witness.voter)
-    after = rule_big(reversed_profile)
-    if (before != witness.winner_before or after != witness.winner_after
-            or not witness.is_violation()):
-        raise NotAViolation("reversal witness failed revalidation")
+    _revalidate(witness, rule_big, rule_big, "weak")
+    before, after = witness.winner_before, witness.winner_after
 
     truthful = witness.truthful_order
     without_profile = witness.profile.remove_voter(witness.voter)

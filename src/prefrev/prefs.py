@@ -128,11 +128,6 @@ def _positions_of(ranking: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(pos)
 
 
-def reverse(order: LinearOrder) -> LinearOrder:
-    """The reversal of a ranking: a above b becomes b above a."""
-    return order.reverse()
-
-
 @lru_cache(maxsize=None)
 def enumerate_orders(m: int) -> tuple[LinearOrder, ...]:
     """All m! linear orders over 0..m-1 in lexicographic order by id.
@@ -220,22 +215,6 @@ class Profile:
         return Profile(self.votes + (order, order.reverse()))
 
 
-def replace_vote(profile: Profile, i: int, order: LinearOrder) -> Profile:
-    return profile.replace_vote(i, order)
-
-
-def remove_voter(profile: Profile, i: int) -> Profile:
-    return profile.remove_voter(i)
-
-
-def add_voter(profile: Profile, order: LinearOrder) -> Profile:
-    return profile.add_voter(order)
-
-
-def pad_profile(profile: Profile, order: LinearOrder) -> Profile:
-    return profile.pad(order)
-
-
 # --- canonical profile indexing -------------------------------------------
 
 
@@ -252,16 +231,20 @@ def profile_to_index(profile: Profile) -> int:
     return value
 
 
+def profile_digits(index: int, n: int, m: int) -> list[int]:
+    """The canonical order index of each voter's vote, voter 0 first."""
+    fact = math.factorial(m)
+    digits = [0] * n
+    for voter in range(n - 1, -1, -1):
+        index, digits[voter] = divmod(index, fact)
+    return digits
+
+
 def index_to_profile(index: int, n: int, m: int) -> Profile:
     if not 0 <= index < num_profiles(n, m):
         raise IndexOutOfRange(f"profile index {index} not in 0..{num_profiles(n, m) - 1}")
-    fact = math.factorial(m)
     orders = enumerate_orders(m)
-    digits = []
-    for _ in range(n):
-        index, d = divmod(index, fact)
-        digits.append(d)
-    return Profile(tuple(orders[d] for d in reversed(digits)))
+    return Profile(tuple(orders[d] for d in profile_digits(index, n, m)))
 
 
 def iter_profiles(n: int, m: int) -> Iterator[Profile]:

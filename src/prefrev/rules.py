@@ -443,10 +443,6 @@ class RuleTable:
         return RuleTable(self.n, self.m, self.mode, chosen)
 
 
-def rule_table_lookup(table: RuleTable, profile: Profile) -> int:
-    return table.lookup(profile)
-
-
 def tabulate_rule(rule: Rule, n: int, m: int) -> RuleTable:
     """Materialise any resolute rule as a profile-mode table."""
     from .prefs import iter_profiles

@@ -37,6 +37,7 @@ from .prefs import (
     enumerate_orders,
     index_to_profile,
     num_profiles,
+    profile_digits,
 )
 from .proofcheck import ProofTree, replayed_carry
 from .report import Report
@@ -110,29 +111,7 @@ class EncodeResult:
     counts: dict[str, int]
 
 
-# --- profile-mode encoding ---------------------------------------------------
-
-
-def _profile_winner_digits(n: int, m: int):
-    """Yield (key, digits, margin rows) for every profile index."""
-    fact = math.factorial(m)
-    cmp = [tally._comparison_matrix(m, o) for o in range(fact)]
-    for key in range(fact ** n):
-        rest = key
-        digits = []
-        for _ in range(n):
-            rest, d = divmod(rest, fact)
-            digits.append(d)
-        digits.reverse()
-        rows = [[0] * m for _ in range(m)]
-        for d in digits:
-            mat = cmp[d]
-            for a in range(m):
-                row = rows[a]
-                mrow = mat[a]
-                for b in range(m):
-                    row[b] += mrow[b]
-        yield key, digits, rows
+# --- the full formula -----------------------------------------------------------
 
 
 def encode_full(n: int, m: int, mode: str = "profile", *,
@@ -142,56 +121,95 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
 
     Profile mode spends one variable block per profile; c2 mode keys the
     blocks by realizable margin matrices instead (see
-    :func:`enumerate_margin_keys` for the gating).
+    :func:`enumerate_margin_keys` for the gating).  Both feed the same
+    encoder a key space: per key its margin rows and its reversal edges.
     """
     if mode == "profile":
-        return _encode_full_profile(n, m, budget)
-    if mode == "c2":
-        return _encode_full_c2(n, m, budget)
-    raise PrefRevError(f"unknown encode mode {mode!r}")
+        budget = DEFAULT_KEY_BUDGET if budget is None else budget
+        total = num_profiles(n, m)
+        if total > budget:
+            raise BudgetExceeded(f"profile mode needs {total} keys, budget is {budget}",
+                                 scanned=0, total=total)
+        varmap = VariableMap(n=n, m=m, mode="profile")
+        key_space = _profile_key_space(n, m)
+    elif mode == "c2":
+        matrices, witness_orders = enumerate_margin_keys(n, m, budget=budget)
+        keys = [tally.margin_key(rows) for rows in matrices]
+        varmap = VariableMap(n=n, m=m, mode="c2", keys=tuple(keys))
+        key_space = _c2_key_space(m, matrices, keys, witness_orders)
+    else:
+        raise PrefRevError(f"unknown encode mode {mode!r}")
+    return _encode_key_space(varmap, key_space)
 
 
-def _encode_full_profile(n: int, m: int, budget: int | None) -> EncodeResult:
-    budget = DEFAULT_KEY_BUDGET if budget is None else budget
-    total = num_profiles(n, m)
-    if total > budget:
-        raise BudgetExceeded(f"profile mode needs {total} keys, budget is {budget}",
-                             scanned=0, total=total)
+def _profile_key_space(n: int, m: int):
+    """Per profile index: its margin rows and, per voter, the edge (vote,
+    index of the profile where that voter reversed)."""
     fact = math.factorial(m)
+    places = [fact ** (n - 1 - voter) for voter in range(n)]
     rev = _reverse_index_table(m)
-    orders = enumerate_orders(m)
-    varmap = VariableMap(n=n, m=m, mode="profile")
-    var = varmap.var
+    for key in range(num_profiles(n, m)):
+        digits = profile_digits(key, n, m)
+        edges = [(d, key + (rev[d] - d) * place) for d, place in zip(digits, places)]
+        yield key, tally.margin_rows(m, digits), edges
 
+
+def _c2_key_space(m: int, matrices, keys: list[str],
+                  witness_orders: dict[str, set[int]]):
+    """Per margin key: its rows and, per witness order, the edge (order,
+    rank of the key after one voter of that order reversed)."""
+    rank = {key: i for i, key in enumerate(keys)}
+    cmp = tally.comparison_matrices(m)
+    for key_rank, rows in enumerate(matrices):
+        edges = []
+        for order_ix in sorted(witness_orders[keys[key_rank]]):
+            mat = cmp[order_ix]
+            flipped = [[rows[a][b] - 2 * mat[a][b] for b in range(m)]
+                       for a in range(m)]
+            # reversing a witness voter lands on a realizable matrix again
+            edges.append((order_ix, rank[tally.margin_key(flipped)]))
+        yield key_rank, rows, edges
+
+
+def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
+    """Functionality, a Condorcet unit clause per key with a Condorcet
+    winner, and per edge (order, reversed key) one binary clause per
+    ordered pair forbidding the reversal from strictly improving the
+    outcome for that order."""
+    m = varmap.m
+    var = varmap.var
+    orders = enumerate_orders(m)
     functionality: list[Clause] = []
     condorcet: list[Clause] = []
     hwm: list[Clause] = []
-    for key, digits, rows in _profile_winner_digits(n, m):
-        functionality.append(tuple(var(key, a) for a in range(m)))
-        for a in range(m):
-            for b in range(a + 1, m):
-                functionality.append((-var(key, a), -var(key, b)))
-        winner = next((a for a in range(m)
-                       if all(rows[a][b] > 0 for b in range(m) if b != a)), None)
+    for key, rows, edges in key_space:
+        functionality += _functionality(var, key, m)
+        winner = tally.rows_condorcet_winner(rows)
         if winner is not None:
             condorcet.append((var(key, winner),))
-        for voter in range(n):
-            d = digits[voter]
-            place = fact ** (n - 1 - voter)
-            rev_key = key + (rev[d] - d) * place
-            ranking = orders[d].ranking
+        for order_ix, rev_key in edges:
+            ranking = orders[order_ix].ranking
             for i in range(m):
                 for j in range(i + 1, m):
                     above, below = ranking[i], ranking[j]
                     hwm.append((-var(key, below), -var(rev_key, above)))
+    return _encode_result(varmap, functionality, condorcet, hwm)
 
+
+def _functionality(var, key: int, m: int) -> list[Clause]:
+    """Exactly one winner at ``key``: at least one, then pairwise at most one."""
+    clauses = [tuple(var(key, a) for a in range(m))]
+    clauses += [(-var(key, a), -var(key, b))
+                for a in range(m) for b in range(a + 1, m)]
+    return clauses
+
+
+def _encode_result(varmap: VariableMap, functionality: list[Clause],
+                   condorcet: list[Clause], hwm: list[Clause]) -> EncodeResult:
     clauses = tuple(functionality + condorcet + hwm)
-    counts = {"keys": total, "functionality": len(functionality),
+    counts = {"keys": varmap.num_keys, "functionality": len(functionality),
               "condorcet": len(condorcet), "hwm": len(hwm)}
     return EncodeResult(CnfFormula(varmap.num_vars, clauses), varmap, counts)
-
-
-# --- c2 (margin-keyed) encoding ------------------------------------------------
 
 
 def enumerate_margin_keys(n: int, m: int, *,
@@ -206,7 +224,7 @@ def enumerate_margin_keys(n: int, m: int, *,
     """
     budget = DEFAULT_KEY_BUDGET if budget is None else budget
     fact = math.factorial(m)
-    cmp = [tally._comparison_matrix(m, o) for o in range(fact)]
+    cmp = tally.comparison_matrices(m)
     seen: dict[str, tuple[tuple[int, ...], ...]] = {}
     witness_orders: dict[str, set[int]] = {}
     visited = 0
@@ -233,7 +251,7 @@ def enumerate_margin_keys(n: int, m: int, *,
             add(order_ix, remaining, +1)
             if remaining:
                 used.append(order_ix)
-            key = "_".join(str(x) for row in rows for x in row)
+            key = tally.margin_key(rows)
             if key not in seen:
                 seen[key] = tuple(tuple(row) for row in rows)
                 witness_orders[key] = set()
@@ -254,46 +272,6 @@ def enumerate_margin_keys(n: int, m: int, *,
     walk(0, n)
     ordered = sorted(seen.values())
     return ordered, witness_orders
-
-
-def _encode_full_c2(n: int, m: int, budget: int | None) -> EncodeResult:
-    matrices, witness_orders = enumerate_margin_keys(n, m, budget=budget)
-    keys = ["_".join(str(x) for row in rows for x in row) for rows in matrices]
-    rank = {key: i for i, key in enumerate(keys)}
-    orders = enumerate_orders(m)
-    cmp = [tally._comparison_matrix(m, o) for o in range(len(orders))]
-    varmap = VariableMap(n=n, m=m, mode="c2", keys=tuple(keys))
-    var = varmap.var
-
-    functionality: list[Clause] = []
-    condorcet: list[Clause] = []
-    hwm: list[Clause] = []
-    for key_rank, rows in enumerate(matrices):
-        functionality.append(tuple(var(key_rank, a) for a in range(m)))
-        for a in range(m):
-            for b in range(a + 1, m):
-                functionality.append((-var(key_rank, a), -var(key_rank, b)))
-        winner = next((a for a in range(m)
-                       if all(rows[a][b] > 0 for b in range(m) if b != a)), None)
-        if winner is not None:
-            condorcet.append((var(key_rank, winner),))
-        for order_ix in sorted(witness_orders[keys[key_rank]]):
-            mat = cmp[order_ix]
-            flipped = tuple(tuple(rows[a][b] - 2 * mat[a][b] for b in range(m))
-                            for a in range(m))
-            flipped_key = "_".join(str(x) for row in flipped for x in row)
-            # reversing a witness voter lands on a realizable matrix again
-            flipped_rank = rank[flipped_key]
-            ranking = orders[order_ix].ranking
-            for i in range(m):
-                for j in range(i + 1, m):
-                    above, below = ranking[i], ranking[j]
-                    hwm.append((-var(key_rank, below), -var(flipped_rank, above)))
-
-    clauses = tuple(functionality + condorcet + hwm)
-    counts = {"keys": len(keys), "functionality": len(functionality),
-              "condorcet": len(condorcet), "hwm": len(hwm)}
-    return EncodeResult(CnfFormula(varmap.num_vars, clauses), varmap, counts)
 
 
 # --- proof-neighborhood encoding ------------------------------------------------
@@ -317,11 +295,7 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
     condorcet: list[Clause] = []
     hwm: list[Clause] = []
     for name in names:
-        key = rank[name]
-        functionality.append(tuple(var(key, a) for a in range(m)))
-        for a in range(m):
-            for b in range(a + 1, m):
-                functionality.append((-var(key, a), -var(key, b)))
+        functionality += _functionality(var, rank[name], m)
     for leaf in tree.leaves:
         condorcet.append((var(rank[leaf.node], leaf.condorcet),))
     for edge in tree.edges:
@@ -332,10 +306,7 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
                 if a not in reachable:
                     hwm.append((-var(src, b), -var(dst, a)))
 
-    clauses = tuple(functionality + condorcet + hwm)
-    counts = {"keys": len(names), "functionality": len(functionality),
-              "condorcet": len(condorcet), "hwm": len(hwm)}
-    return EncodeResult(CnfFormula(varmap.num_vars, clauses), varmap, counts)
+    return _encode_result(varmap, functionality, condorcet, hwm)
 
 
 def leaf_unit_clause(tree: ProofTree, varmap: VariableMap, node: str) -> Clause:

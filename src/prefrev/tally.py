@@ -5,8 +5,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .prefs import Alternatives, LinearOrder, Profile, enumerate_orders, order_index
+
+Rows = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,7 +32,7 @@ class MarginMatrix:
 
     def key(self) -> str:
         """Row-major string key with ``_`` separators, used by C2 tables."""
-        return "_".join(str(x) for row in self.rows for x in row)
+        return margin_key(self.rows)
 
     @classmethod
     def from_key(cls, key: str, *, m: int, n: int) -> "MarginMatrix":
@@ -48,28 +51,50 @@ class MarginMatrix:
         return out.getvalue()
 
 
+def margin_key(rows: Rows) -> str:
+    """Row-major string key of margin rows, ``_``-separated."""
+    return "_".join(str(x) for row in rows for x in row)
+
+
 @lru_cache(maxsize=None)
-def _comparison_matrix(m: int, order_ix: int) -> tuple[tuple[int, ...], ...]:
-    # entry (a, b) is +1 if the order ranks a above b, -1 below, 0 on diagonal
-    order = enumerate_orders(m)[order_ix]
-    pos = order.positions()
-    return tuple(
-        tuple(0 if a == b else (1 if pos[a] < pos[b] else -1) for b in range(m))
-        for a in range(m)
-    )
+def comparison_matrices(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The margins of a single vote, by canonical order index: entry (a, b)
+    is +1 if the order ranks a above b, -1 below, 0 on the diagonal."""
+    matrices = []
+    for order in enumerate_orders(m):
+        pos = order.positions()
+        matrices.append(tuple(
+            tuple(0 if a == b else (1 if pos[a] < pos[b] else -1) for b in range(m))
+            for a in range(m)))
+    return tuple(matrices)
 
 
-def margin_matrix(profile: Profile) -> MarginMatrix:
-    m = profile.m
+def margin_rows(m: int, order_ixs: Iterable[int]) -> list[list[int]]:
+    """Margin rows of the votes with these canonical order indices."""
+    matrices = comparison_matrices(m)
     totals = [[0] * m for _ in range(m)]
-    for vote in profile.votes:
-        cmp = _comparison_matrix(m, order_index(vote))
+    for order_ix in order_ixs:
+        cmp = matrices[order_ix]
         for a in range(m):
             row = cmp[a]
             trow = totals[a]
             for b in range(m):
                 trow[b] += row[b]
-    return MarginMatrix(m=m, n=profile.n, rows=tuple(tuple(r) for r in totals))
+    return totals
+
+
+def margin_matrix(profile: Profile) -> MarginMatrix:
+    totals = margin_rows(profile.m, [order_index(vote) for vote in profile.votes])
+    return MarginMatrix(m=profile.m, n=profile.n, rows=tuple(tuple(r) for r in totals))
+
+
+def rows_condorcet_winner(rows: Rows) -> int | None:
+    """The alternative with a positive margin over every other, if any."""
+    m = len(rows)
+    for a in range(m):
+        if all(rows[a][b] > 0 for b in range(m) if b != a):
+            return a
+    return None
 
 
 def condorcet_winner(profile_or_margins: Profile | MarginMatrix) -> int | None:
@@ -80,15 +105,7 @@ def condorcet_winner(profile_or_margins: Profile | MarginMatrix) -> int | None:
     """
     margins = (profile_or_margins if isinstance(profile_or_margins, MarginMatrix)
                else margin_matrix(profile_or_margins))
-    for a in range(margins.m):
-        if all(margins.rows[a][b] > 0 for b in range(margins.m) if b != a):
-            return a
-    return None
-
-
-def condorcet_domain_member(profile: Profile) -> bool:
-    """True iff the profile admits a Condorcet winner."""
-    return condorcet_winner(profile) is not None
+    return rows_condorcet_winner(margins.rows)
 
 
 def reversal_margin_delta(vote: LinearOrder, a: int, b: int) -> int:

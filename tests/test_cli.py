@@ -199,6 +199,24 @@ class TestCheck:
         assert "seed=42" in out
         assert "sampled region only" in out
 
+    def _rejected(self, capsys, flags: str) -> None:
+        code = main(shlex.split(f"check --property hwm --rule borda --m 3 {flags}"))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ")
+        assert "result:" not in captured.out
+
+    def test_nonpositive_n_is_an_error(self, capsys):
+        for flags in ("--n 0", "--n -2", "--n 0 --property participation"):
+            self._rejected(capsys, flags)
+
+    def test_nonpositive_sample_is_an_error(self, capsys):
+        for sample in ("0", "-3"):
+            self._rejected(capsys, f"--n 3 --sample {sample}")
+
+    def test_nonpositive_workers_is_an_error(self, capsys):
+        self._rejected(capsys, "--n 3 --workers -4")
+
     def test_workers_flag_matches_sequential(self, run, tmp_path):
         table_path = tmp_path / "bad_table.txt"
         plant_corrupted_table(table_path)

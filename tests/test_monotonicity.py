@@ -6,8 +6,12 @@ import pytest
 
 from prefrev import errors
 from prefrev.monotonicity import (
+    ManipulationWitness,
     ParticipationWitness,
     ReversalWitness,
+    SetReversalWitness,
+    _Scan,
+    _scan_chunk,
     check_halfway_monotonicity,
     check_hwm_optimistic,
     check_hwm_pessimistic,
@@ -25,6 +29,7 @@ from prefrev.prefs import (
     profile_to_index,
 )
 from prefrev.rules import RuleTable, resolute_rule, set_rule, tabulate_rule
+from prefrev.tally import condorcet_winner
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -301,3 +306,191 @@ class TestManipulability:
         with pytest.raises(ValueError):
             check_manipulability(resolute_rule("borda", 3), 2, 3,
                                  domain="weird")
+
+
+# --- uniform revalidation ------------------------------------------------------
+
+
+def last_voters_bottom(profile: Profile) -> int:
+    """Pays every deviation of the last voter: reversing, misreporting or
+    abstaining all move the win off their bottom choice."""
+    return profile.votes[-1].bottom
+
+
+class FickleRule:
+    """Answers like :func:`last_voters_bottom` the first time it sees a
+    profile and with the last voter's top choice every later time."""
+
+    def __init__(self, *, sets: bool = False):
+        self.sets = sets
+        self.seen: set = set()
+
+    def __call__(self, profile: Profile):
+        first = profile.votes not in self.seen
+        self.seen.add(profile.votes)
+        vote = profile.votes[-1]
+        winner = vote.bottom if first else vote.top
+        return frozenset((winner,)) if self.sets else winner
+
+
+ALL_CHECKERS = {
+    "hwm": check_halfway_monotonicity,
+    "strong-reversal": check_strong_reversal,
+    "participation": check_participation,
+    "manipulability": check_manipulability,
+    "hwm-optimistic": check_hwm_optimistic,
+    "hwm-pessimistic": check_hwm_pessimistic,
+}
+SET_PROPERTIES = ("hwm-optimistic", "hwm-pessimistic")
+
+
+class TestRevalidation:
+    @pytest.mark.parametrize("prop", sorted(ALL_CHECKERS))
+    def test_steady_rule_witness_is_returned(self, prop):
+        rule = last_voters_bottom
+        if prop in SET_PROPERTIES:
+            rule = _SingletonRule(rule)
+        assert ALL_CHECKERS[prop](rule, 3, 3) is not None
+
+    @pytest.mark.parametrize("prop", sorted(ALL_CHECKERS))
+    def test_rule_answering_differently_on_recheck_is_rejected(self, prop):
+        rule = FickleRule(sets=prop in SET_PROPERTIES)
+        with pytest.raises(errors.NotAViolation):
+            ALL_CHECKERS[prop](rule, 3, 3)
+
+    def test_explain_revalidates_through_the_family(self):
+        witness = check_halfway_monotonicity(last_voters_bottom, 3, 3)
+        fickle = FickleRule()
+        fickle(witness.profile)
+        with pytest.raises(errors.NotAViolation):
+            explain_hwm_via_participation(witness, fickle)
+
+
+# --- the scan kernel against plain nested loops -----------------------------------
+
+
+class SetTable:
+    def __init__(self, sets: list[frozenset[int]]):
+        self.sets = sets
+
+    def __call__(self, profile: Profile) -> frozenset[int]:
+        return self.sets[profile_to_index(profile)]
+
+
+def reference_hits(prop: str, rule, n: int, m: int, *, small=None,
+                   domain: str = "full") -> list[tuple[int, object, object, object]]:
+    """Every violating unit in ascending order, as (unit, before, after,
+    witness), from nested loops over iter_profiles calling the rule directly."""
+    orders = enumerate_orders(m)
+    fact = len(orders)
+    hits = []
+    if prop == "participation":
+        for base_index, base in enumerate(iter_profiles(n - 1, m)):
+            without = small(base)
+            for joiner_ix, joiner in enumerate(orders):
+                with_joiner = rule(base.insert_voter(n - 1, joiner))
+                if joiner.prefers(without, with_joiner):
+                    witness = ParticipationWitness(base, joiner, without,
+                                                   with_joiner, n - 1)
+                    hits.append((base_index * fact + joiner_ix, with_joiner,
+                                 without, witness))
+        return hits
+    for index, profile in enumerate(iter_profiles(n, m)):
+        before = rule(profile)
+        for voter, vote in enumerate(profile.votes):
+            if prop == "manipulability":
+                for lie_ix, lie in enumerate(orders):
+                    lied = profile.replace_vote(voter, lie)
+                    if lie == vote or domain == "condorcet" and (
+                            condorcet_winner(profile) is None
+                            or condorcet_winner(lied) is None):
+                        continue
+                    after = rule(lied)
+                    if vote.prefers(after, before):
+                        witness = ManipulationWitness(profile, voter, lie, before, after)
+                        hits.append(((index * n + voter) * fact + lie_ix,
+                                     before, after, witness))
+                continue
+            after = rule(profile.reverse_vote(voter))
+            if prop == "hwm":
+                hit = vote.prefers(after, before)
+            elif prop == "strong-reversal":
+                hit = after == vote.top and after != before
+            elif prop == "hwm-optimistic":
+                hit = vote.prefers(vote.best_of(after), vote.best_of(before))
+            else:
+                hit = vote.prefers(vote.worst_of(after), vote.worst_of(before))
+            if hit:
+                if prop in SET_PROPERTIES:
+                    witness = SetReversalWitness(profile, voter, before, after,
+                                                 prop[len("hwm-"):])
+                else:
+                    witness = ReversalWitness(profile, voter, before, after)
+                hits.append((index * n + voter, before, after, witness))
+    return hits
+
+
+def random_case(prop: str, n: int, m: int, rng: random.Random):
+    """A random rule for ``prop`` plus the checker call and the kernel scan."""
+    def table(size):
+        return RuleTable(size, m, "profile", tuple(
+            rng.randrange(m) for _ in range(num_profiles(size, m))))
+
+    if prop in SET_PROPERTIES:
+        rule = SetTable([frozenset(a for a in range(m) if rng.random() < 0.5)
+                         or frozenset((rng.randrange(m),))
+                         for _ in range(num_profiles(n, m))])
+        scan = _Scan(rule, n, m, "reverse", prop[len("hwm-"):])
+        return rule, {}, scan, lambda **kw: ALL_CHECKERS[prop](rule, n, m, **kw)
+    rule = table(n)
+    if prop == "participation":
+        small = table(n - 1)
+        scan = _Scan(rule, n, m, "abstain", "weak", rule_small=small)
+        return rule, {"small": small}, scan, lambda **kw: check_participation(
+            {n - 1: small, n: rule}, n, m, **kw)
+    if prop.startswith("manipulability"):
+        domain = prop.partition(":")[2] or "full"
+        scan = _Scan(rule, n, m, "misreport", "weak",
+                     condorcet_only=domain == "condorcet")
+        return rule, {"domain": domain}, scan, lambda **kw: check_manipulability(
+            rule, n, m, domain=domain, **kw)
+    scan = _Scan(rule, n, m, "reverse", "strong" if prop == "strong-reversal" else "weak")
+    return rule, {}, scan, lambda **kw: ALL_CHECKERS[prop](rule, n, m, **kw)
+
+
+KERNEL_PROPERTIES = ("hwm", "strong-reversal", "participation", "manipulability",
+                     "manipulability:condorcet", "hwm-optimistic", "hwm-pessimistic")
+
+
+class TestScanKernelAgainstBruteForce:
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
+    @pytest.mark.parametrize("prop", KERNEL_PROPERTIES)
+    def test_every_unit_block_and_first_witness_agree(self, prop, m, n):
+        rng = random.Random(f"{prop}:{m}:{n}")
+        rule, extra, scan, check = random_case(prop, n, m, rng)
+        reference = reference_hits(prop.partition(":")[0], rule, n, m, **extra)
+        assert reference, "the random rule should violate the property somewhere"
+
+        # the exhaustive checker returns the reference's first witness
+        assert check() == reference[0][3]
+
+        # split at every unit boundary: each one-unit chunk is a hit exactly
+        # when the reference says so, with the same outcomes
+        expected = {unit: (unit, before, after)
+                    for unit, before, after, _ in reference}
+        found = {}
+        for unit in range(scan.total_units):
+            hit = _scan_chunk(scan, unit, unit + 1)
+            if hit is not None:
+                found[unit] = (hit[0], hit[4], hit[5])
+        assert found == expected
+
+        # sampled blocks (m! units for manipulation and participation, which
+        # start inside a profile's units for manipulation) report the first
+        # reference hit inside the block
+        span = scan.block_span
+        for block in range(scan.total_units // span):
+            lo, hi = block * span, (block + 1) * span
+            hit = _scan_chunk(scan, lo, hi)
+            first = next(((u, b, a) for u, b, a, _ in reference if lo <= u < hi), None)
+            assert (None if hit is None else (hit[0], hit[4], hit[5])) == first

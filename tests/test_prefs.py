@@ -19,11 +19,9 @@ from prefrev.prefs import (
     iter_profiles,
     num_profiles,
     order_index,
-    pad_profile,
     parse_order,
     parse_profile,
     profile_to_index,
-    reverse,
 )
 from prefrev.tally import condorcet_winner, margin_matrix
 
@@ -71,8 +69,8 @@ class TestParseOrder:
 
 class TestReverse:
     def test_definition(self):
-        assert reverse(order("a>b>c>d")) == order("d>c>b>a")
-        assert reverse(order("a>b>d>c")) == order("c>d>b>a")
+        assert order("a>b>c>d").reverse() == order("d>c>b>a")
+        assert order("a>b>d>c").reverse() == order("c>d>b>a")
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_involution_exhaustive(self, m):
@@ -180,7 +178,7 @@ class TestPadProfile:
         profile = Profile(tuple(
             orders[data.draw(st.integers(0, len(orders) - 1))] for _ in range(n)))
         pad = orders[data.draw(st.integers(0, len(orders) - 1))]
-        padded = pad_profile(profile, pad)
+        padded = profile.pad(pad)
         assert padded.n == n + 2
         assert margin_matrix(padded).rows == margin_matrix(profile).rows
 
@@ -191,14 +189,13 @@ class TestPadProfile:
             profile = random_profile(rng, 5, 4)
             pad = random_profile(rng, 1, 4).votes[0]
             before = condorcet_winner(profile)
-            assert condorcet_winner(pad_profile(profile, pad)) == before
+            assert condorcet_winner(profile.pad(pad)) == before
             hits += before is not None
         assert hits > 0  # the property was not vacuous
 
     def test_pad_twice(self):
         profile = Profile((order("a>b>c>d"), order("c>d>a>b")))
-        twice = pad_profile(pad_profile(profile, order("b>c>a>d")),
-                            order("d>a>c>b"))
+        twice = profile.pad(order("b>c>a>d")).pad(order("d>a>c>b"))
         assert twice.n == profile.n + 4
         assert margin_matrix(twice).rows == margin_matrix(profile).rows
 
@@ -207,7 +204,7 @@ class TestPadProfile:
         for n in (1, 2, 3):
             for profile in iter_profiles(n, 3):
                 for pad in enumerate_orders(3):
-                    assert margin_matrix(pad_profile(profile, pad)).rows == \
+                    assert margin_matrix(profile.pad(pad)).rows == \
                         margin_matrix(profile).rows
 
 

@@ -14,7 +14,6 @@ from prefrev.prefs import (
 )
 from prefrev.tally import (
     MarginMatrix,
-    condorcet_domain_member,
     condorcet_winner,
     margin_matrix,
     reversal_margin_delta,
@@ -158,14 +157,14 @@ class TestCondorcetWinner:
 
 class TestCondorcetDomain:
     def test_unanimous_member(self):
-        assert condorcet_domain_member(profile_from(["a>b>c"] * 3, ABC))
+        assert condorcet_winner(profile_from(["a>b>c"] * 3, ABC)) is not None
 
     def test_cycle_not_member(self):
         cycle = profile_from(["a>b>c", "b>c>a", "c>a>b"], ABC)
-        assert not condorcet_domain_member(cycle)
+        assert condorcet_winner(cycle) is None
 
     def test_member_count_m3_n3(self):
-        count = sum(condorcet_domain_member(p) for p in iter_profiles(3, 3))
+        count = sum(condorcet_winner(p) is not None for p in iter_profiles(3, 3))
         total = 216
         # the 12 non-members are the voter-orderings of the two cyclic patterns
         cyclic = 0
