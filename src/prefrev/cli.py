@@ -3,10 +3,11 @@
 Reports are plain text with stable field order; ``--json`` switches the
 record-bearing commands to JSON lines.  Identical invocations produce
 byte-identical output.  ``check`` exits 0 when no violation was found,
-1 when a witness is printed, 2 when the scan budget ran out; other usage
-or input problems exit 3.  The SAT solver is only ever an external binary,
-taken from ``--solver`` or the PREFREV_SOLVER environment variable, and is
-only invoked when ``--solve`` is passed explicitly.
+1 when a witness is printed, 2 when the scan budget ran out; ``encode``
+exits 2 when its key budget runs out; non-positive size or budget flags
+and other usage or input problems exit 3.  The SAT solver is only ever an
+external binary, taken from ``--solver`` or the PREFREV_SOLVER environment
+variable, and is only invoked when ``--solve`` is passed explicitly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .prefs import (
     write_profile,
 )
 from .rules import TieBreak, read_rule_table
-from .tally import condorcet_winner, margin_key, margin_matrix
+from .tally import condorcet_winner, margin_matrix
 
 SOLVER_ENV = "PREFREV_SOLVER"
 
@@ -116,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--map", help="sidecar variable map path "
                                  "(default: <out>.map)")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int,
+                   help="max keys (profiles or margin matrices) before giving up")
     p.add_argument("--solve", action="store_true",
                    help="run the external solver on the result")
     p.add_argument("--solver", help=f"solver command (default: ${SOLVER_ENV})")
@@ -150,6 +152,17 @@ def _tie_break(text: str | None, alternatives: Alternatives) -> TieBreak:
     if text is None:
         return TieBreak.lexicographic(alternatives.m)
     return TieBreak(parse_order(text, alternatives))
+
+
+def _require_positive(args, *names: str) -> None:
+    """Reject a non-positive ``--budget`` or size/count flag with exit 3."""
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget <= 0:
+        raise BadBudget(f"budget must be positive, got {budget}")
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value <= 0:
+            raise PrefRevError(f"--{name} must be positive, got {value}")
 
 
 def _emit(args, records: list[dict]) -> None:
@@ -251,12 +264,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.budget is not None and args.budget <= 0:
-        raise BadBudget(f"budget must be positive, got {args.budget}")
-    for flag, value in (("--n", args.n), ("--sample", args.sample),
-                        ("--workers", args.workers)):
-        if value is not None and value <= 0:
-            raise PrefRevError(f"{flag} must be positive, got {value}")
+    _require_positive(args, "n", "m", "sample", "workers")
     alternatives = Alternatives(default_labels(args.m))
     tie_break = _tie_break(args.tie_break, alternatives)
     scan = dict(budget=args.budget, sample=args.sample, seed=args.seed,
@@ -361,16 +369,19 @@ def cmd_verify_proofs(args) -> int:
         mode = "optimistic" if args.which == "irresolute-opt" else "pessimistic"
         for builder in (proofcheck.build_odd_tree, proofcheck.build_even_tree):
             reports.append(proofcheck.verify_tree_irresolute(builder(args.m), mode))
-    ok = all(report.ok for report in reports)
-    if args.json:
-        for report in reports:
+    return _emit_reports(args, reports)
+
+
+def _emit_reports(args, reports) -> int:
+    """Print reports as text or JSON lines; exit 0 iff every line holds."""
+    for report in reports:
+        if args.json:
             for line in report.lines:
                 print(json.dumps({"report": report.title, "ok": line.ok,
                                   "text": line.text}, sort_keys=True))
-    else:
-        for report in reports:
+        else:
             print(report.render())
-    return EXIT_OK if ok else EXIT_WITNESS
+    return EXIT_OK if all(report.ok for report in reports) else EXIT_WITNESS
 
 
 # --- encode / decode / verify-table -------------------------------------------------
@@ -385,6 +396,7 @@ def _solver_command(args) -> str:
 
 
 def cmd_encode(args) -> int:
+    _require_positive(args, "n", "m")
     if args.proof:
         builder = (proofcheck.build_odd_tree if args.proof == "odd"
                    else proofcheck.build_even_tree)
@@ -422,12 +434,11 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    _require_positive(args, "n", "m")
     if args.mode == "profile":
         varmap = satgen.VariableMap(n=args.n, m=args.m, mode="profile")
     else:
-        matrices, _ = satgen.enumerate_margin_keys(args.n, args.m)
-        keys = tuple(margin_key(rows) for rows in matrices)
-        varmap = satgen.VariableMap(n=args.n, m=args.m, mode="c2", keys=keys)
+        varmap = satgen.c2_variable_map(args.n, args.m)[0]
     with open(args.model, encoding="utf-8") as handle:
         assignment = satgen.read_dimacs_model(handle, varmap)
     table = satgen.decode_model(assignment, varmap)
@@ -441,17 +452,11 @@ def cmd_decode(args) -> int:
 def cmd_verify_table(args) -> int:
     with open(args.table, encoding="utf-8") as handle:
         table = read_rule_table(handle)
-    report = satgen.verify_rule(table)
-    if args.json:
-        for line in report.lines:
-            print(json.dumps({"report": report.title, "ok": line.ok,
-                              "text": line.text}, sort_keys=True))
-    else:
-        print(report.render())
-    return EXIT_OK if report.ok else EXIT_WITNESS
+    return _emit_reports(args, [satgen.verify_rule(table)])
 
 
 def cmd_pad(args) -> int:
+    _require_positive(args, "times")
     profile, alternatives = read_profile(args.profile)
     order = parse_order(args.order, alternatives)
     for _ in range(args.times):

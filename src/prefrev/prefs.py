@@ -51,10 +51,6 @@ class Alternatives:
             raise DuplicateLabel(next(x for x in self.labels
                                       if self.labels.count(x) > 1))
 
-    @classmethod
-    def default(cls, m: int) -> "Alternatives":
-        return cls(default_labels(m))
-
     @property
     def m(self) -> int:
         return len(self.labels)
@@ -176,10 +172,6 @@ class Profile:
     @property
     def m(self) -> int:
         return self.votes[0].m
-
-    def vote(self, i: int) -> LinearOrder:
-        self._check_voter(i)
-        return self.votes[i]
 
     def _check_voter(self, i: int) -> None:
         if not 0 <= i < self.n:

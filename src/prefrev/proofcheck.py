@@ -367,14 +367,21 @@ def _leaf_report(tree: ProofTree, leaf: Leaf) -> Report:
     return report
 
 
-def verify_tree(tree: ProofTree) -> Report:
-    """Check the whole tree and conclude the resolute impossibility at (n, m)."""
-    report = Report(f"reversal-paradox proof tree (n={tree.n}, m={tree.m})")
+def _tree_report(tree: ProofTree, title: str) -> Report:
+    """The structure, edge and leaf checks both tree verifiers start from."""
+    report = Report(title)
     report.extend(_structure_report(tree))
     for edge in tree.edges:
         report.extend(verify_edge(tree, edge))
     for leaf in tree.leaves:
         report.extend(_leaf_report(tree, leaf))
+    return report
+
+
+def verify_tree(tree: ProofTree) -> Report:
+    """Check the whole tree and conclude the resolute impossibility at (n, m)."""
+    report = _tree_report(
+        tree, f"reversal-paradox proof tree (n={tree.n}, m={tree.m})")
     if report.ok:
         report.add(True, f"every case forces a Condorcet-winner contradiction: "
                          f"no Condorcet extension on {tree.n} voters and "
@@ -394,12 +401,8 @@ def verify_tree_irresolute(tree: ProofTree, mode: str) -> Report:
         raise PrefRevError(f"unknown irresolute mode {mode!r}")
     alternatives = tree.alternatives
     lbl = alternatives.label_set
-    report = Report(f"{mode} set-valued proof tree (n={tree.n}, m={tree.m})")
-    report.extend(_structure_report(tree))
-    for edge in tree.edges:
-        report.extend(verify_edge(tree, edge))
-    for leaf in tree.leaves:
-        report.extend(_leaf_report(tree, leaf))
+    report = _tree_report(
+        tree, f"{mode} set-valued proof tree (n={tree.n}, m={tree.m})")
     if not report.ok:
         return report
 

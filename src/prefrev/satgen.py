@@ -23,6 +23,7 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, Sequence, TextIO
 
 from .errors import (
@@ -48,6 +49,7 @@ from . import monotonicity, tally
 DEFAULT_KEY_BUDGET = 1_000_000
 
 Clause = tuple[int, ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,8 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
         varmap = VariableMap(n=n, m=m, mode="profile")
         key_space = _profile_key_space(n, m)
     elif mode == "c2":
-        matrices, witness_orders = enumerate_margin_keys(n, m, budget=budget)
-        keys = [tally.margin_key(rows) for rows in matrices]
-        varmap = VariableMap(n=n, m=m, mode="c2", keys=tuple(keys))
-        key_space = _c2_key_space(m, matrices, keys, witness_orders)
+        varmap, matrices, witness_orders = c2_variable_map(n, m, budget=budget)
+        key_space = _c2_key_space(varmap, matrices, witness_orders)
     else:
         raise PrefRevError(f"unknown encode mode {mode!r}")
     return _encode_key_space(varmap, key_space)
@@ -154,10 +154,24 @@ def _profile_key_space(n: int, m: int):
         yield key, tally.margin_rows(m, digits), edges
 
 
-def _c2_key_space(m: int, matrices, keys: list[str],
+def c2_variable_map(n: int, m: int, *, budget: int | None = None
+                    ) -> tuple[VariableMap, list[Matrix], dict[str, set[int]]]:
+    """The c2 variable map, keyed by the margin matrices realizable by n
+    voters, with those matrices and their witness orders.
+
+    ``encode_full`` and ``cli decode`` both take their c2 keys from here,
+    so a model is always read against the key order it was written with.
+    """
+    matrices, witness_orders = enumerate_margin_keys(n, m, budget=budget)
+    keys = tuple(tally.margin_key(rows) for rows in matrices)
+    return VariableMap(n=n, m=m, mode="c2", keys=keys), matrices, witness_orders
+
+
+def _c2_key_space(varmap: VariableMap, matrices: list[Matrix],
                   witness_orders: dict[str, set[int]]):
     """Per margin key: its rows and, per witness order, the edge (order,
     rank of the key after one voter of that order reversed)."""
+    m, keys = varmap.m, varmap.keys
     rank = {key: i for i, key in enumerate(keys)}
     cmp = tally.comparison_matrices(m)
     for key_rank, rows in enumerate(matrices):
@@ -212,66 +226,40 @@ def _encode_result(varmap: VariableMap, functionality: list[Clause],
     return EncodeResult(CnfFormula(varmap.num_vars, clauses), varmap, counts)
 
 
-def enumerate_margin_keys(n: int, m: int, *,
-                          budget: int | None = None
-                          ) -> tuple[list[tuple[tuple[int, ...], ...]], dict[str, set[int]]]:
+def enumerate_margin_keys(n: int, m: int, *, budget: int | None = None
+                          ) -> tuple[list[Matrix], dict[str, set[int]]]:
     """All margin matrices realizable by n voters, with their witness orders.
 
-    Walks every vector of per-order vote counts summing to n, accumulating
-    for each reachable margin matrix the set of orders that appear in at
-    least one realization.  That set is exactly what makes a reversal
-    clause sound for a margin key, so the encoder gates on it.
+    A set DP over flattened matrices: the matrices of k voters are the
+    matrices of k-1 voters plus one vote's comparison matrix.  Each matrix
+    M of the last level keeps the orders o that reached it, i.e. those with
+    M - cmp[o] realizable by n-1 voters: exactly the orders that appear in
+    at least one realization.  That set is what makes a reversal clause
+    sound for a margin key, so the encoder gates on it.  ``budget`` caps
+    the distinct matrices at any size, checked while a level is built.
     """
     budget = DEFAULT_KEY_BUDGET if budget is None else budget
-    fact = math.factorial(m)
-    cmp = tally.comparison_matrices(m)
-    seen: dict[str, tuple[tuple[int, ...], ...]] = {}
-    witness_orders: dict[str, set[int]] = {}
-    visited = 0
-
-    rows = [[0] * m for _ in range(m)]
-    used: list[int] = []
-
-    def add(order_ix: int, times: int, sign: int) -> None:
-        mat = cmp[order_ix]
-        for a in range(m):
-            row = rows[a]
-            mrow = mat[a]
-            for b in range(m):
-                row[b] += sign * times * mrow[b]
-
-    def walk(order_ix: int, remaining: int) -> None:
-        nonlocal visited
-        if order_ix == fact - 1:
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(
-                    f"margin enumeration passed {budget} count vectors",
-                    scanned=budget, total=budget)
-            add(order_ix, remaining, +1)
-            if remaining:
-                used.append(order_ix)
-            key = tally.margin_key(rows)
-            if key not in seen:
-                seen[key] = tuple(tuple(row) for row in rows)
-                witness_orders[key] = set()
-            witness_orders[key].update(used)
-            if remaining:
-                used.pop()
-            add(order_ix, remaining, -1)
-            return
-        for count in range(remaining + 1):
-            add(order_ix, count, +1)
-            if count:
-                used.append(order_ix)
-            walk(order_ix + 1, remaining - count)
-            if count:
-                used.pop()
-            add(order_ix, count, -1)
-
-    walk(0, n)
-    ordered = sorted(seen.values())
-    return ordered, witness_orders
+    votes = [sum(rows, ()) for rows in tally.comparison_matrices(m)]
+    level: dict[tuple[int, ...], set[int]] = {(0,) * (m * m): set()}
+    for size in range(1, n + 1):
+        reached: dict[tuple[int, ...], set[int]] = {}
+        for flat in level:
+            for order_ix, vote in enumerate(votes):
+                matrix = tuple(map(add, flat, vote))
+                orders = reached.get(matrix)
+                if orders is None:
+                    if len(reached) >= budget:
+                        raise BudgetExceeded(
+                            f"margin enumeration at n={size} passed {budget} keys",
+                            scanned=budget)
+                    orders = reached[matrix] = set()
+                orders.add(order_ix)
+        level = reached
+    flats = sorted(level)
+    matrices = [tuple(flat[a * m:(a + 1) * m] for a in range(m)) for flat in flats]
+    witness_orders = {tally.margin_key(rows): level[flat]
+                      for flat, rows in zip(flats, matrices)}
+    return matrices, witness_orders
 
 
 # --- proof-neighborhood encoding ------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .prefs import Alternatives, LinearOrder, Profile, enumerate_orders, order_index
+from .prefs import Alternatives, Profile, enumerate_orders, order_index
 
 Rows = Sequence[Sequence[int]]
 
@@ -26,9 +26,6 @@ class MarginMatrix:
 
     def margin(self, a: int, b: int) -> int:
         return self.rows[a][b]
-
-    def beats(self, a: int, b: int) -> bool:
-        return self.rows[a][b] > 0
 
     def key(self) -> str:
         """Row-major string key with ``_`` separators, used by C2 tables."""
@@ -106,10 +103,3 @@ def condorcet_winner(profile_or_margins: Profile | MarginMatrix) -> int | None:
     margins = (profile_or_margins if isinstance(profile_or_margins, MarginMatrix)
                else margin_matrix(profile_or_margins))
     return rows_condorcet_winner(margins.rows)
-
-
-def reversal_margin_delta(vote: LinearOrder, a: int, b: int) -> int:
-    """Change to margin(a, b) when a voter with this vote reverses it."""
-    if a == b:
-        return 0
-    return -2 if vote.prefers(a, b) else 2

@@ -117,6 +117,15 @@ class TestAnalyze:
         assert "budget exceeded" in out
 
 
+def _assert_rejected(capsys, argv: str) -> None:
+    code = main(shlex.split(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+    assert "must be positive" in captured.err
+    assert captured.out == ""
+
+
 class TestCheck:
     def test_exit_zero_on_certificate(self, run):
         code, out = run("check --property hwm --rule maximin --m 3 --n 3")
@@ -305,6 +314,31 @@ class TestEncodeDecodePipeline:
         assert code == 3
         assert "unsatisfiable" in err
 
+    def test_encode_c2_seven_alternatives(self, run, tmp_path):
+        # 5040 orders, one key each: deeper than any per-order recursion
+        cnf = tmp_path / "m7.cnf"
+        code, out = run(f"encode --mode c2 --m 7 --n 1 --out {cnf}")
+        assert code == 0
+        assert "variables: 35280" in out
+        with open(f"{cnf}.map") as handle:
+            keys = {line.split()[1] for line in handle}
+        assert len(keys) == 5040
+
+
+    def test_encode_nonpositive_is_an_error(self, capsys, tmp_path):
+        out = tmp_path / "x.cnf"
+        for flags in ("--n 3 --budget 0", "--n 3 --mode c2 --budget -5",
+                      "--n 0", "--n -2 --mode c2", "--n 2 --m -1"):
+            _assert_rejected(capsys, f"encode {flags} --out {out}")
+        assert not out.exists()
+
+    def test_decode_nonpositive_is_an_error(self, capsys, tmp_path):
+        model = tmp_path / "m.model"
+        model.write_text("v 1 0\n")
+        for flags in ("--n 0 --m 3", "--n -2 --m 3 --mode c2", "--n 3 --m 0"):
+            _assert_rejected(capsys, f"decode --model {model} {flags} "
+                                     f"--out {tmp_path / 't.txt'}")
+
     def test_c2_decode_round_trip(self, run, tmp_path, solver_cmd):
         solver = " ".join(shlex.quote(part) for part in solver_cmd)
         cnf = tmp_path / "c2.cnf"
@@ -332,6 +366,15 @@ class TestPad:
         original, alternatives = read_profile(str(perez_profile_path))
         padded, _ = read_profile(str(out_path))
         assert margin_matrix(padded).rows == margin_matrix(original).rows
+
+    def test_nonpositive_times_is_an_error(self, capsys, tmp_path,
+                                           perez_profile_path):
+        out_path = tmp_path / "padded.txt"
+        for times in ("0", "-1"):
+            _assert_rejected(capsys, f"pad {perez_profile_path} "
+                                     f"--order x>y>z>u>t --times {times} "
+                                     f"--out {out_path}")
+        assert not out_path.exists()
 
 
 class TestEntryPoint:

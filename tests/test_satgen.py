@@ -1,4 +1,5 @@
 import io
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +65,14 @@ class TestDimacs:
         out = io.StringIO()
         satgen.write_dimacs(result.formula, out)
         assert out.getvalue() == (GOLDEN_DIR / "encode_m2_n1.cnf").read_text()
+
+    def test_golden_bytes_c2_m3_n3(self):
+        result = satgen.encode_full(3, 3, mode="c2")
+        cnf, varmap = io.StringIO(), io.StringIO()
+        satgen.write_dimacs(result.formula, cnf)
+        satgen.write_varmap(result.varmap, default_labels(3), varmap)
+        assert cnf.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.cnf").read_text()
+        assert varmap.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.map").read_text()
 
     def test_two_var_example(self):
         formula = satgen.CnfFormula(2, ((1, -2),))
@@ -253,16 +262,17 @@ class TestProofNeighborhood:
 
 class TestC2Mode:
     def test_gate_matches_profile_enumeration(self):
-        for n in (2, 3):
-            matrices, witness = satgen.enumerate_margin_keys(n, 3)
+        for n, m in ((1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)):
+            matrices, witness = satgen.enumerate_margin_keys(n, m)
             oracle: dict[str, set[int]] = {}
-            for profile in iter_profiles(n, 3):
+            for profile in iter_profiles(n, m):
                 key = margin_matrix(profile).key()
                 oracle.setdefault(key, set()).update(
                     order_index(v) for v in profile.votes)
             keys = {"_".join(str(x) for row in rows for x in row)
                     for rows in matrices}
             assert keys == set(oracle)
+            assert matrices == sorted(matrices)
             for key, orders in oracle.items():
                 assert witness[key] == orders
 
@@ -284,6 +294,21 @@ class TestC2Mode:
     def test_budget(self):
         with pytest.raises(errors.BudgetExceeded):
             satgen.enumerate_margin_keys(8, 4, budget=50)
+
+    def test_budget_counts_keys(self):
+        # (3, 4) has exactly 1136 realizable margin matrices
+        with pytest.raises(errors.BudgetExceeded, match="1135 keys"):
+            satgen.enumerate_margin_keys(3, 4, budget=1135)
+        matrices, _ = satgen.enumerate_margin_keys(3, 4, budget=1136)
+        assert len(matrices) == 1136
+
+    def test_budget_checked_while_a_level_is_built(self):
+        # level 2 at m=7 has 25M candidate sums; the budget must stop the
+        # build long before they are all formed
+        start = time.perf_counter()
+        with pytest.raises(errors.BudgetExceeded):
+            satgen.enumerate_margin_keys(2, 7, budget=10_000)
+        assert time.perf_counter() - start < 5
 
 
 class TestRunSolver:
