@@ -4,10 +4,15 @@ Reports are plain text with stable field order; ``--json`` switches the
 record-bearing commands to JSON lines.  Identical invocations produce
 byte-identical output.  ``check`` exits 0 when no violation was found,
 1 when a witness is printed, 2 when the scan budget ran out; ``encode``
-exits 2 when its key budget runs out; non-positive size or budget flags
-and other usage or input problems exit 3.  The SAT solver is only ever an
-external binary, taken from ``--solver`` or the PREFREV_SOLVER environment
-variable, and is only invoked when ``--solve`` is passed explicitly.
+exits 2 when its key budget runs out.  Exit 3 covers usage and input
+problems: non-positive size or budget flags, flags the command would
+ignore (``encode --proof`` with ``--n``/``--budget``/``--mode c2``,
+``check --domain condorcet`` outside manipulability), missing, unwritable
+or malformed files, and an ``encode --solve`` run whose solver gives no
+SAT/UNSAT verdict.  ``verify-table`` re-checks profile and c2 tables.
+The SAT solver is only ever an external binary, taken from ``--solver``
+or the PREFREV_SOLVER environment variable, and is only invoked when
+``--solve`` is passed explicitly.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Sequence
 
 from . import monotonicity, proofcheck, rules, satgen
@@ -58,7 +64,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                   if exc.total else "")
         print(f"result: budget exceeded: {exc}{detail}")
         return EXIT_BUDGET
-    except PrefRevError as exc:
+    except (PrefRevError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -193,54 +199,20 @@ def cmd_analyze(args) -> int:
     records.append({"_text": f"condorcet-winner: {winner_label}",
                     "record": "condorcet-winner", "winner": winner_label})
 
-    for name in ("plurality", "borda", "black", "maximin"):
-        label = alternatives.label_of(
-            rules.resolute_rule(name, profile.m, tie_break)(profile))
-        records.append({"_text": f"{name}: {label}",
-                        "record": "rule", "rule": name, "winner": label})
-
-    try:
-        rankings = rules.kemeny_rankings(profile)
-        ranking_text = "|".join(format_order(r, alternatives) for r in rankings)
-        kemeny_label = alternatives.label_of(
-            rules.kemeny_winner(profile, tie_break))
-        records.append({
-            "_text": f"kemeny: {kemeny_label}  rankings={ranking_text}",
-            "record": "rule", "rule": "kemeny", "winner": kemeny_label,
-            "rankings": ranking_text,
-        })
-    except MTooLargeForExactKemeny as exc:
-        records.append({"_text": f"kemeny: skipped ({exc})",
-                        "record": "rule", "rule": "kemeny", "winner": None,
-                        "skipped": str(exc)})
-
-    for name in ("baldwin", "nanson"):
-        label = alternatives.label_of(
-            rules.resolute_rule(name, profile.m, tie_break)(profile))
-        records.append({"_text": f"{name}: {label}",
-                        "record": "rule", "rule": name, "winner": label})
-
-    try:
-        scores = rules.dodgson_scores(profile)
-        score_text = " ".join(f"{alternatives.label_of(a)}={scores[a]}"
-                              for a in range(profile.m))
-        dodgson_label = alternatives.label_of(
-            rules.dodgson_winner(profile, tie_break))
-        records.append({
-            "_text": f"dodgson: {dodgson_label}  scores {score_text}",
-            "record": "rule", "rule": "dodgson", "winner": dodgson_label,
-            "scores": {alternatives.label_of(a): s for a, s in scores.items()},
-        })
-    except BudgetExceeded as exc:
-        records.append({"_text": f"dodgson: skipped ({exc})",
-                        "record": "rule", "rule": "dodgson", "winner": None,
-                        "skipped": str(exc)})
-
-    for name in ("schulze", "ranked-pairs"):
-        label = alternatives.label_of(
-            rules.resolute_rule(name, profile.m, tie_break)(profile))
-        records.append({"_text": f"{name}: {label}",
-                        "record": "rule", "rule": name, "winner": label})
+    for name in rules.RESOLUTE_RULES:
+        if name == "condorcet":  # undefined without a Condorcet winner
+            continue
+        try:
+            label = alternatives.label_of(
+                rules.resolute_rule(name, profile.m, tie_break)(profile))
+            detail = _RULE_DETAILS.get(name)
+            text, extra = detail(profile, alternatives) if detail else ("", {})
+        except (MTooLargeForExactKemeny, BudgetExceeded) as exc:
+            records.append({"_text": f"{name}: skipped ({exc})", "record": "rule",
+                            "rule": name, "winner": None, "skipped": str(exc)})
+            continue
+        records.append({"_text": f"{name}: {label}{text}", "record": "rule",
+                        "rule": name, "winner": label, **extra})
 
     for name in rules.SET_RULES:
         chosen = alternatives.label_set(rules.set_rule(name)(profile))
@@ -260,6 +232,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _kemeny_detail(profile, alternatives) -> tuple[str, dict]:
+    text = "|".join(format_order(r, alternatives)
+                    for r in rules.kemeny_rankings(profile))
+    return f"  rankings={text}", {"rankings": text}
+
+
+def _dodgson_detail(profile, alternatives) -> tuple[str, dict]:
+    scores = rules.dodgson_scores(profile)
+    text = " ".join(f"{alternatives.label_of(a)}={scores[a]}"
+                    for a in range(profile.m))
+    return f"  scores {text}", {
+        "scores": {alternatives.label_of(a): s for a, s in scores.items()}}
+
+
+# per-rule extras after the winner: the text suffix and the JSON fields
+_RULE_DETAILS = {"kemeny": _kemeny_detail, "dodgson": _dodgson_detail}
+
+
 # --- check ----------------------------------------------------------------------
 
 
@@ -270,31 +260,28 @@ def cmd_check(args) -> int:
     scan = dict(budget=args.budget, sample=args.sample, seed=args.seed,
                 workers=args.workers)
 
+    if args.domain == "condorcet" and args.property != "manipulability":
+        raise PrefRevError("--domain condorcet applies only to "
+                           "--property manipulability")
+    set_valued = args.property in ("hwm-optimistic", "hwm-pessimistic")
     if args.table:
         with open(args.table, encoding="utf-8") as handle:
-            table = read_rule_table(handle)
+            rule = read_rule_table(handle)
         rule_name = f"table:{args.table}"
-        if table.n != args.n or table.m != args.m:
-            raise PrefRevError(f"table is for n={table.n} m={table.m}, "
+        if rule.n != args.n or rule.m != args.m:
+            raise PrefRevError(f"table is for n={rule.n} m={rule.m}, "
                                f"flags say n={args.n} m={args.m}")
-        rule = (_Singleton(table)
-                if args.property in ("hwm-optimistic", "hwm-pessimistic")
-                else table)
-    elif args.rule:
-        rule_name = args.rule
-        if args.property in ("hwm-optimistic", "hwm-pessimistic"):
-            if args.rule in rules.SET_RULES:
-                rule = rules.set_rule(args.rule)
-            else:
-                resolute = rules.resolute_rule(args.rule, args.m, tie_break)
-                rule = _Singleton(resolute)
-        elif args.rule in rules.SET_RULES:
+    elif args.rule in rules.SET_RULES:
+        if not set_valued:
             raise UnknownRule(f"{args.rule} is set-valued; use the "
                               f"hwm-optimistic/hwm-pessimistic properties")
-        else:
-            rule = rules.resolute_rule(args.rule, args.m, tie_break)
+        rule_name, rule = args.rule, rules.set_rule(args.rule)
+    elif args.rule:
+        rule_name, rule = args.rule, rules.resolute_rule(args.rule, args.m, tie_break)
     else:
         raise UnknownRule("one of --rule or --table is required")
+    if set_valued and rule_name not in rules.SET_RULES:
+        rule = _Singleton(rule)
 
     mode_text = (f"sampled blocks={args.sample} seed={args.seed}"
                  if args.sample is not None else "exhaustive")
@@ -337,21 +324,18 @@ class _Singleton:
 
 
 def _dispatch_check(args, rule, scan):
-    prop = args.property
-    if prop == "hwm":
-        return monotonicity.check_halfway_monotonicity(rule, args.n, args.m, **scan)
-    if prop == "strong-reversal":
-        return monotonicity.check_strong_reversal(rule, args.n, args.m, **scan)
-    if prop == "participation":
-        return monotonicity.check_participation(rule, args.n, args.m, **scan)
-    if prop == "manipulability":
-        return monotonicity.check_manipulability(rule, args.n, args.m,
-                                                 domain=args.domain, **scan)
-    if prop == "hwm-optimistic":
-        return monotonicity.check_hwm_optimistic(rule, args.n, args.m, **scan)
-    if prop == "hwm-pessimistic":
-        return monotonicity.check_hwm_pessimistic(rule, args.n, args.m, **scan)
-    raise UnknownRule(f"unknown property {prop!r}")
+    # looked up per call, not at import, so that wrappers installed on the
+    # monotonicity module's attributes (as the benchmark's tracer does) apply
+    checkers = {
+        "hwm": monotonicity.check_halfway_monotonicity,
+        "strong-reversal": monotonicity.check_strong_reversal,
+        "participation": monotonicity.check_participation,
+        "manipulability": partial(monotonicity.check_manipulability,
+                                  domain=args.domain),
+        "hwm-optimistic": monotonicity.check_hwm_optimistic,
+        "hwm-pessimistic": monotonicity.check_hwm_pessimistic,
+    }
+    return checkers[args.property](rule, args.n, args.m, **scan)
 
 
 # --- verify-proofs -----------------------------------------------------------------
@@ -398,6 +382,9 @@ def _solver_command(args) -> str:
 def cmd_encode(args) -> int:
     _require_positive(args, "n", "m")
     if args.proof:
+        if args.n is not None or args.budget is not None or args.mode == "c2":
+            raise PrefRevError("--proof encodes a fixed tree; it takes no "
+                               "--n, --budget or --mode c2")
         builder = (proofcheck.build_odd_tree if args.proof == "odd"
                    else proofcheck.build_even_tree)
         tree = builder(args.m)
@@ -425,6 +412,9 @@ def cmd_encode(args) -> int:
           f"condorcet={counts['condorcet']} hwm={counts['hwm']})")
     if args.solve:
         run = satgen.run_solver(_solver_command(args), args.out)
+        if run.status == "UNKNOWN":
+            raise PrefRevError(f"solver gave no SAT/UNSAT verdict "
+                               f"(exit code {run.returncode})")
         print(f"solver: {run.status}")
         if args.model_out:
             with open(args.model_out, "w", encoding="utf-8") as handle:

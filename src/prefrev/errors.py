@@ -103,15 +103,6 @@ class EdgeMismatch(PrefRevError):
     pass
 
 
-class TransportUnsound(PrefRevError):
-    def __init__(self, message: str, *, voter: int | None = None,
-                 carried: int | None = None, blocker: int | None = None):
-        super().__init__(message)
-        self.voter = voter
-        self.carried = carried
-        self.blocker = blocker
-
-
 # --- CNF pipeline ----------------------------------------------------------
 
 

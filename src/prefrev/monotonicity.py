@@ -50,13 +50,13 @@ from .prefs import (
     Alternatives,
     LinearOrder,
     Profile,
-    _reverse_index_table,
     enumerate_orders,
     format_order,
     format_profile,
     index_to_profile,
     num_profiles,
     profile_digits,
+    reverse_index_table,
 )
 from .rules import Rule, SetRule
 from .tally import margin_rows, rows_condorcet_winner
@@ -285,7 +285,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int) -> tuple | None:
     fact = math.factorial(m)
     places = [fact ** (n - 1 - voter) for voter in range(n)]
     orders = enumerate_orders(m)
-    rev = _reverse_index_table(m)
+    rev = reverse_index_table(m)
     compare = _COMPARE[scan.compare]
     sets = scan.compare in _SET_MODES
     reverse = scan.deviation == "reverse"

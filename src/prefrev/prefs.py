@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateLabel,
@@ -146,8 +146,8 @@ def order_index(order: LinearOrder) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reverse_index_table(m: int) -> tuple[int, ...]:
-    # reverse() expressed on canonical order indices, for scan hot loops
+def reverse_index_table(m: int) -> tuple[int, ...]:
+    """``reverse()`` on canonical order indices, for scan hot loops."""
     idx = _order_index_map(m)
     return tuple(idx[o.ranking[::-1]] for o in enumerate_orders(m))
 
@@ -192,9 +192,6 @@ class Profile:
         if self.n == 1:
             raise VoterOutOfRange("cannot remove the last voter")
         return Profile(self.votes[:i] + self.votes[i + 1:])
-
-    def add_voter(self, order: LinearOrder) -> "Profile":
-        return Profile(self.votes + (order,))
 
     def insert_voter(self, i: int, order: LinearOrder) -> "Profile":
         """Join at position ``i`` (``i == n`` appends); later voters shift."""
@@ -313,7 +310,10 @@ def _parse_profile_header(line: str, source: str, lineno: int) -> Alternatives:
     fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
     if "m" not in fields or "labels" not in fields:
         raise PrefRevError(f"{source}:{lineno}: header must be 'm=<int> labels=...'")
-    m = int(fields["m"])
+    try:
+        m = int(fields["m"])
+    except ValueError:
+        raise PrefRevError(f"{source}:{lineno}: bad m {fields['m']!r}") from None
     labels = tuple(x.strip() for x in fields["labels"].split(","))
     if len(labels) != m:
         raise PrefRevError(f"{source}:{lineno}: m={m} but {len(labels)} labels given")
@@ -335,11 +335,9 @@ def format_profile(profile: Profile, alternatives: Alternatives) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_profile(path_or_file: str | TextIO) -> tuple[Profile, Alternatives]:
-    if hasattr(path_or_file, "read"):
-        return parse_profile(path_or_file.read())
-    with open(path_or_file, encoding="utf-8") as handle:
-        return parse_profile(handle.read(), source=str(path_or_file))
+def read_profile(path: str) -> tuple[Profile, Alternatives]:
+    with open(path, encoding="utf-8") as handle:
+        return parse_profile(handle.read(), source=path)
 
 
 def write_profile(profile: Profile, alternatives: Alternatives, path: str) -> None:

@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass, replace
 from typing import TextIO
 
-from .errors import EdgeMismatch, MTooSmall, PrefRevError, TransportUnsound
+from .errors import EdgeMismatch, MTooSmall, PrefRevError
 from .prefs import (
     Alternatives,
     LinearOrder,
@@ -231,14 +231,9 @@ def replayed_carry(edge: ReversalEdge, start: frozenset[int]) -> frozenset[int]:
     return current
 
 
-def verify_edge(tree: ProofTree, edge: ReversalEdge, *,
-                strict: bool = False) -> Report:
+def verify_edge(tree: ProofTree, edge: ReversalEdge) -> Report:
     """Check one edge: profiles differ by exactly the stated reversals, and
-    the carried set survives each single-voter reversal.
-
-    With ``strict=True`` failures raise EdgeMismatch / TransportUnsound
-    instead of only marking the report.
-    """
+    the carried set survives each single-voter reversal."""
     alternatives = tree.alternatives
     label = alternatives.label_of
     rev_text = " ".join(f"{c}x{format_order(o, alternatives)}"
@@ -249,8 +244,6 @@ def verify_edge(tree: ProofTree, edge: ReversalEdge, *,
     dst = tree.profiles.get(edge.dst)
     if src is None or dst is None:
         report.add(False, f"unknown profile name in edge {edge.src}->{edge.dst}")
-        if strict:
-            raise EdgeMismatch(report.failures[0].text)
         return report
 
     try:
@@ -258,8 +251,6 @@ def verify_edge(tree: ProofTree, edge: ReversalEdge, *,
         expected = apply_reversals(src, edge.reversals)
     except EdgeMismatch as exc:
         report.add(False, f"{edge.src}: {exc}")
-        if strict:
-            raise
         return report
 
     if expected == dst:
@@ -269,8 +260,6 @@ def verify_edge(tree: ProofTree, edge: ReversalEdge, *,
         diff = [i for i, (x, y) in enumerate(zip(expected.votes, dst.votes)) if x != y]
         report.add(False, f"{edge.dst} differs from {edge.src} with the stated "
                           f"reversals applied (voters {diff})")
-        if strict:
-            raise EdgeMismatch(report.failures[0].text)
 
     carried_text = alternatives.label_set(edge.carried)
     for count, order in edge.reversals:
@@ -285,9 +274,6 @@ def verify_edge(tree: ProofTree, edge: ReversalEdge, *,
                        f"{count}x {format_order(order, alternatives)}: ranks "
                        f"carried {label(w)} above non-carried {label(v)}, so the "
                        f"winner could escape {carried_text}")
-            if strict:
-                raise TransportUnsound(report.failures[-1].text,
-                                       carried=w, blocker=v)
     if report.ok:
         replay = replayed_carry(edge, edge.carried)
         report.add(replay == edge.carried,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .errors import (
     BudgetExceeded,
@@ -31,7 +31,7 @@ from .prefs import (
     num_profiles,
     profile_to_index,
 )
-from .tally import MarginMatrix, condorcet_winner, margin_matrix
+from .tally import condorcet_winner, margin_matrix
 
 Rule = Callable[[Profile], int]
 SetRule = Callable[[Profile], frozenset[int]]
@@ -81,10 +81,9 @@ class TieBreak:
         return self.priority.worst_of(alts)
 
 
-def _argmax_set(scores: Mapping[int, float] | list) -> list[int]:
-    items = list(enumerate(scores)) if isinstance(scores, list) else list(scores.items())
-    top = max(v for _, v in items)
-    return [a for a, v in items if v == top]
+def _argmax_set(scores: list[int]) -> list[int]:
+    top = max(scores)
+    return [a for a, v in enumerate(scores) if v == top]
 
 
 # --- scoring rules ----------------------------------------------------------
@@ -112,8 +111,8 @@ def plurality_winner(profile: Profile, tie_break: TieBreak) -> int:
 # --- margin-based rules -----------------------------------------------------
 
 
-def maximin_scores(profile_or_margins: Profile | MarginMatrix) -> list[int]:
-    margins = _as_margins(profile_or_margins)
+def maximin_scores(profile: Profile) -> list[int]:
+    margins = margin_matrix(profile)
     return [
         min((margins.rows[a][b] for b in range(margins.m) if b != a), default=0)
         for a in range(margins.m)
@@ -130,12 +129,6 @@ def black_winner(profile: Profile, tie_break: TieBreak) -> int:
     if winner is not None:
         return winner
     return borda_winner(profile, tie_break)
-
-
-def _as_margins(profile_or_margins: Profile | MarginMatrix) -> MarginMatrix:
-    if isinstance(profile_or_margins, MarginMatrix):
-        return profile_or_margins
-    return margin_matrix(profile_or_margins)
 
 
 # --- set-valued rules over the strict majority relation ---------------------
@@ -467,29 +460,38 @@ def read_rule_table(source: TextIO) -> RuleTable:
     fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     try:
         n, m, mode = int(fields["n"]), int(fields["m"]), fields["mode"]
-    except KeyError:
-        raise PrefRevError(f"bad rule-table header: {header!r}") from None
+    except (KeyError, ValueError):
+        n = m = 0
+    if n < 1 or m < 1:
+        raise PrefRevError(f"bad rule-table header: {header!r}")
     alternatives = Alternatives(default_labels(m))
     entries: dict[str, int] = {}
-    for raw in source:
+    for lineno, raw in enumerate(source, start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, label = line.rsplit(",", 1)
+        key, comma, label = line.rpartition(",")
+        if not comma or mode == "profile" and not key.isdecimal():
+            raise PrefRevError(f"rule-table line {lineno}: expected "
+                               f"'<key>,<label>', got {line!r}")
         entries[key] = alternatives.id_of(label.strip())
     if mode == "profile":
         total = num_profiles(n, m)
-        chosen = [None] * total
+        # the entries cover at most len(entries) indices, so the first gap
+        # lies below len(entries) + 1: no list outgrows the file, however
+        # large a domain the header claims
+        chosen = [None] * min(total, len(entries) + 1)
         for key, alt in entries.items():
             ix = int(key)
-            if not 0 <= ix < total:
+            if ix >= total:
                 raise MissingEntry(f"profile index {ix} out of range")
-            chosen[ix] = alt
+            if ix < len(chosen):
+                chosen[ix] = alt
         missing = next((i for i, v in enumerate(chosen) if v is None), None)
         if missing is not None:
             raise MissingEntry(f"no entry for profile index {missing}")
-        return RuleTable(n, m, "profile", tuple(chosen))
-    return RuleTable(n, m, "c2", entries)
+        return RuleTable(n, m, mode, tuple(chosen))
+    return RuleTable(n, m, mode, entries)
 
 
 # --- registry -----------------------------------------------------------------

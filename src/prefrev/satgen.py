@@ -34,11 +34,12 @@ from .errors import (
     VariableOutOfRange,
 )
 from .prefs import (
-    _reverse_index_table,
     enumerate_orders,
-    index_to_profile,
+    iter_profiles,
     num_profiles,
     profile_digits,
+    profile_to_index,
+    reverse_index_table,
 )
 from .proofcheck import ProofTree, replayed_carry
 from .report import Report
@@ -147,7 +148,7 @@ def _profile_key_space(n: int, m: int):
     index of the profile where that voter reversed)."""
     fact = math.factorial(m)
     places = [fact ** (n - 1 - voter) for voter in range(n)]
-    rev = _reverse_index_table(m)
+    rev = reverse_index_table(m)
     for key in range(num_profiles(n, m)):
         digits = profile_digits(key, n, m)
         edges = [(d, key + (rev[d] - d) * place) for d, place in zip(digits, places)]
@@ -337,7 +338,7 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
     saw_literal = False
     for raw in source:
         line = raw.strip()
-        if not line or line[0] in "cs" and not _looks_numeric(line):
+        if not line or line[0] in "cs":
             continue
         if line.upper() in _STATUS_WORDS:
             continue
@@ -368,15 +369,6 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
     return assignment
 
 
-def _looks_numeric(line: str) -> bool:
-    head = line.split(None, 1)[0]
-    try:
-        int(head)
-        return True
-    except ValueError:
-        return False
-
-
 def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTable:
     """Turn a satisfying assignment into a lookup-table rule.
 
@@ -402,54 +394,41 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
 # --- the independent re-check ------------------------------------------------------
 
 
-def verify_rule(table: RuleTable, *, budget: int | None = None) -> Report:
+def verify_rule(table: RuleTable) -> Report:
     """Exhaustively re-check a decoded table without touching the CNF.
 
+    The table is called as a rule on every profile, in either mode:
     Condorcet-consistency is recomputed per profile with the tally module;
     the reversal scan comes from the monotonicity checker.  Together they
     independently confirm what the formula was supposed to assert.
     """
-    if table.mode != "profile":
-        raise PrefRevError("verify_rule re-checks profile-mode tables; "
-                           "expand a c2 table first")
     report = Report(f"rule table verification (n={table.n}, m={table.m})")
     total = num_profiles(table.n, table.m)
     bad = None
-    for key in range(total):
-        profile = index_to_profile(key, table.n, table.m)
+    for key, profile in enumerate(iter_profiles(table.n, table.m)):
         winner = condorcet_winner(profile)
-        if winner is not None and table.chosen[key] != winner:
-            bad = (key, winner, table.chosen[key])
+        if winner is not None and (chosen := table(profile)) != winner:
+            bad = (key, winner, chosen)
             break
     report.add(bad is None,
                f"Condorcet-consistency over all {total} profiles"
                if bad is None else
                f"profile {bad[0]}: Condorcet winner {bad[1]}, table picks {bad[2]}")
 
-    witness = None
-    exhausted = None
     try:
-        witness = monotonicity.check_halfway_monotonicity(
-            table, table.n, table.m, budget=budget)
+        witness = monotonicity.check_halfway_monotonicity(table, table.n, table.m)
     except BudgetExceeded as exc:
-        exhausted = exc
-    if exhausted is not None:
-        report.add(False, f"reversal scan stopped early: {exhausted}")
-    elif witness is None:
+        report.add(False, f"reversal scan stopped early: {exc}")
+        return report
+    if witness is None:
         report.add(True, f"half-way monotonicity over all {total} profiles "
                          f"x {table.n} voters")
     else:
         report.add(False, f"profile index "
-                          f"{_witness_index(witness)}, voter {witness.voter}: "
+                          f"{profile_to_index(witness.profile)}, voter {witness.voter}: "
                           f"reversal moves the winner from "
                           f"{witness.winner_before} to {witness.winner_after}")
     return report
-
-
-def _witness_index(witness: monotonicity.ReversalWitness) -> int:
-    from .prefs import profile_to_index
-
-    return profile_to_index(witness.profile)
 
 
 # --- external solver ------------------------------------------------------------
@@ -462,8 +441,7 @@ class SolverRun:
     returncode: int
 
 
-def run_solver(command: str | Sequence[str], cnf_path: str,
-               timeout: float | None = None) -> SolverRun:
+def run_solver(command: str | Sequence[str], cnf_path: str) -> SolverRun:
     """Invoke an external DIMACS solver on a CNF file.
 
     The solver is any binary that takes the CNF path as its last argument
@@ -471,8 +449,7 @@ def run_solver(command: str | Sequence[str], cnf_path: str,
     also recognised).  Models are read from its stdout.
     """
     argv = shlex.split(command) if isinstance(command, str) else list(command)
-    proc = subprocess.run(argv + [cnf_path], capture_output=True, text=True,
-                          timeout=timeout)
+    proc = subprocess.run(argv + [cnf_path], capture_output=True, text=True)
     status = "UNKNOWN"
     for line in proc.stdout.splitlines():
         upper = line.strip().upper()

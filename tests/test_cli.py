@@ -183,6 +183,14 @@ class TestCheck:
                       "--m 3 --n 2")
         assert code == 0
 
+    def test_condorcet_domain_needs_manipulability(self, capsys):
+        code = main(shlex.split("check --property hwm --rule borda --m 3 "
+                                "--n 2 --domain condorcet"))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: --domain condorcet")
+        assert captured.out == ""
+
     def test_set_rule_needs_set_property(self, run):
         code, _ = run("check --property hwm --rule top-cycle --m 3 --n 2")
         assert code == 3
@@ -289,6 +297,26 @@ class TestEncodeDecodePipeline:
             assert code == 0
             assert "solver: UNSAT" in out
 
+    def test_proof_rejects_full_formula_flags(self, capsys, tmp_path):
+        cnf = tmp_path / "odd.cnf"
+        for flags in ("--n 2", "--budget 5", "--mode c2"):
+            code = main(shlex.split(f"encode --proof odd {flags} --out {cnf}"))
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.err.startswith("error: --proof")
+            assert captured.out == ""
+        assert not cnf.exists()
+
+    def test_solver_without_verdict_is_an_error(self, capsys, tmp_path):
+        solver = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(1)'"
+        code = main(["encode", "--proof", "odd", "--out", str(tmp_path / "x.cnf"),
+                     "--solve", "--solver", solver])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ")
+        assert "exit code 1" in captured.err
+        assert "solver:" not in captured.out
+
     def test_solver_from_environment(self, run, tmp_path, solver_cmd,
                                      monkeypatch):
         monkeypatch.setenv("PREFREV_SOLVER",
@@ -375,6 +403,50 @@ class TestPad:
                                      f"--order x>y>z>u>t --times {times} "
                                      f"--out {out_path}")
         assert not out_path.exists()
+
+
+BAD_INPUTS = {  # argv (with {tmp}), files to write first, expected message
+    "analyze-missing": ("analyze {tmp}/none.txt", {}, "No such file"),
+    "verify-table-missing": ("verify-table {tmp}/none.table", {}, "No such file"),
+    "decode-model-missing": ("decode --model {tmp}/none.model --n 2 --m 3 "
+                             "--out {tmp}/t.table", {}, "No such file"),
+    "pad-missing": ("pad {tmp}/none.txt --order a>b>c --out {tmp}/p.txt", {},
+                    "No such file"),
+    "check-table-missing": ("check --property hwm --table {tmp}/none.table "
+                            "--m 3 --n 2", {}, "No such file"),
+    "encode-out-no-dir": ("encode --n 2 --m 3 --out {tmp}/no/dir/x.cnf", {},
+                          "No such file"),
+    "table-header-n": ("verify-table {tmp}/t.table",
+                       {"t.table": "n=x m=3 mode=profile\n"}, "rule-table header"),
+    "table-line-no-comma": ("verify-table {tmp}/t.table",
+                            {"t.table": "n=1 m=3 mode=profile\n0 a\n"},
+                            "rule-table line 2"),
+    "table-index-q": ("verify-table {tmp}/t.table",
+                      {"t.table": "n=1 m=3 mode=profile\nq,a\n"},
+                      "rule-table line 2"),
+    "table-huge-domain": ("verify-table {tmp}/t.table",
+                          {"t.table": "n=4 m=9 mode=profile\n0,a\n"},
+                          "no entry for profile index 1"),
+    "table-mode-unknown": ("verify-table {tmp}/t.table",
+                           {"t.table": "n=1 m=3 mode=weird\n"}, "unknown table mode"),
+    "profile-header-m": ("analyze {tmp}/p.txt",
+                         {"p.txt": "m=q labels=a,b,c\n1: a>b>c\n"}, "bad m"),
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("argv,files,message", BAD_INPUTS.values(),
+                             ids=BAD_INPUTS.keys())
+    def test_exits_three_with_an_error_line(self, capsys, tmp_path, argv,
+                                            files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = main(shlex.split(argv.format(tmp=tmp_path)))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestEntryPoint:

@@ -160,7 +160,7 @@ class TestParticipation:
         cba, bca = orders[5], orders[3]
         assert (cba.ranking, bca.ranking) == ((2, 1, 0), (1, 2, 0))
         base = Profile((cba, cba))
-        joined = base.add_voter(bca)
+        joined = base.insert_voter(base.n, bca)
         corrupted = big.replace_entry(profile_to_index(joined), bca.bottom)
         witness = check_participation({2: small, 3: corrupted}, 3, 3)
         assert witness is not None

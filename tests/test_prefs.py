@@ -152,7 +152,7 @@ class TestProfileEditing:
 
     def test_remove_then_add_permutes_multiset(self):
         removed = self.profile.remove_voter(0)
-        back = removed.add_voter(self.profile.votes[0])
+        back = removed.insert_voter(removed.n, self.profile.votes[0])
         assert sorted(v.ranking for v in back.votes) == \
             sorted(v.ranking for v in self.profile.votes)
 

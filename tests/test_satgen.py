@@ -17,7 +17,7 @@ from prefrev.prefs import (
     parse_order,
 )
 from prefrev.proofcheck import build_even_tree, build_odd_tree
-from prefrev.rules import RuleTable, resolute_rule, tabulate_rule
+from prefrev.rules import resolute_rule, tabulate_rule
 from prefrev.tally import condorcet_winner, margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -28,6 +28,13 @@ def solve(formula, solver_cmd, tmp_path, name="f.cnf"):
     with open(path, "w") as handle:
         satgen.write_dimacs(formula, handle)
     return satgen.run_solver(solver_cmd, str(path))
+
+
+def decoded_c2_table(solver_cmd, tmp_path):
+    result = satgen.encode_full(3, 3, mode="c2")
+    run = solve(result.formula, solver_cmd, tmp_path, "c2.cnf")
+    model = satgen.read_dimacs_model(io.StringIO(run.output), result.varmap)
+    return satgen.decode_model(model, result.varmap)
 
 
 class TestClauseCounts:
@@ -209,10 +216,25 @@ class TestFullPipeline:
         table = satgen.decode_model(model, result.varmap)
         assert satgen.verify_rule(table).ok
 
-    def test_verify_rule_rejects_c2_tables(self):
-        table = RuleTable(2, 3, "c2", {})
-        with pytest.raises(errors.PrefRevError):
-            satgen.verify_rule(table)
+    def test_decoded_c2_table_verifies(self, solver_cmd, tmp_path):
+        table = decoded_c2_table(solver_cmd, tmp_path)
+        report = satgen.verify_rule(table)
+        assert report.ok, report.render()
+
+    def test_corrupted_c2_table_is_located(self, solver_cmd, tmp_path):
+        table = decoded_c2_table(solver_cmd, tmp_path)
+        # the first profile with a Condorcet winner is also the first with
+        # its margin key, so the report names exactly that index
+        target = next(k for k in range(216)
+                      if condorcet_winner(index_to_profile(k, 3, 3)) is not None)
+        profile = index_to_profile(target, 3, 3)
+        winner = condorcet_winner(profile)
+        corrupted = table.replace_entry(margin_matrix(profile).key(),
+                                        (winner + 1) % 3)
+        report = satgen.verify_rule(corrupted)
+        assert not report.ok
+        assert any(line.text.startswith(f"profile {target}: Condorcet winner")
+                   for line in report.failures)
 
 
 class TestProofNeighborhood:
