@@ -100,7 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="max scan units before giving up")
     p.add_argument("--sample", type=int, help="sampled scan: number of blocks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for an exhaustive scan; only scans over "
+                        "order-dependent rules (profile tables) are split, "
+                        "anonymous rules take the faster one-process "
+                        "quotient scan")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
@@ -314,10 +318,12 @@ def cmd_check(args) -> int:
 
 
 class _Singleton:
-    """Lift a resolute rule to a singleton-valued set rule."""
+    """Lift a resolute rule to a singleton-valued set rule, keeping what
+    the rule depends on."""
 
     def __init__(self, rule):
         self.rule = rule
+        self.depends_on = getattr(rule, "depends_on", "order")
 
     def __call__(self, profile):
         return frozenset((self.rule(profile),))

@@ -23,20 +23,44 @@ profile:
   reads as ``index_{n-1} * m! + joiner``, the (n-1)-voter profile the
   joiner joins at the end; a block is one (n-1)-voter profile, m! units.
 
+The kernel draws its units from one of two sources; the deviation, the
+Condorcet-domain filter and the comparison are the same for both.
+
+- the ordered path tries every unit in the region and memoises outcomes by
+  profile index.  Sampled scans and scans over a rule that depends on
+  voter order take it, and only its exhaustive scans split over
+  ``workers`` processes.
+- the quotient path serves exhaustive scans when every rule the scan calls
+  declares ``depends_on`` "multiset" or "margins" (see
+  :mod:`prefrev.rules`).  It tries only the sorted truthful profiles (non-
+  decreasing digits, from ``combinations_with_replacement``, which come in
+  ascending index) and on each only the first voter of each distinct
+  order; participation tries the sorted (n-1)-voter profiles with every
+  joiner.  Outcomes are memoised by the sorted digit tuple, so the rule
+  runs once per multiset of votes.  It runs in one process.
+
+Both return the same first witness.  If the rule ignores voter order, the
+votes of a witness P, sorted, with the deviating voter moved to the first
+position of their order, form a witness too (for participation: the
+(n-1)-voter profile sorted, the same joiner), and its unit is no larger.
+So the first witness already lies on a unit of the quotient path, and the
+argument holds inside any budget region [0, budget) as well, so budget
+verdicts and counts do not change.
+
 Every witness is revalidated before it is returned: the rule is called
 again on both the truthful and the deviated profile and the comparison is
 re-applied.
 
 Rules are plain callables from :class:`~prefrev.prefs.Profile` to an
 alternative id (or to a frozenset for the set-valued checkers), so tables,
-registry rules, and test fixtures all plug in unchanged.
+registry rules, and test fixtures all plug in unchanged; a callable without
+a ``depends_on`` attribute is taken to depend on voter order.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -50,10 +74,12 @@ from .prefs import (
     Alternatives,
     LinearOrder,
     Profile,
+    digits_to_index,
     enumerate_orders,
     format_order,
     format_profile,
     index_to_profile,
+    iter_digits,
     num_profiles,
     profile_digits,
     reverse_index_table,
@@ -248,38 +274,69 @@ class _Scan:
     def block_span(self) -> int:
         return self.n if self.deviation == "reverse" else math.factorial(self.m)
 
+    @property
+    def anonymous(self) -> bool:
+        """Whether no rule the scan calls depends on voter order."""
+        called = (self.rule,) if self.rule_small is None else (self.rule, self.rule_small)
+        return all(getattr(rule, "depends_on", "order") != "order" for rule in called)
+
 
 class _Outcomes(dict):
-    """Rule outcomes by profile index, evaluated on first lookup."""
+    """Rule outcomes evaluated on first lookup, keyed by profile index, or
+    on the quotient path by the sorted digit tuple."""
 
-    def __init__(self, rule, n: int, m: int, *, sets: bool):
+    def __init__(self, rule, n: int, m: int, *, sets: bool, quotient: bool):
         super().__init__()
         self.rule = rule
         self.n = n
         self.m = m
         self.orders = enumerate_orders(m)
         self.sets = sets
+        self.quotient = quotient
 
-    def evaluate(self, index: int, digits: list[int]):
-        """The outcome at ``index`` (with these digits), not cached."""
+    def evaluate(self, digits) -> object:
+        """The outcome of the profile with these digits, not cached."""
         value = self.rule(Profile(tuple(map(self.orders.__getitem__, digits))))
         if self.sets and not value:
-            raise EmptyOutcomeSet(f"set-valued rule returned an empty set "
-                                  f"at profile index {index}")
+            raise EmptyOutcomeSet(f"set-valued rule returned an empty set at "
+                                  f"profile index {digits_to_index(digits, self.m)}")
         return value
 
-    def __missing__(self, index: int):
-        value = self[index] = self.evaluate(index, profile_digits(index, self.n, self.m))
+    def digits(self, key) -> tuple[int, ...] | list[int]:
+        return key if self.quotient else profile_digits(key, self.n, self.m)
+
+    def __missing__(self, key):
+        value = self[key] = self.evaluate(self.digits(key))
         return value
 
 
-def _scan_chunk(scan: _Scan, lo: int, hi: int) -> tuple | None:
+def _sorted_units(scan: _Scan, lo: int, hi: int):
+    """The quotient path's units in [lo, hi), ascending: the units of the
+    first voter of each distinct order on each sorted profile, or for
+    participation every joiner after each sorted (n-1)-voter prefix."""
+    abstain = scan.deviation == "abstain"
+    # runs of consecutive units: the deviations of one (profile, voter), or
+    # for participation the m! joiners of one prefix
+    span = math.factorial(scan.m) if abstain else scan.width
+    for index, digits in iter_digits(scan.n - abstain, scan.m, anonymous=True):
+        starts = ([index * span] if abstain else
+                  [(index * scan.n + voter) * span for voter, d in enumerate(digits)
+                   if not voter or d != digits[voter - 1]])
+        if starts[0] >= hi:
+            return
+        for start in starts:
+            yield from range(max(start, lo), min(start + span, hi))
+
+
+def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False) -> tuple | None:
     """First violating unit in [lo, hi).
 
     Returns ``(unit, index, voter, order, before, after)``: the truthful
     profile index, the deviating voter, the order they deviate to (their
     own order when abstaining), and the outcomes of the truthful and the
-    deviated profile.
+    deviated profile.  The ordered path tries every unit; the quotient path
+    (for anonymous rules only) tries the units of :func:`_sorted_units` and
+    keys its memo by sorted digit tuple, and returns the same first hit.
     """
     n, m = scan.n, scan.m
     fact = math.factorial(m)
@@ -292,26 +349,26 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int) -> tuple | None:
     abstain = scan.deviation == "abstain"
     condorcet_only = scan.condorcet_only
     width, voters = scan.width, scan.voters
-    outcome = _Outcomes(scan.rule, n, m, sets=sets)
-    deviated = (_Outcomes(scan.rule_small, n - 1, m, sets=sets) if abstain
-                else outcome)
-    membership: dict[int, bool] = {}
+    outcome = _Outcomes(scan.rule, n, m, sets=sets, quotient=quotient)
+    deviated = (_Outcomes(scan.rule_small, n - 1, m, sets=sets, quotient=quotient)
+                if abstain else outcome)
+    membership: dict = {}
 
-    def in_domain(index: int) -> bool:
-        ok = membership.get(index)
+    def in_domain(key) -> bool:
+        ok = membership.get(key)
         if ok is None:
-            ok = rows_condorcet_winner(
-                margin_rows(m, profile_digits(index, n, m))) is not None
-            membership[index] = ok
+            ok = rows_condorcet_winner(margin_rows(m, outcome.digits(key))) is not None
+            membership[key] = ok
         return ok
 
     index = -1
-    for unit in range(lo, hi):
+    for unit in _sorted_units(scan, lo, hi) if quotient else range(lo, hi):
         row, target = divmod(unit, width)
         profile_ix, voter = divmod(row, voters)
         if profile_ix != index:
             index = profile_ix
             digits = profile_digits(index, n, m)
+            here = tuple(sorted(digits)) if quotient else index
             before = None
         if abstain:
             voter = n - 1
@@ -323,11 +380,16 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int) -> tuple | None:
             elif target == d:
                 continue
             other = index + (target - d) * places[voter]
-        if condorcet_only and not (in_domain(index) and in_domain(other)):
+        if quotient:  # the deviated profile's votes as a sorted multiset
+            other = tuple(sorted(digits[:voter] + ([] if abstain else [target])
+                                 + digits[voter + 1:]))
+        if condorcet_only and not (in_domain(here) and in_domain(other)):
             continue
         if before is None:
-            # participation meets each n-voter profile once: caching is waste
-            before = outcome.evaluate(index, digits) if abstain else outcome[index]
+            # ordered participation meets each n-voter profile once:
+            # caching is waste
+            before = (outcome.evaluate(digits) if abstain and not quotient
+                      else outcome[here])
         after = deviated[other]
         if compare(orders[digits[voter]], before, after):
             return (unit, index, voter, target, before, after)
@@ -338,8 +400,10 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
               seed: int, workers: int) -> tuple | None:
     """Dispatch a first-witness scan over all of ``scan``'s units.
 
-    Exhaustive mode covers units [0, min(total, budget)) and raises
-    :class:`BudgetExceeded` if that had to stop short without a witness.
+    Exhaustive mode covers units [0, min(total, budget)), on the quotient
+    path in this process when the rules are anonymous and otherwise split
+    over ``workers`` processes, and raises :class:`BudgetExceeded` if that
+    had to stop short without a witness.
     Sampled mode visits ``sample`` random blocks of ``scan.block_span``
     units drawn from a seeded generator.
     """
@@ -358,7 +422,13 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
         return hit
 
     region = min(total_units, budget)
-    if workers > 1 and region > workers:
+    if scan.anonymous:
+        hit = _scan_chunk(scan, 0, region, quotient=True)
+    elif workers > 1 and region > workers:
+        # imported here: only ordered scans use the pool, and the import
+        # costs about a seventh of a CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         step = -(-region // workers)
         los = range(0, region, step)
         with ProcessPoolExecutor(max_workers=workers) as pool:

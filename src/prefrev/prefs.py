@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -213,11 +213,19 @@ def num_profiles(n: int, m: int) -> int:
 
 def profile_to_index(profile: Profile) -> int:
     """Canonical index: voter 0 is the most significant base-m! digit."""
-    fact = math.factorial(profile.m)
-    value = 0
-    for vote in profile.votes:
-        value = value * fact + order_index(vote)
-    return value
+    index_of = _order_index_map(profile.m)
+    return digits_to_index([index_of[vote.ranking] for vote in profile.votes],
+                           profile.m)
+
+
+def digits_to_index(digits: Iterable[int], m: int) -> int:
+    """The canonical index of the profile whose votes have these order
+    indices, voter 0 first; the inverse of :func:`profile_digits`."""
+    fact = math.factorial(m)
+    index = 0
+    for digit in digits:
+        index = index * fact + digit
+    return index
 
 
 def profile_digits(index: int, n: int, m: int) -> list[int]:
@@ -227,6 +235,20 @@ def profile_digits(index: int, n: int, m: int) -> list[int]:
     for voter in range(n - 1, -1, -1):
         index, digits[voter] = divmod(index, fact)
     return digits
+
+
+def iter_digits(n: int, m: int, *, anonymous: bool = False
+                ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(index, digits)`` of every profile, in ascending canonical index.
+
+    With ``anonymous`` only the non-decreasing digit tuples come out: one
+    profile per multiset of votes, the lowest-index ordering of it.
+    """
+    fact = math.factorial(m)
+    tuples = (combinations_with_replacement(range(fact), n) if anonymous
+              else product(range(fact), repeat=n))
+    for digits in tuples:
+        yield digits_to_index(digits, m), digits
 
 
 def index_to_profile(index: int, n: int, m: int) -> Profile:

@@ -5,6 +5,12 @@ single alternative id; set-valued rules return frozensets.  All rules here
 are pure functions of the profile, so they can back the paradox checkers
 directly.  :class:`RuleTable` wraps an explicit lookup table (e.g. decoded
 from a SAT model) behind the same callable interface.
+
+Rule callables declare what their outcome depends on in a ``depends_on``
+attribute: ``"margins"`` (only the margin matrix), ``"multiset"`` (the
+votes cast, not which voter cast which) or ``"order"`` (the voter-indexed
+profile, the default for any callable without the attribute).  The
+exhaustive scans of :mod:`prefrev.monotonicity` read it.
 """
 
 from __future__ import annotations
@@ -425,6 +431,12 @@ class RuleTable:
 
     __call__ = lookup
 
+    @property
+    def depends_on(self) -> str:
+        """c2 lookups read only the margin key; profile lookups read the
+        voter-indexed profile."""
+        return "margins" if self.mode == "c2" else "order"
+
     def replace_entry(self, key: int | str, winner: int) -> "RuleTable":
         """A copy with one entry changed (used to plant violations in tests)."""
         if self.mode == "profile":
@@ -505,6 +517,9 @@ def _condorcet_rule(profile: Profile) -> int:
     return winner
 
 
+_condorcet_rule.depends_on = "margins"
+
+
 RESOLUTE_RULES = ("plurality", "borda", "black", "maximin", "kemeny",
                   "baldwin", "nanson", "dodgson", "schulze", "ranked-pairs",
                   "condorcet")
@@ -528,10 +543,15 @@ _SET_IMPL: dict[str, SetRule] = {
     "uncovered-set": uncovered_set,
     "top-cycle": top_cycle,
 }
+copeland_set.depends_on = uncovered_set.depends_on = top_cycle.depends_on = "margins"
+
+# resolute rules whose outcome is a function of the margin matrix alone
+_MARGIN_RULES = frozenset({"maximin", "kemeny", "schulze", "ranked-pairs"})
 
 
 def resolute_rule(name: str, m: int, tie_break: TieBreak | None = None) -> Rule:
-    """A picklable resolute rule callable by registry name."""
+    """A picklable resolute rule callable by registry name, declaring
+    ``depends_on`` "margins" or "multiset"."""
     tie_break = tie_break or TieBreak.lexicographic(m)
     if name == "condorcet":
         return _condorcet_rule
@@ -540,7 +560,9 @@ def resolute_rule(name: str, m: int, tie_break: TieBreak | None = None) -> Rule:
     except KeyError:
         raise UnknownRule(f"unknown rule {name!r}; known: "
                           f"{', '.join(RESOLUTE_RULES)}") from None
-    return partial(impl, tie_break=tie_break)
+    rule = partial(impl, tie_break=tie_break)
+    rule.depends_on = "margins" if name in _MARGIN_RULES else "multiset"
+    return rule
 
 
 def set_rule(name: str) -> SetRule:

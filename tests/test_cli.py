@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from prefrev.cli import main
+from prefrev.cli import _Singleton, main
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import read_profile
 from prefrev.rules import read_rule_table, resolute_rule, tabulate_rule, write_rule_table
@@ -241,6 +241,12 @@ class TestCheck:
         code1, out1 = run(base)
         code2, out2 = run(base + " --workers 2")
         assert (code1, out1) == (code2, out2)
+
+    def test_singleton_lift_keeps_the_declaration(self):
+        assert _Singleton(resolute_rule("maximin", 3)).depends_on == "margins"
+        assert _Singleton(resolute_rule("borda", 3)).depends_on == "multiset"
+        table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
+        assert _Singleton(table).depends_on == "order"
 
 
 class TestVerifyProofs:

@@ -26,6 +26,7 @@ from prefrev.prefs import (
     index_to_profile,
     iter_profiles,
     num_profiles,
+    order_index,
     profile_to_index,
 )
 from prefrev.rules import RuleTable, resolute_rule, set_rule, tabulate_rule
@@ -494,3 +495,141 @@ class TestScanKernelAgainstBruteForce:
             hit = _scan_chunk(scan, lo, hi)
             first = next(((u, b, a) for u, b, a, _ in reference if lo <= u < hi), None)
             assert (None if hit is None else (hit[0], hit[4], hit[5])) == first
+
+
+class AnonymousRandomRule:
+    """A random rule of the multiset of votes.  Each sorted vote tuple seeds
+    its own draw, so the outcome depends neither on voter order nor on the
+    order of calls.  Most multisets get the outcome {0} (or 0), so
+    violations are sparse."""
+
+    depends_on = "multiset"
+
+    def __init__(self, seed: str, m: int, *, sets: bool = False):
+        self.seed, self.m, self.sets = seed, m, sets
+
+    def __call__(self, profile: Profile):
+        key = tuple(sorted(map(order_index, profile.votes)))
+        rng = random.Random(f"{self.seed}:{key}")
+        if rng.random() < 0.7:
+            winners = frozenset((0,))
+        else:
+            winners = (frozenset(a for a in range(self.m) if rng.random() < 0.5)
+                       or frozenset((rng.randrange(self.m),)))
+        return winners if self.sets else min(winners)
+
+
+class CountingRule:
+    """Counts the calls of a rule; without ``depends_on`` given it declares
+    nothing, so scans over it take the ordered path."""
+
+    def __init__(self, rule, depends_on: str | None = None):
+        self.rule, self.calls = rule, 0
+        if depends_on is not None:
+            self.depends_on = depends_on
+
+    def __call__(self, profile: Profile):
+        self.calls += 1
+        return self.rule(profile)
+
+
+def anonymous_case(prop: str, n: int, m: int, seed: str):
+    """An anonymous random rule for ``prop``, the reference's extra
+    arguments, the kernel scan and a checker call over any rule family."""
+    kind = prop.partition(":")[0]
+    rule = AnonymousRandomRule(seed, m, sets=kind in SET_PROPERTIES)
+    if kind == "participation":
+        small = AnonymousRandomRule(seed + ":small", m)
+        scan = _Scan(rule, n, m, "abstain", "weak", rule_small=small)
+        return rule, {"small": small}, scan, lambda wrap, **kw: check_participation(
+            {n - 1: wrap(small), n: wrap(rule)}, n, m, **kw)
+    if kind == "manipulability":
+        domain = prop.partition(":")[2] or "full"
+        scan = _Scan(rule, n, m, "misreport", "weak",
+                     condorcet_only=domain == "condorcet")
+        return rule, {"domain": domain}, scan, lambda wrap, **kw: check_manipulability(
+            wrap(rule), n, m, domain=domain, **kw)
+    compare = {"hwm": "weak", "strong-reversal": "strong"}.get(kind, kind[len("hwm-"):])
+    scan = _Scan(rule, n, m, "reverse", compare)
+    return rule, {}, scan, lambda wrap, **kw: ALL_CHECKERS[kind](wrap(rule), n, m, **kw)
+
+
+def on_quotient_path(witness) -> bool:
+    if isinstance(witness, ParticipationWitness):
+        votes = witness.profile_without.votes
+        return list(votes) == sorted(votes, key=order_index)
+    votes = witness.profile.votes
+    return (list(votes) == sorted(votes, key=order_index)
+            and votes.index(votes[witness.voter]) == witness.voter)
+
+
+class TestQuotientPath:
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("prop", KERNEL_PROPERTIES)
+    def test_quotient_and_ordered_paths_return_the_same_hit(self, prop, m, n):
+        # the first seed whose rule violates the property, but not at unit 0,
+        # which would leave no budget to truncate
+        for attempt in range(20):
+            rule, extra, scan, check = anonymous_case(prop, n, m,
+                                                      f"{prop}:{m}:{n}:{attempt}")
+            reference = reference_hits(prop.partition(":")[0], rule, n, m, **extra)
+            if reference and reference[0][0] > 0:
+                break
+        else:
+            pytest.fail("no random rule violates the property past unit 0")
+        assert scan.anonymous
+        first = reference[0][0]
+
+        # the full region and budgets ending just before and just after the
+        # first hit
+        for region in (scan.total_units, first, first + 1):
+            ordered = _scan_chunk(scan, 0, region)
+            assert _scan_chunk(scan, 0, region, quotient=True) == ordered
+            assert (None if ordered is None else ordered[0]) == (
+                first if first < region else None)
+
+        # stepping past each hit, the quotient path finds every reference hit
+        # on a sorted profile at the first voter of their order (for
+        # participation: after a sorted prefix), with the same outcomes
+        visible = [(unit, before, after) for unit, before, after, witness in reference
+                   if on_quotient_path(witness)]
+        found, lo = [], 0
+        while (hit := _scan_chunk(scan, lo, scan.total_units, quotient=True)) is not None:
+            found.append((hit[0], hit[4], hit[5]))
+            lo = hit[0] + 1
+        assert found == visible
+
+        # through the checkers: the declared rule takes the quotient path,
+        # the undeclared one the ordered path, and both give the reference's
+        # first witness, or run out of budget at the same count
+        for wrap in (lambda r: r, CountingRule):
+            assert check(wrap) == reference[0][3]
+            with pytest.raises(errors.BudgetExceeded) as exc:
+                check(wrap, budget=first)
+            assert (exc.value.scanned, exc.value.total) == (first, scan.total_units)
+
+
+class TestQuotientFastPath:
+    def test_declared_rule_is_called_once_per_multiset(self):
+        multisets = math.comb(math.factorial(3) + 6 - 1, 6)
+        assert multisets == 462
+        declared = CountingRule(resolute_rule("maximin", 3), "multiset")
+        assert check_halfway_monotonicity(declared, 6, 3) is None
+        assert declared.calls <= multisets
+
+        undeclared = CountingRule(resolute_rule("maximin", 3))
+        assert check_halfway_monotonicity(undeclared, 6, 3) is None
+        assert undeclared.calls == num_profiles(6, 3)  # the ordered path
+
+    def test_participation_calls_each_rule_once_per_multiset(self):
+        big = CountingRule(resolute_rule("borda", 3), "multiset")
+        small = CountingRule(resolute_rule("borda", 3), "multiset")
+        assert check_participation({2: small, 3: big}, 3, 3) is None
+        assert big.calls <= math.comb(6 + 3 - 1, 3)
+        assert small.calls <= math.comb(6 + 2 - 1, 2)
+
+    def test_order_dependent_participation_family_takes_the_ordered_path(self):
+        big = CountingRule(resolute_rule("borda", 3), "multiset")
+        small = CountingRule(resolute_rule("borda", 3))
+        assert check_participation({2: small, 3: big}, 3, 3) is None
+        assert big.calls == num_profiles(3, 3)

@@ -16,6 +16,7 @@ from prefrev.prefs import (
 from prefrev.proofcheck import build_perez_profile
 from prefrev.rules import (
     RESOLUTE_RULES,
+    SET_RULES,
     RuleTable,
     TieBreak,
     baldwin_winner,
@@ -438,3 +439,60 @@ class TestRuleTable:
             resolute_rule("approval", 3)
         with pytest.raises(errors.UnknownRule):
             set_rule("bipartisan")
+
+
+# --- declared dependence ----------------------------------------------------------
+
+
+def outcome_or_undefined(rule, profile):
+    try:
+        return rule(profile)
+    except errors.DomainMismatch:  # the Condorcet rule off its domain
+        return None
+
+
+def assert_declaration_holds(rule, n: int, m: int) -> None:
+    """Every profile gets the outcome of its sorted votes (so permuting the
+    voters changes nothing); a "margins" rule also gives one outcome per
+    margin key."""
+    assert rule.depends_on in ("multiset", "margins")
+    by_key = {}
+    for profile in iter_profiles(n, m):
+        outcome = outcome_or_undefined(rule, profile)
+        ordered = Profile(tuple(sorted(profile.votes, key=lambda v: v.ranking)))
+        assert outcome_or_undefined(rule, ordered) == outcome, profile
+        if rule.depends_on == "margins":
+            key = margin_matrix(profile).key()
+            assert by_key.setdefault(key, outcome) == outcome, profile
+
+
+class TestDependsOn:
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
+    @pytest.mark.parametrize("name", RESOLUTE_RULES + SET_RULES)
+    def test_registry_rule_declaration_holds(self, name, m, n):
+        rng = random.Random(f"{name}:{m}:{n}")
+        if name in SET_RULES:
+            rule = set_rule(name)
+        else:
+            priority = LinearOrder(tuple(rng.sample(range(m), m)))
+            rule = resolute_rule(name, m, TieBreak(priority))
+        assert_declaration_holds(rule, n, m)
+
+    def test_margin_rules_are_the_declared_ones(self):
+        margins = {name for name in RESOLUTE_RULES
+                   if resolute_rule(name, 3).depends_on == "margins"}
+        assert margins == {"maximin", "kemeny", "schulze", "ranked-pairs",
+                           "condorcet"}
+        assert all(set_rule(name).depends_on == "margins" for name in SET_RULES)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
+    def test_c2_table_declares_margins_and_holds(self, m, n):
+        rng = random.Random(f"c2:{m}:{n}")
+        keys = sorted({margin_matrix(p).key() for p in iter_profiles(n, m)})
+        table = RuleTable(n, m, "c2", {key: rng.randrange(m) for key in keys})
+        assert table.depends_on == "margins"
+        assert_declaration_holds(table, n, m)
+
+    def test_profile_table_depends_on_order(self):
+        table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
+        assert table.depends_on == "order"

@@ -1,4 +1,5 @@
 import io
+import random
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -17,8 +18,8 @@ from prefrev.prefs import (
     parse_order,
 )
 from prefrev.proofcheck import build_even_tree, build_odd_tree
-from prefrev.rules import resolute_rule, tabulate_rule
-from prefrev.tally import condorcet_winner, margin_matrix
+from prefrev.rules import RuleTable, resolute_rule, tabulate_rule
+from prefrev.tally import MarginMatrix, condorcet_winner, margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -201,6 +202,35 @@ class TestFullPipeline:
         report = satgen.verify_rule(corrupted)
         assert not report.ok
         assert any(str(target) in line.text for line in report.failures)
+
+    def test_profile_table_is_walked_in_voter_order(self):
+        # a Condorcet profile with unsorted votes: a walk over sorted
+        # profiles only would miss it
+        table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
+        target = max(k for k, profile in enumerate(iter_profiles(3, 3))
+                     if condorcet_winner(profile) is not None
+                     and list(profile.votes) != sorted(profile.votes, key=order_index))
+        winner = condorcet_winner(index_to_profile(target, 3, 3))
+        report = satgen.verify_rule(table.replace_entry(target, (winner + 1) % 3))
+        assert report.failures[0].text.startswith(f"profile {target}: ")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_c2_table_names_the_first_failing_profile(self, seed):
+        # a c2 table is walked over sorted profiles only; the index it names
+        # is still the first failing one in voter order
+        rule = resolute_rule("maximin", 3)
+        chosen = {}
+        for profile in iter_profiles(3, 3):
+            chosen.setdefault(margin_matrix(profile).key(), rule(profile))
+        table = RuleTable(3, 3, "c2", chosen)
+        keys = sorted(key for key in chosen if condorcet_winner(
+            MarginMatrix.from_key(key, m=3, n=3)) is not None)
+        key = random.Random(seed).choice(keys)
+        corrupted = table.replace_entry(key, (chosen[key] + 1) % 3)
+        first = next(k for k, profile in enumerate(iter_profiles(3, 3))
+                     if margin_matrix(profile).key() == key)
+        report = satgen.verify_rule(corrupted)
+        assert report.failures[0].text.startswith(f"profile {first}: ")
 
     def test_maximin_table_verifies(self):
         table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
