@@ -1,7 +1,8 @@
 """Voting rules, reversal-paradox checkers, proof verification, CNF pipeline.
 
 The public surface mirrors the module layout: ``prefs`` for orders and
-profiles, ``tally`` for majority margins, ``rules`` for the rule suite,
+profiles, ``tally`` for majority margins, ``keyspace`` for the margin
+matrices realizable by n voters, ``rules`` for the rule suite,
 ``monotonicity`` for the paradox checkers, ``proofcheck`` for the
 machine-checked impossibility trees, ``satgen`` for the CNF pipeline,
 ``cli`` for the command line.

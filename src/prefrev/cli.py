@@ -97,7 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=("full", "condorcet"), default="full",
                    help="restrict manipulability to profiles with a "
                         "Condorcet winner")
-    p.add_argument("--budget", type=int, help="max scan units before giving up")
+    p.add_argument("--budget", type=int,
+                   help="max scan units before giving up.  An exhaustive "
+                        "scan of rules that read only the margins (maximin, "
+                        "kemeny, schulze, ranked-pairs, condorcet, the set "
+                        "rules, c2 tables) first tries the margin pass, "
+                        "keys(n-1) x m! units (x m! again for "
+                        "manipulability), when they fit; every other scan, "
+                        "and one whose margin pass meets a violation, counts "
+                        "units of the full profile space")
     p.add_argument("--sample", type=int, help="sampled scan: number of blocks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,

@@ -1,0 +1,112 @@
+"""Realizable margin matrices: the key space of margins-only rules.
+
+A key is the upper triangle of a margin matrix, the margins (a, b) for
+a < b in row-major order, packed into one integer: entry i of the
+m(m-1)/2 entries sits, offset by 2^31, in bits [32 (L-1-i), 32 (L-i)).
+The diagonal is zero and the lower triangle is the negated upper one, so a
+key fixes its matrix.  Adding one vote to a profile is one integer
+addition of that vote's key change, and integer order is the
+lexicographic order of the entries, which is the order of the full
+row-major matrices.  Entries, and so electorates, stay below 2^31.
+
+Level k holds the keys realizable by k voters, each with one realization:
+a tuple of canonical order indices whose votes have that key.  The levels
+come from one set DP, since the keys of k voters are the keys of k-1
+voters plus one vote's key change.  McGarvey (1953) and Debord (1987)
+show that every skew-symmetric integer matrix whose off-diagonal entries
+share one parity is the margin matrix of some profile; the DP decides at
+which sizes.  An order o is a *witness order* of a key K at level k, i.e.
+some realization of K has a voter with vote o, exactly when K - vote(o)
+lies at level k-1.
+
+The c2 encoder and decoder (:mod:`prefrev.satgen`), the margin pass of the
+scan kernel (:mod:`prefrev.monotonicity`) and the key-level re-check of c2
+tables all take their keys from :func:`margin_levels`.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from .errors import BudgetExceeded
+from .tally import comparison_matrices
+
+Level = dict[int, tuple[int, ...]]
+
+_BITS = 32
+_OFFSET = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+
+
+def _shifts(m: int) -> range:
+    """Bit positions of the key entries, first entry first."""
+    return range(_BITS * (m * (m - 1) // 2 - 1), -1, -_BITS)
+
+
+@lru_cache(maxsize=None)
+def vote_keys(m: int) -> tuple[int, ...]:
+    """The key change of a single vote, by canonical order index."""
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    return tuple(sum(rows[a][b] << shift for (a, b), shift in zip(pairs, _shifts(m)))
+                 for rows in comparison_matrices(m))
+
+
+@lru_cache(maxsize=None)
+def empty_key(m: int) -> int:
+    """The key of no votes: every margin zero."""
+    return sum(_OFFSET << shift for shift in _shifts(m))
+
+
+def digits_key(m: int, digits) -> int:
+    """The key of the votes with these canonical order indices."""
+    return empty_key(m) + sum(map(vote_keys(m).__getitem__, digits))
+
+
+def key_rows(key: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The full margin matrix of a key."""
+    rows = [[0] * m for _ in range(m)]
+    shifts = iter(_shifts(m))
+    for a in range(m):
+        for b in range(a + 1, m):
+            rows[a][b] = ((key >> next(shifts)) & _MASK) - _OFFSET
+            rows[b][a] = -rows[a][b]
+    return tuple(map(tuple, rows))
+
+
+def margin_levels(n: int, m: int, *, budget: int | None = None
+                  ) -> tuple[Level, Level]:
+    """Levels n-1 and n (level -1 is empty), each key mapped to one
+    realization.
+
+    ``budget`` caps the keys of any level, checked on each insertion while
+    a level is built (levels never shrink: adding one fixed vote maps level
+    k into level k+1 one-to-one), so :class:`BudgetExceeded` means level n
+    has more than ``budget`` keys.
+    """
+    votes = vote_keys(m)
+    previous: Level = {}
+    level: Level = {empty_key(m): ()}
+    for size in range(1, n + 1):
+        reached: Level = {}
+        for key, digits in level.items():
+            for order_ix, vote in enumerate(votes):
+                new = key + vote
+                if new not in reached:
+                    if budget is not None and len(reached) >= budget:
+                        raise BudgetExceeded(
+                            f"margin enumeration at n={size} passed {budget} keys",
+                            scanned=budget)
+                    reached[new] = digits + (order_ix,)
+        previous, level = level, reached
+    return previous, level
+
+
+def witness_orders(previous: Level, m: int) -> dict[int, set[int]]:
+    """Per key of the level above ``previous``, its witness orders: the o
+    with key - vote(o) in ``previous``, collected as vote(o) is added."""
+    witnesses: dict[int, set[int]] = {}
+    votes = vote_keys(m)
+    for key in previous:
+        for order_ix, vote in enumerate(votes):
+            witnesses.setdefault(key + vote, set()).add(order_ix)
+    return witnesses

@@ -23,8 +23,10 @@ profile:
   reads as ``index_{n-1} * m! + joiner``, the (n-1)-voter profile the
   joiner joins at the end; a block is one (n-1)-voter profile, m! units.
 
-The kernel draws its units from one of two sources; the deviation, the
-Condorcet-domain filter and the comparison are the same for both.
+The kernel draws its units from one of three sources; the deviation, the
+Condorcet-domain filter and the comparison are the same for all of them.
+A truthful profile outside the Condorcet domain is tested once and all
+its units are skipped.
 
 - the ordered path tries every unit in the region and memoises outcomes by
   profile index.  Sampled scans and scans over a rule that depends on
@@ -37,15 +39,39 @@ Condorcet-domain filter and the comparison are the same for both.
   ascending index) and on each only the first voter of each distinct
   order; participation tries the sorted (n-1)-voter profiles with every
   joiner.  Outcomes are memoised by the sorted digit tuple, so the rule
-  runs once per multiset of votes.  It runs in one process.
+  runs once per multiset of votes (once per margin key for a "margins"
+  rule).  It runs in one process.
+- the margin pass serves exhaustive scans when every rule the scan calls
+  declares "margins".  Its unit is (K, o): K a margin key realizable by
+  n-1 voters, o the deviating voter's order.  The truthful key is
+  K + cmp[o]; reversal goes to K - cmp[o], a misreport o' to K + cmp[o'],
+  abstention to K itself at n-1 voters.  An order o is a witness order of
+  an n-voter key M (some realization of M has a voter of order o) exactly
+  when M - cmp[o] is realizable by n-1 voters (:mod:`prefrev.keyspace`,
+  after McGarvey 1953 and Debord 1987).  So every unit of the other paths
+  is a unit (K, o), with K the margins of the other n-1 voters, and every
+  (K, o) is a unit of theirs: a realization of K joined by a voter of
+  order o.  A rule of the margins alone thus violates on some unit of the
+  margin pass exactly when it does on some unit of the other paths.  Each
+  rule runs once per key, on one stored realization, and never on a key
+  that the Condorcet-domain filter (a Condorcet winner of the key)
+  rejects.  The pass only certifies: if it meets a violation, or the rule
+  raises, it hands over to the quotient path, which shares its outcome
+  memo (keyed by margin key) and returns the first witness, or the
+  error, as before.
 
-Both return the same first witness.  If the rule ignores voter order, the
-votes of a witness P, sorted, with the deviating voter moved to the first
-position of their order, form a witness too (for participation: the
-(n-1)-voter profile sorted, the same joiner), and its unit is no larger.
-So the first witness already lies on a unit of the quotient path, and the
-argument holds inside any budget region [0, budget) as well, so budget
-verdicts and counts do not change.
+Budgets count units of the path taken.  The margin pass runs when its
+keys(n-1) * m! units (keys(n-1) * m!^2 for manipulation) fit in the
+budget; otherwise, and after a hand-over, the scan covers the units
+[0, min(total, budget)) of the ordered numbering.
+
+The quotient path returns the same first witness as the ordered path.  If
+the rule ignores voter order, the votes of a witness P, sorted, with the
+deviating voter moved to the first position of their order, form a
+witness too (for participation: the (n-1)-voter profile sorted, the same
+joiner), and its unit is no larger.  So the first witness already lies on
+a unit of the quotient path, and the argument holds inside any budget
+region [0, budget) as well, so budget verdicts and counts do not change.
 
 Every witness is revalidated before it is returned: the rule is called
 again on both the truthful and the deviated profile and the comparison is
@@ -86,6 +112,7 @@ from .prefs import (
 )
 from .rules import Rule, SetRule
 from .tally import margin_rows, rows_condorcet_winner
+from . import keyspace
 
 # either one rule valid at every electorate size, or a mapping size -> rule
 RuleFamily = Rule | Mapping[int, Rule]
@@ -275,15 +302,30 @@ class _Scan:
         return self.n if self.deviation == "reverse" else math.factorial(self.m)
 
     @property
+    def called(self) -> tuple:
+        """The rules the scan calls."""
+        return (self.rule,) if self.rule_small is None else (self.rule, self.rule_small)
+
+    @property
     def anonymous(self) -> bool:
         """Whether no rule the scan calls depends on voter order."""
-        called = (self.rule,) if self.rule_small is None else (self.rule, self.rule_small)
-        return all(getattr(rule, "depends_on", "order") != "order" for rule in called)
+        return all(_depends_on(rule) != "order" for rule in self.called)
+
+    @property
+    def margins_only(self) -> bool:
+        """Whether every rule the scan calls reads only the margins."""
+        return all(_depends_on(rule) == "margins" for rule in self.called)
+
+
+def _depends_on(rule) -> str:
+    return getattr(rule, "depends_on", "order")
 
 
 class _Outcomes(dict):
     """Rule outcomes evaluated on first lookup, keyed by profile index, or
-    on the quotient path by the sorted digit tuple."""
+    on the quotient path by the sorted digit tuple.  There a "margins" rule
+    also memoises them by margin key in ``by_key``, which the margin pass
+    fills and reads too."""
 
     def __init__(self, rule, n: int, m: int, *, sets: bool, quotient: bool):
         super().__init__()
@@ -293,6 +335,7 @@ class _Outcomes(dict):
         self.orders = enumerate_orders(m)
         self.sets = sets
         self.quotient = quotient
+        self.by_key = {} if quotient and _depends_on(rule) == "margins" else None
 
     def evaluate(self, digits) -> object:
         """The outcome of the profile with these digits, not cached."""
@@ -302,18 +345,49 @@ class _Outcomes(dict):
                                   f"profile index {digits_to_index(digits, self.m)}")
         return value
 
+    def at_key(self, key, digits) -> object:
+        """The outcome of margin key ``key``, evaluated at most once per key,
+        on its realization ``digits`` (in any order)."""
+        value = self.by_key.get(key)
+        if value is None:
+            value = self.by_key[key] = self.evaluate(tuple(sorted(digits)))
+        return value
+
     def digits(self, key) -> tuple[int, ...] | list[int]:
         return key if self.quotient else profile_digits(key, self.n, self.m)
 
     def __missing__(self, key):
-        value = self[key] = self.evaluate(self.digits(key))
+        digits = self.digits(key)
+        value = self[key] = (self.evaluate(digits) if self.by_key is None else
+                             self.at_key(keyspace.digits_key(self.m, digits), digits))
         return value
 
 
-def _sorted_units(scan: _Scan, lo: int, hi: int):
-    """The quotient path's units in [lo, hi), ascending: the units of the
-    first voter of each distinct order on each sorted profile, or for
-    participation every joiner after each sorted (n-1)-voter prefix."""
+def _outcomes(scan: _Scan, *, quotient: bool) -> tuple[_Outcomes, _Outcomes]:
+    """The memos of the truthful and of the deviated outcomes (one memo,
+    unless the deviation is abstention)."""
+    sets = scan.compare in _SET_MODES
+    outcome = _Outcomes(scan.rule, scan.n, scan.m, sets=sets, quotient=quotient)
+    if scan.deviation != "abstain":
+        return outcome, outcome
+    return outcome, _Outcomes(scan.rule_small, scan.n - 1, scan.m, sets=sets,
+                              quotient=quotient)
+
+
+def _ordered_runs(scan: _Scan, lo: int, hi: int):
+    """The ordered path's units in [lo, hi), cut at profile boundaries."""
+    per_profile = scan.voters * scan.width
+    while lo < hi:
+        stop = min(hi, (lo // per_profile + 1) * per_profile)
+        yield range(lo, stop)
+        lo = stop
+
+
+def _sorted_runs(scan: _Scan, lo: int, hi: int):
+    """The quotient path's units in [lo, hi), ascending, in runs inside one
+    profile: the units of the first voter of each distinct order on each
+    sorted profile, or for participation every joiner after each sorted
+    (n-1)-voter prefix."""
     abstain = scan.deviation == "abstain"
     # runs of consecutive units: the deviations of one (profile, voter), or
     # for participation the m! joiners of one prefix
@@ -325,18 +399,20 @@ def _sorted_units(scan: _Scan, lo: int, hi: int):
         if starts[0] >= hi:
             return
         for start in starts:
-            yield from range(max(start, lo), min(start + span, hi))
+            yield range(max(start, lo), min(start + span, hi))
 
 
-def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False) -> tuple | None:
+def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
+                outcomes: tuple[_Outcomes, _Outcomes] | None = None) -> tuple | None:
     """First violating unit in [lo, hi).
 
     Returns ``(unit, index, voter, order, before, after)``: the truthful
     profile index, the deviating voter, the order they deviate to (their
     own order when abstaining), and the outcomes of the truthful and the
     deviated profile.  The ordered path tries every unit; the quotient path
-    (for anonymous rules only) tries the units of :func:`_sorted_units` and
+    (for anonymous rules only) tries the units of :func:`_sorted_runs` and
     keys its memo by sorted digit tuple, and returns the same first hit.
+    ``outcomes`` are the memos to use (fresh ones by default).
     """
     n, m = scan.n, scan.m
     fact = math.factorial(m)
@@ -344,14 +420,11 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False) -> tup
     orders = enumerate_orders(m)
     rev = reverse_index_table(m)
     compare = _COMPARE[scan.compare]
-    sets = scan.compare in _SET_MODES
     reverse = scan.deviation == "reverse"
     abstain = scan.deviation == "abstain"
     condorcet_only = scan.condorcet_only
     width, voters = scan.width, scan.voters
-    outcome = _Outcomes(scan.rule, n, m, sets=sets, quotient=quotient)
-    deviated = (_Outcomes(scan.rule_small, n - 1, m, sets=sets, quotient=quotient)
-                if abstain else outcome)
+    outcome, deviated = outcomes or _outcomes(scan, quotient=quotient)
     membership: dict = {}
 
     def in_domain(key) -> bool:
@@ -362,48 +435,116 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False) -> tup
         return ok
 
     index = -1
-    for unit in _sorted_units(scan, lo, hi) if quotient else range(lo, hi):
-        row, target = divmod(unit, width)
-        profile_ix, voter = divmod(row, voters)
-        if profile_ix != index:
-            index = profile_ix
-            digits = profile_digits(index, n, m)
-            here = tuple(sorted(digits)) if quotient else index
-            before = None
-        if abstain:
-            voter = n - 1
-            target, other = digits[voter], index // fact
-        else:
-            d = digits[voter]
-            if reverse:
-                target = rev[d]
-            elif target == d:
+    for run in (_sorted_runs if quotient else _ordered_runs)(scan, lo, hi):
+        for unit in run:
+            row, target = divmod(unit, width)
+            profile_ix, voter = divmod(row, voters)
+            if profile_ix != index:
+                index = profile_ix
+                digits = profile_digits(index, n, m)
+                here = tuple(sorted(digits)) if quotient else index
+                before = None
+                # a truthful profile outside the domain has no unit to try
+                outside = condorcet_only and not in_domain(here)
+            if outside:
+                break  # a run never leaves its profile
+            if abstain:
+                voter = n - 1
+                target, other = digits[voter], index // fact
+            else:
+                d = digits[voter]
+                if reverse:
+                    target = rev[d]
+                elif target == d:
+                    continue
+                other = index + (target - d) * places[voter]
+            if quotient:  # the deviated profile's votes as a sorted multiset
+                other = tuple(sorted(digits[:voter] + ([] if abstain else [target])
+                                     + digits[voter + 1:]))
+            if condorcet_only and not in_domain(other):
                 continue
-            other = index + (target - d) * places[voter]
-        if quotient:  # the deviated profile's votes as a sorted multiset
-            other = tuple(sorted(digits[:voter] + ([] if abstain else [target])
-                                 + digits[voter + 1:]))
-        if condorcet_only and not (in_domain(here) and in_domain(other)):
-            continue
-        if before is None:
-            # ordered participation meets each n-voter profile once:
-            # caching is waste
-            before = (outcome.evaluate(digits) if abstain and not quotient
-                      else outcome[here])
-        after = deviated[other]
-        if compare(orders[digits[voter]], before, after):
-            return (unit, index, voter, target, before, after)
+            if before is None:
+                # ordered participation meets each n-voter profile once:
+                # caching is waste
+                before = (outcome.evaluate(digits) if abstain and not quotient
+                          else outcome[here])
+            after = deviated[other]
+            if compare(orders[digits[voter]], before, after):
+                return (unit, index, voter, target, before, after)
     return None
+
+
+def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
+                 budget: int) -> bool:
+    """Whether the margin pass certifies the scan: False when its units do
+    not fit in ``budget``, when some unit violates, or when a rule raises.
+
+    Outcomes go into the memos' ``by_key``, so the quotient path that takes
+    over asks the rule about no key twice.
+    """
+    per_key = math.factorial(scan.m) * scan.width
+    try:
+        level = keyspace.margin_levels(scan.n - 1, scan.m, budget=budget // per_key)[1]
+    except BudgetExceeded:
+        return False
+    if len(level) * per_key > budget:
+        return False
+    try:
+        return not _margin_violation(scan, outcome, deviated, level)
+    except Exception:
+        # whatever the rule raised, the quotient path raises it again at
+        # the same unit as before, unless a witness comes first
+        return False
+
+
+def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
+                      level: dict) -> bool:
+    """Whether some unit (K, o), K a key of ``level`` (n-1 voters), violates."""
+    m = scan.m
+    votes = keyspace.vote_keys(m)
+    orders = enumerate_orders(m)
+    rev = reverse_index_table(m)
+    compare = _COMPARE[scan.compare]
+    deviation = scan.deviation
+    winners: dict = {}
+
+    def in_domain(key) -> bool:
+        ok = winners.get(key)
+        if ok is None:
+            ok = winners[key] = rows_condorcet_winner(keyspace.key_rows(key, m)) is not None
+        return ok
+
+    for key, digits in level.items():
+        truthful = [key + vote for vote in votes]
+        tried = ([o for o, here in enumerate(truthful) if in_domain(here)]
+                 if scan.condorcet_only else range(len(votes)))
+        if deviation == "misreport" and len(tried) < 2:
+            continue  # no misreport stays inside the domain
+        before = {o: outcome.at_key(truthful[o], digits + (o,)) for o in tried}
+        if deviation == "abstain":
+            afters = (deviated.at_key(key, digits),)
+        elif deviation == "misreport":
+            # a misreport to one's own order changes nothing, and no
+            # comparison counts an unchanged outcome as a gain
+            afters = set(before.values())
+        for o in tried:
+            if deviation == "reverse":
+                afters = (before[rev[o]],)
+            if any(compare(orders[o], before[o], after) for after in afters):
+                return True
+    return False
 
 
 def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
               seed: int, workers: int) -> tuple | None:
     """Dispatch a first-witness scan over all of ``scan``'s units.
 
-    Exhaustive mode covers units [0, min(total, budget)), on the quotient
-    path in this process when the rules are anonymous and otherwise split
-    over ``workers`` processes, and raises :class:`BudgetExceeded` if that
-    had to stop short without a witness.
+    Exhaustive mode first tries the margin pass when every rule reads only
+    the margins and its units fit in ``budget``; unless that certifies, it
+    covers units [0, min(total, budget)), on the quotient path in this
+    process when the rules are anonymous and otherwise split over
+    ``workers`` processes, and raises :class:`BudgetExceeded` if that had
+    to stop short without a witness.
     Sampled mode visits ``sample`` random blocks of ``scan.block_span``
     units drawn from a seeded generator.
     """
@@ -423,7 +564,10 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
 
     region = min(total_units, budget)
     if scan.anonymous:
-        hit = _scan_chunk(scan, 0, region, quotient=True)
+        outcomes = _outcomes(scan, quotient=True)
+        if scan.margins_only and _margin_pass(scan, *outcomes, budget):
+            return None
+        hit = _scan_chunk(scan, 0, region, quotient=True, outcomes=outcomes)
     elif workers > 1 and region > workers:
         # imported here: only ordered scans use the pool, and the import
         # costs about a seventh of a CLI start

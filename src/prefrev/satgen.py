@@ -23,7 +23,7 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass
-from operator import add
+from operator import sub
 from typing import Mapping, Sequence, TextIO
 
 from .errors import (
@@ -44,7 +44,7 @@ from .prefs import (
 from .proofcheck import ProofTree, replayed_carry
 from .report import Report
 from .rules import RuleTable
-from . import monotonicity, tally
+from . import keyspace, monotonicity, tally
 
 DEFAULT_KEY_BUDGET = 1_000_000
 
@@ -162,7 +162,7 @@ def c2_variable_map(n: int, m: int, *, budget: int | None = None
     so a model is always read against the key order it was written with.
     """
     matrices, witness_orders = enumerate_margin_keys(n, m, budget=budget)
-    keys = tuple(tally.margin_key(rows) for rows in matrices)
+    keys = tuple(witness_orders)  # the matrices' margin keys, in their order
     return VariableMap(n=n, m=m, mode="c2", keys=keys), matrices, witness_orders
 
 
@@ -170,17 +170,14 @@ def _c2_key_space(varmap: VariableMap, matrices: list[Matrix],
                   witness_orders: dict[str, set[int]]):
     """Per margin key: its rows and, per witness order, the edge (order,
     rank of the key after one voter of that order reversed)."""
-    m, keys = varmap.m, varmap.keys
-    rank = {key: i for i, key in enumerate(keys)}
-    cmp = tally.comparison_matrices(m)
-    for key_rank, rows in enumerate(matrices):
-        edges = []
-        for order_ix in sorted(witness_orders[keys[key_rank]]):
-            mat = cmp[order_ix]
-            flipped = [[rows[a][b] - 2 * mat[a][b] for b in range(m)]
-                       for a in range(m)]
-            # reversing a witness voter lands on a realizable matrix again
-            edges.append((order_ix, rank[tally.margin_key(flipped)]))
+    flats = [sum(rows, ()) for rows in matrices]
+    rank = {flat: i for i, flat in enumerate(flats)}
+    doubled = [tuple(2 * x for x in sum(cmp, ()))
+               for cmp in tally.comparison_matrices(varmap.m)]
+    for key_rank, (rows, flat) in enumerate(zip(matrices, flats)):
+        # reversing a witness voter lands on a realizable matrix again
+        edges = [(order_ix, rank[tuple(map(sub, flat, doubled[order_ix]))])
+                 for order_ix in sorted(witness_orders[varmap.keys[key_rank]])]
         yield key_rank, rows, edges
 
 
@@ -227,37 +224,25 @@ def _encode_result(varmap: VariableMap, functionality: list[Clause],
 
 def enumerate_margin_keys(n: int, m: int, *, budget: int | None = None
                           ) -> tuple[list[Matrix], dict[str, set[int]]]:
-    """All margin matrices realizable by n voters, with their witness orders.
+    """All margin matrices realizable by n voters, sorted, with their
+    witness orders.
 
-    A set DP over flattened matrices: the matrices of k voters are the
-    matrices of k-1 voters plus one vote's comparison matrix.  Each matrix
-    M of the last level keeps the orders o that reached it, i.e. those with
-    M - cmp[o] realizable by n-1 voters: exactly the orders that appear in
-    at least one realization.  That set is what makes a reversal clause
-    sound for a margin key, so the encoder gates on it.  ``budget`` caps
-    the distinct matrices at any size, checked while a level is built.
+    The keys come from :func:`keyspace.margin_levels`; a key's witness
+    orders are those o whose removal lands at n-1 voters, i.e. exactly the
+    orders that appear in at least one realization.  That set is what makes
+    a reversal clause sound for a margin key, so the encoder gates on it.
+    ``budget`` caps the distinct matrices at any size, checked while a
+    level is built.
     """
     budget = DEFAULT_KEY_BUDGET if budget is None else budget
-    votes = [sum(rows, ()) for rows in tally.comparison_matrices(m)]
-    level: dict[tuple[int, ...], set[int]] = {(0,) * (m * m): set()}
-    for size in range(1, n + 1):
-        reached: dict[tuple[int, ...], set[int]] = {}
-        for flat in level:
-            for order_ix, vote in enumerate(votes):
-                matrix = tuple(map(add, flat, vote))
-                orders = reached.get(matrix)
-                if orders is None:
-                    if len(reached) >= budget:
-                        raise BudgetExceeded(
-                            f"margin enumeration at n={size} passed {budget} keys",
-                            scanned=budget)
-                    orders = reached[matrix] = set()
-                orders.add(order_ix)
-        level = reached
-    flats = sorted(level)
-    matrices = [tuple(flat[a * m:(a + 1) * m] for a in range(m)) for flat in flats]
-    witness_orders = {tally.margin_key(rows): level[flat]
-                      for flat, rows in zip(flats, matrices)}
+    previous, level = keyspace.margin_levels(n, m, budget=budget)
+    witnesses = keyspace.witness_orders(previous, m)
+    matrices = []
+    witness_orders = {}
+    for key in sorted(level):
+        rows = keyspace.key_rows(key, m)
+        matrices.append(rows)
+        witness_orders[tally.margin_key(rows)] = witnesses[key]
     return matrices, witness_orders
 
 
@@ -395,27 +380,18 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
 def verify_rule(table: RuleTable) -> Report:
     """Exhaustively re-check a decoded table without touching the CNF.
 
-    The table is called as a rule on every profile, in either mode, or
-    only on the sorted profiles (one per multiset of votes) of a table that
-    reads no voter order: Condorcet-consistency is recomputed per profile
-    with the tally module; the reversal scan comes from the monotonicity
-    checker.  Together they independently confirm what the formula was
-    supposed to assert.
+    Condorcet-consistency is recomputed with the tally module: a c2 table is
+    asked once per realizable margin key, on a stored realization, and only
+    if some key fails is the walk below run, to name the first failing
+    profile.  That walk calls the table on every profile, or on only the
+    sorted profiles (one per multiset of votes) of a table that reads no
+    voter order.  The reversal scan comes from the monotonicity checker.
+    Together they independently confirm what the formula was supposed to
+    assert.
     """
     report = Report(f"rule table verification (n={table.n}, m={table.m})")
     total = num_profiles(table.n, table.m)
-    orders = enumerate_orders(table.m)
-    bad = None
-    # a table that reads no voter order fails first on a sorted profile (its
-    # sorted votes fail too, at an index no larger), so walking only those
-    # finds the same first failing index
-    for index, digits in iter_digits(table.n, table.m,
-                                     anonymous=table.depends_on != "order"):
-        winner = tally.rows_condorcet_winner(tally.margin_rows(table.m, digits))
-        if winner is not None and (chosen := table(
-                Profile(tuple(map(orders.__getitem__, digits))))) != winner:
-            bad = (index, winner, chosen)
-            break
+    bad = None if _condorcet_keys_hold(table) else _first_condorcet_failure(table)
     report.add(bad is None,
                f"Condorcet-consistency over all {total} profiles"
                if bad is None else
@@ -435,6 +411,46 @@ def verify_rule(table: RuleTable) -> Report:
                           f"reversal moves the winner from "
                           f"{witness.winner_before} to {witness.winner_after}")
     return report
+
+
+def _condorcet_keys_hold(table: RuleTable) -> bool:
+    """Whether a table that reads only the margins picks the Condorcet
+    winner at every margin key that has one; False when unsure: an "order"
+    table, more keys than the table has entries, or a lookup that raises."""
+    if table.depends_on != "margins":
+        return False
+    try:
+        level = keyspace.margin_levels(table.n, table.m,
+                                       budget=len(table.chosen))[1]
+    except BudgetExceeded:
+        return False  # some key has no entry
+    orders = enumerate_orders(table.m)
+    for key, digits in level.items():
+        winner = tally.rows_condorcet_winner(keyspace.key_rows(key, table.m))
+        if winner is None:
+            continue
+        try:
+            if table(Profile(tuple(map(orders.__getitem__, sorted(digits))))) != winner:
+                return False
+        except PrefRevError:
+            return False
+    return True
+
+
+def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
+    """(profile index, Condorcet winner, table's pick) of the first profile
+    where the table misses the Condorcet winner, if any."""
+    orders = enumerate_orders(table.m)
+    # a table that reads no voter order fails first on a sorted profile (its
+    # sorted votes fail too, at an index no larger), so walking only those
+    # finds the same first failing index
+    for index, digits in iter_digits(table.n, table.m,
+                                     anonymous=table.depends_on != "order"):
+        winner = tally.rows_condorcet_winner(tally.margin_rows(table.m, digits))
+        if winner is not None and (chosen := table(
+                Profile(tuple(map(orders.__getitem__, digits))))) != winner:
+            return index, winner, chosen
+    return None
 
 
 # --- external solver ------------------------------------------------------------

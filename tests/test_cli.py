@@ -149,6 +149,12 @@ class TestCheck:
         assert code == 2
         assert "budget exceeded" in out
 
+    def test_margin_pass_certifies_beyond_the_quotient_budget(self, run):
+        # 39.8M scan units, but only 4175 margin keys of 4 voters x 24 orders
+        code, out = run("check --property hwm --rule kemeny --m 4 --n 5")
+        assert code == 0
+        assert out.splitlines()[-1] == "result: no violation (exhaustive certificate)"
+
     def test_exit_three_on_unknown_rule(self, run, capsys):
         code = main(shlex.split(
             "check --property hwm --rule approval --m 3 --n 3"))

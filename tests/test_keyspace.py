@@ -1,0 +1,60 @@
+import pytest
+
+from prefrev import errors, keyspace
+from prefrev.prefs import iter_profiles, order_index
+from prefrev.tally import margin_matrix, margin_rows
+
+
+def brute_force_keys(n: int, m: int) -> dict[tuple, set[int]]:
+    """Every margin matrix of n voters with the orders its realizations use."""
+    keys: dict[tuple, set[int]] = {}
+    for profile in iter_profiles(n, m):
+        keys.setdefault(margin_matrix(profile).rows, set()).update(
+            order_index(v) for v in profile.votes)
+    return keys
+
+
+def decoded(level, m: int) -> dict:
+    return {keyspace.key_rows(key, m): value for key, value in level.items()}
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4)])
+def test_levels_match_profile_enumeration(n, m):
+    previous, level = keyspace.margin_levels(n, m)
+    expected = brute_force_keys(n, m)
+    assert set(decoded(level, m)) == set(expected)
+    assert set(decoded(previous, m)) == set(brute_force_keys(n - 1, m))
+    for key, digits in level.items():
+        # the stored realization has n votes and the key
+        assert len(digits) == n
+        assert keyspace.digits_key(m, digits) == key
+        assert keyspace.key_rows(key, m) == tuple(map(tuple, margin_rows(m, digits)))
+    assert decoded(keyspace.witness_orders(previous, m), m) == expected
+
+
+def test_level_zero_is_the_empty_profile():
+    assert keyspace.margin_levels(0, 4) == ({}, {keyspace.empty_key(4): ()})
+    assert keyspace.key_rows(keyspace.empty_key(4), 4) == ((0,) * 4,) * 4
+
+
+def test_key_order_is_the_order_of_full_matrices():
+    m = 4
+    keys = sorted(keyspace.margin_levels(3, m)[1])
+    full = [sum(keyspace.key_rows(key, m), ()) for key in keys]
+    assert full == sorted(full)
+
+
+def test_keys_add_like_margins():
+    m = 4
+    for digits in [(0,), (5, 17, 23), (23, 23, 0, 11)]:
+        key = keyspace.digits_key(m, digits)
+        for order_ix, vote in enumerate(keyspace.vote_keys(m)):
+            rows = margin_rows(m, digits + (order_ix,))
+            assert keyspace.key_rows(key + vote, m) == tuple(map(tuple, rows))
+
+
+def test_budget_caps_every_level():
+    # (3, 4) has exactly 1136 keys, and no smaller level has more
+    assert len(keyspace.margin_levels(3, 4, budget=1136)[1]) == 1136
+    with pytest.raises(errors.BudgetExceeded, match="n=3 passed 1135 keys"):
+        keyspace.margin_levels(3, 4, budget=1135)

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from prefrev import errors
+from prefrev import errors, keyspace
+from prefrev.cli import _Singleton
 from prefrev.monotonicity import (
     ManipulationWitness,
     ParticipationWitness,
     ReversalWitness,
     SetReversalWitness,
+    _margin_pass,
+    _outcomes,
     _Scan,
     _scan_chunk,
     check_halfway_monotonicity,
@@ -21,6 +24,7 @@ from prefrev.monotonicity import (
     explain_hwm_via_participation,
 )
 from prefrev.prefs import (
+    LinearOrder,
     Profile,
     enumerate_orders,
     index_to_profile,
@@ -29,8 +33,8 @@ from prefrev.prefs import (
     order_index,
     profile_to_index,
 )
-from prefrev.rules import RuleTable, resolute_rule, set_rule, tabulate_rule
-from prefrev.tally import condorcet_winner
+from prefrev.rules import RuleTable, TieBreak, resolute_rule, set_rule, tabulate_rule
+from prefrev.tally import condorcet_winner, margin_key, margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -633,3 +637,183 @@ class TestQuotientFastPath:
         small = CountingRule(resolute_rule("borda", 3))
         assert check_participation({2: small, 3: big}, 3, 3) is None
         assert big.calls == num_profiles(3, 3)
+
+
+# --- the margin pass against the quotient path ------------------------------------
+
+
+class MarginRandomRule:
+    """A random rule of the margin matrix, like a random c2 table: each
+    margin key seeds its own draw.  Most keys get the outcome {0} (or 0),
+    so violations are sparse."""
+
+    depends_on = "margins"
+
+    def __init__(self, seed: str, m: int, *, sets: bool = False):
+        self.seed, self.m, self.sets = seed, m, sets
+
+    def __call__(self, profile: Profile):
+        rng = random.Random(f"{self.seed}:{margin_matrix(profile).key()}")
+        if rng.random() < 0.7:
+            winners = frozenset((0,))
+        else:
+            winners = (frozenset(a for a in range(self.m) if rng.random() < 0.5)
+                       or frozenset((rng.randrange(self.m),)))
+        return winners if self.sets else min(winners)
+
+
+def as_multiset(rule) -> CountingRule:
+    """The rule declared "multiset", so that scans over it take the quotient
+    path and never the margin pass."""
+    return CountingRule(rule, "multiset")
+
+
+class KeyCountingRule:
+    """Counts the calls of a "margins" rule per margin key."""
+
+    depends_on = "margins"
+
+    def __init__(self, rule):
+        self.rule, self.calls = rule, {}
+
+    def __call__(self, profile: Profile):
+        key = margin_matrix(profile).key()
+        self.calls[key] = self.calls.get(key, 0) + 1
+        return self.rule(profile)
+
+
+def random_c2_table(n: int, m: int, rng: random.Random) -> RuleTable:
+    """A c2 table with a random winner at every margin key of n voters."""
+    level = keyspace.margin_levels(n, m)[1]
+    return RuleTable(n, m, "c2", {
+        margin_key(keyspace.key_rows(key, m)): rng.randrange(m) for key in sorted(level)})
+
+
+def margin_cases(prop: str, n: int, m: int):
+    """(name, family) pairs of "margins" rules for ``prop``: a family maps
+    each electorate size the scan needs to its rule."""
+    kind = prop.partition(":")[0]
+    rng = random.Random(f"margin:{prop}:{m}:{n}")
+    sizes = (n - 1, n) if kind == "participation" else (n,)
+    cases = [(f"random:{i}", {size: MarginRandomRule(f"{prop}:{m}:{n}:{i}", m,
+                                                    sets=kind in SET_PROPERTIES)
+                              for size in sizes})
+             for i in range(2)]
+    if kind in SET_PROPERTIES:
+        cases += [(name, {n: set_rule(name)})
+                  for name in ("copeland-set", "uncovered-set", "top-cycle")]
+        cases.append(("c2", {n: _Singleton(random_c2_table(n, m, rng))}))
+        return cases
+    # inside the Condorcet domain every registry "margins" rule is the
+    # Condorcet rule
+    names = (("condorcet",) if prop == "manipulability:condorcet" else
+             ("maximin", "kemeny", "schulze", "ranked-pairs"))
+    for name in names:
+        priority = list(range(m))
+        rng.shuffle(priority)
+        rule = resolute_rule(name, m, TieBreak(LinearOrder(tuple(priority))))
+        cases.append((name, {size: rule for size in sizes}))
+    cases.append(("c2", {size: random_c2_table(size, m, rng) for size in sizes}))
+    return cases
+
+
+def margin_scan(prop: str, n: int, m: int, family) -> tuple[_Scan, object]:
+    """The kernel scan over ``family`` and a checker call taking a wrapper
+    for its rules."""
+    kind, _, domain = prop.partition(":")
+    rule = family[n]
+    if kind == "participation":
+        scan = _Scan(rule, n, m, "abstain", "weak", rule_small=family[n - 1])
+        return scan, lambda wrap, **kw: check_participation(
+            {size: wrap(member) for size, member in family.items()}, n, m, **kw)
+    if kind == "manipulability":
+        scan = _Scan(rule, n, m, "misreport", "weak",
+                     condorcet_only=domain == "condorcet")
+        return scan, lambda wrap, **kw: check_manipulability(
+            wrap(rule), n, m, domain=domain or "full", **kw)
+    compare = {"hwm": "weak", "strong-reversal": "strong"}.get(kind, kind[len("hwm-"):])
+    return (_Scan(rule, n, m, "reverse", compare),
+            lambda wrap, **kw: ALL_CHECKERS[kind](wrap(rule), n, m, **kw))
+
+
+def margin_units(scan: _Scan) -> int:
+    """The margin pass's unit count: keys(n-1) * m!, times m! for misreports."""
+    keys = len(keyspace.margin_levels(scan.n - 1, scan.m)[1])
+    return keys * math.factorial(scan.m) * scan.width
+
+
+class TestMarginPass:
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("prop", KERNEL_PROPERTIES)
+    def test_margin_pass_and_quotient_path_agree(self, prop, m, n):
+        for name, family in margin_cases(prop, n, m):
+            scan, check = margin_scan(prop, n, m, family)
+            assert scan.margins_only, name
+            total = scan.total_units
+            certified = _margin_pass(scan, *_outcomes(scan, quotient=True), total)
+            hit = _scan_chunk(scan, 0, total, quotient=True)
+            assert certified == (hit is None), name
+
+            # through the checkers: the same witness as the quotient path
+            # alone, and the same budget verdicts just below and just above
+            # the first hit
+            if hit is None:
+                assert check(lambda rule: rule) is None, name
+                continue
+            expected = check(as_multiset)
+            assert check(lambda rule: rule) == expected, name
+            first = hit[0]
+            for wrap in (lambda rule: rule, as_multiset):
+                with pytest.raises(errors.BudgetExceeded) as exc:
+                    check(wrap, budget=first)
+                assert (exc.value.scanned, exc.value.total) == (first, total), name
+                assert check(wrap, budget=first + 1) == expected, name
+
+    @pytest.mark.parametrize("prop", ["hwm", "participation", "manipulability:condorcet"])
+    def test_budget_counts_margin_units(self, prop):
+        # maximin certifies all three at (3, 3); the margin pass runs
+        # exactly when its units fit, else the quotient path runs out
+        n, m = 3, 3
+        rule = resolute_rule("maximin", m)
+        scan, check = margin_scan(prop, n, m, {n - 1: rule, n: rule})
+        units = margin_units(scan)
+        assert units < scan.total_units
+        assert check(lambda rule: rule, budget=units) is None
+        with pytest.raises(errors.BudgetExceeded) as exc:
+            check(lambda rule: rule, budget=units - 1)
+        assert (exc.value.scanned, exc.value.total) == (units - 1, scan.total_units)
+
+    def test_condorcet_rule_is_only_called_inside_the_domain(self):
+        # the Condorcet rule raises on any key without a Condorcet winner
+        n, m = 3, 4
+        rule = CountingRule(resolute_rule("condorcet", m), "margins")
+        scan = _Scan(rule, n, m, "misreport", "weak", condorcet_only=True)
+        assert _margin_pass(scan, *_outcomes(scan, quotient=True), scan.total_units)
+        assert 0 < rule.calls <= len(keyspace.margin_levels(n, m)[1])
+
+
+class TestMarginPassCallCounts:
+    KEYS_4_3 = 1136  # margin keys realizable by 3 voters over 4 alternatives
+
+    def test_hwm_kemeny_calls_once_per_key(self):
+        rule = KeyCountingRule(resolute_rule("kemeny", 4))
+        assert check_halfway_monotonicity(rule, 3, 4) is None
+        assert sum(rule.calls.values()) <= self.KEYS_4_3
+        assert max(rule.calls.values()) == 1
+
+    def test_condorcet_domain_manipulability_calls_once_per_key(self):
+        rule = KeyCountingRule(resolute_rule("maximin", 4))
+        assert check_manipulability(rule, 3, 4, domain="condorcet") is None
+        assert sum(rule.calls.values()) <= self.KEYS_4_3
+        assert max(rule.calls.values()) == 1
+
+    def test_hand_over_evaluates_no_key_twice(self):
+        rule = KeyCountingRule(set_rule("top-cycle"))
+        witness = check_hwm_pessimistic(rule, 4, 4)
+        assert witness is not None
+        assert witness == check_hwm_pessimistic(as_multiset(set_rule("top-cycle")), 4, 4)
+        # revalidation asks the rule again about the witness's two profiles
+        revalidated = {margin_matrix(witness.profile).key(),
+                       margin_matrix(witness.profile.reverse_vote(witness.voter)).key()}
+        assert all(count == 1 + (key in revalidated)
+                   for key, count in rule.calls.items())

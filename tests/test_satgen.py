@@ -1,6 +1,7 @@
 import io
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,6 +179,21 @@ class TestDecode:
             satgen.decode_model({}, result.varmap)
 
 
+class KeyCountingTable:
+    """A table that records the margin key of every profile it is asked
+    about."""
+
+    def __init__(self, table: RuleTable):
+        self.table, self.calls = table, []
+
+    def __getattr__(self, name):
+        return getattr(self.table, name)
+
+    def __call__(self, profile):
+        self.calls.append(margin_matrix(profile).key())
+        return self.table(profile)
+
+
 class TestFullPipeline:
     def test_encode_solve_decode_verify(self, solver_cmd, tmp_path):
         result = satgen.encode_full(3, 3)
@@ -231,6 +247,18 @@ class TestFullPipeline:
                      if margin_matrix(profile).key() == key)
         report = satgen.verify_rule(corrupted)
         assert report.failures[0].text.startswith(f"profile {first}: ")
+
+    def test_c2_table_is_asked_once_per_margin_key_and_pass(self):
+        # the key-level Condorcet pass and the reversal scan's margin pass
+        # each ask the table about a margin key at most once
+        rule = resolute_rule("maximin", 3)
+        chosen = {}
+        for profile in iter_profiles(4, 3):
+            chosen.setdefault(margin_matrix(profile).key(), rule(profile))
+        table = KeyCountingTable(RuleTable(4, 3, "c2", chosen))
+        assert satgen.verify_rule(table).ok
+        assert max(Counter(table.calls).values()) <= 2
+        assert len(table.calls) <= 2 * len(chosen)
 
     def test_maximin_table_verifies(self):
         table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
