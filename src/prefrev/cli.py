@@ -5,9 +5,8 @@ record-bearing commands to JSON lines.  Identical invocations produce
 byte-identical output.  ``check`` exits 0 when no violation was found,
 1 when a witness is printed, 2 when the scan budget ran out; ``encode``
 exits 2 when its key budget runs out.  Exit 3 covers usage and input
-problems: non-positive size or budget flags, flags the command would
-ignore (``encode --proof`` with ``--n``/``--budget``/``--mode c2``,
-``check --domain condorcet`` outside manipulability), missing, unwritable
+problems: malformed command lines, non-positive size or budget flags,
+flags the command would ignore (README lists them), missing, unwritable
 or malformed files, and an ``encode --solve`` run whose solver gives no
 SAT/UNSAT verdict.  ``verify-table`` re-checks profile and c2 tables.
 The SAT solver is only ever an external binary, taken from ``--solver``
@@ -69,8 +68,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as input errors do: 2 means "budget exceeded"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefrev",
         description="Voting rules, reversal-paradox checks, proof "
                     "verification, and the CNF pipeline.")
@@ -87,32 +94,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="scan a domain for paradox witnesses")
     p.add_argument("--property", required=True, choices=CHECK_PROPERTIES)
-    p.add_argument("--rule", help=f"one of: {', '.join(rules.RESOLUTE_RULES)}; "
-                                  f"set-valued: {', '.join(rules.SET_RULES)}")
-    p.add_argument("--table", help="profile-mode rule table file to check "
-                                   "instead of a named rule")
+    named = p.add_mutually_exclusive_group(required=True)
+    named.add_argument("--rule", help=f"one of: {', '.join(rules.RESOLUTE_RULES)}; "
+                                      f"set-valued: {', '.join(rules.SET_RULES)}")
+    named.add_argument("--table", help="profile-mode rule table file to check "
+                                       "instead of a named rule")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tie-break")
     p.add_argument("--domain", choices=("full", "condorcet"), default="full",
                    help="restrict manipulability to profiles with a "
                         "Condorcet winner")
-    p.add_argument("--budget", type=int,
-                   help="max scan units before giving up.  An exhaustive "
-                        "scan of rules that read only the margins (maximin, "
-                        "kemeny, schulze, ranked-pairs, condorcet, the set "
-                        "rules, c2 tables) first tries the margin pass, "
-                        "keys(n-1) x m! units (x m! again for "
-                        "manipulability), when they fit; every other scan, "
-                        "and one whose margin pass meets a violation, counts "
-                        "units of the full profile space")
-    p.add_argument("--sample", type=int, help="sampled scan: number of blocks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for an exhaustive scan; only scans over "
-                        "order-dependent rules (profile tables) are split, "
-                        "anonymous rules take the faster one-process "
-                        "quotient scan")
+    scope = p.add_mutually_exclusive_group()
+    scope.add_argument("--budget", type=int,
+                       help="max scan units before giving up.  An exhaustive "
+                            "scan of rules that read only the margins (maximin, "
+                            "kemeny, schulze, ranked-pairs, condorcet, the set "
+                            "rules, c2 tables) first tries the margin pass, "
+                            "keys(n-1) x m! units (x m! again for "
+                            "manipulability), when they fit; every other scan, "
+                            "and one whose margin pass meets a violation, counts "
+                            "units of the full profile space")
+    scope.add_argument("--sample", type=int, help="sampled scan: number of blocks")
+    p.add_argument("--seed", type=int, help="seed of a sampled scan (default 0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
@@ -266,17 +270,15 @@ _RULE_DETAILS = {"kemeny": _kemeny_detail, "dodgson": _dodgson_detail}
 
 
 def cmd_check(args) -> int:
-    _require_positive(args, "n", "m", "sample", "workers")
+    _require_positive(args, "n", "m", "sample")
+    _reject_ignored_flags(args)
     alternatives = Alternatives(default_labels(args.m))
     tie_break = _tie_break(args.tie_break, alternatives)
-    scan = dict(budget=args.budget, sample=args.sample, seed=args.seed,
-                workers=args.workers)
+    seed = 0 if args.seed is None else args.seed
+    scan = dict(budget=args.budget, sample=args.sample, seed=seed)
 
-    if args.domain == "condorcet" and args.property != "manipulability":
-        raise PrefRevError("--domain condorcet applies only to "
-                           "--property manipulability")
     set_valued = args.property in ("hwm-optimistic", "hwm-pessimistic")
-    if args.table:
+    if args.table is not None:
         with open(args.table, encoding="utf-8") as handle:
             rule = read_rule_table(handle)
         rule_name = f"table:{args.table}"
@@ -288,14 +290,12 @@ def cmd_check(args) -> int:
             raise UnknownRule(f"{args.rule} is set-valued; use the "
                               f"hwm-optimistic/hwm-pessimistic properties")
         rule_name, rule = args.rule, rules.set_rule(args.rule)
-    elif args.rule:
-        rule_name, rule = args.rule, rules.resolute_rule(args.rule, args.m, tie_break)
     else:
-        raise UnknownRule("one of --rule or --table is required")
+        rule_name, rule = args.rule, rules.resolute_rule(args.rule, args.m, tie_break)
     if set_valued and rule_name not in rules.SET_RULES:
         rule = _Singleton(rule)
 
-    mode_text = (f"sampled blocks={args.sample} seed={args.seed}"
+    mode_text = (f"sampled blocks={args.sample} seed={seed}"
                  if args.sample is not None else "exhaustive")
     header = [
         {"_text": f"check: {args.property}", "record": "check",
@@ -323,6 +323,21 @@ def cmd_check(args) -> int:
                    "record": "witness", **record})
     _emit(args, header)
     return EXIT_WITNESS
+
+
+def _reject_ignored_flags(args) -> None:
+    """Exit 3 on a flag that the scan would silently ignore."""
+    for ignored, message in (
+            (args.domain == "condorcet" and args.property != "manipulability",
+             "--domain condorcet applies only to --property manipulability"),
+            (args.tie_break and (args.table is not None or args.rule in rules.SET_RULES
+                                 or args.rule == "condorcet"),
+             "--tie-break applies only to a resolute registry rule other "
+             "than condorcet"),
+            (args.seed is not None and args.sample is None,
+             "--seed applies only to a sampled scan (--sample)")):
+        if ignored:
+            raise PrefRevError(message)
 
 
 class _Singleton:

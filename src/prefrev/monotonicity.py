@@ -4,11 +4,10 @@ Every paradox here is one event: a voter compares the outcome of the
 truthful profile with the outcome after one deviation of their own.  All
 six checkers run a single scan kernel over *units*, each naming an n-voter
 truthful profile (by canonical index), a voter and a deviation, in
-ascending unit order, so the first witness returned is deterministic,
-including under parallel execution.  A ``None`` result from an exhaustive
-scan is a certificate that the property holds on the whole domain; sampled
-scans visit seeded random blocks of consecutive units and only report on
-those.
+ascending unit order, so the first witness returned is deterministic.  A
+``None`` result from an exhaustive scan is a certificate that the property
+holds on the whole domain; sampled scans visit seeded random blocks of
+consecutive units and only report on those.
 
 Unit layouts and sampled block spans, with ``index`` the truthful n-voter
 profile:
@@ -30,8 +29,7 @@ its units are skipped.
 
 - the ordered path tries every unit in the region and memoises outcomes by
   profile index.  Sampled scans and scans over a rule that depends on
-  voter order take it, and only its exhaustive scans split over
-  ``workers`` processes.
+  voter order take it.
 - the quotient path serves exhaustive scans when every rule the scan calls
   declares ``depends_on`` "multiset" or "margins" (see
   :mod:`prefrev.rules`).  It tries only the sorted truthful profiles (non-
@@ -40,7 +38,7 @@ its units are skipped.
   order; participation tries the sorted (n-1)-voter profiles with every
   joiner.  Outcomes are memoised by the sorted digit tuple, so the rule
   runs once per multiset of votes (once per margin key for a "margins"
-  rule).  It runs in one process.
+  rule).
 - the margin pass serves exhaustive scans when every rule the scan calls
   declares "margins".  Its unit is (K, o): K a margin key realizable by
   n-1 voters, o the deviating voter's order.  The truthful key is
@@ -536,15 +534,14 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
 
 
 def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
-              seed: int, workers: int) -> tuple | None:
+              seed: int) -> tuple | None:
     """Dispatch a first-witness scan over all of ``scan``'s units.
 
     Exhaustive mode first tries the margin pass when every rule reads only
     the margins and its units fit in ``budget``; unless that certifies, it
-    covers units [0, min(total, budget)), on the quotient path in this
-    process when the rules are anonymous and otherwise split over
-    ``workers`` processes, and raises :class:`BudgetExceeded` if that had
-    to stop short without a witness.
+    covers units [0, min(total, budget)), on the quotient path when the
+    rules are anonymous and otherwise on the ordered path, and raises
+    :class:`BudgetExceeded` if that had to stop short without a witness.
     Sampled mode visits ``sample`` random blocks of ``scan.block_span``
     units drawn from a seeded generator.
     """
@@ -563,25 +560,10 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
         return hit
 
     region = min(total_units, budget)
-    if scan.anonymous:
-        outcomes = _outcomes(scan, quotient=True)
-        if scan.margins_only and _margin_pass(scan, *outcomes, budget):
-            return None
-        hit = _scan_chunk(scan, 0, region, quotient=True, outcomes=outcomes)
-    elif workers > 1 and region > workers:
-        # imported here: only ordered scans use the pool, and the import
-        # costs about a seventh of a CLI start
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = -(-region // workers)
-        los = range(0, region, step)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, [scan] * len(los), los,
-                                    [min(lo + step, region) for lo in los]))
-        hits = [r for r in results if r is not None]
-        hit = min(hits, key=lambda t: t[0]) if hits else None
-    else:
-        hit = _scan_chunk(scan, 0, region)
+    outcomes = _outcomes(scan, quotient=scan.anonymous)
+    if scan.margins_only and _margin_pass(scan, *outcomes, budget):
+        return None
+    hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes)
     if hit is None and region < total_units:
         raise BudgetExceeded(
             f"scanned {region} of {total_units} scan units without a verdict",
@@ -599,9 +581,9 @@ def _revalidate(witness, rule, deviated_rule, compare: str) -> None:
                             f"against the rule")
 
 
-def _check(scan: _Scan, *, budget, sample, seed, workers):
+def _check(scan: _Scan, *, budget, sample, seed):
     """Run the scan and turn its first hit into a revalidated witness."""
-    hit = _run_scan(scan, budget=budget, sample=sample, seed=seed, workers=workers)
+    hit = _run_scan(scan, budget=budget, sample=sample, seed=seed)
     if hit is None:
         return None
     _, index, voter, target, before, after = hit
@@ -627,44 +609,44 @@ def _check(scan: _Scan, *, budget, sample, seed, workers):
 
 def check_halfway_monotonicity(rule: Rule, n: int, m: int, *,
                                budget: int | None = None,
-                               sample: int | None = None, seed: int = 0,
-                               workers: int = 1) -> ReversalWitness | None:
+                               sample: int | None = None,
+                               seed: int = 0) -> ReversalWitness | None:
     """Search for a voter who gains by reversing their ranking.
 
     ``None`` from an exhaustive scan certifies the rule half-way monotonic
     on the whole (n, m) domain.
     """
     return _check(_Scan(rule, n, m, "reverse", "weak"), budget=budget,
-                  sample=sample, seed=seed, workers=workers)
+                  sample=sample, seed=seed)
 
 
 def check_strong_reversal(rule: Rule, n: int, m: int, *,
                           budget: int | None = None,
-                          sample: int | None = None, seed: int = 0,
-                          workers: int = 1) -> ReversalWitness | None:
+                          sample: int | None = None,
+                          seed: int = 0) -> ReversalWitness | None:
     """Like :func:`check_halfway_monotonicity`, but the reversal must make
     the voter's truthful favourite win."""
     return _check(_Scan(rule, n, m, "reverse", "strong"), budget=budget,
-                  sample=sample, seed=seed, workers=workers)
+                  sample=sample, seed=seed)
 
 
 def check_hwm_optimistic(set_rule: SetRule, n: int, m: int, *,
                          budget: int | None = None,
-                         sample: int | None = None, seed: int = 0,
-                         workers: int = 1) -> SetReversalWitness | None:
+                         sample: int | None = None,
+                         seed: int = 0) -> SetReversalWitness | None:
     """Half-way monotonicity when outcome sets are compared by their best
     element under the reversing voter's truthful order."""
     return _check(_Scan(set_rule, n, m, "reverse", "optimistic"), budget=budget,
-                  sample=sample, seed=seed, workers=workers)
+                  sample=sample, seed=seed)
 
 
 def check_hwm_pessimistic(set_rule: SetRule, n: int, m: int, *,
                           budget: int | None = None,
-                          sample: int | None = None, seed: int = 0,
-                          workers: int = 1) -> SetReversalWitness | None:
+                          sample: int | None = None,
+                          seed: int = 0) -> SetReversalWitness | None:
     """As optimistic, but sets are compared by their worst element."""
     return _check(_Scan(set_rule, n, m, "reverse", "pessimistic"), budget=budget,
-                  sample=sample, seed=seed, workers=workers)
+                  sample=sample, seed=seed)
 
 
 def family_rule(family: RuleFamily, size: int) -> Rule:
@@ -688,8 +670,8 @@ def family_rule(family: RuleFamily, size: int) -> Rule:
 
 def check_participation(family: RuleFamily, n: int, m: int, *,
                         budget: int | None = None,
-                        sample: int | None = None, seed: int = 0,
-                        workers: int = 1) -> ParticipationWitness | None:
+                        sample: int | None = None,
+                        seed: int = 0) -> ParticipationWitness | None:
     """Search for a joiner who would have preferred to abstain, across the
     (n-1, n) electorate boundary."""
     if n <= 1:
@@ -697,14 +679,14 @@ def check_participation(family: RuleFamily, n: int, m: int, *,
     rule_small = family_rule(family, n - 1)
     rule_big = family_rule(family, n)
     return _check(_Scan(rule_big, n, m, "abstain", "weak", rule_small=rule_small),
-                  budget=budget, sample=sample, seed=seed, workers=workers)
+                  budget=budget, sample=sample, seed=seed)
 
 
 def check_manipulability(rule: Rule, n: int, m: int, *,
                          domain: str = "full",
                          budget: int | None = None,
-                         sample: int | None = None, seed: int = 0,
-                         workers: int = 1) -> ManipulationWitness | None:
+                         sample: int | None = None,
+                         seed: int = 0) -> ManipulationWitness | None:
     """Search for a profitable misreport.
 
     With ``domain="condorcet"`` both the truthful and the misreported
@@ -714,7 +696,7 @@ def check_manipulability(rule: Rule, n: int, m: int, *,
         raise ValueError(f"unknown domain {domain!r}")
     return _check(_Scan(rule, n, m, "misreport", "weak",
                          condorcet_only=domain == "condorcet"),
-                  budget=budget, sample=sample, seed=seed, workers=workers)
+                  budget=budget, sample=sample, seed=seed)
 
 
 def explain_hwm_via_participation(witness: ReversalWitness,

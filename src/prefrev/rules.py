@@ -550,8 +550,8 @@ _MARGIN_RULES = frozenset({"maximin", "kemeny", "schulze", "ranked-pairs"})
 
 
 def resolute_rule(name: str, m: int, tie_break: TieBreak | None = None) -> Rule:
-    """A picklable resolute rule callable by registry name, declaring
-    ``depends_on`` "margins" or "multiset"."""
+    """A resolute rule callable by registry name, declaring ``depends_on``
+    "margins" or "multiset"."""
     tie_break = tie_break or TieBreak.lexicographic(m)
     if name == "condorcet":
         return _condorcet_rule

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -126,6 +127,22 @@ def _assert_rejected(capsys, argv: str) -> None:
     assert captured.out == ""
 
 
+# check flag combinations whose flag the scan would silently ignore:
+# property, flags, the error message
+IGNORED_FLAGS = {
+    "rule-with-table": ("hwm", "--rule maximin --table {table}",
+                        "argument --table: not allowed with argument --rule"),
+    "tie-break-with-table": ("hwm", "--table {table} --tie-break c>b>a", "--tie-break"),
+    "tie-break-with-set-rule": ("hwm-optimistic", "--rule top-cycle --tie-break c>b>a",
+                                "--tie-break"),
+    "tie-break-with-condorcet": ("manipulability", "--rule condorcet --domain condorcet "
+                                 "--tie-break c>b>a", "--tie-break"),
+    "budget-with-sample": ("hwm", "--rule borda --sample 5 --budget 100",
+                           "argument --budget: not allowed with argument --sample"),
+    "seed-without-sample": ("hwm", "--rule borda --seed 7", "--seed"),
+}
+
+
 class TestCheck:
     def test_exit_zero_on_certificate(self, run):
         code, out = run("check --property hwm --rule maximin --m 3 --n 3")
@@ -221,6 +238,9 @@ class TestCheck:
         assert code == 0
         assert "seed=42" in out
         assert "sampled region only" in out
+        code, out = run("check --property hwm --rule borda --m 3 --n 3 --sample 5")
+        assert code == 0
+        assert "seed=0" in out
 
     def _rejected(self, capsys, flags: str) -> None:
         code = main(shlex.split(f"check --property hwm --rule borda --m 3 {flags}"))
@@ -237,22 +257,63 @@ class TestCheck:
         for sample in ("0", "-3"):
             self._rejected(capsys, f"--n 3 --sample {sample}")
 
-    def test_nonpositive_workers_is_an_error(self, capsys):
-        self._rejected(capsys, "--n 3 --workers -4")
-
-    def test_workers_flag_matches_sequential(self, run, tmp_path):
-        table_path = tmp_path / "bad_table.txt"
-        plant_corrupted_table(table_path)
-        base = f"check --property hwm --table {table_path} --m 3 --n 3"
-        code1, out1 = run(base)
-        code2, out2 = run(base + " --workers 2")
-        assert (code1, out1) == (code2, out2)
-
     def test_singleton_lift_keeps_the_declaration(self):
         assert _Singleton(resolute_rule("maximin", 3)).depends_on == "margins"
         assert _Singleton(resolute_rule("borda", 3)).depends_on == "multiset"
         table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
         assert _Singleton(table).depends_on == "order"
+
+    @pytest.mark.parametrize("prop,flags,message", IGNORED_FLAGS.values(),
+                             ids=IGNORED_FLAGS.keys())
+    def test_ignored_flag_is_an_error(self, capsys, tmp_path, prop, flags, message):
+        table = tmp_path / "t.table"
+        with open(table, "w") as handle:
+            write_rule_table(tabulate_rule(resolute_rule("maximin", 3), 2, 3), handle)
+        try:
+            code = main(shlex.split(f"check --property {prop} --m 3 --n 2 "
+                                    + flags.format(table=table)))
+        except SystemExit as exc:  # argparse's own checks
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 3
+        assert message in captured.err
+        assert captured.out == ""
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("flags", ["--m 3 --workers 2", "--m 3 --bogus", "--m x"])
+    def test_malformed_command_line_exits_three(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(shlex.split(f"check --property hwm --rule maximin --n 3 {flags}"))
+        captured = capsys.readouterr()
+        assert exc.value.code == 3
+        assert captured.err.startswith("usage: prefrev")
+        assert "error: " in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: prefrev")
+
+
+class TestReadmeExamples:
+    def test_check_examples_exit_as_documented(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        examples = [line for line in readme.splitlines()
+                    if line.startswith("prefrev check") and "--table" not in line]
+        assert len(examples) >= 5
+        for line in examples:
+            command, _, comment = line.partition("#")
+            documented = re.match(r"\s*exit (\d)", comment)
+            assert documented, f"README example without its exit code: {line}"
+            try:
+                code = main(shlex.split(command)[1:])
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            assert code == int(documented.group(1)), line
 
 
 class TestVerifyProofs:

@@ -124,13 +124,11 @@ class TestHalfwayMonotonicity:
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
-    def test_workers_do_not_change_the_answer(self):
-        table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
-        corrupted, _, _ = plant_reversal_violation(table)
-        sequential = check_halfway_monotonicity(corrupted, 3, 3, workers=1)
-        parallel = check_halfway_monotonicity(corrupted, 3, 3, workers=3)
-        assert sequential == parallel
-        assert check_halfway_monotonicity(table, 3, 3, workers=3) is None
+    def test_ordered_path_certifies_unplanted_rules(self):
+        # a table and an undeclared callable both take the ordered path
+        maximin = resolute_rule("maximin", 3)
+        for rule in (tabulate_rule(maximin, 3, 3), lambda profile: maximin(profile)):
+            assert check_halfway_monotonicity(rule, 3, 3) is None
 
 
 class TestStrongReversal:
