@@ -291,6 +291,10 @@ def cmd_check(args) -> int:
                               f"hwm-optimistic/hwm-pessimistic properties")
         rule_name, rule = args.rule, rules.set_rule(args.rule)
     else:
+        # a size no budget can reach is bad input, not a budget verdict
+        cap = rules.dodgson_cap(args.m, args.n) if args.rule == "dodgson" else None
+        if cap is not None:
+            raise PrefRevError(cap)
         rule_name, rule = args.rule, rules.resolute_rule(args.rule, args.m, tie_break)
     if set_valued and rule_name not in rules.SET_RULES:
         rule = _Singleton(rule)

@@ -29,7 +29,12 @@ its units are skipped.
 
 - the ordered path tries every unit in the region and memoises outcomes by
   profile index.  Sampled scans and scans over a rule that depends on
-  voter order take it.
+  voter order take it.  A sampled scan keeps one memo pair for all its
+  blocks and clears the index-keyed entries after each block; a "margins"
+  rule's outcomes stay memoised by margin key across blocks, so the rule
+  runs once per margin key visited, on the first profile that has it, and
+  memory is bounded by the distinct keys visited (at most
+  ``sample * (span + 1)``, span the block's units).
 - the quotient path serves exhaustive scans when every rule the scan calls
   declares ``depends_on`` "multiset" or "margins" (see
   :mod:`prefrev.rules`).  It tries only the sorted truthful profiles (non-
@@ -321,9 +326,10 @@ def _depends_on(rule) -> str:
 
 class _Outcomes(dict):
     """Rule outcomes evaluated on first lookup, keyed by profile index, or
-    on the quotient path by the sorted digit tuple.  There a "margins" rule
-    also memoises them by margin key in ``by_key``, which the margin pass
-    fills and reads too."""
+    on the quotient path by the sorted digit tuple.  A "margins" rule also
+    memoises them by margin key in ``by_key``, which the margin pass fills
+    and reads too, and which outlives the blocks of a sampled scan (the
+    index-keyed entries are cleared after each block)."""
 
     def __init__(self, rule, n: int, m: int, *, sets: bool, quotient: bool):
         super().__init__()
@@ -333,7 +339,7 @@ class _Outcomes(dict):
         self.orders = enumerate_orders(m)
         self.sets = sets
         self.quotient = quotient
-        self.by_key = {} if quotient and _depends_on(rule) == "margins" else None
+        self.by_key = {} if _depends_on(rule) == "margins" else None
 
     def evaluate(self, digits) -> object:
         """The outcome of the profile with these digits, not cached."""
@@ -345,19 +351,25 @@ class _Outcomes(dict):
 
     def at_key(self, key, digits) -> object:
         """The outcome of margin key ``key``, evaluated at most once per key,
-        on its realization ``digits`` (in any order)."""
+        on its realization ``digits`` as given (so an error names the
+        profile that met the key first)."""
         value = self.by_key.get(key)
         if value is None:
-            value = self.by_key[key] = self.evaluate(tuple(sorted(digits)))
+            value = self.by_key[key] = self.evaluate(digits)
         return value
+
+    def compute(self, digits) -> object:
+        """The outcome of the profile with these digits, through ``by_key``
+        when there is one, not cached by profile."""
+        if self.by_key is None:
+            return self.evaluate(digits)
+        return self.at_key(keyspace.digits_key(self.m, digits), digits)
 
     def digits(self, key) -> tuple[int, ...] | list[int]:
         return key if self.quotient else profile_digits(key, self.n, self.m)
 
     def __missing__(self, key):
-        digits = self.digits(key)
-        value = self[key] = (self.evaluate(digits) if self.by_key is None else
-                             self.at_key(keyspace.digits_key(self.m, digits), digits))
+        value = self[key] = self.compute(self.digits(key))
         return value
 
 
@@ -463,8 +475,8 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
                 continue
             if before is None:
                 # ordered participation meets each n-voter profile once:
-                # caching is waste
-                before = (outcome.evaluate(digits) if abstain and not quotient
+                # caching it by index is waste
+                before = (outcome.compute(digits) if abstain and not quotient
                           else outcome[here])
             after = deviated[other]
             if compare(orders[digits[voter]], before, after):
@@ -551,12 +563,16 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
         rng = random.Random(seed)
         span = scan.block_span
         blocks = total_units // span
+        outcomes = _outcomes(scan, quotient=False)
         hit = None
         for _ in range(sample):
             block = rng.randrange(blocks)
-            found = _scan_chunk(scan, block * span, (block + 1) * span)
+            found = _scan_chunk(scan, block * span, (block + 1) * span,
+                                outcomes=outcomes)
             if found is not None and (hit is None or found[0] < hit[0]):
                 hit = found
+            for memo in outcomes:  # by_key stays: it is bounded by the keys
+                memo.clear()
         return hit
 
     region = min(total_units, budget)

@@ -269,6 +269,15 @@ def nanson_winner(profile: Profile, tie_break: TieBreak) -> int:
 # --- Dodgson ------------------------------------------------------------------
 
 
+def dodgson_cap(m: int, n: int) -> str | None:
+    """Why exact Dodgson refuses m alternatives and n voters, or None.  No
+    budget lifts this cap."""
+    if m > MAX_DODGSON_M or n > MAX_DODGSON_N:
+        return (f"exact Dodgson capped at m<={MAX_DODGSON_M}, n<={MAX_DODGSON_N} "
+                f"(got m={m}, n={n})")
+    return None
+
+
 def dodgson_scores(profile: Profile) -> dict[int, int]:
     """Minimum adjacent swaps turning each alternative into the Condorcet winner.
 
@@ -278,10 +287,9 @@ def dodgson_scores(profile: Profile) -> dict[int, int]:
     the choices exactly.
     """
     m, n = profile.m, profile.n
-    if m > MAX_DODGSON_M or n > MAX_DODGSON_N:
-        raise BudgetExceeded(
-            f"exact Dodgson capped at m<={MAX_DODGSON_M}, n<={MAX_DODGSON_N} "
-            f"(got m={m}, n={n})")
+    cap = dodgson_cap(m, n)
+    if cap is not None:
+        raise BudgetExceeded(cap)
     margins = margin_matrix(profile)
     scores: dict[int, int] = {}
     for x in range(m):

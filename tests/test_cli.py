@@ -257,6 +257,24 @@ class TestCheck:
         for sample in ("0", "-3"):
             self._rejected(capsys, f"--n 3 --sample {sample}")
 
+    @pytest.mark.parametrize("flags", [
+        "--property hwm --m 7 --n 3", "--property hwm --m 3 --n 65",
+        "--property hwm --m 7 --n 3 --sample 2", "--property hwm --m 3 --n 65 --sample 2",
+        "--property participation --m 7 --n 3",
+        "--property hwm-optimistic --m 3 --n 65 --sample 2"])
+    def test_dodgson_size_cap_is_an_error(self, capsys, flags):
+        # no --budget lifts exact Dodgson's cap, so it is not exit 2
+        code = main(shlex.split(f"check --rule dodgson {flags}"))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: exact Dodgson capped at m<=6, n<=64")
+        assert captured.out == ""
+
+    def test_dodgson_at_its_cap_still_scans(self, run):
+        code, out = run("check --property hwm --rule dodgson --m 3 --n 64 --sample 2")
+        assert code == 0
+        assert out.splitlines()[-1] == "result: no violation (sampled region only)"
+
     def test_singleton_lift_keeps_the_declaration(self):
         assert _Singleton(resolute_rule("maximin", 3)).depends_on == "margins"
         assert _Singleton(resolute_rule("borda", 3)).depends_on == "multiset"

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 from pathlib import Path
 
 import pytest
 
-from prefrev import errors, keyspace
+from prefrev import errors, keyspace, monotonicity
 from prefrev.cli import _Singleton
 from prefrev.monotonicity import (
     ManipulationWitness,
@@ -12,7 +13,9 @@ from prefrev.monotonicity import (
     ReversalWitness,
     SetReversalWitness,
     _margin_pass,
+    _check,
     _outcomes,
+    _run_scan,
     _Scan,
     _scan_chunk,
     check_halfway_monotonicity,
@@ -815,3 +818,120 @@ class TestMarginPassCallCounts:
                        margin_matrix(witness.profile.reverse_vote(witness.voter)).key()}
         assert all(count == 1 + (key in revalidated)
                    for key, count in rule.calls.items())
+
+
+# --- sampled scans share the margin-key memo across blocks -------------------------
+
+
+class EmptyOnSomeKeys:
+    """A "margins" set rule that returns the empty set on a seeded share of
+    the margin keys and {0} elsewhere."""
+
+    depends_on = "margins"
+
+    def __init__(self, seed: str, share: float):
+        self.seed, self.share = seed, share
+
+    def __call__(self, profile: Profile) -> frozenset[int]:
+        rng = random.Random(f"{self.seed}:{margin_matrix(profile).key()}")
+        return frozenset() if rng.random() < self.share else frozenset((0,))
+
+
+def undeclared(scan: _Scan) -> _Scan:
+    """The scan over its rules wrapped without ``depends_on``: every block
+    evaluates the rule once per profile it visits."""
+    return dataclasses.replace(
+        scan, rule=CountingRule(scan.rule),
+        rule_small=None if scan.rule_small is None else CountingRule(scan.rule_small))
+
+
+def visited_profiles(scan: _Scan, sample: int, seed: int) -> int:
+    """Profiles a sampled hwm scan visits, block by block: the truthful one
+    and one per reversal tried up to the block's first hit."""
+    rng = random.Random(seed)
+    visits = 0
+    for _ in range(sample):
+        block = rng.randrange(scan.total_units // scan.block_span)
+        hit = _scan_chunk(scan, block * scan.n, (block + 1) * scan.n)
+        visits += 1 + (scan.n if hit is None else hit[2] + 1)
+    return visits
+
+
+class TestSampledKeyMemo:
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (3, 5), (4, 3)])
+    @pytest.mark.parametrize("prop", KERNEL_PROPERTIES)
+    def test_shared_memo_gives_the_per_block_hit(self, prop, m, n):
+        hits = 0
+        for name, family in margin_cases(prop, n, m):
+            scan, _ = margin_scan(prop, n, m, family)
+            for seed, sample in ((0, 4), (1, 25), (2, 100)):
+                # the witness names the hit: profile, voter, deviation, outcomes
+                kw = dict(budget=None, sample=sample, seed=seed)
+                witness = _check(scan, **kw)
+                assert witness == _check(undeclared(scan), **kw), (name, seed)
+                hits += witness is not None
+        # the test compares witnesses, not only empty results
+        if prop != "manipulability:condorcet":
+            assert hits
+
+    def test_hwm_maximin_evaluates_each_key_once(self):
+        n, m, sample, seed = 6, 4, 4000, 5
+        declared = KeyCountingRule(resolute_rule("maximin", m))
+        witness = check_halfway_monotonicity(declared, n, m, sample=sample, seed=seed)
+        assert witness is not None
+        # revalidation asks the rule again about the witness's two profiles
+        revalidated = {margin_matrix(witness.profile).key(),
+                       margin_matrix(witness.profile.reverse_vote(witness.voter)).key()}
+        assert all(count == 1 + (key in revalidated)
+                   for key, count in declared.calls.items())
+
+        plain = CountingRule(resolute_rule("maximin", m))
+        assert check_halfway_monotonicity(plain, n, m, sample=sample, seed=seed) == witness
+        visits = visited_profiles(_Scan(resolute_rule("maximin", m), n, m, "reverse",
+                                        "weak"), sample, seed)
+        assert plain.calls == visits + 2
+        assert sum(declared.calls.values()) < visits / 2
+
+    def test_empty_set_names_the_same_profile(self):
+        raised = 0
+        for attempt in range(10):
+            rule = EmptyOnSomeKeys(f"empty:{attempt}", 0.01)
+            messages = []
+            for wrap in (lambda rule: rule, CountingRule):
+                try:
+                    check_hwm_pessimistic(wrap(rule), 4, 3, sample=300, seed=attempt)
+                except errors.EmptyOutcomeSet as exc:
+                    messages.append(str(exc))
+            assert len(messages) in (0, 2)
+            if messages:
+                assert messages[0] == messages[1]
+                raised += 1
+        assert raised
+
+    @pytest.mark.parametrize("prop", ["hwm", "participation", "manipulability"])
+    def test_index_memos_hold_at_most_one_block(self, monkeypatch, prop):
+        n, m, sample = 4, 3, 300
+        rule = resolute_rule("maximin", m)
+        scan, _ = margin_scan(prop, n, m, {n - 1: rule, n: rule})
+        created, sizes = [], []
+        make, chunk = monotonicity._outcomes, monotonicity._scan_chunk
+
+        def outcomes(*args, **kwargs):
+            created.append(make(*args, **kwargs))
+            return created[-1]
+
+        def scan_chunk(*args, outcomes=None, **kwargs):
+            sizes.append(tuple(map(len, outcomes)))
+            found = chunk(*args, outcomes=outcomes, **kwargs)
+            sizes.append(tuple(map(len, outcomes)))
+            return found
+
+        monkeypatch.setattr(monotonicity, "_outcomes", outcomes)
+        monkeypatch.setattr(monotonicity, "_scan_chunk", scan_chunk)
+        _run_scan(scan, budget=None, sample=sample, seed=3)
+        (memos,) = created
+        assert not any(map(any, sizes[::2]))
+        assert all(size <= scan.block_span + 1 for pair in sizes[1::2] for size in pair)
+        assert all(len(memo) == 0 for memo in memos)
+        # the key memo outlives the blocks, bounded by the profiles visited
+        assert 0 < len(memos[0].by_key) <= sample * (scan.block_span + 1)

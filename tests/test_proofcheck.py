@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from prefrev import errors
+from prefrev import errors, proofcheck
 from prefrev.prefs import Alternatives, Profile, parse_order
 from prefrev.proofcheck import (
     Leaf,
@@ -25,6 +25,7 @@ from prefrev.proofcheck import (
     verify_tree_irresolute,
     write_proof_tree,
 )
+from prefrev.report import Report
 from prefrev.tally import condorcet_winner, margin_matrix
 
 ABCD = Alternatives(("a", "b", "c", "d"))
@@ -239,6 +240,24 @@ class TestIrresolute:
                        for l in tree.leaves)
         tampered = replace(tree, leaves=leaves)
         assert verify_tree(tampered).ok == verify_tree_irresolute(tampered, mode).ok
+
+    @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
+    @pytest.mark.parametrize("tamper", ["leaf winner", "carried set"])
+    def test_own_lines_fail_a_tampered_tree(self, monkeypatch, mode, tamper):
+        # with the shared structure, edge and leaf checks stubbed to pass,
+        # the irresolute lines alone must still refute the tampering
+        tree = build_odd_tree(4)
+        if tamper == "leaf winner":
+            tampered = replace(tree, leaves=tuple(
+                replace(l, condorcet=0) if l.node == "P2" else l for l in tree.leaves))
+        else:
+            # P0 -> P1 reverses d>c>b>a, which ranks c above b: {a,c} escapes
+            bad = replace(tree.edges[0], carried=frozenset({0, 2}))
+            tampered = replace(tree, edges=(bad,) + tree.edges[1:])
+        monkeypatch.setattr(proofcheck, "_tree_report",
+                            lambda tree, title: Report(title))
+        assert verify_tree_irresolute(tree, mode).ok
+        assert not verify_tree_irresolute(tampered, mode).ok
 
     def test_unknown_mode(self):
         with pytest.raises(errors.PrefRevError):
