@@ -23,7 +23,9 @@ import sys
 from functools import partial
 from typing import Sequence
 
-from . import monotonicity, proofcheck, rules, satgen
+# satgen and proofcheck are imported by the commands that use them, so that
+# a check process does not load them
+from . import monotonicity, rules
 from .errors import (
     BadBudget,
     BudgetExceeded,
@@ -346,11 +348,16 @@ def _reject_ignored_flags(args) -> None:
 
 class _Singleton:
     """Lift a resolute rule to a singleton-valued set rule, keeping what
-    the rule depends on."""
+    the rule depends on.  A profile table's entries are lifted once, so
+    that the scan still reads them by profile index."""
 
     def __init__(self, rule):
         self.rule = rule
         self.depends_on = getattr(rule, "depends_on", "order")
+        if getattr(rule, "mode", None) == "profile":
+            singletons = [frozenset((alt,)) for alt in range(rule.m)]
+            self.mode, self.n, self.m = rule.mode, rule.n, rule.m
+            self.chosen = tuple(map(singletons.__getitem__, rule.chosen))
 
     def __call__(self, profile):
         return frozenset((self.rule(profile),))
@@ -375,6 +382,8 @@ def _dispatch_check(args, rule, scan):
 
 
 def cmd_verify_proofs(args) -> int:
+    from . import proofcheck
+
     reports = []
     if args.which == "perez":
         reports.append(proofcheck.verify_perez())
@@ -413,6 +422,8 @@ def _solver_command(args) -> str:
 
 
 def cmd_encode(args) -> int:
+    from . import proofcheck, satgen
+
     _require_positive(args, "n", "m")
     if args.proof:
         if args.n is not None or args.budget is not None or args.mode == "c2":
@@ -457,6 +468,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import satgen
+
     _require_positive(args, "n", "m")
     if args.mode == "profile":
         varmap = satgen.VariableMap(n=args.n, m=args.m, mode="profile")
@@ -473,6 +486,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify_table(args) -> int:
+    from . import satgen
+
     with open(args.table, encoding="utf-8") as handle:
         table = read_rule_table(handle)
     return _emit_reports(args, [satgen.verify_rule(table)])

@@ -22,28 +22,40 @@ profile:
   reads as ``index_{n-1} * m! + joiner``, the (n-1)-voter profile the
   joiner joins at the end; a block is one (n-1)-voter profile, m! units.
 
-The kernel draws its units from one of three sources; the deviation, the
-Condorcet-domain filter and the comparison are the same for all of them.
-A truthful profile outside the Condorcet domain is tested once and all
-its units are skipped.
+The kernel walks truthful profiles in ascending index and, inside each
+one, its voters (and a misreporting voter's orders), clipped to the
+region.  The deviated profile's index and margin key come from arithmetic
+on the truthful one's: a voter of order o deviating to o' adds
+(o' - o) * (m!)^(n-1-voter) to the index and cmp[o'] - cmp[o] to the key.
+A truthful profile outside the Condorcet domain (a test on its margin key)
+is tested once and all its units are skipped, and comparisons read each
+order's precomputed position row.  How outcomes are read depends on the
+rule, not on the path:
 
-- the ordered path tries every unit in the region and memoises outcomes by
-  profile index.  Sampled scans and scans over a rule that depends on
-  voter order take it.  A sampled scan keeps one memo pair for all its
-  blocks and clears the index-keyed entries after each block; a "margins"
-  rule's outcomes stay memoised by margin key across blocks, so the rule
-  runs once per margin key visited, on the first profile that has it, and
-  memory is bounded by the distinct keys visited (at most
-  ``sample * (span + 1)``, span the block's units).
+- a profile-mode table of the scan's own (n, m) is read by profile index
+  (recognised by its ``mode``, ``chosen``, ``n`` and ``m``, so a wrapper
+  that forwards them qualifies), with no memo and no profile built;
+- a "margins" rule is memoised by margin key, and a deviated profile's
+  digits are built only when its key is new; the memo outlives the blocks
+  of a sampled scan, so the rule runs once per margin key visited, on the
+  first profile that has it, and memory is bounded by the distinct keys
+  visited (at most ``sample * (span + 1)``, span the block's units);
+- any other rule is memoised by profile index, or on the quotient path by
+  sorted digit tuple; a sampled scan clears that memo after each block.
+
+The truthful profiles come from one of three sources:
+
+- the ordered path walks every profile with a unit in the region, its
+  digits advanced like an odometer.  Sampled scans and scans over a rule
+  that depends on voter order take it.
 - the quotient path serves exhaustive scans when every rule the scan calls
   declares ``depends_on`` "multiset" or "margins" (see
   :mod:`prefrev.rules`).  It tries only the sorted truthful profiles (non-
   decreasing digits, from ``combinations_with_replacement``, which come in
   ascending index) and on each only the first voter of each distinct
   order; participation tries the sorted (n-1)-voter profiles with every
-  joiner.  Outcomes are memoised by the sorted digit tuple, so the rule
-  runs once per multiset of votes (once per margin key for a "margins"
-  rule).
+  joiner.  The rule runs once per multiset of votes (once per margin key
+  for a "margins" rule).
 - the margin pass serves exhaustive scans when every rule the scan calls
   declares "margins".  Its unit is (K, o): K a margin key realizable by
   n-1 voters, o the deviating voter's order.  The truthful key is
@@ -91,6 +103,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import (
@@ -114,7 +127,7 @@ from .prefs import (
     reverse_index_table,
 )
 from .rules import Rule, SetRule
-from .tally import margin_rows, rows_condorcet_winner
+from .tally import rows_condorcet_winner
 from . import keyspace
 
 # either one rule valid at every electorate size, or a mapping size -> rule
@@ -245,29 +258,43 @@ class ManipulationWitness:
 
 
 # --- comparisons -------------------------------------------------------------
-# Each takes the deviating voter's truthful order and the outcomes of the
-# truthful and the deviated profile, and says whether the deviation paid.
+# Each takes the deviating voter's truthful order as its position row
+# (``pos[a]`` the rank of a, 0 best) and the outcomes of the truthful and
+# the deviated profile, and says whether the deviation paid.
 
 
-def _weak(order: LinearOrder, before, after) -> bool:
-    return order.prefers(after, before)
+def _weak(pos, before, after) -> bool:
+    return pos[after] < pos[before]
 
 
-def _strong(order: LinearOrder, before, after) -> bool:
-    return after == order.top and after != before
+def _strong(pos, before, after) -> bool:
+    return pos[after] == 0 and after != before
 
 
-def _optimistic(order: LinearOrder, before, after) -> bool:
-    return order.prefers(order.best_of(after), order.best_of(before))
+def _optimistic(pos, before, after) -> bool:
+    return min(map(pos.__getitem__, after)) < min(map(pos.__getitem__, before))
 
 
-def _pessimistic(order: LinearOrder, before, after) -> bool:
-    return order.prefers(order.worst_of(after), order.worst_of(before))
+def _pessimistic(pos, before, after) -> bool:
+    return max(map(pos.__getitem__, after)) < max(map(pos.__getitem__, before))
 
 
 _COMPARE = {"weak": _weak, "strong": _strong,
             "optimistic": _optimistic, "pessimistic": _pessimistic}
 _SET_MODES = ("optimistic", "pessimistic")
+
+
+@lru_cache(maxsize=None)
+def _position_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """The position row of every order, by canonical order index."""
+    return tuple(order.positions() for order in enumerate_orders(m))
+
+
+@lru_cache(maxsize=None)
+def _places(n: int, m: int) -> tuple[int, ...]:
+    """The place value of each voter's digit in a profile index."""
+    fact = math.factorial(m)
+    return tuple(fact ** (n - 1 - voter) for voter in range(n))
 
 
 # --- the scan kernel -----------------------------------------------------------
@@ -324,22 +351,39 @@ def _depends_on(rule) -> str:
     return getattr(rule, "depends_on", "order")
 
 
-class _Outcomes(dict):
-    """Rule outcomes evaluated on first lookup, keyed by profile index, or
-    on the quotient path by the sorted digit tuple.  A "margins" rule also
-    memoises them by margin key in ``by_key``, which the margin pass fills
-    and reads too, and which outlives the blocks of a sampled scan (the
-    index-keyed entries are cleared after each block)."""
+def _table_entries(rule, n: int, m: int, *, sets: bool):
+    """The dense entries of a profile-mode table of this (n, m), so that
+    ``rule(P)`` is ``entries[index of P]``; None for any other rule.  Duck
+    typed (``mode``, ``chosen``, ``n``, ``m``), so a wrapper that forwards
+    those attributes is read by index too.  A set-valued table with an
+    empty entry is called instead, so that the empty set raises as usual."""
+    if (getattr(rule, "mode", None) != "profile" or getattr(rule, "n", None) != n
+            or getattr(rule, "m", None) != m):
+        return None
+    entries = rule.chosen
+    return None if sets and not all(entries) else entries
 
-    def __init__(self, rule, n: int, m: int, *, sets: bool, quotient: bool):
+
+class _Outcomes(dict):
+    """The outcomes of one rule at one electorate size, read the cheapest
+    way the rule allows.
+
+    - ``chosen``: the entries of a profile table of the scan's own (n, m),
+      read by profile index; the dict stays empty.
+    - ``keyed``: a "margins" rule, memoised by margin key.  The margin pass
+      fills the same dict, and a sampled scan keeps it across its blocks.
+    - otherwise memoised by profile index, or on the quotient path by sorted
+      digit tuple; a sampled scan clears it after each block.
+    """
+
+    def __init__(self, rule, n: int, m: int, *, sets: bool):
         super().__init__()
         self.rule = rule
-        self.n = n
         self.m = m
         self.orders = enumerate_orders(m)
         self.sets = sets
-        self.quotient = quotient
-        self.by_key = {} if _depends_on(rule) == "margins" else None
+        self.chosen = _table_entries(rule, n, m, sets=sets)
+        self.keyed = self.chosen is None and _depends_on(rule) == "margins"
 
     def evaluate(self, digits) -> object:
         """The outcome of the profile with these digits, not cached."""
@@ -349,67 +393,63 @@ class _Outcomes(dict):
                                   f"profile index {digits_to_index(digits, self.m)}")
         return value
 
-    def at_key(self, key, digits) -> object:
-        """The outcome of margin key ``key``, evaluated at most once per key,
-        on its realization ``digits`` as given (so an error names the
-        profile that met the key first)."""
-        value = self.by_key.get(key)
+    def at(self, probe, digits) -> object:
+        """The outcome memoised under ``probe`` (a margin key, a profile
+        index or a sorted digit tuple), evaluated on ``digits`` as given on a
+        miss (so an error names the profile that met it first)."""
+        value = self.get(probe)
         if value is None:
-            value = self.by_key[key] = self.evaluate(digits)
-        return value
-
-    def compute(self, digits) -> object:
-        """The outcome of the profile with these digits, through ``by_key``
-        when there is one, not cached by profile."""
-        if self.by_key is None:
-            return self.evaluate(digits)
-        return self.at_key(keyspace.digits_key(self.m, digits), digits)
-
-    def digits(self, key) -> tuple[int, ...] | list[int]:
-        return key if self.quotient else profile_digits(key, self.n, self.m)
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(self.digits(key))
+            value = self[probe] = self.evaluate(digits)
         return value
 
 
-def _outcomes(scan: _Scan, *, quotient: bool) -> tuple[_Outcomes, _Outcomes]:
-    """The memos of the truthful and of the deviated outcomes (one memo,
-    unless the deviation is abstention)."""
+def _outcomes(scan: _Scan) -> tuple[_Outcomes, _Outcomes]:
+    """The outcomes of the truthful and of the deviated profiles (one
+    object, unless the deviation is abstention)."""
     sets = scan.compare in _SET_MODES
-    outcome = _Outcomes(scan.rule, scan.n, scan.m, sets=sets, quotient=quotient)
+    outcome = _Outcomes(scan.rule, scan.n, scan.m, sets=sets)
     if scan.deviation != "abstain":
         return outcome, outcome
-    return outcome, _Outcomes(scan.rule_small, scan.n - 1, scan.m, sets=sets,
-                              quotient=quotient)
+    return outcome, _Outcomes(scan.rule_small, scan.n - 1, scan.m, sets=sets)
 
 
-def _ordered_runs(scan: _Scan, lo: int, hi: int):
-    """The ordered path's units in [lo, hi), cut at profile boundaries."""
+def _ordered_profiles(scan: _Scan, lo: int, hi: int):
+    """``(index, digits)`` of every truthful profile with a unit in
+    [lo, hi), ascending.  ``digits`` is one list, advanced in place like an
+    odometer."""
+    n, per_profile = scan.n, scan.voters * scan.width
+    top = math.factorial(scan.m) - 1
+    first = lo // per_profile
+    digits = profile_digits(first, n, scan.m)
+    for index in range(first, -(-hi // per_profile)):
+        yield index, digits
+        voter = n - 1
+        while voter and digits[voter] == top:
+            digits[voter] = 0
+            voter -= 1
+        digits[voter] += 1
+
+
+def _sorted_profiles(scan: _Scan, lo: int, hi: int):
+    """``(index, digits)`` of the quotient path's truthful profiles with a
+    unit in [lo, hi), ascending: the sorted profiles, or for participation
+    every joiner after each sorted (n-1)-voter prefix."""
     per_profile = scan.voters * scan.width
-    while lo < hi:
-        stop = min(hi, (lo // per_profile + 1) * per_profile)
-        yield range(lo, stop)
-        lo = stop
-
-
-def _sorted_runs(scan: _Scan, lo: int, hi: int):
-    """The quotient path's units in [lo, hi), ascending, in runs inside one
-    profile: the units of the first voter of each distinct order on each
-    sorted profile, or for participation every joiner after each sorted
-    (n-1)-voter prefix."""
-    abstain = scan.deviation == "abstain"
-    # runs of consecutive units: the deviations of one (profile, voter), or
-    # for participation the m! joiners of one prefix
-    span = math.factorial(scan.m) if abstain else scan.width
-    for index, digits in iter_digits(scan.n - abstain, scan.m, anonymous=True):
-        starts = ([index * span] if abstain else
-                  [(index * scan.n + voter) * span for voter, d in enumerate(digits)
-                   if not voter or d != digits[voter - 1]])
-        if starts[0] >= hi:
+    if scan.deviation == "abstain":
+        fact = math.factorial(scan.m)
+        for prefix_index, prefix in iter_digits(scan.n - 1, scan.m, anonymous=True):
+            for joiner in range(fact):
+                index = prefix_index * fact + joiner
+                if index >= hi:
+                    return
+                if index >= lo:
+                    yield index, prefix + (joiner,)
+        return
+    for index, digits in iter_digits(scan.n, scan.m, anonymous=True):
+        if index * per_profile >= hi:
             return
-        for start in starts:
-            yield range(max(start, lo), min(start + span, hi))
+        if (index + 1) * per_profile > lo:
+            yield index, digits
 
 
 def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
@@ -419,68 +459,103 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     Returns ``(unit, index, voter, order, before, after)``: the truthful
     profile index, the deviating voter, the order they deviate to (their
     own order when abstaining), and the outcomes of the truthful and the
-    deviated profile.  The ordered path tries every unit; the quotient path
-    (for anonymous rules only) tries the units of :func:`_sorted_runs` and
-    keys its memo by sorted digit tuple, and returns the same first hit.
-    ``outcomes`` are the memos to use (fresh ones by default).
+    deviated profile.
+
+    The scan walks truthful profiles, and inside each one its voters (and
+    a misreporting voter's orders), clipped to [lo, hi).  The ordered path
+    walks every profile, the quotient path (for anonymous rules only) the
+    profiles of :func:`_sorted_profiles` and on each only the first voter
+    of each distinct order; both return the same first hit.  The deviated
+    profile's index and margin key come from arithmetic on the truthful
+    one's; its digits are built only where a rule must be evaluated on them
+    (or, on the quotient path, to key a memo by sorted digit tuple).
+    ``outcomes`` are the outcome memos to use (fresh ones by default).
     """
     n, m = scan.n, scan.m
     fact = math.factorial(m)
-    places = [fact ** (n - 1 - voter) for voter in range(n)]
-    orders = enumerate_orders(m)
+    places = _places(n, m)
     rev = reverse_index_table(m)
+    rows = _position_rows(m)
+    votes, empty = keyspace.vote_keys(m), keyspace.empty_key(m)
     compare = _COMPARE[scan.compare]
     reverse = scan.deviation == "reverse"
     abstain = scan.deviation == "abstain"
+    misreport = scan.deviation == "misreport"
     condorcet_only = scan.condorcet_only
-    width, voters = scan.width, scan.voters
-    outcome, deviated = outcomes or _outcomes(scan, quotient=quotient)
+    width = scan.width
+    per_profile = scan.voters * width
+    outcome, deviated = outcomes or _outcomes(scan)
+    truthful_table, deviated_table = outcome.chosen, deviated.chosen
+    keys = condorcet_only or outcome.keyed or deviated.keyed  # track margin keys
     membership: dict = {}
 
     def in_domain(key) -> bool:
         ok = membership.get(key)
         if ok is None:
-            ok = rows_condorcet_winner(margin_rows(m, outcome.digits(key))) is not None
-            membership[key] = ok
+            ok = membership[key] = rows_condorcet_winner(keyspace.key_rows(key, m)) is not None
         return ok
 
-    index = -1
-    for run in (_sorted_runs if quotient else _ordered_runs)(scan, lo, hi):
-        for unit in run:
-            row, target = divmod(unit, width)
-            profile_ix, voter = divmod(row, voters)
-            if profile_ix != index:
-                index = profile_ix
-                digits = profile_digits(index, n, m)
-                here = tuple(sorted(digits)) if quotient else index
-                before = None
-                # a truthful profile outside the domain has no unit to try
-                outside = condorcet_only and not in_domain(here)
-            if outside:
-                break  # a run never leaves its profile
-            if abstain:
-                voter = n - 1
-                target, other = digits[voter], index // fact
-            else:
-                d = digits[voter]
-                if reverse:
-                    target = rev[d]
-                elif target == d:
+    def deviate(digits, voter, target):
+        """The deviated profile's digits, sorted on the quotient path."""
+        if abstain:
+            return digits[:-1]  # on the quotient path a sorted prefix
+        changed = list(digits)
+        changed[voter] = target
+        return tuple(sorted(changed)) if quotient else changed
+
+    first_voter = n - 1 if abstain else 0  # the first voter who deviates
+    for index, digits in (_sorted_profiles if quotient else _ordered_profiles)(scan, lo, hi):
+        key = empty + sum(map(votes.__getitem__, digits)) if keys else None
+        if condorcet_only and not in_domain(key):
+            continue  # a truthful profile outside the domain has no unit to try
+        start = index * per_profile
+        voters = range(first_voter + max(lo - start, 0) // width,
+                       first_voter + (min(hi - start, per_profile) - 1) // width + 1)
+        if quotient and not abstain:
+            voters = [voter for voter in voters
+                      if not voter or digits[voter] != digits[voter - 1]]
+        before = None
+        for voter in voters:
+            d = digits[voter]
+            first = start + (voter - first_voter) * width
+            for target in (range(max(lo - first, 0), min(hi - first, width))
+                           if misreport else (rev[d] if reverse else d,)):
+                if abstain:
+                    other = index // fact
+                    other_key = key - votes[d] if keys else None
+                else:
+                    if misreport and target == d:
+                        continue  # a misreport of one's own order
+                    other = index + (target - d) * places[voter]
+                    other_key = key + votes[target] - votes[d] if keys else None
+                if condorcet_only and not in_domain(other_key):
                     continue
-                other = index + (target - d) * places[voter]
-            if quotient:  # the deviated profile's votes as a sorted multiset
-                other = tuple(sorted(digits[:voter] + ([] if abstain else [target])
-                                     + digits[voter + 1:]))
-            if condorcet_only and not in_domain(other):
-                continue
-            if before is None:
-                # ordered participation meets each n-voter profile once:
-                # caching it by index is waste
-                before = (outcome.compute(digits) if abstain and not quotient
-                          else outcome[here])
-            after = deviated[other]
-            if compare(orders[digits[voter]], before, after):
-                return (unit, index, voter, target, before, after)
+                if before is None:
+                    if truthful_table is not None:
+                        before = truthful_table[index]
+                    elif quotient:
+                        here = tuple(sorted(digits))
+                        before = outcome.at(key if outcome.keyed else here, here)
+                    elif abstain and not outcome.keyed:
+                        # ordered participation meets each n-voter profile
+                        # once: caching it by index is waste
+                        before = outcome.evaluate(digits)
+                    else:
+                        before = outcome.at(key if outcome.keyed else index, digits)
+                if deviated_table is not None:
+                    after = deviated_table[other]
+                elif quotient and not deviated.keyed:
+                    sorted_digits = deviate(digits, voter, target)
+                    after = deviated.at(sorted_digits, sorted_digits)
+                else:
+                    probe = other_key if deviated.keyed else other
+                    after = deviated.get(probe)
+                    if after is None:
+                        after = deviated[probe] = deviated.evaluate(
+                            deviate(digits, voter, target))
+                if compare(rows[d], before, after):
+                    return (first + target if misreport else first,
+                            index, voter, target, before, after)
     return None
 
 
@@ -489,8 +564,8 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     """Whether the margin pass certifies the scan: False when its units do
     not fit in ``budget``, when some unit violates, or when a rule raises.
 
-    Outcomes go into the memos' ``by_key``, so the quotient path that takes
-    over asks the rule about no key twice.
+    Outcomes go into the key memos, so the quotient path that takes over
+    asks the rule about no key twice.
     """
     per_key = math.factorial(scan.m) * scan.width
     try:
@@ -512,7 +587,7 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     """Whether some unit (K, o), K a key of ``level`` (n-1 voters), violates."""
     m = scan.m
     votes = keyspace.vote_keys(m)
-    orders = enumerate_orders(m)
+    rows = _position_rows(m)
     rev = reverse_index_table(m)
     compare = _COMPARE[scan.compare]
     deviation = scan.deviation
@@ -530,9 +605,9 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
                  if scan.condorcet_only else range(len(votes)))
         if deviation == "misreport" and len(tried) < 2:
             continue  # no misreport stays inside the domain
-        before = {o: outcome.at_key(truthful[o], digits + (o,)) for o in tried}
+        before = {o: outcome.at(truthful[o], digits + (o,)) for o in tried}
         if deviation == "abstain":
-            afters = (deviated.at_key(key, digits),)
+            afters = (deviated.at(key, digits),)
         elif deviation == "misreport":
             # a misreport to one's own order changes nothing, and no
             # comparison counts an unchanged outcome as a gain
@@ -540,7 +615,7 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
         for o in tried:
             if deviation == "reverse":
                 afters = (before[rev[o]],)
-            if any(compare(orders[o], before[o], after) for after in afters):
+            if any(compare(rows[o], before[o], after) for after in afters):
                 return True
     return False
 
@@ -563,7 +638,7 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
         rng = random.Random(seed)
         span = scan.block_span
         blocks = total_units // span
-        outcomes = _outcomes(scan, quotient=False)
+        outcomes = _outcomes(scan)
         hit = None
         for _ in range(sample):
             block = rng.randrange(blocks)
@@ -571,12 +646,13 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
                                 outcomes=outcomes)
             if found is not None and (hit is None or found[0] < hit[0]):
                 hit = found
-            for memo in outcomes:  # by_key stays: it is bounded by the keys
-                memo.clear()
+            for memo in outcomes:
+                if not memo.keyed:  # a key memo is bounded by the keys
+                    memo.clear()
         return hit
 
     region = min(total_units, budget)
-    outcomes = _outcomes(scan, quotient=scan.anonymous)
+    outcomes = _outcomes(scan)
     if scan.margins_only and _margin_pass(scan, *outcomes, budget):
         return None
     hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes)
@@ -592,7 +668,7 @@ def _revalidate(witness, rule, deviated_rule, compare: str) -> None:
     and re-apply the comparison; :class:`NotAViolation` on any mismatch."""
     order, truthful, before, deviated, after = witness._event()
     if (rule(truthful) != before or deviated_rule(deviated) != after
-            or not _COMPARE[compare](order, before, after)):
+            or not _COMPARE[compare](order.positions(), before, after)):
         raise NotAViolation(f"{type(witness).__name__} failed revalidation "
                             f"against the rule")
 

@@ -226,7 +226,8 @@ def replayed_carry(edge: ReversalEdge, start: frozenset[int]) -> frozenset[int]:
     for count, order in edge.reversals:
         pos = order.positions()
         for _ in range(count):
-            best = min(pos[w] for w in current)
+            # nothing carried reaches nothing
+            best = min((pos[w] for w in current), default=order.m)
             current = frozenset(a for a in range(order.m) if pos[a] >= best)
     return current
 
@@ -262,6 +263,10 @@ def verify_edge(tree: ProofTree, edge: ReversalEdge) -> Report:
                           f"reversals applied (voters {diff})")
 
     carried_text = alternatives.label_set(edge.carried)
+    if not edge.carried:
+        report.add(False, f"the edge carries no alternative: {carried_text} "
+                          f"cannot contain the winner of {edge.src}")
+        return report
     for count, order in edge.reversals:
         blockers = transport_blockers(order, edge.carried)
         if not blockers:
@@ -638,6 +643,8 @@ def _parse_edge_line(line: str, alternatives: Alternatives) -> ReversalEdge:
         carry_at = parts.index("CARRY")
     except (IndexError, ValueError):
         raise PrefRevError(f"bad EDGE line: {line!r}") from None
+    if carry_at + 1 >= len(parts):
+        raise PrefRevError(f"EDGE line carries no alternative: {line!r}")
     reversals = []
     for token in parts[rev_at + 1:carry_at]:
         count_text, order_text = token.split("x", 1)

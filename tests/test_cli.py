@@ -223,6 +223,7 @@ class TestCheck:
         plant_corrupted_table(table_path)
         resolute = run(f"check --property hwm --table {table_path} "
                        f"--m 3 --n 3")
+        expected = json.loads(resolute[1].splitlines()[-1][len("witness: "):])
         for prop in ("hwm-optimistic", "hwm-pessimistic"):
             code, out = run(f"check --property {prop} --table {table_path} "
                             f"--m 3 --n 3")
@@ -231,6 +232,11 @@ class TestCheck:
                 l for l in out.splitlines()
                 if l.startswith("witness: "))[len("witness: "):])
             assert record["set_after"].strip("{}") != ""
+            # the lifted table's witness is the resolute one
+            assert (record["profile"], record["voter"]) == (expected["profile"],
+                                                            expected["voter"])
+            assert record["set_before"] == "{" + expected["winner_before"] + "}"
+            assert record["set_after"] == "{" + expected["winner_after"] + "}"
 
     def test_sample_mode_reports_seed(self, run):
         code, out = run("check --property hwm --rule borda --m 3 --n 3 "
@@ -280,6 +286,8 @@ class TestCheck:
         assert _Singleton(resolute_rule("borda", 3)).depends_on == "multiset"
         table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
         assert _Singleton(table).depends_on == "order"
+        # a profile table's entries are lifted once, so scans read them by index
+        assert _Singleton(table).chosen == tuple(frozenset((w,)) for w in table.chosen)
 
     @pytest.mark.parametrize("prop,flags,message", IGNORED_FLAGS.values(),
                              ids=IGNORED_FLAGS.keys())
@@ -541,6 +549,18 @@ class TestBadInputFiles:
 
 
 class TestEntryPoint:
+    def test_check_loads_neither_satgen_nor_proofcheck(self):
+        script = ("import sys\n"
+                  "from prefrev.cli import main\n"
+                  "code = main(['check', '--property', 'hwm', '--rule', 'borda',"
+                  " '--m', '3', '--n', '3'])\n"
+                  "print(code, sorted(name for name in sys.modules"
+                  " if name in ('prefrev.satgen', 'prefrev.proofcheck')))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
     def test_installed_script_runs(self, perez_profile_path):
         proc = subprocess.run(
             [sys.executable, "-m", "prefrev.cli", "analyze",

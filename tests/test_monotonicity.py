@@ -36,7 +36,14 @@ from prefrev.prefs import (
     order_index,
     profile_to_index,
 )
-from prefrev.rules import RuleTable, TieBreak, resolute_rule, set_rule, tabulate_rule
+from prefrev.rules import (
+    SET_RULES,
+    RuleTable,
+    TieBreak,
+    resolute_rule,
+    set_rule,
+    tabulate_rule,
+)
 from prefrev.tally import condorcet_winner, margin_key, margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -751,7 +758,7 @@ class TestMarginPass:
             scan, check = margin_scan(prop, n, m, family)
             assert scan.margins_only, name
             total = scan.total_units
-            certified = _margin_pass(scan, *_outcomes(scan, quotient=True), total)
+            certified = _margin_pass(scan, *_outcomes(scan), total)
             hit = _scan_chunk(scan, 0, total, quotient=True)
             assert certified == (hit is None), name
 
@@ -789,7 +796,7 @@ class TestMarginPass:
         n, m = 3, 4
         rule = CountingRule(resolute_rule("condorcet", m), "margins")
         scan = _Scan(rule, n, m, "misreport", "weak", condorcet_only=True)
-        assert _margin_pass(scan, *_outcomes(scan, quotient=True), scan.total_units)
+        assert _margin_pass(scan, *_outcomes(scan), scan.total_units)
         assert 0 < rule.calls <= len(keyspace.margin_levels(n, m)[1])
 
 
@@ -911,8 +918,6 @@ class TestSampledKeyMemo:
     @pytest.mark.parametrize("prop", ["hwm", "participation", "manipulability"])
     def test_index_memos_hold_at_most_one_block(self, monkeypatch, prop):
         n, m, sample = 4, 3, 300
-        rule = resolute_rule("maximin", m)
-        scan, _ = margin_scan(prop, n, m, {n - 1: rule, n: rule})
         created, sizes = [], []
         make, chunk = monotonicity._outcomes, monotonicity._scan_chunk
 
@@ -928,10 +933,255 @@ class TestSampledKeyMemo:
 
         monkeypatch.setattr(monotonicity, "_outcomes", outcomes)
         monkeypatch.setattr(monotonicity, "_scan_chunk", scan_chunk)
+        rule = resolute_rule("maximin", m)
+
+        # an undeclared rule is memoised by profile index, cleared per block
+        scan, _ = margin_scan(prop, n, m, {n - 1: CountingRule(rule), n: CountingRule(rule)})
         _run_scan(scan, budget=None, sample=sample, seed=3)
         (memos,) = created
+        assert not any(memo.keyed for memo in memos)
         assert not any(map(any, sizes[::2]))
         assert all(size <= scan.block_span + 1 for pair in sizes[1::2] for size in pair)
         assert all(len(memo) == 0 for memo in memos)
-        # the key memo outlives the blocks, bounded by the profiles visited
-        assert 0 < len(memos[0].by_key) <= sample * (scan.block_span + 1)
+
+        # a "margins" rule is memoised by margin key only: the memo outlives
+        # the blocks, bounded by the profiles visited
+        created.clear()
+        sizes.clear()
+        scan, _ = margin_scan(prop, n, m, {n - 1: rule, n: rule})
+        _run_scan(scan, budget=None, sample=sample, seed=3)
+        (memos,) = created
+        assert all(memo.keyed for memo in memos)
+        assert all(x <= y for a, b in zip(sizes, sizes[1:]) for x, y in zip(a, b))
+        assert 0 < len(memos[0]) <= sample * (scan.block_span + 1)
+
+
+# --- the per-profile kernel against a per-unit reference --------------------------
+
+
+def in_sorted_order(votes) -> bool:
+    return list(votes) == sorted(votes, key=order_index)
+
+
+def first_event(prop: str, family, n: int, m: int, lo: int, hi: int, *,
+                quotient: bool = False):
+    """The first unit in [lo, hi) that violates or whose rule call raises:
+    ``(unit, witness, None)``, ``(unit, None, error)`` or None.
+
+    One divmod decode per unit and no memo: each unit builds its profiles
+    and calls the rules afresh, the truthful profile first, and compares
+    through :class:`LinearOrder`.  With ``quotient`` only the quotient
+    path's units are tried (a sorted profile and the first voter of each
+    order; for participation a sorted prefix), and the rules see sorted
+    profiles."""
+    kind, _, domain = prop.partition(":")
+    orders = enumerate_orders(m)
+    fact = len(orders)
+    winners: dict = {}  # the Condorcet winner by profile, calling no rule
+
+    def has_winner(profile) -> bool:
+        if profile not in winners:
+            winners[profile] = condorcet_winner(profile)
+        return winners[profile] is not None
+
+    def call(rule, profile):
+        if quotient:
+            profile = Profile(tuple(sorted(profile.votes, key=order_index)))
+        value = rule(profile)
+        if kind in SET_PROPERTIES and not value:
+            raise errors.EmptyOutcomeSet(f"set-valued rule returned an empty set at "
+                                         f"profile index {profile_to_index(profile)}")
+        return value
+
+    for unit in range(lo, hi):
+        if kind == "participation":
+            profile = index_to_profile(unit, n, m)
+            voter, vote = n - 1, profile.votes[-1]
+            deviated = profile.remove_voter(voter)
+            if quotient and not in_sorted_order(deviated.votes):
+                continue
+        else:
+            row, lie = divmod(unit, fact) if kind == "manipulability" else (unit, None)
+            index, voter = divmod(row, n)
+            profile = index_to_profile(index, n, m)
+            vote = profile.votes[voter]
+            if quotient and (not in_sorted_order(profile.votes)
+                             or voter and profile.votes[voter - 1] == vote):
+                continue
+            if kind == "manipulability":
+                if orders[lie] == vote:
+                    continue
+                deviated = profile.replace_vote(voter, orders[lie])
+                if domain == "condorcet" and not (has_winner(profile)
+                                                  and has_winner(deviated)):
+                    continue
+            else:
+                deviated = profile.reverse_vote(voter)
+        try:
+            before = call(family[n], profile)
+            after = call(family[n - 1] if kind == "participation" else family[n], deviated)
+        except errors.PrefRevError as exc:
+            return unit, None, exc
+        if kind == "participation":
+            if vote.prefers(after, before):
+                return unit, ParticipationWitness(deviated, vote, after, before, voter), None
+        elif kind == "manipulability":
+            if vote.prefers(after, before):
+                return unit, ManipulationWitness(profile, voter, orders[lie], before, after), None
+        elif kind in SET_PROPERTIES:
+            best = vote.best_of if kind == "hwm-optimistic" else vote.worst_of
+            if vote.prefers(best(after), best(before)):
+                return unit, SetReversalWitness(profile, voter, before, after,
+                                                kind[len("hwm-"):]), None
+        elif (vote.prefers(after, before) if kind == "hwm"
+              else after == vote.top and after != before):
+            return unit, ReversalWitness(profile, voter, before, after), None
+    return None
+
+
+def event_result(event, region: int, total: int):
+    """A checker's result when ``event`` is the first event of its scan and
+    it covers the units [0, region)."""
+    if event is not None and event[0] < region:
+        unit, witness, error = event
+        if error is not None:
+            return ("error", type(error).__name__, str(error))
+        return ("witness", unit, witness)
+    return ("budget", region, total) if region < total else ("none",)
+
+
+def witness_unit(prop: str, witness, n: int, m: int) -> int:
+    if isinstance(witness, ParticipationWitness):
+        return profile_to_index(witness.joined_profile())
+    unit = profile_to_index(witness.profile) * n + witness.voter
+    if isinstance(witness, ManipulationWitness):
+        unit = unit * math.factorial(m) + order_index(witness.misreport)
+    return unit
+
+
+def checker_result(prop: str, check, n: int, m: int, **kw):
+    try:
+        witness = check(lambda rule: rule, **kw)
+    except errors.BudgetExceeded as exc:
+        return ("budget", exc.scanned, exc.total)
+    except errors.PrefRevError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if witness is None:
+        return ("none",)
+    return ("witness", witness_unit(prop, witness, n, m), witness)
+
+
+class SetProfileTable:
+    """A set-valued profile table, shaped like a profile-mode RuleTable."""
+
+    mode = "profile"
+
+    def __init__(self, n: int, m: int, chosen: tuple):
+        self.n, self.m, self.chosen = n, m, chosen
+
+    def __call__(self, profile: Profile) -> frozenset[int]:
+        return self.chosen[profile_to_index(profile)]
+
+
+def kernel_cases(prop: str, n: int, m: int):
+    """(name, family) pairs covering every way the kernel reads outcomes."""
+    kind = prop.partition(":")[0]
+    rng = random.Random(f"kernel:{prop}:{m}:{n}")
+    sizes = (n - 1, n) if kind == "participation" else (n,)
+
+    def table(size):
+        if prop == "manipulability":  # borda is manipulable
+            return tabulate_rule(resolute_rule("borda", m), size, m)
+        if kind in ("participation", "manipulability"):
+            return RuleTable(size, m, "profile", tuple(
+                rng.randrange(m) for _ in range(num_profiles(size, m))))
+        return plant_reversal_violation(tabulate_rule(resolute_rule("maximin", m), size, m),
+                                        rng=rng)[0]
+
+    def family(rule):
+        return {size: rule for size in sizes}
+
+    if kind in SET_PROPERTIES:
+        sets = [frozenset(a for a in range(m) if rng.random() < 0.5)
+                for _ in range(num_profiles(n, m))]
+        cases = [(name, family(set_rule(name))) for name in SET_RULES]
+        return cases + [
+            ("lifted-table", {n: _Singleton(table(n))}),
+            # some entries are empty, so it is called, not read, and raises
+            ("set-table", {n: SetProfileTable(n, m, tuple(sets))}),
+            ("lifted-borda", {n: _Singleton(resolute_rule("borda", m))}),
+            ("undeclared", {n: lambda profile: set_rule("top-cycle")(profile)}),
+            ("empty-sets", {n: EmptyOnSomeKeys(f"{prop}:{m}:{n}", 0.05)}),
+        ]
+    priority = list(range(m))
+    rng.shuffle(priority)
+    tie_break = TieBreak(LinearOrder(tuple(priority)))
+    borda = resolute_rule("borda", m, tie_break)
+    return [
+        ("table", {size: table(size) for size in sizes}),
+        ("borda", family(borda)),
+        ("plurality", family(resolute_rule("plurality", m, tie_break))),
+        ("maximin", family(resolute_rule("maximin", m, tie_break))),
+        ("condorcet", family(resolute_rule("condorcet", m))),
+        ("undeclared", family(lambda profile: borda(profile))),
+    ]
+
+
+class TestKernelAgainstUnitReference:
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
+    @pytest.mark.parametrize("prop", KERNEL_PROPERTIES)
+    def test_exhaustive_budgeted_and_sampled_runs_agree(self, prop, m, n):
+        checked = set()
+        for name, family in kernel_cases(prop, n, m):
+            scan, check = margin_scan(prop, n, m, family)
+            total, per_profile = scan.total_units, scan.voters * scan.width
+            quotient = scan.anonymous
+            event = first_event(prop, family, n, m, 0, total, quotient=quotient)
+            margin_fit = margin_units(scan) if scan.margins_only else total
+            # exhaustive, and budgets cutting just before, at and inside the
+            # profile of the first event, or inside the domain and at the
+            # margin pass's size when there is none
+            cuts = ((event[0], event[0] + 1, event[0] - event[0] % per_profile + 1)
+                    if event is not None else
+                    (total // 2 + 1, margin_fit - 1, margin_fit))
+            budgets = [None] + [budget for budget in cuts if 0 < budget < total]
+            for budget in budgets:
+                region = total if budget is None else budget
+                expected = event_result(event, region, total)
+                if event is None and margin_fit <= region:
+                    expected = ("none",)  # the margin pass certifies
+                assert checker_result(prop, check, n, m, budget=budget) == expected, \
+                    (name, budget)
+                checked.add(expected[0])
+
+            # sampled runs: the first event in each drawn block, the least
+            # hit over the blocks, an error in draw order
+            for seed, sample in ((0, 1), (1, 7), (2, 40)):
+                rng = random.Random(seed)
+                span = scan.block_span
+                expected, hit = None, None
+                for _ in range(sample):
+                    block = rng.randrange(total // span)
+                    found = first_event(prop, family, n, m, block * span, (block + 1) * span)
+                    if found is not None and found[2] is not None:
+                        expected = event_result(found, total, total)
+                        break
+                    if found is not None and (hit is None or found[0] < hit[0]):
+                        hit = found
+                if expected is None:
+                    expected = event_result(hit, total, total)
+                assert checker_result(prop, check, n, m, sample=sample, seed=seed) \
+                    == expected, (name, seed, sample)
+                checked.add(expected[0])
+        # the cases reach witnesses and budget verdicts, and errors where the
+        # Condorcet rule is called outside its domain
+        assert {"witness", "budget"} <= checked
+        assert "error" in checked or prop == "manipulability:condorcet"
+
+    def test_table_of_another_size_still_raises(self):
+        table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
+        with pytest.raises(errors.DomainMismatch):
+            check_halfway_monotonicity(table, 3, 3)
+        lifted = _Singleton(table)
+        with pytest.raises(errors.DomainMismatch):
+            check_hwm_pessimistic(lifted, 3, 3)

@@ -170,6 +170,19 @@ class TestTamperedTrees:
         assert any("ranks carried c above non-carried b" in line.text
                    for line in report.failures)
 
+    def test_empty_carried_set_fails_a_line(self):
+        tree = build_odd_tree(4)
+        edge = tree.edges[0]  # P0 -> P1
+        bad = replace(edge, carried=frozenset())
+        tampered = replace(tree, edges=(bad,) + tree.edges[1:])
+        report = verify_edge(tampered, bad)
+        assert any("the edge carries no alternative" in line.text
+                   for line in report.failures)
+        assert replayed_carry(bad, bad.carried) == frozenset()
+        assert not verify_tree(tampered).ok
+        for mode in ("optimistic", "pessimistic"):
+            assert not verify_tree_irresolute(tampered, mode).ok
+
     def test_wrong_leaf_claim_fails(self):
         tree = build_odd_tree(4)
         leaves = tuple(replace(l, condorcet=0) if l.node == "P2" else l
@@ -336,3 +349,11 @@ class TestFileFormat:
     def test_bad_header(self):
         with pytest.raises(errors.PrefRevError):
             read_proof_tree(io.StringIO("nonsense\n"))
+
+    def test_edge_carrying_nothing_is_a_clear_error(self):
+        tree = build_odd_tree(4)
+        bad = replace(tree.edges[0], carried=frozenset())
+        text = proof_tree_to_text(replace(tree, edges=(bad,) + tree.edges[1:]))
+        assert any(line.endswith(" CARRY ") for line in text.splitlines())
+        with pytest.raises(errors.PrefRevError, match="carries no alternative"):
+            read_proof_tree(io.StringIO(text))
