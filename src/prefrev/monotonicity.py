@@ -351,6 +351,19 @@ def _depends_on(rule) -> str:
     return getattr(rule, "depends_on", "order")
 
 
+def _condorcet_domain(m: int):
+    """A memoised test of whether a margin key has a Condorcet winner."""
+    winners: dict = {}
+
+    def in_domain(key) -> bool:
+        ok = winners.get(key)
+        if ok is None:
+            ok = winners[key] = rows_condorcet_winner(keyspace.key_rows(key, m)) is not None
+        return ok
+
+    return in_domain
+
+
 def _table_entries(rule, n: int, m: int, *, sets: bool):
     """The dense entries of a profile-mode table of this (n, m), so that
     ``rule(P)`` is ``entries[index of P]``; None for any other rule.  Duck
@@ -476,7 +489,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     places = _places(n, m)
     rev = reverse_index_table(m)
     rows = _position_rows(m)
-    votes, empty = keyspace.vote_keys(m), keyspace.empty_key(m)
+    votes = keyspace.vote_keys(m)
     compare = _COMPARE[scan.compare]
     reverse = scan.deviation == "reverse"
     abstain = scan.deviation == "abstain"
@@ -487,13 +500,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     outcome, deviated = outcomes or _outcomes(scan)
     truthful_table, deviated_table = outcome.chosen, deviated.chosen
     keys = condorcet_only or outcome.keyed or deviated.keyed  # track margin keys
-    membership: dict = {}
-
-    def in_domain(key) -> bool:
-        ok = membership.get(key)
-        if ok is None:
-            ok = membership[key] = rows_condorcet_winner(keyspace.key_rows(key, m)) is not None
-        return ok
+    in_domain = _condorcet_domain(m)
 
     def deviate(digits, voter, target):
         """The deviated profile's digits, sorted on the quotient path."""
@@ -505,7 +512,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
 
     first_voter = n - 1 if abstain else 0  # the first voter who deviates
     for index, digits in (_sorted_profiles if quotient else _ordered_profiles)(scan, lo, hi):
-        key = empty + sum(map(votes.__getitem__, digits)) if keys else None
+        key = keyspace.digits_key(m, digits) if keys else None
         if condorcet_only and not in_domain(key):
             continue  # a truthful profile outside the domain has no unit to try
         start = index * per_profile
@@ -591,13 +598,7 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     rev = reverse_index_table(m)
     compare = _COMPARE[scan.compare]
     deviation = scan.deviation
-    winners: dict = {}
-
-    def in_domain(key) -> bool:
-        ok = winners.get(key)
-        if ok is None:
-            ok = winners[key] = rows_condorcet_winner(keyspace.key_rows(key, m)) is not None
-        return ok
+    in_domain = _condorcet_domain(m)
 
     for key, digits in level.items():
         truthful = [key + vote for vote in votes]

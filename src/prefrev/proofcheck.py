@@ -647,7 +647,9 @@ def _parse_edge_line(line: str, alternatives: Alternatives) -> ReversalEdge:
         raise PrefRevError(f"EDGE line carries no alternative: {line!r}")
     reversals = []
     for token in parts[rev_at + 1:carry_at]:
-        count_text, order_text = token.split("x", 1)
+        count_text, x, order_text = token.partition("x")
+        if not x or not count_text.isdecimal():
+            raise PrefRevError(f"bad reversal {token!r} in EDGE line: {line!r}")
         reversals.append((int(count_text), parse_order(order_text, alternatives)))
     carried = frozenset(alternatives.id_of(x)
                         for x in parts[carry_at + 1].split(","))

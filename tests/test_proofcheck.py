@@ -357,3 +357,11 @@ class TestFileFormat:
         assert any(line.endswith(" CARRY ") for line in text.splitlines())
         with pytest.raises(errors.PrefRevError, match="carries no alternative"):
             read_proof_tree(io.StringIO(text))
+
+    @pytest.mark.parametrize("token", ["2*d>c>b>a", "twoxd>c>b>a", "xd>c>b>a"])
+    def test_malformed_reversal_is_a_clear_error(self, token):
+        text = proof_tree_to_text(build_odd_tree(4))
+        bad = text.replace("REVERSE 1xd>c>b>a", f"REVERSE {token}", 1)
+        assert bad != text
+        with pytest.raises(errors.PrefRevError, match="bad reversal"):
+            read_proof_tree(io.StringIO(bad))
