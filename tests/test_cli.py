@@ -482,6 +482,24 @@ class TestEncodeDecodePipeline:
         assert decoded.mode == "c2"
         assert len(decoded.chosen) == 44
 
+    def test_c2_decode_matches_golden_table(self, run, tmp_path, solver_cmd):
+        model = tmp_path / "c2.model"
+        table = tmp_path / "c2.table"
+        solved = subprocess.run(
+            solver_cmd + [str(GOLDEN_DIR / "encode_c2_m3_n3.cnf")],
+            capture_output=True, text=True)
+        assert solved.returncode == 10
+        model.write_text(solved.stdout)
+        code, _ = run(f"decode --model {model} --n 3 --m 3 --mode c2 "
+                      f"--out {table}")
+        assert code == 0
+        golden = (GOLDEN_DIR / "decode_c2_m3_n3.table").read_text()
+        assert table.read_text() == golden
+        with open(table) as handle:
+            again = io.StringIO()
+            write_rule_table(read_rule_table(handle), again)
+        assert again.getvalue() == golden
+
 
 class TestPad:
     def test_pad_appends_opposed_pairs(self, run, tmp_path, perez_profile_path):
