@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     named = p.add_mutually_exclusive_group(required=True)
     named.add_argument("--rule", help=f"one of: {', '.join(rules.RESOLUTE_RULES)}; "
                                       f"set-valued: {', '.join(rules.SET_RULES)}")
-    named.add_argument("--table", help="profile-mode rule table file to check "
-                                       "instead of a named rule")
+    named.add_argument("--table", help="rule table file (profile or c2 mode) "
+                                       "to check instead of a named rule")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tie-break")

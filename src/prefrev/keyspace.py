@@ -21,7 +21,8 @@ lies at level k-1.
 
 The c2 encoder and decoder (:mod:`prefrev.satgen`), the margin pass of the
 scan kernel (:mod:`prefrev.monotonicity`) and the key-level re-check of c2
-tables all take their keys from :func:`margin_levels`.
+tables all take their keys from :func:`margin_levels`; c2 tables and the c2
+variable map hold these integers too.  Only files hold :func:`key_text`.
 """
 
 from __future__ import annotations
@@ -38,23 +39,25 @@ _OFFSET = 1 << (_BITS - 1)
 _MASK = (1 << _BITS) - 1
 
 
-def _shifts(m: int) -> range:
-    """Bit positions of the key entries, first entry first."""
-    return range(_BITS * (m * (m - 1) // 2 - 1), -1, -_BITS)
+@lru_cache(maxsize=None)
+def _entries(m: int) -> tuple[tuple[int, int, int], ...]:
+    """Per key entry, first entry first: its cell (a, b), a < b, and its
+    bit position."""
+    cells = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    return tuple((a, b, _BITS * (len(cells) - 1 - i)) for i, (a, b) in enumerate(cells))
 
 
 @lru_cache(maxsize=None)
 def vote_keys(m: int) -> tuple[int, ...]:
     """The key change of a single vote, by canonical order index."""
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    return tuple(sum(rows[a][b] << shift for (a, b), shift in zip(pairs, _shifts(m)))
+    return tuple(sum(rows[a][b] << shift for a, b, shift in _entries(m))
                  for rows in comparison_matrices(m))
 
 
 @lru_cache(maxsize=None)
 def empty_key(m: int) -> int:
     """The key of no votes: every margin zero."""
-    return sum(_OFFSET << shift for shift in _shifts(m))
+    return sum(_OFFSET << shift for _, _, shift in _entries(m))
 
 
 def digits_key(m: int, digits) -> int:
@@ -65,12 +68,33 @@ def digits_key(m: int, digits) -> int:
 def key_rows(key: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The full margin matrix of a key."""
     rows = [[0] * m for _ in range(m)]
-    shifts = iter(_shifts(m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            rows[a][b] = ((key >> next(shifts)) & _MASK) - _OFFSET
-            rows[b][a] = -rows[a][b]
+    for a, b, shift in _entries(m):
+        rows[a][b] = ((key >> shift) & _MASK) - _OFFSET
+        rows[b][a] = -rows[a][b]
     return tuple(map(tuple, rows))
+
+
+def key_text(key: int, m: int) -> str:
+    """The file form of a key: the full m x m margin matrix, row-major,
+    each entry in canonical integer spelling, joined by ``_``."""
+    return "_".join(str(x) for row in key_rows(key, m) for x in row)
+
+
+def parse_key(text: str, m: int) -> int:
+    """The key whose :func:`key_text` is ``text``; ValueError for any other
+    text, such as a wrong entry count, a nonzero diagonal, asymmetric
+    entries, ``+1``, ``01`` or ``-0``, or an entry of 2^31 or more."""
+    try:
+        flat = list(map(int, text.split("_")))
+    except ValueError:
+        flat = []
+    # canonically spelt, skew-symmetric (so the diagonal is zero) and in
+    # range: exactly what key_text writes
+    if (len(flat) == m * m and "_".join(map(str, flat)) == text
+            and flat == [-flat[b * m + a] for a in range(m) for b in range(m)]
+            and -_OFFSET < min(flat) and max(flat) < _OFFSET):
+        return sum((flat[a * m + b] + _OFFSET) << shift for a, b, shift in _entries(m))
+    raise ValueError(f"not a margin key of {m} alternatives: {text!r}")
 
 
 def margin_levels(n: int, m: int, *, budget: int | None = None

@@ -26,18 +26,21 @@ from .errors import (
     MissingEntry,
     MTooLargeForExactKemeny,
     PrefRevError,
+    UnknownLabel,
     UnknownRule,
 )
 from .prefs import (
-    Alternatives,
     LinearOrder,
     Profile,
     default_labels,
     enumerate_orders,
+    iter_profiles,
     num_profiles,
+    order_index,
     profile_to_index,
 )
 from .tally import condorcet_winner, margin_matrix
+from . import keyspace
 
 Rule = Callable[[Profile], int]
 SetRule = Callable[[Profile], frozenset[int]]
@@ -408,13 +411,14 @@ class RuleTable:
     """A voting rule given extensionally, keyed by profile index or margins.
 
     ``chosen`` is a dense tuple over all (m!)^n profile indices in profile
-    mode, or a mapping from margin-matrix keys to winners in c2 mode.
+    mode, or in c2 mode a mapping from integer margin keys
+    (:mod:`prefrev.keyspace`) to winners.
     """
 
     n: int
     m: int
     mode: str
-    chosen: tuple[int, ...] | dict[str, int]
+    chosen: tuple[int, ...] | dict[int, int]
 
     def __post_init__(self) -> None:
         if self.mode not in ("profile", "c2"):
@@ -431,11 +435,12 @@ class RuleTable:
                 f"profile has n={profile.n}, m={profile.m}")
         if self.mode == "profile":
             return self.chosen[profile_to_index(profile)]
-        key = margin_matrix(profile).key()
+        key = keyspace.digits_key(self.m, map(order_index, profile.votes))
         try:
             return self.chosen[key]
         except KeyError:
-            raise MissingEntry(f"no entry for margin key {key}") from None
+            raise MissingEntry(f"no entry for margin key "
+                               f"{keyspace.key_text(key, self.m)}") from None
 
     __call__ = lookup
 
@@ -445,37 +450,34 @@ class RuleTable:
         voter-indexed profile."""
         return "margins" if self.mode == "c2" else "order"
 
-    def replace_entry(self, key: int | str, winner: int) -> "RuleTable":
+    def replace_entry(self, key: int, winner: int) -> "RuleTable":
         """A copy with one entry changed (used to plant violations in tests)."""
         if self.mode == "profile":
-            chosen = list(self.chosen)
-            chosen[key] = winner
-            return RuleTable(self.n, self.m, self.mode, tuple(chosen))
-        chosen = dict(self.chosen)
-        chosen[key] = winner
+            chosen = self.chosen[:key] + (winner,) + self.chosen[key + 1:]
+        else:
+            chosen = {**self.chosen, key: winner}
         return RuleTable(self.n, self.m, self.mode, chosen)
 
 
 def tabulate_rule(rule: Rule, n: int, m: int) -> RuleTable:
     """Materialise any resolute rule as a profile-mode table."""
-    from .prefs import iter_profiles
-
     return RuleTable(n, m, "profile",
                      tuple(rule(p) for p in iter_profiles(n, m)))
 
 
 def write_rule_table(table: RuleTable, sink: TextIO) -> None:
+    """Profile entries in index order, c2 entries in key-text order."""
     labels = default_labels(table.m)
     sink.write(f"n={table.n} m={table.m} mode={table.mode}\n")
-    if table.mode == "profile":
-        for key, alt in enumerate(table.chosen):
-            sink.write(f"{key},{labels[alt]}\n")
-    else:
-        for key in sorted(table.chosen):
-            sink.write(f"{key},{labels[table.chosen[key]]}\n")
+    entries = (enumerate(table.chosen) if table.mode == "profile" else
+               sorted((keyspace.key_text(key, table.m), alt)
+                      for key, alt in table.chosen.items()))
+    sink.writelines(f"{key},{labels[alt]}\n" for key, alt in entries)
 
 
 def read_rule_table(source: TextIO) -> RuleTable:
+    """What :func:`write_rule_table` writes (blank and ``#`` lines skipped);
+    the error for a malformed line or a repeated key names the line."""
     header = source.readline().strip()
     fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     try:
@@ -484,34 +486,42 @@ def read_rule_table(source: TextIO) -> RuleTable:
         n = m = 0
     if n < 1 or m < 1:
         raise PrefRevError(f"bad rule-table header: {header!r}")
-    alternatives = Alternatives(default_labels(m))
-    entries: dict[str, int] = {}
+    if mode not in ("profile", "c2"):
+        raise PrefRevError(f"unknown table mode: {mode!r}")
+    profile = mode == "profile"
+    lines: dict[int, int] = {}  # the line of each key, in file order
+    labels: list[str] = []
     for lineno, raw in enumerate(source, start=2):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        key, comma, label = line.rpartition(",")
-        if not comma or mode == "profile" and not key.isdecimal():
-            raise PrefRevError(f"rule-table line {lineno}: expected "
-                               f"'<key>,<label>', got {line!r}")
-        entries[key] = alternatives.id_of(label.strip())
-    if mode == "profile":
-        total = num_profiles(n, m)
-        # the entries cover at most len(entries) indices, so the first gap
-        # lies below len(entries) + 1: no list outgrows the file, however
-        # large a domain the header claims
-        chosen = [None] * min(total, len(entries) + 1)
-        for key, alt in entries.items():
-            ix = int(key)
-            if ix >= total:
-                raise MissingEntry(f"profile index {ix} out of range")
-            if ix < len(chosen):
-                chosen[ix] = alt
-        missing = next((i for i, v in enumerate(chosen) if v is None), None)
-        if missing is not None:
-            raise MissingEntry(f"no entry for profile index {missing}")
-        return RuleTable(n, m, mode, tuple(chosen))
-    return RuleTable(n, m, mode, entries)
+        text, comma, label = line.rpartition(",")
+        try:
+            if not comma or profile and not text.isdecimal():
+                raise ValueError(f"expected '<key>,<label>', got {line!r}")
+            key = int(text) if profile else keyspace.parse_key(text, m)
+        except ValueError as exc:
+            raise PrefRevError(f"rule-table line {lineno}: {exc}") from None
+        if key in lines:
+            raise PrefRevError(f"rule-table line {lineno}: key {text} repeats "
+                               f"the key of line {lines[key]}")
+        lines[key] = lineno
+        labels.append(label)
+    ids = {label: alt for alt, label in enumerate(default_labels(m))}
+    alts = list(map(ids.get, map(str.strip, labels)))
+    if None in alts:
+        raise UnknownLabel(labels[alts.index(None)].strip())
+    entries = dict(zip(lines, alts))
+    if not profile:
+        return RuleTable(n, m, mode, entries)
+    total = num_profiles(n, m)
+    if beyond := [ix for ix in entries if ix >= total]:
+        raise MissingEntry(f"profile index {beyond[0]} out of range")
+    if len(entries) < total:
+        # the keys are distinct, so the first gap lies at most at len(entries)
+        missing = next(ix for ix in range(len(entries) + 1) if ix not in entries)
+        raise MissingEntry(f"no entry for profile index {missing}")
+    return RuleTable(n, m, mode, tuple(map(entries.__getitem__, range(total))))
 
 
 # --- registry -----------------------------------------------------------------

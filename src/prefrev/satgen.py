@@ -23,7 +23,6 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass
-from operator import sub
 from typing import Mapping, Sequence, TextIO
 
 from .errors import (
@@ -49,7 +48,6 @@ from . import keyspace, monotonicity, tally
 DEFAULT_KEY_BUDGET = 1_000_000
 
 Clause = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -74,15 +72,15 @@ class CnfFormula:
 class VariableMap:
     """Bijection between 1-based CNF variables and (key, alternative) pairs.
 
-    Keys are profile indices (profile mode), margin-matrix strings (c2
-    mode), or proof-tree node names (proof mode); in every mode
-    ``var = key_rank * m + alternative + 1``.
+    Keys are profile indices (profile mode), the sorted integer margin keys
+    of :mod:`prefrev.keyspace` (c2 mode), or proof-tree node names (proof
+    mode); in every mode ``var = key_rank * m + alternative + 1``.
     """
 
     n: int
     m: int
     mode: str
-    keys: tuple[str, ...] | None = None  # None: profile mode, keys implicit
+    keys: tuple[int, ...] | tuple[str, ...] | None = None  # None: profile mode
 
     @property
     def num_keys(self) -> int:
@@ -103,6 +101,8 @@ class VariableMap:
     def key_name(self, key_rank: int) -> str:
         if self.keys is None:
             return str(key_rank)
+        if self.mode == "c2":
+            return keyspace.key_text(self.keys[key_rank], self.m)
         return self.keys[key_rank]
 
 
@@ -135,8 +135,8 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
         varmap = VariableMap(n=n, m=m, mode="profile")
         key_space = _profile_key_space(n, m)
     elif mode == "c2":
-        varmap, matrices, witness_orders = c2_variable_map(n, m, budget=budget)
-        key_space = _c2_key_space(varmap, matrices, witness_orders)
+        varmap, witness_orders = c2_variable_map(n, m, budget=budget)
+        key_space = _c2_key_space(varmap, witness_orders)
     else:
         raise PrefRevError(f"unknown encode mode {mode!r}")
     return _encode_key_space(varmap, key_space)
@@ -154,31 +154,29 @@ def _profile_key_space(n: int, m: int):
 
 
 def c2_variable_map(n: int, m: int, *, budget: int | None = None
-                    ) -> tuple[VariableMap, list[Matrix], dict[str, set[int]]]:
-    """The c2 variable map, keyed by the margin matrices realizable by n
-    voters, with those matrices and their witness orders.
+                    ) -> tuple[VariableMap, dict[int, set[int]]]:
+    """The c2 variable map, keyed by the margin keys realizable by n
+    voters, with their witness orders.
 
     ``encode_full`` and ``cli decode`` both take their c2 keys from here,
     so a model is always read against the key order it was written with.
     """
-    matrices, witness_orders = enumerate_margin_keys(n, m, budget=budget)
-    keys = tuple(witness_orders)  # the matrices' margin keys, in their order
-    return VariableMap(n=n, m=m, mode="c2", keys=keys), matrices, witness_orders
+    keys, witness_orders = enumerate_margin_keys(n, m, budget=budget)
+    return VariableMap(n=n, m=m, mode="c2", keys=tuple(keys)), witness_orders
 
 
-def _c2_key_space(varmap: VariableMap, matrices: list[Matrix],
-                  witness_orders: dict[str, set[int]]):
+def _c2_key_space(varmap: VariableMap, witness_orders: dict[int, set[int]]):
     """Per margin key: its rows and, per witness order, the edge (order,
     rank of the key after one voter of that order reversed)."""
-    flats = [sum(rows, ()) for rows in matrices]
-    rank = {flat: i for i, flat in enumerate(flats)}
-    doubled = [tuple(2 * x for x in sum(cmp, ()))
-               for cmp in tally.comparison_matrices(varmap.m)]
-    for key_rank, (rows, flat) in enumerate(zip(matrices, flats)):
-        # reversing a witness voter lands on a realizable matrix again
-        edges = [(order_ix, rank[tuple(map(sub, flat, doubled[order_ix]))])
-                 for order_ix in sorted(witness_orders[varmap.keys[key_rank]])]
-        yield key_rank, rows, edges
+    m = varmap.m
+    rank = {key: i for i, key in enumerate(varmap.keys)}
+    votes = keyspace.vote_keys(m)
+    rev = reverse_index_table(m)
+    for key_rank, key in enumerate(varmap.keys):
+        # reversing a witness voter lands on a realizable key again
+        edges = [(order_ix, rank[key + votes[rev[order_ix]] - votes[order_ix]])
+                 for order_ix in sorted(witness_orders[key])]
+        yield key_rank, keyspace.key_rows(key, m), edges
 
 
 def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
@@ -223,27 +221,20 @@ def _encode_result(varmap: VariableMap, functionality: list[Clause],
 
 
 def enumerate_margin_keys(n: int, m: int, *, budget: int | None = None
-                          ) -> tuple[list[Matrix], dict[str, set[int]]]:
-    """All margin matrices realizable by n voters, sorted, with their
-    witness orders.
+                          ) -> tuple[list[int], dict[int, set[int]]]:
+    """All margin keys realizable by n voters, sorted, with their witness
+    orders.
 
     The keys come from :func:`keyspace.margin_levels`; a key's witness
     orders are those o whose removal lands at n-1 voters, i.e. exactly the
     orders that appear in at least one realization.  That set is what makes
     a reversal clause sound for a margin key, so the encoder gates on it.
-    ``budget`` caps the distinct matrices at any size, checked while a
-    level is built.
+    ``budget`` caps the distinct keys at any size, checked while a level is
+    built.
     """
     budget = DEFAULT_KEY_BUDGET if budget is None else budget
     previous, level = keyspace.margin_levels(n, m, budget=budget)
-    witnesses = keyspace.witness_orders(previous, m)
-    matrices = []
-    witness_orders = {}
-    for key in sorted(level):
-        rows = keyspace.key_rows(key, m)
-        matrices.append(rows)
-        witness_orders[tally.margin_key(rows)] = witnesses[key]
-    return matrices, witness_orders
+    return sorted(level), keyspace.witness_orders(previous, m)
 
 
 # --- proof-neighborhood encoding ------------------------------------------------
@@ -370,8 +361,7 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
         winners.append(true_alts[0])
     if varmap.mode == "profile":
         return RuleTable(varmap.n, varmap.m, "profile", tuple(winners))
-    chosen = {varmap.keys[i]: winners[i] for i in range(varmap.num_keys)}
-    return RuleTable(varmap.n, varmap.m, "c2", chosen)
+    return RuleTable(varmap.n, varmap.m, "c2", dict(zip(varmap.keys, winners)))
 
 
 # --- the independent re-check ------------------------------------------------------
@@ -380,14 +370,13 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
 def verify_rule(table: RuleTable) -> Report:
     """Exhaustively re-check a decoded table without touching the CNF.
 
-    Condorcet-consistency is recomputed with the tally module: a c2 table is
-    asked once per realizable margin key, on a stored realization, and only
-    if some key fails is the walk below run, to name the first failing
-    profile.  That walk calls the table on every profile, or on only the
-    sorted profiles (one per multiset of votes) of a table that reads no
-    voter order.  The reversal scan comes from the monotonicity checker.
-    Together they independently confirm what the formula was supposed to
-    assert.
+    Condorcet-consistency is recomputed with the tally module: a c2 table's
+    entry is read once per realizable margin key, and only if some key
+    fails is the walk below run, to name the first failing profile.  That
+    walk calls the table on every profile, or on only the sorted profiles
+    (one per multiset of votes) of a table that reads no voter order.  The
+    reversal scan comes from the monotonicity checker.  Together they
+    independently confirm what the formula was supposed to assert.
     """
     report = Report(f"rule table verification (n={table.n}, m={table.m})")
     total = num_profiles(table.n, table.m)
@@ -414,25 +403,18 @@ def verify_rule(table: RuleTable) -> Report:
 
 
 def _condorcet_keys_hold(table: RuleTable) -> bool:
-    """Whether a table that reads only the margins picks the Condorcet
-    winner at every margin key that has one; False when unsure: an "order"
-    table, more keys than the table has entries, or a lookup that raises."""
-    if table.depends_on != "margins":
+    """Whether a c2 table picks the Condorcet winner at every realizable
+    margin key that has one; False for a profile table or a missing key."""
+    if table.mode != "c2":
         return False
     try:
         level = keyspace.margin_levels(table.n, table.m,
                                        budget=len(table.chosen))[1]
     except BudgetExceeded:
         return False  # some key has no entry
-    orders = enumerate_orders(table.m)
-    for key, digits in level.items():
+    for key in level:
         winner = tally.rows_condorcet_winner(keyspace.key_rows(key, table.m))
-        if winner is None:
-            continue
-        try:
-            if table(Profile(tuple(map(orders.__getitem__, sorted(digits))))) != winner:
-                return False
-        except PrefRevError:
+        if winner is not None and table.chosen.get(key) != winner:
             return False
     return True
 

@@ -27,18 +27,6 @@ class MarginMatrix:
     def margin(self, a: int, b: int) -> int:
         return self.rows[a][b]
 
-    def key(self) -> str:
-        """Row-major string key with ``_`` separators, used by C2 tables."""
-        return margin_key(self.rows)
-
-    @classmethod
-    def from_key(cls, key: str, *, m: int, n: int) -> "MarginMatrix":
-        flat = [int(x) for x in key.split("_")]
-        if len(flat) != m * m:
-            raise ValueError(f"margin key has {len(flat)} entries, expected {m * m}")
-        rows = tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(m))
-        return cls(m=m, n=n, rows=rows)
-
     def to_csv(self, alternatives: Alternatives) -> str:
         out = io.StringIO()
         out.write("," + ",".join(alternatives.labels) + "\n")
@@ -46,11 +34,6 @@ class MarginMatrix:
             out.write(alternatives.label_of(a) + ","
                       + ",".join(str(self.rows[a][b]) for b in range(self.m)) + "\n")
         return out.getvalue()
-
-
-def margin_key(rows: Rows) -> str:
-    """Row-major string key of margin rows, ``_``-separated."""
-    return "_".join(str(x) for row in rows for x in row)
 
 
 @lru_cache(maxsize=None)

@@ -544,7 +544,18 @@ BAD_INPUTS = {  # argv (with {tmp}), files to write first, expected message
     "table-huge-domain": ("verify-table {tmp}/t.table",
                           {"t.table": "n=4 m=9 mode=profile\n0,a\n"},
                           "no entry for profile index 1"),
-    "table-mode-unknown": ("verify-table {tmp}/t.table",
+    "table-repeated-key": ("check --property hwm --table {tmp}/t.table --m 2 --n 1",
+                           {"t.table": "n=1 m=2 mode=profile\n0,a\n1,b\n00,b\n"},
+                           "rule-table line 4: key 00 repeats the key of line 2"),
+    "table-c2-garbage-verify": ("verify-table {tmp}/t.table",
+                                {"t.table": "n=1 m=2 mode=c2\n0_1_-1_0,a\n"
+                                            "0_-1_1_0,b\ngarbage,a\n"},
+                                "rule-table line 4: not a margin key"),
+    "table-c2-garbage-check": ("check --property hwm --table {tmp}/t.table --m 2 --n 1",
+                               {"t.table": "n=1 m=2 mode=c2\n0_1_-1_0,a\n"
+                                           "0_-1_1_0,b\n0_+1_-1_0,a\n"},
+                               "rule-table line 4: not a margin key"),
+    "table-mode-unknown":("verify-table {tmp}/t.table",
                            {"t.table": "n=1 m=3 mode=weird\n"}, "unknown table mode"),
     "profile-header-m": ("analyze {tmp}/p.txt",
                          {"p.txt": "m=q labels=a,b,c\n1: a>b>c\n"}, "bad m"),

@@ -1,7 +1,7 @@
 import pytest
 
 from prefrev import errors, keyspace
-from prefrev.prefs import iter_profiles, order_index
+from prefrev.prefs import iter_digits, iter_profiles, order_index
 from prefrev.tally import margin_matrix, margin_rows
 
 
@@ -58,3 +58,33 @@ def test_budget_caps_every_level():
     assert len(keyspace.margin_levels(3, 4, budget=1136)[1]) == 1136
     with pytest.raises(errors.BudgetExceeded, match="n=3 passed 1135 keys"):
         keyspace.margin_levels(3, 4, budget=1135)
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (2, 5)])
+def test_key_text_round_trips(n, m):
+    for key in keyspace.margin_levels(n, m)[1]:
+        assert keyspace.parse_key(keyspace.key_text(key, m), m) == key
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
+def test_key_text_is_the_row_major_margins(n, m):
+    for _, digits in iter_digits(n, m):
+        text = "_".join(str(x) for row in margin_rows(m, digits) for x in row)
+        assert keyspace.key_text(keyspace.digits_key(m, digits), m) == text
+
+
+@pytest.mark.parametrize("text", [
+    "", "garbage", "0_1_-1", "0_1_-1_0_0", "0__1_-1_0", "0_1_-1_0_",  # count
+    "1_1_-1_0", "0_1_-1_-2",                                       # diagonal
+    "0_1_1_0", "0_3_-1_0",                                         # asymmetric
+    "0_+1_-1_0", "0_01_-1_0", "-0_1_-1_0", "0_1_-01_0", " 0_1_-1_0",  # spelling
+    "0_2147483648_-2147483648_0", "0_-2147483648_2147483648_0",   # range
+])
+def test_parse_key_rejects_what_key_text_never_writes(text):
+    with pytest.raises(ValueError, match="not a margin key of 2 alternatives"):
+        keyspace.parse_key(text, 2)
+
+
+def test_parse_key_accepts_the_largest_entries():
+    text = "0_2147483647_-2147483647_0"
+    assert keyspace.key_text(keyspace.parse_key(text, 2), 2) == text

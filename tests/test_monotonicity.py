@@ -44,9 +44,19 @@ from prefrev.rules import (
     set_rule,
     tabulate_rule,
 )
-from prefrev.tally import condorcet_winner, margin_key, margin_matrix
+from prefrev.tally import condorcet_winner
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def profile_key(profile: Profile) -> int:
+    """The integer margin key of a profile."""
+    return keyspace.digits_key(profile.m, map(order_index, profile.votes))
+
+
+def key_seed(seed: str, profile: Profile) -> str:
+    """A random seed per margin key, spelt as tables write the key."""
+    return f"{seed}:{keyspace.key_text(profile_key(profile), profile.m)}"
 
 
 def plant_reversal_violation(table: RuleTable, *, strong: bool = False,
@@ -661,7 +671,7 @@ class MarginRandomRule:
         self.seed, self.m, self.sets = seed, m, sets
 
     def __call__(self, profile: Profile):
-        rng = random.Random(f"{self.seed}:{margin_matrix(profile).key()}")
+        rng = random.Random(key_seed(self.seed, profile))
         if rng.random() < 0.7:
             winners = frozenset((0,))
         else:
@@ -685,7 +695,7 @@ class KeyCountingRule:
         self.rule, self.calls = rule, {}
 
     def __call__(self, profile: Profile):
-        key = margin_matrix(profile).key()
+        key = profile_key(profile)
         self.calls[key] = self.calls.get(key, 0) + 1
         return self.rule(profile)
 
@@ -694,7 +704,7 @@ def random_c2_table(n: int, m: int, rng: random.Random) -> RuleTable:
     """A c2 table with a random winner at every margin key of n voters."""
     level = keyspace.margin_levels(n, m)[1]
     return RuleTable(n, m, "c2", {
-        margin_key(keyspace.key_rows(key, m)): rng.randrange(m) for key in sorted(level)})
+        key: rng.randrange(m) for key in sorted(level)})
 
 
 def margin_cases(prop: str, n: int, m: int):
@@ -821,8 +831,8 @@ class TestMarginPassCallCounts:
         assert witness is not None
         assert witness == check_hwm_pessimistic(as_multiset(set_rule("top-cycle")), 4, 4)
         # revalidation asks the rule again about the witness's two profiles
-        revalidated = {margin_matrix(witness.profile).key(),
-                       margin_matrix(witness.profile.reverse_vote(witness.voter)).key()}
+        revalidated = {profile_key(witness.profile),
+                       profile_key(witness.profile.reverse_vote(witness.voter))}
         assert all(count == 1 + (key in revalidated)
                    for key, count in rule.calls.items())
 
@@ -840,7 +850,7 @@ class EmptyOnSomeKeys:
         self.seed, self.share = seed, share
 
     def __call__(self, profile: Profile) -> frozenset[int]:
-        rng = random.Random(f"{self.seed}:{margin_matrix(profile).key()}")
+        rng = random.Random(key_seed(self.seed, profile))
         return frozenset() if rng.random() < self.share else frozenset((0,))
 
 
@@ -887,8 +897,8 @@ class TestSampledKeyMemo:
         witness = check_halfway_monotonicity(declared, n, m, sample=sample, seed=seed)
         assert witness is not None
         # revalidation asks the rule again about the witness's two profiles
-        revalidated = {margin_matrix(witness.profile).key(),
-                       margin_matrix(witness.profile.reverse_vote(witness.voter)).key()}
+        revalidated = {profile_key(witness.profile),
+                       profile_key(witness.profile.reverse_vote(witness.voter))}
         assert all(count == 1 + (key in revalidated)
                    for key, count in declared.calls.items())
 

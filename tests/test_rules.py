@@ -4,13 +4,14 @@ from collections import deque
 
 import pytest
 
-from prefrev import errors
+from prefrev import errors, keyspace
 from prefrev.prefs import (
     Alternatives,
     LinearOrder,
     Profile,
     enumerate_orders,
     iter_profiles,
+    order_index,
     parse_order,
 )
 from prefrev.proofcheck import build_perez_profile
@@ -54,6 +55,11 @@ CONDORCET_EXTENSIONS = ("maximin", "black", "baldwin", "nanson", "dodgson",
 
 def profile_from(texts, alternatives):
     return Profile(tuple(parse_order(t, alternatives) for t in texts))
+
+
+def profile_key(profile):
+    """The integer margin key of a profile, as c2 tables are keyed."""
+    return keyspace.digits_key(profile.m, map(order_index, profile.votes))
 
 
 @pytest.fixture(scope="module")
@@ -400,7 +406,7 @@ class TestRuleTable:
     def test_file_round_trip_c2_mode(self):
         chosen = {}
         for profile in iter_profiles(2, 3):
-            chosen.setdefault(margin_matrix(profile).key(),
+            chosen.setdefault(profile_key(profile),
                               maximin_winner(profile, TieBreak.lexicographic(3)))
         table = RuleTable(2, 3, "c2", chosen)
         sink = io.StringIO()
@@ -411,7 +417,7 @@ class TestRuleTable:
     def test_c2_keying_ignores_voter_order(self):
         chosen = {}
         for profile in iter_profiles(2, 3):
-            chosen.setdefault(margin_matrix(profile).key(), 0)
+            chosen.setdefault(profile_key(profile), 0)
         table = RuleTable(2, 3, "c2", chosen)
         orders = enumerate_orders(3)
         p = Profile((orders[1], orders[4]))
@@ -429,6 +435,35 @@ class TestRuleTable:
         profile = Profile(tuple(enumerate_orders(3)[:1]) * 2)
         with pytest.raises(errors.MissingEntry):
             table(profile)
+
+    @pytest.mark.parametrize("mode,lines", [
+        ("profile", "0,a\n1,b\n0,b\n"),
+        ("profile", "0,a\n1,b\n00,b\n"),
+        ("c2", "0_1_-1_0,a\n0_-1_1_0,b\n0_1_-1_0,b\n"),
+    ])
+    def test_repeated_key_names_both_lines(self, mode, lines):
+        source = io.StringIO(f"n=1 m=2 mode={mode}\n{lines}")
+        with pytest.raises(errors.PrefRevError,
+                           match="line 4: key .* repeats the key of line 2"):
+            read_rule_table(source)
+
+    @pytest.mark.parametrize("key", [
+        "garbage", "0_1_-1", "0_1_-1_0_0",          # entry count
+        "1_1_-1_0", "0_1_-1_2",                     # nonzero diagonal
+        "0_1_1_0", "0_3_-1_0",                      # asymmetric
+        "0_+1_-1_0", "0_01_-1_0", "-0_1_-1_0",      # non-canonical spelling
+        "0_2147483648_-2147483648_0",               # out of range
+        "0_-2147483648_2147483648_0",
+    ])
+    def test_malformed_c2_key_names_the_line(self, key):
+        source = io.StringIO(f"n=1 m=2 mode=c2\n0_-1_1_0,b\n{key},a\n")
+        with pytest.raises(errors.PrefRevError,
+                           match="rule-table line 3: not a margin key"):
+            read_rule_table(source)
+
+    def test_unknown_label_in_table(self):
+        with pytest.raises(errors.UnknownLabel):
+            read_rule_table(io.StringIO("n=1 m=2 mode=profile\n0,a\n1,c\n"))
 
     def test_partial_profile_table_rejected(self):
         with pytest.raises(errors.MissingEntry):
@@ -462,7 +497,7 @@ def assert_declaration_holds(rule, n: int, m: int) -> None:
         ordered = Profile(tuple(sorted(profile.votes, key=lambda v: v.ranking)))
         assert outcome_or_undefined(rule, ordered) == outcome, profile
         if rule.depends_on == "margins":
-            key = margin_matrix(profile).key()
+            key = margin_matrix(profile).rows
             assert by_key.setdefault(key, outcome) == outcome, profile
 
 
@@ -488,7 +523,7 @@ class TestDependsOn:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
     def test_c2_table_declares_margins_and_holds(self, m, n):
         rng = random.Random(f"c2:{m}:{n}")
-        keys = sorted({margin_matrix(p).key() for p in iter_profiles(n, m)})
+        keys = sorted({profile_key(p) for p in iter_profiles(n, m)})
         table = RuleTable(n, m, "c2", {key: rng.randrange(m) for key in keys})
         assert table.depends_on == "margins"
         assert_declaration_holds(table, n, m)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from prefrev import errors, satgen
+from prefrev import errors, keyspace, satgen
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import (
     Alternatives,
@@ -20,9 +20,14 @@ from prefrev.prefs import (
 )
 from prefrev.proofcheck import build_even_tree, build_odd_tree
 from prefrev.rules import RuleTable, resolute_rule, tabulate_rule
-from prefrev.tally import MarginMatrix, condorcet_winner, margin_matrix
+from prefrev.tally import condorcet_winner, margin_matrix, rows_condorcet_winner
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def profile_key(profile):
+    """The integer margin key of a profile, as c2 tables are keyed."""
+    return keyspace.digits_key(profile.m, map(order_index, profile.votes))
 
 
 def solve(formula, solver_cmd, tmp_path, name="f.cnf"):
@@ -190,7 +195,7 @@ class KeyCountingTable:
         return getattr(self.table, name)
 
     def __call__(self, profile):
-        self.calls.append(margin_matrix(profile).key())
+        self.calls.append(profile_key(profile))
         return self.table(profile)
 
 
@@ -237,28 +242,28 @@ class TestFullPipeline:
         rule = resolute_rule("maximin", 3)
         chosen = {}
         for profile in iter_profiles(3, 3):
-            chosen.setdefault(margin_matrix(profile).key(), rule(profile))
+            chosen.setdefault(profile_key(profile), rule(profile))
         table = RuleTable(3, 3, "c2", chosen)
-        keys = sorted(key for key in chosen if condorcet_winner(
-            MarginMatrix.from_key(key, m=3, n=3)) is not None)
+        keys = sorted(key for key in chosen if rows_condorcet_winner(
+            keyspace.key_rows(key, 3)) is not None)
         key = random.Random(seed).choice(keys)
         corrupted = table.replace_entry(key, (chosen[key] + 1) % 3)
         first = next(k for k, profile in enumerate(iter_profiles(3, 3))
-                     if margin_matrix(profile).key() == key)
+                     if profile_key(profile) == key)
         report = satgen.verify_rule(corrupted)
         assert report.failures[0].text.startswith(f"profile {first}: ")
 
     def test_c2_table_is_asked_once_per_margin_key_and_pass(self):
-        # the key-level Condorcet pass and the reversal scan's margin pass
-        # each ask the table about a margin key at most once
+        # the key-level Condorcet pass reads the entries without a call, and
+        # the reversal scan's margin pass asks about a margin key at most once
         rule = resolute_rule("maximin", 3)
         chosen = {}
         for profile in iter_profiles(4, 3):
-            chosen.setdefault(margin_matrix(profile).key(), rule(profile))
+            chosen.setdefault(profile_key(profile), rule(profile))
         table = KeyCountingTable(RuleTable(4, 3, "c2", chosen))
         assert satgen.verify_rule(table).ok
-        assert max(Counter(table.calls).values()) <= 2
-        assert len(table.calls) <= 2 * len(chosen)
+        assert max(Counter(table.calls).values()) == 1
+        assert len(table.calls) <= len(chosen)
 
     def test_maximin_table_verifies(self):
         table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
@@ -287,7 +292,7 @@ class TestFullPipeline:
                       if condorcet_winner(index_to_profile(k, 3, 3)) is not None)
         profile = index_to_profile(target, 3, 3)
         winner = condorcet_winner(profile)
-        corrupted = table.replace_entry(margin_matrix(profile).key(),
+        corrupted = table.replace_entry(profile_key(profile),
                                         (winner + 1) % 3)
         report = satgen.verify_rule(corrupted)
         assert not report.ok
@@ -343,18 +348,13 @@ class TestProofNeighborhood:
 class TestC2Mode:
     def test_gate_matches_profile_enumeration(self):
         for n, m in ((1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)):
-            matrices, witness = satgen.enumerate_margin_keys(n, m)
-            oracle: dict[str, set[int]] = {}
+            keys, witness = satgen.enumerate_margin_keys(n, m)
+            oracle: dict[tuple, set[int]] = {}
             for profile in iter_profiles(n, m):
-                key = margin_matrix(profile).key()
-                oracle.setdefault(key, set()).update(
+                oracle.setdefault(margin_matrix(profile).rows, set()).update(
                     order_index(v) for v in profile.votes)
-            keys = {"_".join(str(x) for row in rows for x in row)
-                    for rows in matrices}
-            assert keys == set(oracle)
-            assert matrices == sorted(matrices)
-            for key, orders in oracle.items():
-                assert witness[key] == orders
+            assert keys == sorted(keys) and set(witness) == set(keys)
+            assert {keyspace.key_rows(key, m): witness[key] for key in keys} == oracle
 
     def test_pipeline(self, solver_cmd, tmp_path):
         result = satgen.encode_full(3, 3, mode="c2")
@@ -379,8 +379,8 @@ class TestC2Mode:
         # (3, 4) has exactly 1136 realizable margin matrices
         with pytest.raises(errors.BudgetExceeded, match="1135 keys"):
             satgen.enumerate_margin_keys(3, 4, budget=1135)
-        matrices, _ = satgen.enumerate_margin_keys(3, 4, budget=1136)
-        assert len(matrices) == 1136
+        keys, _ = satgen.enumerate_margin_keys(3, 4, budget=1136)
+        assert len(keys) == 1136
 
     def test_budget_checked_while_a_level_is_built(self):
         # level 2 at m=7 has 25M candidate sums; the budget must stop the

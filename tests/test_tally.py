@@ -14,7 +14,6 @@ from prefrev.prefs import (
     parse_order,
 )
 from prefrev.tally import (
-    MarginMatrix,
     comparison_matrices,
     condorcet_winner,
     margin_matrix,
@@ -87,12 +86,6 @@ class TestMarginMatrix:
             assert after.rows == tuple(
                 tuple(before.rows[a][b] - 2 * vote[a][b] for b in range(4))
                 for a in range(4))
-
-    def test_key_round_trip(self):
-        profile = profile_from(["a>b>c", "c>a>b", "b>c>a"], ABC)
-        margins = margin_matrix(profile)
-        again = MarginMatrix.from_key(margins.key(), m=3, n=3)
-        assert again.rows == margins.rows
 
     def test_csv(self):
         profile = profile_from(["a>b>c"] * 2, ABC)
