@@ -16,8 +16,9 @@ class PrefRevError(Exception):
 
 
 class UnknownLabel(PrefRevError):
-    def __init__(self, label: str):
-        super().__init__(f"unknown alternative label: {label!r}")
+    def __init__(self, label: str, where: str | None = None):
+        message = f"unknown alternative label: {label!r}"
+        super().__init__(f"{where}: {message}" if where else message)
         self.label = label
 
 

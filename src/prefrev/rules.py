@@ -510,7 +510,9 @@ def read_rule_table(source: TextIO) -> RuleTable:
     ids = {label: alt for alt, label in enumerate(default_labels(m))}
     alts = list(map(ids.get, map(str.strip, labels)))
     if None in alts:
-        raise UnknownLabel(labels[alts.index(None)].strip())
+        bad = alts.index(None)
+        raise UnknownLabel(labels[bad].strip(),
+                           f"rule-table line {list(lines.values())[bad]}")
     entries = dict(zip(lines, alts))
     if not profile:
         return RuleTable(n, m, mode, entries)

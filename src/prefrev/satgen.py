@@ -124,7 +124,8 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
     Profile mode spends one variable block per profile; c2 mode keys the
     blocks by realizable margin matrices instead (see
     :func:`enumerate_margin_keys` for the gating).  Both feed the same
-    encoder a key space: per key its margin rows and its reversal edges.
+    encoder a key space: per key its Condorcet winner and its reversal
+    edges.
     """
     if mode == "profile":
         budget = DEFAULT_KEY_BUDGET if budget is None else budget
@@ -143,14 +144,18 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
 
 
 def _profile_key_space(n: int, m: int):
-    """Per profile index: its margin rows and, per voter, the edge (vote,
-    index of the profile where that voter reversed)."""
+    """Per profile index: its Condorcet winner and, per voter, the edge
+    (vote, index of the profile where that voter reversed)."""
     fact = math.factorial(m)
     places = [fact ** (n - 1 - voter) for voter in range(n)]
     rev = reverse_index_table(m)
+    winners: dict[int, int | None] = {}  # per margin key, which fixes the winner
     for key, digits in iter_digits(n, m):
         edges = [(d, key + (rev[d] - d) * place) for d, place in zip(digits, places)]
-        yield key, tally.margin_rows(m, digits), edges
+        margins = keyspace.digits_key(m, digits)
+        if margins not in winners:
+            winners[margins] = _key_winner(margins, m)
+        yield key, winners[margins], edges
 
 
 def c2_variable_map(n: int, m: int, *, budget: int | None = None
@@ -166,8 +171,8 @@ def c2_variable_map(n: int, m: int, *, budget: int | None = None
 
 
 def _c2_key_space(varmap: VariableMap, witness_orders: dict[int, set[int]]):
-    """Per margin key: its rows and, per witness order, the edge (order,
-    rank of the key after one voter of that order reversed)."""
+    """Per margin key: its Condorcet winner and, per witness order, the
+    edge (order, rank of the key after one voter of that order reversed)."""
     m = varmap.m
     rank = {key: i for i, key in enumerate(varmap.keys)}
     votes = keyspace.vote_keys(m)
@@ -176,39 +181,55 @@ def _c2_key_space(varmap: VariableMap, witness_orders: dict[int, set[int]]):
         # reversing a witness voter lands on a realizable key again
         edges = [(order_ix, rank[key + votes[rev[order_ix]] - votes[order_ix]])
                  for order_ix in sorted(witness_orders[key])]
-        yield key_rank, keyspace.key_rows(key, m), edges
+        yield key_rank, _key_winner(key, m), edges
+
+
+def _key_winner(key: int, m: int) -> int | None:
+    """The Condorcet winner of a margin key, if any."""
+    return tally.rows_condorcet_winner(keyspace.key_rows(key, m))
 
 
 def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
     """Functionality, a Condorcet unit clause per key with a Condorcet
     winner, and per edge (order, reversed key) one binary clause per
     ordered pair forbidding the reversal from strictly improving the
-    outcome for that order."""
+    outcome for that order.
+
+    Clauses come from templates of negated 1-based alternatives, shifted
+    by a key's ``base = key * m``: ``var(key, a) = base + a + 1``.
+    """
     m = varmap.m
-    var = varmap.var
-    orders = enumerate_orders(m)
+    # per order, for each ordered pair (above before below) in ranking
+    # order: (-(below + 1), -(above + 1)), the clause (-var(key, below),
+    # -var(rev_key, above)) once shifted by the two bases
+    pairs = [[(-below - 1, -above - 1)
+              for i, above in enumerate(order.ranking) for below in order.ranking[i + 1:]]
+             for order in enumerate_orders(m)]
+    at_most_one = _at_most_one(m)
     functionality: list[Clause] = []
     condorcet: list[Clause] = []
     hwm: list[Clause] = []
-    for key, rows, edges in key_space:
-        functionality += _functionality(var, key, m)
-        winner = tally.rows_condorcet_winner(rows)
+    for key, winner, edges in key_space:
+        base = key * m
+        functionality += _functionality(base, m, at_most_one)
         if winner is not None:
-            condorcet.append((var(key, winner),))
+            condorcet.append((base + winner + 1,))
         for order_ix, rev_key in edges:
-            ranking = orders[order_ix].ranking
-            for i in range(m):
-                for j in range(i + 1, m):
-                    above, below = ranking[i], ranking[j]
-                    hwm.append((-var(key, below), -var(rev_key, above)))
+            rev_base = rev_key * m
+            hwm += [(below - base, above - rev_base) for below, above in pairs[order_ix]]
     return _encode_result(varmap, functionality, condorcet, hwm)
 
 
-def _functionality(var, key: int, m: int) -> list[Clause]:
-    """Exactly one winner at ``key``: at least one, then pairwise at most one."""
-    clauses = [tuple(var(key, a) for a in range(m))]
-    clauses += [(-var(key, a), -var(key, b))
-                for a in range(m) for b in range(a + 1, m)]
+def _at_most_one(m: int) -> list[tuple[int, int]]:
+    """The at-most-one template: (-(a + 1), -(b + 1)) for a < b."""
+    return [(-a - 1, -b - 1) for a in range(m) for b in range(a + 1, m)]
+
+
+def _functionality(base: int, m: int, at_most_one) -> list[Clause]:
+    """Exactly one winner at the key with this base: at least one, then
+    pairwise at most one."""
+    clauses = [tuple(range(base + 1, base + m + 1))]
+    clauses += [(a - base, b - base) for a, b in at_most_one]
     return clauses
 
 
@@ -254,11 +275,12 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
     varmap = VariableMap(n=tree.n, m=m, mode="proof", keys=names)
     var = varmap.var
 
+    at_most_one = _at_most_one(m)
     functionality: list[Clause] = []
     condorcet: list[Clause] = []
     hwm: list[Clause] = []
     for name in names:
-        functionality += _functionality(var, rank[name], m)
+        functionality += _functionality(rank[name] * m, m, at_most_one)
     for leaf in tree.leaves:
         condorcet.append((var(rank[leaf.node], leaf.condorcet),))
     for edge in tree.edges:
@@ -282,10 +304,19 @@ def leaf_unit_clause(tree: ProofTree, varmap: VariableMap, node: str) -> Clause:
 # --- DIMACS and models ------------------------------------------------------------
 
 
+_WRITE_BATCH = 1 << 16  # clauses rendered per write: bounds the text held at once
+
+
 def write_dimacs(formula: CnfFormula, sink: TextIO) -> None:
-    sink.write(f"p cnf {formula.num_vars} {len(formula.clauses)}\n")
-    for clause in formula.clauses:
-        sink.write(" ".join(str(lit) for lit in clause) + " 0\n")
+    """The header, then each clause's literals and a ``0`` on one line;
+    clauses are rendered a batch at a time, one ``%`` format per length."""
+    clauses = formula.clauses
+    sink.write(f"p cnf {formula.num_vars} {len(clauses)}\n")
+    formats = [" ".join(["%d"] * size) + " 0\n"
+               for size in range(max(map(len, clauses), default=0) + 1)]
+    for start in range(0, len(clauses), _WRITE_BATCH):
+        sink.write("".join([formats[len(clause)] % clause
+                            for clause in clauses[start:start + _WRITE_BATCH]]))
 
 
 def write_varmap(varmap: VariableMap, alternatives_labels: Sequence[str],
@@ -413,7 +444,7 @@ def _condorcet_keys_hold(table: RuleTable) -> bool:
     except BudgetExceeded:
         return False  # some key has no entry
     for key in level:
-        winner = tally.rows_condorcet_winner(keyspace.key_rows(key, table.m))
+        winner = _key_winner(key, table.m)
         if winner is not None and table.chosen.get(key) != winner:
             return False
     return True

@@ -555,6 +555,9 @@ BAD_INPUTS = {  # argv (with {tmp}), files to write first, expected message
                                {"t.table": "n=1 m=2 mode=c2\n0_1_-1_0,a\n"
                                            "0_-1_1_0,b\n0_+1_-1_0,a\n"},
                                "rule-table line 4: not a margin key"),
+    "table-unknown-label": ("verify-table {tmp}/t.table",
+                            {"t.table": "n=1 m=2 mode=profile\n0,a\n1,c\n"},
+                            "rule-table line 3: unknown alternative label: 'c'"),
     "table-mode-unknown":("verify-table {tmp}/t.table",
                            {"t.table": "n=1 m=3 mode=weird\n"}, "unknown table mode"),
     "profile-header-m": ("analyze {tmp}/p.txt",

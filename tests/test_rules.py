@@ -462,7 +462,8 @@ class TestRuleTable:
             read_rule_table(source)
 
     def test_unknown_label_in_table(self):
-        with pytest.raises(errors.UnknownLabel):
+        with pytest.raises(errors.UnknownLabel,
+                           match="rule-table line 3: unknown alternative label: 'c'"):
             read_rule_table(io.StringIO("n=1 m=2 mode=profile\n0,a\n1,c\n"))
 
     def test_partial_profile_table_rejected(self):

@@ -44,6 +44,17 @@ def decoded_c2_table(solver_cmd, tmp_path):
     return satgen.decode_model(model, result.varmap)
 
 
+def mixed_formula(num_clauses: int) -> satgen.CnfFormula:
+    """Unit, binary and longer clauses over 1000 variables, in runs and
+    alone, with one empty clause."""
+    rng = random.Random(5)
+    clauses = [tuple(rng.choice((-1, 1)) * rng.randint(1, 1000)
+                     for _ in range(rng.choice((1, 2, 2, 2, 3, 4, 7))))
+               for _ in range(num_clauses)]
+    clauses[num_clauses // 2] = ()
+    return satgen.CnfFormula(1000, tuple(clauses))
+
+
 class TestClauseCounts:
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 2), (1, 2)])
     def test_family_count_formulas(self, n, m):
@@ -87,6 +98,21 @@ class TestDimacs:
         satgen.write_varmap(result.varmap, default_labels(3), varmap)
         assert cnf.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.cnf").read_text()
         assert varmap.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.map").read_text()
+
+    @pytest.mark.parametrize("make", [
+        lambda: satgen.encode_full(2, 3).formula,
+        lambda: satgen.encode_full(3, 3, mode="c2").formula,
+        lambda: satgen.encode_proof_neighborhood(build_odd_tree(4)).formula,
+        lambda: satgen.encode_proof_neighborhood(build_even_tree(6)).formula,
+        lambda: mixed_formula(satgen._WRITE_BATCH + 1000),
+    ], ids=["profile-2-3", "c2-3-3", "proof-odd-4", "proof-even-6", "mixed"])
+    def test_writer_matches_one_line_per_clause(self, make):
+        formula = make()
+        out = io.StringIO()
+        satgen.write_dimacs(formula, out)
+        assert out.getvalue() == (
+            f"p cnf {formula.num_vars} {len(formula.clauses)}\n"
+            + "".join(" ".join(map(str, clause)) + " 0\n" for clause in formula.clauses))
 
     def test_two_var_example(self):
         formula = satgen.CnfFormula(2, ((1, -2),))

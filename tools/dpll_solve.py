@@ -9,43 +9,106 @@ chronological backtracking; static most-occurrences decision order.
 Intended as a stand-in external solver for desk-scale formulas; any real
 solver (minisat, cadical, glucose, ...) speaks the same protocol and can
 be used instead.
+
+The loader reads the file in blocks of about 64 KiB.  After the
+``p cnf VARS CLAUSES`` header every token is a literal or a ``0`` that
+ends a clause; clauses may span lines or share one, ``c`` lines are
+comments, and a last clause may omit its ``0``.  Tokens map to integers
+through one table built from the header, so each literal value is a
+single shared object.  A malformed file (no header, a clause before it, a
+second header, a non-integer token or a literal beyond the header's
+variable count) prints one ``error:`` line naming the line to stderr and
+exits 1.
 """
 
 import sys
 from collections import deque
 
+_BLOCK = 1 << 16  # about this many characters of lines read at a time
+
+
+class DimacsError(ValueError):
+    """A malformed CNF file; the message names the line."""
+
 
 def parse_dimacs(path):
-    num_vars = 0
-    clauses = []
+    """``(num_vars, clauses)`` of a DIMACS file, each clause a tuple of
+    nonzero literals; raises DimacsError on a malformed file."""
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                num_vars = int(parts[2])
-                continue
-            lits = [int(x) for x in line.split()]
-            if lits and lits[-1] == 0:
-                lits.pop()
-            if lits:
-                clauses.append(lits)
-            else:
-                clauses.append([])  # empty clause: trivially unsatisfiable
+        num_vars, lineno = _read_header(handle)
+        # str(lit) -> lit for every token a well-formed body can hold
+        table = {str(lit): lit for lit in range(-num_vars, num_vars + 1)}
+        clauses = []
+        pending = ()  # the literals after the last 0 read so far
+        while block := handle.readlines(_BLOCK):
+            try:
+                values = tuple(map(table.__getitem__, "".join(block).split()))
+            except KeyError:  # a comment, or a token to diagnose
+                values = tuple(_block_values(block, lineno, table, num_vars))
+            lineno += len(block)
+            values = pending + values
+            index, start = values.index, 0
+            for _ in range(values.count(0)):
+                end = index(0, start)
+                clauses.append(values[start:end])
+                start = end + 1
+            pending = values[start:]
+    if pending:
+        clauses.append(pending)
     return num_vars, clauses
+
+
+def _read_header(handle):
+    """The header's variable count and its line number, read past the
+    comments before it."""
+    for lineno, raw in enumerate(handle, start=1):
+        line = raw.strip()
+        if not line or line[0] == "c":
+            continue
+        if line[0] != "p":
+            raise DimacsError(f"line {lineno}: clause before the 'p cnf' header")
+        parts = line.split()
+        if (len(parts) != 4 or parts[:2] != ["p", "cnf"]
+                or not (parts[2].isdecimal() and parts[3].isdecimal())):
+            raise DimacsError(f"line {lineno}: bad header {line!r}, "
+                              f"expected 'p cnf VARS CLAUSES'")
+        return int(parts[2]), lineno
+    raise DimacsError("no 'p cnf' header")
+
+
+def _block_values(block, lineno, table, num_vars):
+    """The literals and 0s of a block line by line, skipping comments;
+    ``lineno`` is the number of the line before the block."""
+    for lineno, raw in enumerate(block, start=lineno + 1):
+        line = raw.strip()
+        if not line or line[0] == "c":
+            continue
+        if line[0] == "p":
+            raise DimacsError(f"line {lineno}: a second 'p' line")
+        for token in line.split():
+            value = table.get(token)
+            if value is None:
+                try:
+                    value = int(token)
+                except ValueError:
+                    raise DimacsError(
+                        f"line {lineno}: non-integer token {token!r}") from None
+                if abs(value) > num_vars:
+                    raise DimacsError(f"line {lineno}: literal {value} beyond "
+                                      f"the header's {num_vars} variables")
+                value = table[str(value)]  # an odd spelling, such as +1 or -0
+            yield value
 
 
 def solve(num_vars, clauses):
     """Return a model as a list of signed literals, or None if unsatisfiable."""
-    occ_pos = [[] for _ in range(num_vars + 1)]
-    occ_neg = [[] for _ in range(num_vars + 1)]
+    occ = [[] for _ in range(2 * num_vars + 1)]  # occ[num_vars + lit]: clauses with lit
     for ci, clause in enumerate(clauses):
         if not clause:
             return None
         for lit in clause:
-            (occ_pos if lit > 0 else occ_neg)[abs(lit)].append(ci)
+            occ[num_vars + lit].append(ci)
+    occ_pos, occ_neg = occ[num_vars:], occ[num_vars::-1]  # by variable
 
     sat_count = [0] * len(clauses)
     free_count = [len(c) for c in clauses]
@@ -135,20 +198,19 @@ def main():
     if len(sys.argv) != 2:
         print("usage: dpll_solve.py FILE.cnf", file=sys.stderr)
         return 1
-    num_vars, clauses = parse_dimacs(sys.argv[1])
+    try:
+        num_vars, clauses = parse_dimacs(sys.argv[1])
+    except (DimacsError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {sys.argv[1]}: {exc}", file=sys.stderr)
+        return 1
     model = solve(num_vars, clauses)
     if model is None:
         print("s UNSATISFIABLE")
         return 20
     print("s SATISFIABLE")
-    line = ["v"]
-    for lit in model:
-        line.append(str(lit))
-        if len(line) >= 20:
-            print(" ".join(line))
-            line = ["v"]
-    line.append("0")
-    print(" ".join(line))
+    # the model and its 0, 19 words to a v line
+    words = list(map(str, model)) + ["0"]
+    print("\n".join("v " + " ".join(words[i:i + 19]) for i in range(0, len(words), 19)))
     return 10
 
 
