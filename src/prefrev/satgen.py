@@ -199,9 +199,8 @@ def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
     by a key's ``base = key * m``: ``var(key, a) = base + a + 1``.
     """
     m = varmap.m
-    # per order, for each ordered pair (above before below) in ranking
-    # order: (-(below + 1), -(above + 1)), the clause (-var(key, below),
-    # -var(rev_key, above)) once shifted by the two bases
+    # per order, for each pair it ranks above before below:
+    # (-(below + 1), -(above + 1)), shifted by the bases of key and rev_key
     pairs = [[(-below - 1, -above - 1)
               for i, above in enumerate(order.ranking) for below in order.ranking[i + 1:]]
              for order in enumerate_orders(m)]
