@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     scope = p.add_mutually_exclusive_group()
     scope.add_argument("--budget", type=int,
                        help="max scan units before giving up.  An exhaustive "
-                            "scan of rules that read only the margins (maximin, "
-                            "kemeny, schulze, ranked-pairs, condorcet, the set "
+                            "scan of rules that read only the margins (every "
+                            "registry rule but plurality and dodgson, the set "
                             "rules, c2 tables) first tries the margin pass, "
                             "keys(n-1) x m! units (x m! again for "
                             "manipulability), when they fit; every other scan, "
@@ -348,12 +348,16 @@ def _reject_ignored_flags(args) -> None:
 
 class _Singleton:
     """Lift a resolute rule to a singleton-valued set rule, keeping what
-    the rule depends on.  A profile table's entries are lifted once, so
-    that the scan still reads them by profile index."""
+    the rule depends on and its margin-key entry point.  A profile table's
+    entries are lifted once, so that the scan still reads them by profile
+    index."""
 
     def __init__(self, rule):
         self.rule = rule
         self.depends_on = getattr(rule, "depends_on", "order")
+        on_key = getattr(rule, "on_key", None)
+        if on_key is not None:
+            self.on_key = lambda key, n, m: frozenset((on_key(key, n, m),))
         if getattr(rule, "mode", None) == "profile":
             singletons = [frozenset((alt,)) for alt in range(rule.m)]
             self.mode, self.n, self.m = rule.mode, rule.n, rule.m

@@ -35,11 +35,13 @@ rule, not on the path:
 - a profile-mode table of the scan's own (n, m) is read by profile index
   (recognised by its ``mode``, ``chosen``, ``n`` and ``m``, so a wrapper
   that forwards them qualifies), with no memo and no profile built;
-- a "margins" rule is memoised by margin key, and a deviated profile's
-  digits are built only when its key is new; the memo outlives the blocks
-  of a sampled scan, so the rule runs once per margin key visited, on the
-  first profile that has it, and memory is bounded by the distinct keys
-  visited (at most ``sample * (span + 1)``, span the block's units);
+- a "margins" rule (one with an ``on_key`` entry point, see
+  :mod:`prefrev.rules`) is evaluated on the margin key itself and memoised
+  by it, with no profile built and no margins recounted; digits are built
+  only to name a profile in an error.  The memo outlives the blocks of a
+  sampled scan, so the rule runs once per margin key visited, and memory
+  is bounded by the distinct keys visited (at most ``sample * (span + 1)``,
+  span the block's units);
 - any other rule is memoised by profile index, or on the quotient path by
   sorted digit tuple; a sampled scan clears that memo after each block.
 
@@ -68,12 +70,11 @@ The truthful profiles come from one of three sources:
   (K, o) is a unit of theirs: a realization of K joined by a voter of
   order o.  A rule of the margins alone thus violates on some unit of the
   margin pass exactly when it does on some unit of the other paths.  Each
-  rule runs once per key, on one stored realization, and never on a key
-  that the Condorcet-domain filter (a Condorcet winner of the key)
-  rejects.  The pass only certifies: if it meets a violation, or the rule
-  raises, it hands over to the quotient path, which shares its outcome
-  memo (keyed by margin key) and returns the first witness, or the
-  error, as before.
+  rule runs once per key, on the key, and never on a key that the
+  Condorcet-domain filter (a Condorcet winner of the key) rejects.  The
+  pass only certifies: if it meets a violation, or the rule raises, it
+  hands over to the quotient path, which shares its outcome memo (keyed
+  by margin key) and returns the first witness, or the error, as before.
 
 Budgets count units of the path taken.  The margin pass runs when its
 keys(n-1) * m! units (keys(n-1) * m!^2 for manipulation) fit in the
@@ -95,7 +96,9 @@ re-applied.
 Rules are plain callables from :class:`~prefrev.prefs.Profile` to an
 alternative id (or to a frozenset for the set-valued checkers), so tables,
 registry rules, and test fixtures all plug in unchanged; a callable without
-a ``depends_on`` attribute is taken to depend on voter order.
+a ``depends_on`` attribute is taken to depend on voter order, and one that
+declares "margins" without an ``on_key`` entry point to depend on the
+multiset of votes.
 """
 
 from __future__ import annotations
@@ -348,7 +351,10 @@ class _Scan:
 
 
 def _depends_on(rule) -> str:
-    return getattr(rule, "depends_on", "order")
+    declared = getattr(rule, "depends_on", "order")
+    if declared == "margins" and not hasattr(rule, "on_key"):
+        return "multiset"  # margins are read by key only through on_key
+    return declared
 
 
 def _condorcet_domain(m: int):
@@ -383,8 +389,9 @@ class _Outcomes(dict):
 
     - ``chosen``: the entries of a profile table of the scan's own (n, m),
       read by profile index; the dict stays empty.
-    - ``keyed``: a "margins" rule, memoised by margin key.  The margin pass
-      fills the same dict, and a sampled scan keeps it across its blocks.
+    - ``keyed``: a "margins" rule, evaluated by its ``on_key`` entry point
+      and memoised by margin key.  The margin pass fills the same dict, and
+      a sampled scan keeps it across its blocks.
     - otherwise memoised by profile index, or on the quotient path by sorted
       digit tuple; a sampled scan clears it after each block.
     """
@@ -392,27 +399,49 @@ class _Outcomes(dict):
     def __init__(self, rule, n: int, m: int, *, sets: bool):
         super().__init__()
         self.rule = rule
-        self.m = m
+        self.n, self.m = n, m
         self.orders = enumerate_orders(m)
         self.sets = sets
         self.chosen = _table_entries(rule, n, m, sets=sets)
         self.keyed = self.chosen is None and _depends_on(rule) == "margins"
+        self.on_key = rule.on_key if self.keyed else None
 
     def evaluate(self, digits) -> object:
         """The outcome of the profile with these digits, not cached."""
         value = self.rule(Profile(tuple(map(self.orders.__getitem__, digits))))
         if self.sets and not value:
-            raise EmptyOutcomeSet(f"set-valued rule returned an empty set at "
-                                  f"profile index {digits_to_index(digits, self.m)}")
+            self._empty(f"profile index {digits_to_index(digits, self.m)}")
         return value
 
+    def evaluate_key(self, key: int, where=None, *args) -> object:
+        """The outcome at margin key ``key``, not cached.  ``where(*args)``
+        gives the digits of a profile with that key; it is called only to
+        name that profile in an error, which names the key without it."""
+        value = self.on_key(key, self.n, self.m)
+        if self.sets and not value:
+            self._empty(f"profile index {digits_to_index(where(*args), self.m)}"
+                        if where else f"margin key {keyspace.key_text(key, self.m)}")
+        return value
+
+    @staticmethod
+    def _empty(place: str):
+        raise EmptyOutcomeSet(f"set-valued rule returned an empty set at {place}")
+
     def at(self, probe, digits) -> object:
-        """The outcome memoised under ``probe`` (a margin key, a profile
-        index or a sorted digit tuple), evaluated on ``digits`` as given on a
-        miss (so an error names the profile that met it first)."""
+        """The outcome memoised under ``probe`` (a profile index or a sorted
+        digit tuple), evaluated on ``digits`` as given on a miss (so an
+        error names the profile that met it first)."""
         value = self.get(probe)
         if value is None:
             value = self[probe] = self.evaluate(digits)
+        return value
+
+    def at_key(self, key: int, where=None, *args) -> object:
+        """The outcome memoised under margin key ``key``, evaluated on a miss
+        as :meth:`evaluate_key` does."""
+        value = self.get(key)
+        if value is None:
+            value = self[key] = self.evaluate_key(key, where, *args)
         return value
 
 
@@ -480,8 +509,9 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     profiles of :func:`_sorted_profiles` and on each only the first voter
     of each distinct order; both return the same first hit.  The deviated
     profile's index and margin key come from arithmetic on the truthful
-    one's; its digits are built only where a rule must be evaluated on them
-    (or, on the quotient path, to key a memo by sorted digit tuple).
+    one's; its digits are built only where a rule must be evaluated on a
+    profile (or, on the quotient path, to key a memo by sorted digit
+    tuple), never for a "margins" rule.
     ``outcomes`` are the outcome memos to use (fresh ones by default).
     """
     n, m = scan.n, scan.m
@@ -540,25 +570,31 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
                 if before is None:
                     if truthful_table is not None:
                         before = truthful_table[index]
+                    elif outcome.keyed:
+                        before = outcome.at_key(key, sorted if quotient else list, digits)
                     elif quotient:
                         here = tuple(sorted(digits))
-                        before = outcome.at(key if outcome.keyed else here, here)
-                    elif abstain and not outcome.keyed:
+                        before = outcome.at(here, here)
+                    elif abstain:
                         # ordered participation meets each n-voter profile
                         # once: caching it by index is waste
                         before = outcome.evaluate(digits)
                     else:
-                        before = outcome.at(key if outcome.keyed else index, digits)
+                        before = outcome.at(index, digits)
                 if deviated_table is not None:
                     after = deviated_table[other]
-                elif quotient and not deviated.keyed:
+                elif deviated.keyed:
+                    after = deviated.get(other_key)
+                    if after is None:
+                        after = deviated[other_key] = deviated.evaluate_key(
+                            other_key, deviate, digits, voter, target)
+                elif quotient:
                     sorted_digits = deviate(digits, voter, target)
                     after = deviated.at(sorted_digits, sorted_digits)
                 else:
-                    probe = other_key if deviated.keyed else other
-                    after = deviated.get(probe)
+                    after = deviated.get(other)
                     if after is None:
-                        after = deviated[probe] = deviated.evaluate(
+                        after = deviated[other] = deviated.evaluate(
                             deviate(digits, voter, target))
                 if compare(rows[d], before, after):
                     return (first + target if misreport else first,
@@ -590,7 +626,7 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
 
 
 def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
-                      level: dict) -> bool:
+                      level: set[int]) -> bool:
     """Whether some unit (K, o), K a key of ``level`` (n-1 voters), violates."""
     m = scan.m
     votes = keyspace.vote_keys(m)
@@ -600,15 +636,15 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     deviation = scan.deviation
     in_domain = _condorcet_domain(m)
 
-    for key, digits in level.items():
+    for key in level:
         truthful = [key + vote for vote in votes]
         tried = ([o for o, here in enumerate(truthful) if in_domain(here)]
                  if scan.condorcet_only else range(len(votes)))
         if deviation == "misreport" and len(tried) < 2:
             continue  # no misreport stays inside the domain
-        before = {o: outcome.at(truthful[o], digits + (o,)) for o in tried}
+        before = {o: outcome.at_key(truthful[o]) for o in tried}
         if deviation == "abstain":
-            afters = (deviated.at(key, digits),)
+            afters = (deviated.at_key(key),)
         elif deviation == "misreport":
             # a misreport to one's own order changes nothing, and no
             # comparison counts an unchanged outcome as a gain

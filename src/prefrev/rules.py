@@ -10,14 +10,20 @@ Rule callables declare what their outcome depends on in a ``depends_on``
 attribute: ``"margins"`` (only the margin matrix), ``"multiset"`` (the
 votes cast, not which voter cast which) or ``"order"`` (the voter-indexed
 profile, the default for any callable without the attribute).  The
-exhaustive scans of :mod:`prefrev.monotonicity` read it.
+exhaustive scans of :mod:`prefrev.monotonicity` read it.  A "margins" rule
+also provides ``on_key(key, n, m)``, its outcome at an integer margin key
+(:mod:`prefrev.keyspace`) of n voters over m alternatives; the scan kernel
+evaluates it only there, and takes a "margins" rule without ``on_key`` for
+a "multiset" one.  Registry rules of the margins are :class:`MarginsRule`
+objects, and a c2 :class:`RuleTable` answers ``on_key`` from its entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
+from operator import ge
 from typing import Callable, Iterable, TextIO
 
 from .errors import (
@@ -39,7 +45,7 @@ from .prefs import (
     order_index,
     profile_to_index,
 )
-from .tally import condorcet_winner, margin_matrix
+from .tally import Rows, margin_matrix, rows_condorcet_winner
 from . import keyspace
 
 Rule = Callable[[Profile], int]
@@ -109,82 +115,111 @@ def scoring_winner(profile: Profile, score_vector: ScoreVector,
     return tie_break.best(_argmax_set(totals))
 
 
-def borda_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return scoring_winner(profile, borda_vector(profile.m), tie_break)
-
-
 def plurality_winner(profile: Profile, tie_break: TieBreak) -> int:
     return scoring_winner(profile, plurality_vector(profile.m), tie_break)
 
 
-# --- margin-based rules -----------------------------------------------------
+# --- rules of the margins alone -----------------------------------------------
+# Fishburn's C2 class ("Condorcet social choice functions", SIAM J. Appl.
+# Math. 1977).  Each rule is written once on margin rows, ``rows[a][b]`` the
+# margin of a over b as a tuple of tuples; its Profile form counts the
+# margins and calls it, and :class:`MarginsRule` also evaluates it on an
+# integer margin key.  Restricted to a set A of alternatives, a's Borda score
+# is (n (|A| - 1) + the sum of rows[a][b] over b in A) / 2, so Borda and the
+# Borda eliminations rank by row sums over A.
 
 
-def maximin_scores(profile: Profile) -> list[int]:
-    margins = margin_matrix(profile)
-    return [
-        min((margins.rows[a][b] for b in range(margins.m) if b != a), default=0)
-        for a in range(margins.m)
-    ]
+class MarginsRule:
+    """A rule of the margin matrix alone: ``impl(rows, *args)`` on margin
+    rows.  Called on a profile it counts the margins first; :meth:`on_key`
+    evaluates it on an integer margin key (:mod:`prefrev.keyspace`), which
+    is how the scan kernel calls it."""
+
+    depends_on = "margins"
+    __slots__ = ("impl", "args")
+
+    def __init__(self, impl: Callable, *args):
+        self.impl, self.args = impl, args
+
+    def __call__(self, profile: Profile):
+        return self.impl(margin_matrix(profile).rows, *self.args)
+
+    def on_key(self, key: int, n: int, m: int):
+        """The outcome at margin key ``key`` of n voters over m
+        alternatives (the rows do not depend on n)."""
+        return self.impl(keyspace.key_rows(key, m), *self.args)
 
 
-def maximin_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return tie_break.best(_argmax_set(maximin_scores(profile)))
+def borda_rows(rows: Rows, tie_break: TieBreak) -> int:
+    return tie_break.best(_argmax_set(list(map(sum, rows))))
+
+
+def borda_winner(profile: Profile, tie_break: TieBreak) -> int:
+    return borda_rows(margin_matrix(profile).rows, tie_break)
+
+
+def black_rows(rows: Rows, tie_break: TieBreak) -> int:
+    """Condorcet winner if one exists, Borda winner otherwise."""
+    winner = rows_condorcet_winner(rows)
+    return borda_rows(rows, tie_break) if winner is None else winner
 
 
 def black_winner(profile: Profile, tie_break: TieBreak) -> int:
-    """Condorcet winner if one exists, Borda winner otherwise."""
-    winner = condorcet_winner(profile)
-    if winner is not None:
-        return winner
-    return borda_winner(profile, tie_break)
+    return black_rows(margin_matrix(profile).rows, tie_break)
+
+
+def maximin_row_scores(rows: Rows) -> list[int]:
+    """Each alternative's worst margin against another."""
+    return [min(row[:a] + row[a + 1:], default=0) for a, row in enumerate(rows)]
+
+
+def maximin_scores(profile: Profile) -> list[int]:
+    return maximin_row_scores(margin_matrix(profile).rows)
+
+
+def maximin_rows(rows: Rows, tie_break: TieBreak) -> int:
+    return tie_break.best(_argmax_set(maximin_row_scores(rows)))
+
+
+def maximin_winner(profile: Profile, tie_break: TieBreak) -> int:
+    return maximin_rows(margin_matrix(profile).rows, tie_break)
 
 
 # --- set-valued rules over the strict majority relation ---------------------
 
 
-def copeland_set(profile: Profile) -> frozenset[int]:
+def copeland_rows(rows: Rows) -> frozenset[int]:
     """Alternatives maximising (majority wins - majority losses); ties count
     for neither side."""
-    margins = margin_matrix(profile)
-    m = margins.m
-    scores = [
-        sum(1 for b in range(m) if margins.rows[a][b] > 0)
-        - sum(1 for b in range(m) if margins.rows[a][b] < 0)
-        for a in range(m)
-    ]
-    return frozenset(_argmax_set(scores))
+    return frozenset(_argmax_set([sum((x > 0) - (x < 0) for x in row) for row in rows]))
 
 
-def uncovered_set(profile: Profile) -> frozenset[int]:
+def uncovered_rows(rows: Rows) -> frozenset[int]:
     """Alternatives not covered by any other.
 
     b covers a iff b beats a and b beats everything a beats (Gillies
     covering; on tournaments this is the standard uncovered set).
     """
-    margins = margin_matrix(profile)
-    m = margins.m
+    m = len(rows)
 
     def covers(b: int, a: int) -> bool:
-        if margins.rows[b][a] <= 0:
+        row_b, row_a = rows[b], rows[a]
+        if row_b[a] <= 0:
             return False
-        return all(margins.rows[b][c] > 0
-                   for c in range(m)
-                   if c not in (a, b) and margins.rows[a][c] > 0)
+        return all(row_b[c] > 0 for c in range(m) if c not in (a, b) and row_a[c] > 0)
 
     return frozenset(a for a in range(m)
                      if not any(covers(b, a) for b in range(m) if b != a))
 
 
-def top_cycle(profile: Profile) -> frozenset[int]:
+def top_cycle_rows(rows: Rows) -> frozenset[int]:
     """The smallest set whose members strictly beat every non-member.
 
     Computed as the top strongly connected component of the ties-or-beats
     relation, which is complete, so the component ordering is linear.
     """
-    margins = margin_matrix(profile)
-    m = margins.m
-    reach = [[margins.rows[a][b] >= 0 or a == b for b in range(m)] for a in range(m)]
+    m = len(rows)
+    reach = [[x >= 0 or a == b for b, x in enumerate(row)] for a, row in enumerate(rows)]
     for k in range(m):
         for i in range(m):
             if reach[i][k]:
@@ -192,26 +227,42 @@ def top_cycle(profile: Profile) -> frozenset[int]:
                 for j in range(m):
                     if row_k[j]:
                         row_i[j] = True
-    return frozenset(a for a in range(m) if all(reach[a][b] for b in range(m)))
+    return frozenset(a for a in range(m) if all(reach[a]))
+
+
+copeland_set = MarginsRule(copeland_rows)
+uncovered_set = MarginsRule(uncovered_rows)
+top_cycle = MarginsRule(top_cycle_rows)
 
 
 # --- Kemeny -----------------------------------------------------------------
 
 
-def kemeny_rankings(profile: Profile) -> tuple[LinearOrder, ...]:
+def _check_exact_kemeny(m: int) -> None:
+    if m > MAX_EXACT_KEMENY_M:
+        raise MTooLargeForExactKemeny(
+            f"exact Kemeny enumerates m! rankings; m={m} > {MAX_EXACT_KEMENY_M}")
+
+
+@lru_cache(maxsize=None)
+def _agreement_cells(m: int) -> tuple[tuple[LinearOrder, tuple[int, ...]], ...]:
+    """Per ranking, in canonical enumeration order: the ranking and the
+    row-major cells a * m + b of its pairs a above b."""
+    return tuple((order, tuple(a * m + b for a, b in combinations(order.ranking, 2)))
+                 for order in enumerate_orders(m))
+
+
+def kemeny_row_rankings(rows: Rows) -> tuple[LinearOrder, ...]:
     """All rankings maximising total pairwise agreement, by exhaustive scan.
 
     Returned in canonical enumeration order; always nonempty.
     """
-    if profile.m > MAX_EXACT_KEMENY_M:
-        raise MTooLargeForExactKemeny(
-            f"exact Kemeny enumerates m! rankings; m={profile.m} > {MAX_EXACT_KEMENY_M}")
-    margins = margin_matrix(profile)
+    _check_exact_kemeny(len(rows))
+    flat = sum(rows, ())
     best_score: int | None = None
     best: list[LinearOrder] = []
-    for order in enumerate_orders(profile.m):
-        score = sum(margins.rows[a][b]
-                    for a, b in combinations(order.ranking, 2))
+    for order, cells in _agreement_cells(len(rows)):
+        score = sum(map(flat.__getitem__, cells))
         if best_score is None or score > best_score:
             best_score, best = score, [order]
         elif score == best_score:
@@ -219,54 +270,59 @@ def kemeny_rankings(profile: Profile) -> tuple[LinearOrder, ...]:
     return tuple(best)
 
 
-def kemeny_winner(profile: Profile, tie_break: TieBreak) -> int:
-    rankings = kemeny_rankings(profile)
+def kemeny_rankings(profile: Profile) -> tuple[LinearOrder, ...]:
+    _check_exact_kemeny(profile.m)  # before counting margins over m! orders
+    return kemeny_row_rankings(margin_matrix(profile).rows)
+
+
+def kemeny_rows(rows: Rows, tie_break: TieBreak) -> int:
     pos = tie_break.priority.positions()
-    chosen = min(rankings, key=lambda r: tuple(pos[a] for a in r.ranking))
+    chosen = min(kemeny_row_rankings(rows),
+                 key=lambda r: tuple(pos[a] for a in r.ranking))
     return chosen.top
+
+
+def kemeny_winner(profile: Profile, tie_break: TieBreak) -> int:
+    return kemeny_rows(margin_matrix(profile).rows, tie_break)
 
 
 # --- elimination rules --------------------------------------------------------
 
 
-def _restricted_borda(profile: Profile, active: list[int]) -> dict[int, int]:
-    scores = {a: 0 for a in active}
-    active_set = set(active)
-    for vote in profile.votes:
-        below = len(active) - 1
-        for alt in vote.ranking:
-            if alt in active_set:
-                scores[alt] += below
-                below -= 1
-    return scores
-
-
-def baldwin_winner(profile: Profile, tie_break: TieBreak) -> int:
+def baldwin_rows(rows: Rows, tie_break: TieBreak) -> int:
     """Repeatedly eliminate the single lowest-Borda alternative.
 
     Elimination ties are settled by removing the tie-break-lowest
     alternative among those tied.
     """
-    active = list(range(profile.m))
+    active = list(range(len(rows)))
     while len(active) > 1:
-        scores = _restricted_borda(profile, active)
-        low = min(scores.values())
-        tied = [a for a in active if scores[a] == low]
-        active.remove(tie_break.worst(tied))
+        scores = [sum(map(rows[a].__getitem__, active)) for a in active]
+        low = min(scores)
+        active.remove(tie_break.worst(
+            [a for a, score in zip(active, scores) if score == low]))
     return active[0]
 
 
-def nanson_winner(profile: Profile, tie_break: TieBreak) -> int:
-    """Repeatedly eliminate everything strictly below the average Borda score."""
-    active = list(range(profile.m))
+def baldwin_winner(profile: Profile, tie_break: TieBreak) -> int:
+    return baldwin_rows(margin_matrix(profile).rows, tie_break)
+
+
+def nanson_rows(rows: Rows, tie_break: TieBreak) -> int:
+    """Repeatedly eliminate everything strictly below the average Borda
+    score.  Over the active set the row sums add up to zero, so that is
+    everything with a negative row sum there."""
+    active = list(range(len(rows)))
     while len(active) > 1:
-        scores = _restricted_borda(profile, active)
-        average = sum(scores.values()) / len(active)
-        eliminated = [a for a in active if scores[a] < average]
-        if not eliminated:
+        kept = [a for a in active if sum(map(rows[a].__getitem__, active)) >= 0]
+        if len(kept) == len(active):
             break
-        active = [a for a in active if a not in eliminated]
+        active = kept
     return tie_break.best(active)
+
+
+def nanson_winner(profile: Profile, tie_break: TieBreak) -> int:
+    return nanson_rows(margin_matrix(profile).rows, tie_break)
 
 
 # --- Dodgson ------------------------------------------------------------------
@@ -347,39 +403,40 @@ def dodgson_winner(profile: Profile, tie_break: TieBreak) -> int:
 # --- Schulze and Ranked Pairs ---------------------------------------------------
 
 
-def schulze_winner(profile: Profile, tie_break: TieBreak) -> int:
+def schulze_rows(rows: Rows, tie_break: TieBreak) -> int:
     """Widest-path (beatpath) strengths over the margin matrix."""
-    margins = margin_matrix(profile)
-    m = margins.m
-    p = [list(row) for row in margins.rows]
+    m = len(rows)
+    p = [list(row) for row in rows]
     for k in range(m):
+        p_k = p[k]
         for i in range(m):
             if i == k:
                 continue
-            pik = p[i][k]
+            p_i = p[i]
+            pik = p_i[k]
             for j in range(m):
                 if j != i and j != k:
-                    w = pik if pik < p[k][j] else p[k][j]
-                    if w > p[i][j]:
-                        p[i][j] = w
-    winners = [a for a in range(m)
-               if all(p[a][b] >= p[b][a] for b in range(m) if b != a)]
-    return tie_break.best(winners)
+                    w = pik if pik < p_k[j] else p_k[j]
+                    if w > p_i[j]:
+                        p_i[j] = w
+    columns = list(zip(*p))  # a's column: the strengths of paths into a
+    return tie_break.best([a for a in range(m) if all(map(ge, p[a], columns[a]))])
 
 
-def ranked_pairs_winner(profile: Profile, tie_break: TieBreak) -> int:
+def schulze_winner(profile: Profile, tie_break: TieBreak) -> int:
+    return schulze_rows(margin_matrix(profile).rows, tie_break)
+
+
+def ranked_pairs_rows(rows: Rows, tie_break: TieBreak) -> int:
     """Lock majority pairs by descending margin, skipping cycles.
 
     Equal margins are ordered by tie-break priority of the pair's winner,
     then of its loser.
     """
-    margins = margin_matrix(profile)
-    m = margins.m
+    m = len(rows)
     tpos = tie_break.priority.positions()
-    pairs = sorted(
-        ((a, b) for a in range(m) for b in range(m) if margins.rows[a][b] > 0),
-        key=lambda ab: (-margins.rows[ab[0]][ab[1]], tpos[ab[0]], tpos[ab[1]]),
-    )
+    pairs = sorted((-x, tpos[a], tpos[b], a, b)
+                   for a, row in enumerate(rows) for b, x in enumerate(row) if x > 0)
     locked: list[set[int]] = [set() for _ in range(m)]
 
     def reaches(src: int, dst: int) -> bool:
@@ -394,13 +451,17 @@ def ranked_pairs_winner(profile: Profile, tie_break: TieBreak) -> int:
                     stack.append(nxt)
         return False
 
-    for a, b in pairs:
+    for *_, a, b in pairs:
         if not reaches(b, a):
             locked[a].add(b)
     has_in = set()
     for a in range(m):
         has_in |= locked[a]
     return tie_break.best([a for a in range(m) if a not in has_in])
+
+
+def ranked_pairs_winner(profile: Profile, tie_break: TieBreak) -> int:
+    return ranked_pairs_rows(margin_matrix(profile).rows, tie_break)
 
 
 # --- explicit lookup tables -------------------------------------------------------
@@ -429,18 +490,29 @@ class RuleTable:
                 f"needs {num_profiles(self.n, self.m)}")
 
     def lookup(self, profile: Profile) -> int:
-        if profile.n != self.n or profile.m != self.m:
-            raise DomainMismatch(
-                f"table is for n={self.n}, m={self.m}; "
-                f"profile has n={profile.n}, m={profile.m}")
-        if self.mode == "profile":
-            return self.chosen[profile_to_index(profile)]
-        key = keyspace.digits_key(self.m, map(order_index, profile.votes))
+        if self.mode == "c2":
+            key = keyspace.digits_key(profile.m, map(order_index, profile.votes))
+            return self.on_key(key, profile.n, profile.m)
+        self._check_size(profile.n, profile.m)
+        return self.chosen[profile_to_index(profile)]
+
+    def on_key(self, key: int, n: int, m: int) -> int:
+        """A c2 table's entry at margin key ``key`` of n voters over m
+        alternatives."""
+        if self.mode != "c2":
+            raise PrefRevError("a profile table is not keyed by margins")
+        self._check_size(n, m)
         try:
             return self.chosen[key]
         except KeyError:
             raise MissingEntry(f"no entry for margin key "
                                f"{keyspace.key_text(key, self.m)}") from None
+
+    def _check_size(self, n: int, m: int) -> None:
+        if n != self.n or m != self.m:
+            raise DomainMismatch(
+                f"table is for n={self.n}, m={self.m}; "
+                f"profile has n={n}, m={m}")
 
     __call__ = lookup
 
@@ -529,15 +601,15 @@ def read_rule_table(source: TextIO) -> RuleTable:
 # --- registry -----------------------------------------------------------------
 
 
-def _condorcet_rule(profile: Profile) -> int:
-    winner = condorcet_winner(profile)
+def _condorcet_rows(rows: Rows) -> int:
+    winner = rows_condorcet_winner(rows)
     if winner is None:
         raise DomainMismatch("the Condorcet rule is only defined on profiles "
                              "with a Condorcet winner")
     return winner
 
 
-_condorcet_rule.depends_on = "margins"
+_condorcet_rule = MarginsRule(_condorcet_rows)
 
 
 RESOLUTE_RULES = ("plurality", "borda", "black", "maximin", "kemeny",
@@ -545,17 +617,21 @@ RESOLUTE_RULES = ("plurality", "borda", "black", "maximin", "kemeny",
                   "condorcet")
 SET_RULES = ("copeland-set", "uncovered-set", "top-cycle")
 
-_RESOLUTE_IMPL: dict[str, Callable[..., int]] = {
+# resolute rules of the margin matrix alone, on margin rows
+_MARGIN_IMPL: dict[str, Callable[..., int]] = {
+    "borda": borda_rows,
+    "black": black_rows,
+    "maximin": maximin_rows,
+    "kemeny": kemeny_rows,
+    "baldwin": baldwin_rows,
+    "nanson": nanson_rows,
+    "schulze": schulze_rows,
+    "ranked-pairs": ranked_pairs_rows,
+}
+# resolute rules of the votes cast, on profiles
+_MULTISET_IMPL: dict[str, Callable[..., int]] = {
     "plurality": plurality_winner,
-    "borda": borda_winner,
-    "black": black_winner,
-    "maximin": maximin_winner,
-    "kemeny": kemeny_winner,
-    "baldwin": baldwin_winner,
-    "nanson": nanson_winner,
     "dodgson": dodgson_winner,
-    "schulze": schulze_winner,
-    "ranked-pairs": ranked_pairs_winner,
 }
 
 _SET_IMPL: dict[str, SetRule] = {
@@ -563,25 +639,23 @@ _SET_IMPL: dict[str, SetRule] = {
     "uncovered-set": uncovered_set,
     "top-cycle": top_cycle,
 }
-copeland_set.depends_on = uncovered_set.depends_on = top_cycle.depends_on = "margins"
-
-# resolute rules whose outcome is a function of the margin matrix alone
-_MARGIN_RULES = frozenset({"maximin", "kemeny", "schulze", "ranked-pairs"})
 
 
 def resolute_rule(name: str, m: int, tie_break: TieBreak | None = None) -> Rule:
     """A resolute rule callable by registry name, declaring ``depends_on``
-    "margins" or "multiset"."""
+    "margins" (a :class:`MarginsRule`) or "multiset"."""
     tie_break = tie_break or TieBreak.lexicographic(m)
     if name == "condorcet":
         return _condorcet_rule
+    if name in _MARGIN_IMPL:
+        return MarginsRule(_MARGIN_IMPL[name], tie_break)
     try:
-        impl = _RESOLUTE_IMPL[name]
+        impl = _MULTISET_IMPL[name]
     except KeyError:
         raise UnknownRule(f"unknown rule {name!r}; known: "
                           f"{', '.join(RESOLUTE_RULES)}") from None
     rule = partial(impl, tie_break=tie_break)
-    rule.depends_on = "margins" if name in _MARGIN_RULES else "multiset"
+    rule.depends_on = "multiset"
     return rule
 
 

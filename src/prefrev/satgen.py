@@ -33,7 +33,6 @@ from .errors import (
     VariableOutOfRange,
 )
 from .prefs import (
-    Profile,
     enumerate_orders,
     iter_digits,
     num_profiles,
@@ -403,10 +402,11 @@ def verify_rule(table: RuleTable) -> Report:
     Condorcet-consistency is recomputed with the tally module: a c2 table's
     entry is read once per realizable margin key, and only if some key
     fails is the walk below run, to name the first failing profile.  That
-    walk calls the table on every profile, or on only the sorted profiles
-    (one per multiset of votes) of a table that reads no voter order.  The
-    reversal scan comes from the monotonicity checker.  Together they
-    independently confirm what the formula was supposed to assert.
+    walk reads a profile table at every profile index, and a c2 table by
+    margin key on only the sorted profiles (one per multiset of votes).
+    The reversal scan comes from the monotonicity checker, which reads a
+    c2 table by margin key too.  Together they independently confirm what
+    the formula was supposed to assert.
     """
     report = Report(f"rule table verification (n={table.n}, m={table.m})")
     total = num_profiles(table.n, table.m)
@@ -452,15 +452,16 @@ def _condorcet_keys_hold(table: RuleTable) -> bool:
 def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
     """(profile index, Condorcet winner, table's pick) of the first profile
     where the table misses the Condorcet winner, if any."""
-    orders = enumerate_orders(table.m)
-    # a table that reads no voter order fails first on a sorted profile (its
-    # sorted votes fail too, at an index no larger), so walking only those
-    # finds the same first failing index
-    for index, digits in iter_digits(table.n, table.m,
-                                     anonymous=table.depends_on != "order"):
-        winner = tally.rows_condorcet_winner(tally.margin_rows(table.m, digits))
-        if winner is not None and (chosen := table(
-                Profile(tuple(map(orders.__getitem__, digits))))) != winner:
+    n, m = table.n, table.m
+    c2 = table.mode == "c2"
+    # a c2 table fails first on a sorted profile (its sorted votes fail too,
+    # at an index no larger), so walking only those finds the same first
+    # failing index; it is read by margin key, a profile table by index
+    for index, digits in iter_digits(n, m, anonymous=c2):
+        key = keyspace.digits_key(m, digits)
+        winner = _key_winner(key, m)
+        if winner is not None and (chosen := table.on_key(key, n, m) if c2
+                                   else table.chosen[index]) != winner:
             return index, winner, chosen
     return None
 

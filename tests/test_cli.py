@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from prefrev import keyspace
 from prefrev.cli import _Singleton, main
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import read_profile
@@ -282,8 +283,14 @@ class TestCheck:
         assert out.splitlines()[-1] == "result: no violation (sampled region only)"
 
     def test_singleton_lift_keeps_the_declaration(self):
-        assert _Singleton(resolute_rule("maximin", 3)).depends_on == "margins"
-        assert _Singleton(resolute_rule("borda", 3)).depends_on == "multiset"
+        lifted = _Singleton(resolute_rule("maximin", 3))
+        assert lifted.depends_on == "margins"
+        # the margin-key entry point is lifted too
+        key = keyspace.digits_key(3, (0, 5, 2))
+        winner = resolute_rule("maximin", 3).on_key(key, 3, 3)
+        assert lifted.on_key(key, 3, 3) == frozenset((winner,))
+        assert _Singleton(resolute_rule("plurality", 3)).depends_on == "multiset"
+        assert not hasattr(_Singleton(resolute_rule("plurality", 3)), "on_key")
         table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
         assert _Singleton(table).depends_on == "order"
         # a profile table's entries are lifted once, so scans read them by index

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from prefrev import errors, keyspace, monotonicity
+from prefrev import errors, keyspace, monotonicity, rules, tally
 from prefrev.cli import _Singleton
 from prefrev.monotonicity import (
     ManipulationWitness,
@@ -54,9 +54,9 @@ def profile_key(profile: Profile) -> int:
     return keyspace.digits_key(profile.m, map(order_index, profile.votes))
 
 
-def key_seed(seed: str, profile: Profile) -> str:
+def key_seed(seed: str, key: int, m: int) -> str:
     """A random seed per margin key, spelt as tables write the key."""
-    return f"{seed}:{keyspace.key_text(profile_key(profile), profile.m)}"
+    return f"{seed}:{keyspace.key_text(key, m)}"
 
 
 def plant_reversal_violation(table: RuleTable, *, strong: bool = False,
@@ -542,17 +542,24 @@ class AnonymousRandomRule:
 
 
 class CountingRule:
-    """Counts the calls of a rule; without ``depends_on`` given it declares
-    nothing, so scans over it take the ordered path."""
+    """Counts the calls of a rule, on a profile or (declared "margins") on
+    a margin key; without ``depends_on`` given it declares nothing, so scans
+    over it take the ordered path."""
 
     def __init__(self, rule, depends_on: str | None = None):
         self.rule, self.calls = rule, 0
         if depends_on is not None:
             self.depends_on = depends_on
+        if depends_on == "margins":
+            self.on_key = self._on_key
 
     def __call__(self, profile: Profile):
         self.calls += 1
         return self.rule(profile)
+
+    def _on_key(self, key: int, n: int, m: int):
+        self.calls += 1
+        return self.rule.on_key(key, n, m)
 
 
 def anonymous_case(prop: str, n: int, m: int, seed: str):
@@ -643,6 +650,15 @@ class TestQuotientFastPath:
         assert check_halfway_monotonicity(undeclared, 6, 3) is None
         assert undeclared.calls == num_profiles(6, 3)  # the ordered path
 
+    def test_margins_rule_without_entry_point_is_scanned_as_multiset(self):
+        # a "margins" declaration is read by key only through on_key
+        rule = CountingRule(resolute_rule("maximin", 3))
+        rule.depends_on = "margins"
+        scan = _Scan(rule, 6, 3, "reverse", "weak")
+        assert scan.anonymous and not scan.margins_only
+        assert check_halfway_monotonicity(rule, 6, 3) is None
+        assert rule.calls <= math.comb(math.factorial(3) + 6 - 1, 6)
+
     def test_participation_calls_each_rule_once_per_multiset(self):
         big = CountingRule(resolute_rule("borda", 3), "multiset")
         small = CountingRule(resolute_rule("borda", 3), "multiset")
@@ -671,7 +687,10 @@ class MarginRandomRule:
         self.seed, self.m, self.sets = seed, m, sets
 
     def __call__(self, profile: Profile):
-        rng = random.Random(key_seed(self.seed, profile))
+        return self.on_key(profile_key(profile), profile.n, profile.m)
+
+    def on_key(self, key: int, n: int, m: int):
+        rng = random.Random(key_seed(self.seed, key, m))
         if rng.random() < 0.7:
             winners = frozenset((0,))
         else:
@@ -687,7 +706,8 @@ def as_multiset(rule) -> CountingRule:
 
 
 class KeyCountingRule:
-    """Counts the calls of a "margins" rule per margin key."""
+    """Counts the calls of a "margins" rule per margin key, on a profile or
+    on the key."""
 
     depends_on = "margins"
 
@@ -698,6 +718,10 @@ class KeyCountingRule:
         key = profile_key(profile)
         self.calls[key] = self.calls.get(key, 0) + 1
         return self.rule(profile)
+
+    def on_key(self, key: int, n: int, m: int):
+        self.calls[key] = self.calls.get(key, 0) + 1
+        return self.rule.on_key(key, n, m)
 
 
 def random_c2_table(n: int, m: int, rng: random.Random) -> RuleTable:
@@ -850,7 +874,10 @@ class EmptyOnSomeKeys:
         self.seed, self.share = seed, share
 
     def __call__(self, profile: Profile) -> frozenset[int]:
-        rng = random.Random(key_seed(self.seed, profile))
+        return self.on_key(profile_key(profile), profile.n, profile.m)
+
+    def on_key(self, key: int, n: int, m: int) -> frozenset[int]:
+        rng = random.Random(key_seed(self.seed, key, m))
         return frozenset() if rng.random() < self.share else frozenset((0,))
 
 
@@ -908,6 +935,24 @@ class TestSampledKeyMemo:
                                         "weak"), sample, seed)
         assert plain.calls == visits + 2
         assert sum(declared.calls.values()) < visits / 2
+
+    def test_hwm_maximin_counts_margins_only_to_revalidate(self, monkeypatch):
+        # the kernel evaluates a "margins" rule on the margin key: no profile
+        # has its margins counted but the witness's two, on revalidation
+        counted = []
+        count_margins = tally.margin_matrix
+
+        def counting(profile):
+            counted.append(profile)
+            return count_margins(profile)
+
+        monkeypatch.setattr(tally, "margin_matrix", counting)
+        monkeypatch.setattr(rules, "margin_matrix", counting)
+        n, m = 6, 4
+        witness = check_halfway_monotonicity(resolute_rule("maximin", m), n, m,
+                                             sample=4000, seed=5)
+        assert witness is not None
+        assert counted == [witness.profile, witness.profile.reverse_vote(witness.voter)]
 
     def test_empty_set_names_the_same_profile(self):
         raised = 0

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from prefrev import errors, keyspace
+from prefrev.cli import _Singleton
 from prefrev.prefs import (
     Alternatives,
     LinearOrder,
@@ -502,6 +503,39 @@ def assert_declaration_holds(rule, n: int, m: int) -> None:
             assert by_key.setdefault(key, outcome) == outcome, profile
 
 
+def restricted_borda(profile: Profile, active: list[int]) -> dict[int, int]:
+    """Borda scores of the votes restricted to the active alternatives."""
+    scores = {a: 0 for a in active}
+    for vote in profile.votes:
+        below = len(active) - 1
+        for alt in vote.ranking:
+            if alt in scores:
+                scores[alt] += below
+                below -= 1
+    return scores
+
+
+def vote_baldwin(profile: Profile, tie: TieBreak) -> int:
+    active = list(range(profile.m))
+    while len(active) > 1:
+        scores = restricted_borda(profile, active)
+        low = min(scores.values())
+        active.remove(tie.worst([a for a in active if scores[a] == low]))
+    return active[0]
+
+
+def vote_nanson(profile: Profile, tie: TieBreak) -> int:
+    active = list(range(profile.m))
+    while len(active) > 1:
+        scores = restricted_borda(profile, active)
+        average = sum(scores.values()) / len(active)
+        kept = [a for a in active if scores[a] >= average]
+        if len(kept) == len(active):
+            break
+        active = kept
+    return tie.best(active)
+
+
 class TestDependsOn:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
     @pytest.mark.parametrize("name", RESOLUTE_RULES + SET_RULES)
@@ -517,9 +551,26 @@ class TestDependsOn:
     def test_margin_rules_are_the_declared_ones(self):
         margins = {name for name in RESOLUTE_RULES
                    if resolute_rule(name, 3).depends_on == "margins"}
-        assert margins == {"maximin", "kemeny", "schulze", "ranked-pairs",
-                           "condorcet"}
+        assert margins == {"borda", "black", "maximin", "kemeny", "baldwin",
+                           "nanson", "schulze", "ranked-pairs", "condorcet"}
         assert all(set_rule(name).depends_on == "margins" for name in SET_RULES)
+        # a "margins" rule is read by margin key through its entry point
+        assert all(hasattr(resolute_rule(name, 3), "on_key") for name in margins)
+        assert all(hasattr(set_rule(name), "on_key") for name in SET_RULES)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2), (4, 3)])
+    def test_borda_family_on_margins_matches_the_votes(self, m, n):
+        # Borda, Black, Baldwin and Nanson read the margins through row sums;
+        # these references count restricted Borda scores from the votes
+        rng = random.Random(f"borda-family:{m}:{n}")
+        tie = TieBreak(LinearOrder(tuple(rng.sample(range(m), m))))
+        for profile in iter_profiles(n, m):
+            borda = scoring_winner(profile, borda_vector(m), tie)
+            assert borda_winner(profile, tie) == borda
+            winner = condorcet_winner(profile)
+            assert black_winner(profile, tie) == (borda if winner is None else winner)
+            assert baldwin_winner(profile, tie) == vote_baldwin(profile, tie)
+            assert nanson_winner(profile, tie) == vote_nanson(profile, tie)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
     def test_c2_table_declares_margins_and_holds(self, m, n):
@@ -532,3 +583,91 @@ class TestDependsOn:
     def test_profile_table_depends_on_order(self):
         table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
         assert table.depends_on == "order"
+
+
+# --- the margin-key entry point -------------------------------------------------
+
+
+def key_realizations(n: int, m: int) -> dict[int, tuple[int, ...]]:
+    """One realization (canonical order indices) of every margin key of n
+    voters, by the set DP with the first realization found kept."""
+    level = {keyspace.empty_key(m): ()}
+    for _ in range(n):
+        reached: dict[int, tuple[int, ...]] = {}
+        for key, digits in level.items():
+            for order_ix, vote in enumerate(keyspace.vote_keys(m)):
+                reached.setdefault(key + vote, digits + (order_ix,))
+        level = reached
+    return level
+
+
+def sampled_realizations(n: int, m: int, count: int,
+                         seed: str) -> dict[int, tuple[int, ...]]:
+    """``count`` distinct margin keys of seeded random n-voter profiles."""
+    rng = random.Random(seed)
+    found: dict[int, tuple[int, ...]] = {}
+    while len(found) < count:
+        digits = tuple(rng.randrange(len(enumerate_orders(m))) for _ in range(n))
+        found.setdefault(keyspace.digits_key(m, digits), digits)
+    return found
+
+
+def outcome_or_error(evaluate, *args):
+    try:
+        return ("outcome", evaluate(*args))
+    except errors.PrefRevError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def keyed_cases(n: int, m: int, keys, rng: random.Random):
+    """(name, rule) for every kind of rule read by margin key: each registry
+    "margins" rule under a seeded tie-break, the set rules, the singleton
+    lift, and random c2 tables (one with a missing entry)."""
+    cases = []
+    for name in RESOLUTE_RULES:
+        rule = resolute_rule(name, m, TieBreak(LinearOrder(tuple(rng.sample(range(m), m)))))
+        if rule.depends_on == "margins":
+            cases.append((name, rule))
+    cases += [(name, set_rule(name)) for name in SET_RULES]
+    table = RuleTable(n, m, "c2", {key: rng.randrange(m) for key in sorted(keys)})
+    dropped = rng.choice(sorted(keys))
+    holed = RuleTable(n, m, "c2", {k: w for k, w in table.chosen.items() if k != dropped})
+    cases += [("c2", table), ("c2-missing", holed),
+              ("lifted-maximin", _Singleton(resolute_rule("maximin", m))),
+              ("lifted-condorcet", _Singleton(resolute_rule("condorcet", m))),
+              ("lifted-c2", _Singleton(table))]
+    return cases
+
+
+class TestKeyEntryPoint:
+    @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (3, 5), (4, 6)])
+    def test_entry_point_equals_the_profile_form(self, m, n):
+        if (m, n) == (4, 6):
+            realizations = sampled_realizations(n, m, 2000, f"keys:{m}:{n}")
+        else:
+            realizations = key_realizations(n, m)
+            assert set(realizations) == keyspace.margin_levels(n, m)[1]
+        rng = random.Random(f"entry:{m}:{n}")
+        orders = enumerate_orders(m)
+        cases = keyed_cases(n, m, realizations, rng)
+        seen = set()
+        for key, digits in realizations.items():
+            profile = Profile(tuple(orders[d] for d in digits))
+            for name, rule in cases:
+                expected = outcome_or_error(rule, profile)
+                assert outcome_or_error(rule.on_key, key, n, m) == expected, (name, digits)
+                seen.add((name, expected[0]))
+        # the Condorcet rule and the holed table raise on some keys
+        assert {("condorcet", "error"), ("c2-missing", "error"),
+                ("lifted-condorcet", "error")} <= seen
+
+    def test_table_entry_point_checks_the_size(self):
+        table = RuleTable(2, 3, "c2", {keyspace.digits_key(3, (0, 1)): 0})
+        three_voters = Profile(tuple(enumerate_orders(3)[:1]) * 3)
+        key = keyspace.digits_key(3, (0, 0, 0))
+        assert (outcome_or_error(table.on_key, key, 3, 3)
+                == outcome_or_error(table, three_voters)
+                == ("error", "DomainMismatch",
+                    "table is for n=2, m=3; profile has n=3, m=3"))
+        with pytest.raises(errors.PrefRevError, match="not keyed by margins"):
+            tabulate_rule(resolute_rule("borda", 3), 2, 3).on_key(key, 2, 3)

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import random
 import time
@@ -18,7 +19,7 @@ from prefrev.prefs import (
     order_index,
     parse_order,
 )
-from prefrev.proofcheck import build_even_tree, build_odd_tree
+from prefrev.proofcheck import apply_reversals, build_even_tree, build_odd_tree, verify_tree
 from prefrev.rules import RuleTable, resolute_rule, tabulate_rule
 from prefrev.tally import condorcet_winner, margin_matrix, rows_condorcet_winner
 
@@ -28,6 +29,16 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 def profile_key(profile):
     """The integer margin key of a profile, as c2 tables are keyed."""
     return keyspace.digits_key(profile.m, map(order_index, profile.votes))
+
+
+@pytest.fixture(scope="module")
+def dpll():
+    """The bundled solver, loaded in process."""
+    spec = importlib.util.spec_from_file_location(
+        "dpll_solve", Path(__file__).resolve().parent.parent / "tools" / "dpll_solve.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def solve(formula, solver_cmd, tmp_path, name="f.cnf"):
@@ -211,18 +222,23 @@ class TestDecode:
 
 
 class KeyCountingTable:
-    """A table that records the margin key of every profile it is asked
-    about."""
+    """A table that records the margin key of every profile or key it is
+    asked about, and counts the calls on a profile apart."""
 
     def __init__(self, table: RuleTable):
-        self.table, self.calls = table, []
+        self.table, self.calls, self.profile_calls = table, [], 0
 
     def __getattr__(self, name):
         return getattr(self.table, name)
 
     def __call__(self, profile):
+        self.profile_calls += 1
         self.calls.append(profile_key(profile))
         return self.table(profile)
+
+    def on_key(self, key, n, m):
+        self.calls.append(key)
+        return self.table.on_key(key, n, m)
 
 
 class TestFullPipeline:
@@ -290,6 +306,7 @@ class TestFullPipeline:
         assert satgen.verify_rule(table).ok
         assert max(Counter(table.calls).values()) == 1
         assert len(table.calls) <= len(chosen)
+        assert table.profile_calls == 0  # read by key, never on a profile
 
     def test_maximin_table_verifies(self):
         table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
@@ -326,6 +343,36 @@ class TestFullPipeline:
                    for line in report.failures)
 
 
+def random_mutant(tree, rng: random.Random):
+    """The tree with seeded random carried sets and reversal counts, kept
+    consistent: leaves forbid what their edge carries, the profiles are
+    rebuilt along the edges and each leaf claims its new profile's Condorcet
+    winner.  None when a count asks for more voters than a profile has or a
+    leaf loses its Condorcet winner."""
+    edges = list(tree.edges)
+    for _ in range(rng.choice((1, 1, 2))):
+        i = rng.randrange(len(edges))
+        if rng.random() < 0.5:
+            flipped = edges[i].carried ^ {rng.randrange(tree.m)}
+            edges[i] = replace(edges[i], carried=frozenset(flipped))
+        else:
+            ((count, order),) = edges[i].reversals
+            count = max(1, count + rng.choice((-2, -1, 1, 2)))
+            edges[i] = replace(edges[i], reversals=((count, order),))
+    profiles = {tree.root: tree.profiles[tree.root]}
+    try:
+        for edge in edges:
+            profiles[edge.dst] = apply_reversals(profiles[edge.src], edge.reversals)
+    except errors.EdgeMismatch:
+        return None
+    carried = {edge.dst: edge.carried for edge in edges}
+    leaves = tuple(replace(leaf, condorcet=condorcet_winner(profiles[leaf.node]),
+                           forbidden=carried[leaf.node]) for leaf in tree.leaves)
+    if any(leaf.condorcet is None for leaf in leaves):
+        return None
+    return replace(tree, profiles=profiles, edges=tuple(edges), leaves=leaves)
+
+
 class TestProofNeighborhood:
     @pytest.mark.parametrize("builder", [build_odd_tree, build_even_tree])
     def test_unsat_and_small(self, builder, solver_cmd, tmp_path):
@@ -345,8 +392,6 @@ class TestProofNeighborhood:
             assert run.status == "SAT", leaf.node
 
     def test_unsat_iff_tree_verifies_on_mutations(self, solver_cmd, tmp_path):
-        from prefrev.proofcheck import verify_tree
-
         tree = build_odd_tree(4)
         mutants = []
         # wrong Condorcet claim at a leaf
@@ -369,6 +414,36 @@ class TestProofNeighborhood:
             formula = satgen.encode_proof_neighborhood(candidate).formula
             run = solve(formula, solver_cmd, tmp_path, f"mutant{i}.cnf")
             assert (run.status == "UNSAT") == expect_sound
+
+    @pytest.mark.parametrize("builder", [build_odd_tree, build_even_tree])
+    def test_unsat_iff_tree_verifies_on_random_mutations(self, builder, dpll):
+        # the formula replays single reversals and never reads a carried set,
+        # so a carried set is the checker's certificate alone: the tree must
+        # not verify unless the formula is UNSAT, and with the tree's own
+        # carried sets the formula is UNSAT exactly when the tree verifies
+        tree = builder(4)
+        own = {(edge.src, edge.dst): edge.carried for edge in tree.edges}
+        rng = random.Random(f"mutants:{builder.__name__}")
+        verdicts = Counter()
+        mutants = 0
+        while mutants < 60:
+            mutant = random_mutant(tree, rng)
+            if mutant is None:
+                continue
+            mutants += 1
+            formula = satgen.encode_proof_neighborhood(mutant).formula
+            unsat = dpll.solve(formula.num_vars, list(formula.clauses)) is None
+            sound = verify_tree(mutant).ok
+            assert unsat or not sound
+            if all(edge.carried == own[edge.src, edge.dst] for edge in mutant.edges):
+                assert unsat == sound
+            else:
+                restored = replace(mutant, edges=tuple(
+                    replace(edge, carried=own[edge.src, edge.dst]) for edge in mutant.edges))
+                assert satgen.encode_proof_neighborhood(restored).formula == formula
+            verdicts[sound, unsat] += 1
+        # the mutants reach both verdicts of the formula and of the checker
+        assert verdicts[True, True] and verdicts[False, False] and verdicts[False, True]
 
 
 class TestC2Mode:
