@@ -17,15 +17,14 @@ or the PREFREV_SOLVER environment variable, and is only invoked when
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
 from typing import Sequence
 
-# satgen and proofcheck are imported by the commands that use them, so that
-# a check process does not load them
-from . import monotonicity, rules
+# json, monotonicity, proofcheck and satgen are imported by the commands and
+# outputs that use them, so that each process loads only what it runs
+from . import rules
 from .errors import (
     BadBudget,
     BudgetExceeded,
@@ -191,6 +190,8 @@ def _require_positive(args, *names: str) -> None:
 
 def _emit(args, records: list[dict]) -> None:
     if args.json:
+        import json
+
         for record in records:
             cleaned = {k: v for k, v in record.items() if k != "_text"}
             print(json.dumps(cleaned, sort_keys=True))
@@ -321,6 +322,8 @@ def cmd_check(args) -> int:
                        "result": "none", "exhaustive": args.sample is None})
         _emit(args, header)
         return EXIT_OK
+    import json
+
     record = dict(witness.describe(alternatives))
     record["check"] = args.property
     header.append({"_text": "result: violation", "record": "result",
@@ -368,6 +371,8 @@ class _Singleton:
 
 
 def _dispatch_check(args, rule, scan):
+    from . import monotonicity
+
     # looked up per call, not at import, so that wrappers installed on the
     # monotonicity module's attributes (as the benchmark's tracer does) apply
     checkers = {
@@ -404,6 +409,8 @@ def cmd_verify_proofs(args) -> int:
 
 def _emit_reports(args, reports) -> int:
     """Print reports as text or JSON lines; exit 0 iff every line holds."""
+    if args.json:
+        import json
     for report in reports:
         if args.json:
             for line in report.lines:
@@ -426,10 +433,12 @@ def _solver_command(args) -> str:
 
 
 def cmd_encode(args) -> int:
-    from . import proofcheck, satgen
+    from . import satgen
 
     _require_positive(args, "n", "m")
     if args.proof:
+        from . import proofcheck
+
         if args.n is not None or args.budget is not None or args.mode == "c2":
             raise PrefRevError("--proof encodes a fixed tree; it takes no "
                                "--n, --budget or --mode c2")

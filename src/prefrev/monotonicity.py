@@ -105,7 +105,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -119,6 +118,7 @@ from .prefs import (
     Alternatives,
     LinearOrder,
     Profile,
+    Record,
     digits_to_index,
     enumerate_orders,
     format_order,
@@ -139,14 +139,17 @@ RuleFamily = Rule | Mapping[int, Rule]
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class ReversalWitness:
+class ReversalWitness(Record):
     """A voter who strictly gains by submitting their reversed ranking."""
 
-    profile: Profile
-    voter: int
-    winner_before: int
-    winner_after: int
+    __slots__ = ("profile", "voter", "winner_before", "winner_after")
+
+    def __init__(self, profile: Profile, voter: int, winner_before: int,
+                 winner_after: int) -> None:
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "voter", voter)
+        object.__setattr__(self, "winner_before", winner_before)
+        object.__setattr__(self, "winner_after", winner_after)
 
     @property
     def truthful_order(self) -> LinearOrder:
@@ -172,15 +175,19 @@ class ReversalWitness:
         }
 
 
-@dataclass(frozen=True)
-class SetReversalWitness:
-    """Set-valued analogue: the compared representative strictly improves."""
+class SetReversalWitness(Record):
+    """Set-valued analogue: the compared representative strictly improves.
+    ``mode`` is "optimistic" or "pessimistic"."""
 
-    profile: Profile
-    voter: int
-    set_before: frozenset[int]
-    set_after: frozenset[int]
-    mode: str  # "optimistic" or "pessimistic"
+    __slots__ = ("profile", "voter", "set_before", "set_after", "mode")
+
+    def __init__(self, profile: Profile, voter: int, set_before: frozenset[int],
+                 set_after: frozenset[int], mode: str) -> None:
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "voter", voter)
+        object.__setattr__(self, "set_before", set_before)
+        object.__setattr__(self, "set_after", set_after)
+        object.__setattr__(self, "mode", mode)
 
     def _event(self):
         return (self.profile.votes[self.voter], self.profile, self.set_before,
@@ -196,8 +203,7 @@ class SetReversalWitness:
         }
 
 
-@dataclass(frozen=True)
-class ParticipationWitness:
+class ParticipationWitness(Record):
     """A voter who would have done strictly better by abstaining.
 
     ``position`` records where the joiner sits in the joined profile;
@@ -205,11 +211,16 @@ class ParticipationWitness:
     of the event (anonymous rules ignore it, lookup tables may not).
     """
 
-    profile_without: Profile
-    joiner_order: LinearOrder
-    winner_without: int
-    winner_with: int
-    position: int
+    __slots__ = ("profile_without", "joiner_order", "winner_without",
+                 "winner_with", "position")
+
+    def __init__(self, profile_without: Profile, joiner_order: LinearOrder,
+                 winner_without: int, winner_with: int, position: int) -> None:
+        object.__setattr__(self, "profile_without", profile_without)
+        object.__setattr__(self, "joiner_order", joiner_order)
+        object.__setattr__(self, "winner_without", winner_without)
+        object.__setattr__(self, "winner_with", winner_with)
+        object.__setattr__(self, "position", position)
 
     def joined_profile(self) -> Profile:
         return self.profile_without.insert_voter(self.position, self.joiner_order)
@@ -231,15 +242,19 @@ class ParticipationWitness:
         }
 
 
-@dataclass(frozen=True)
-class ManipulationWitness:
+class ManipulationWitness(Record):
     """A voter whose misreport strictly beats their truthful vote."""
 
-    profile: Profile
-    voter: int
-    misreport: LinearOrder
-    winner_truthful: int
-    winner_misreport: int
+    __slots__ = ("profile", "voter", "misreport", "winner_truthful",
+                 "winner_misreport")
+
+    def __init__(self, profile: Profile, voter: int, misreport: LinearOrder,
+                 winner_truthful: int, winner_misreport: int) -> None:
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "voter", voter)
+        object.__setattr__(self, "misreport", misreport)
+        object.__setattr__(self, "winner_truthful", winner_truthful)
+        object.__setattr__(self, "winner_misreport", winner_misreport)
 
     def is_violation(self) -> bool:
         truthful = self.profile.votes[self.voter]
@@ -303,18 +318,24 @@ def _places(n: int, m: int) -> tuple[int, ...]:
 # --- the scan kernel -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """One paradox search: the deviation each unit tries and how outcomes
-    compare.  ``rule_small`` is the (n-1)-voter rule, used by "abstain"."""
+class _Scan(Record):
+    """One paradox search: the deviation each unit tries ("reverse",
+    "misreport" or "abstain") and how outcomes compare (a key of
+    ``_COMPARE``).  ``rule_small`` is the (n-1)-voter rule, used by
+    "abstain"."""
 
-    rule: object
-    n: int
-    m: int
-    deviation: str  # "reverse", "misreport" or "abstain"
-    compare: str    # a key of _COMPARE
-    condorcet_only: bool = False
-    rule_small: object = None
+    __slots__ = ("rule", "n", "m", "deviation", "compare", "condorcet_only",
+                 "rule_small")
+
+    def __init__(self, rule: object, n: int, m: int, deviation: str, compare: str,
+                 condorcet_only: bool = False, rule_small: object = None) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "compare", compare)
+        object.__setattr__(self, "condorcet_only", condorcet_only)
+        object.__setattr__(self, "rule_small", rule_small)
 
     @property
     def voters(self) -> int:

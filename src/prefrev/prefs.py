@@ -14,7 +14,6 @@ CNF variable ids and golden files are stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterable, Iterator
@@ -31,6 +30,53 @@ from .errors import (
 
 MAX_ENUMERABLE_M = 8
 
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class Record:
+    """Base of prefrev's immutable records.
+
+    A record names its fields in ``__slots__``, takes them under those
+    names as the parameters of its ``__init__`` and sets each once there
+    with ``object.__setattr__``; afterwards assigning or deleting a field
+    raises AttributeError.  Records of one class with equal fields are
+    equal and hash alike (a record with an unhashable field is unhashable),
+    and pickle and copy go through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a "
+                             f"{type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # pickle and copy rebuild a record through __init__, which the
+        # frozen fields leave as the only way to set them
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, validated by ``__init__``
+        as a new record is."""
+        fields = dict(zip(self.__slots__, self._values()))
+        fields.update(changes)
+        return type(self)(**fields)
+
 
 def default_labels(m: int) -> tuple[str, ...]:
     """Display labels a,b,c,d then x1,x2,... for any extra alternatives."""
@@ -40,16 +86,15 @@ def default_labels(m: int) -> tuple[str, ...]:
     return base + tuple(f"x{i}" for i in range(1, m - 3))
 
 
-@dataclass(frozen=True, slots=True)
-class Alternatives:
+class Alternatives(Record):
     """The label context for one election: id ``i`` displays as ``labels[i]``."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise DuplicateLabel(next(x for x in self.labels
-                                      if self.labels.count(x) > 1))
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        if len(set(labels)) != len(labels):
+            raise DuplicateLabel(next(x for x in labels if labels.count(x) > 1))
+        _set(self, "labels", labels)
 
     @property
     def m(self) -> int:
@@ -69,16 +114,24 @@ class Alternatives:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True, slots=True)
-class LinearOrder:
+class LinearOrder(Record):
     """A strict ranking of the m alternatives, best first."""
 
-    ranking: tuple[int, ...]
+    __slots__ = ("ranking",)
 
-    def __post_init__(self) -> None:
-        m = len(self.ranking)
-        if sorted(self.ranking) != list(range(m)):
-            raise PrefRevError(f"not a permutation of 0..{m - 1}: {self.ranking}")
+    def __init__(self, ranking: tuple[int, ...]) -> None:
+        m = len(ranking)
+        if sorted(ranking) != list(range(m)):
+            raise PrefRevError(f"not a permutation of 0..{m - 1}: {ranking}")
+        _set(self, "ranking", ranking)
+
+    def __eq__(self, other):
+        if other.__class__ is not LinearOrder:
+            return NotImplemented
+        return self.ranking == other.ranking
+
+    def __hash__(self) -> int:
+        return hash((self.ranking,))
 
     @property
     def m(self) -> int:
@@ -152,18 +205,27 @@ def reverse_index_table(m: int) -> tuple[int, ...]:
     return tuple(idx[o.ranking[::-1]] for o in enumerate_orders(m))
 
 
-@dataclass(frozen=True, slots=True)
-class Profile:
+class Profile(Record):
     """An ordered assignment of one linear order per voter."""
 
-    votes: tuple[LinearOrder, ...]
+    __slots__ = ("votes",)
 
-    def __post_init__(self) -> None:
-        if not self.votes:
+    def __init__(self, votes: tuple[LinearOrder, ...]) -> None:
+        if not votes:
             raise PrefRevError("a profile needs at least one voter")
-        m = self.votes[0].m
-        if any(v.m != m for v in self.votes):
-            raise PrefRevError("all voters must rank the same alternatives")
+        m = len(votes[0].ranking)
+        for vote in votes:
+            if len(vote.ranking) != m:
+                raise PrefRevError("all voters must rank the same alternatives")
+        _set(self, "votes", votes)
+
+    def __eq__(self, other):
+        if other.__class__ is not Profile:
+            return NotImplemented
+        return self.votes == other.votes
+
+    def __hash__(self) -> int:
+        return hash((self.votes,))
 
     @property
     def n(self) -> int:

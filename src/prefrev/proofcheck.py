@@ -16,7 +16,6 @@ format, and tampered copies are first-class inputs for the checkers.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
 from typing import TextIO
 
 from .errors import EdgeMismatch, MTooSmall, PrefRevError
@@ -24,6 +23,7 @@ from .prefs import (
     Alternatives,
     LinearOrder,
     Profile,
+    Record,
     default_labels,
     format_order,
     format_profile,
@@ -56,35 +56,44 @@ _EVEN_EDGE_COUNTS = (2, 3, 2, 3, 2, 3, 2, 3)
 _LEAVES = (("P2", "c"), ("P3", "a"), ("P5", "b"), ("P6", "d"))
 
 
-@dataclass(frozen=True)
-class ReversalEdge:
+class ReversalEdge(Record):
     """One proof step: reverse the stated voters, transport the carried set."""
 
-    src: str
-    dst: str
-    reversals: tuple[tuple[int, LinearOrder], ...]
-    carried: frozenset[int]
+    __slots__ = ("src", "dst", "reversals", "carried")
+
+    def __init__(self, src: str, dst: str,
+                 reversals: tuple[tuple[int, LinearOrder], ...],
+                 carried: frozenset[int]) -> None:
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "reversals", reversals)
+        object.__setattr__(self, "carried", carried)
 
     @property
     def reversal_count(self) -> int:
         return sum(count for count, _ in self.reversals)
 
 
-@dataclass(frozen=True)
-class Leaf:
-    node: str
-    condorcet: int
-    forbidden: frozenset[int]
+class Leaf(Record):
+    __slots__ = ("node", "condorcet", "forbidden")
+
+    def __init__(self, node: str, condorcet: int, forbidden: frozenset[int]) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "condorcet", condorcet)
+        object.__setattr__(self, "forbidden", forbidden)
 
 
-@dataclass(frozen=True)
-class ProofTree:
-    m: int
-    n: int
-    root: str
-    profiles: dict[str, Profile]
-    edges: tuple[ReversalEdge, ...]
-    leaves: tuple[Leaf, ...]
+class ProofTree(Record):
+    __slots__ = ("m", "n", "root", "profiles", "edges", "leaves")
+
+    def __init__(self, m: int, n: int, root: str, profiles: dict[str, Profile],
+                 edges: tuple[ReversalEdge, ...], leaves: tuple[Leaf, ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "leaves", leaves)
 
     @property
     def alternatives(self) -> Alternatives:
@@ -194,7 +203,7 @@ def pad_tree(tree: ProofTree, order: LinearOrder, times: int = 1) -> ProofTree:
         for _ in range(times):
             profile = profile.pad(order)
         profiles[name] = profile
-    return replace(tree, n=tree.n + 2 * times, profiles=profiles)
+    return tree.replace(n=tree.n + 2 * times, profiles=profiles)
 
 
 # --- verification -------------------------------------------------------------

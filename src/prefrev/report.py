@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .prefs import Record
 
 
-@dataclass(frozen=True, slots=True)
-class CheckLine:
-    ok: bool
-    text: str
+class CheckLine(Record):
+    __slots__ = ("ok", "text")
+
+    def __init__(self, ok: bool, text: str) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "text", text)
 
     def render(self) -> str:
         return f"[{'ok' if self.ok else 'FAIL'}] {self.text}"
 
 
-@dataclass
 class Report:
-    title: str
-    lines: list[CheckLine] = field(default_factory=list)
+    """A titled list of check lines; the checkers add to it as they go."""
+
+    __slots__ = ("title", "lines")
+
+    def __init__(self, title: str) -> None:
+        self.title = title
+        self.lines: list[CheckLine] = []
 
     def add(self, ok: bool, text: str) -> bool:
         self.lines.append(CheckLine(ok, text))

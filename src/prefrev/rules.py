@@ -20,7 +20,6 @@ objects, and a c2 :class:`RuleTable` answers ``on_key`` from its entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from operator import ge
@@ -38,6 +37,7 @@ from .errors import (
 from .prefs import (
     LinearOrder,
     Profile,
+    Record,
     default_labels,
     enumerate_orders,
     iter_profiles,
@@ -56,15 +56,15 @@ MAX_DODGSON_M = 6
 MAX_DODGSON_N = 64
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreVector:
+class ScoreVector(Record):
     """Points per rank position (0-based), weakly decreasing."""
 
-    s: tuple[int, ...]
+    __slots__ = ("s",)
 
-    def __post_init__(self) -> None:
-        if any(self.s[i] < self.s[i + 1] for i in range(len(self.s) - 1)):
-            raise PrefRevError(f"score vector must be weakly decreasing: {self.s}")
+    def __init__(self, s: tuple[int, ...]) -> None:
+        if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
+            raise PrefRevError(f"score vector must be weakly decreasing: {s}")
+        object.__setattr__(self, "s", s)
 
     @property
     def m(self) -> int:
@@ -79,11 +79,13 @@ def plurality_vector(m: int) -> ScoreVector:
     return ScoreVector((1,) + (0,) * (m - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class TieBreak:
+class TieBreak(Record):
     """A fixed priority order over alternatives that resolves every tie."""
 
-    priority: LinearOrder
+    __slots__ = ("priority",)
+
+    def __init__(self, priority: LinearOrder) -> None:
+        object.__setattr__(self, "priority", priority)
 
     @classmethod
     def lexicographic(cls, m: int) -> "TieBreak":
@@ -467,8 +469,7 @@ def ranked_pairs_winner(profile: Profile, tie_break: TieBreak) -> int:
 # --- explicit lookup tables -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleTable:
+class RuleTable(Record):
     """A voting rule given extensionally, keyed by profile index or margins.
 
     ``chosen`` is a dense tuple over all (m!)^n profile indices in profile
@@ -476,18 +477,19 @@ class RuleTable:
     (:mod:`prefrev.keyspace`) to winners.
     """
 
-    n: int
-    m: int
-    mode: str
-    chosen: tuple[int, ...] | dict[int, int]
+    __slots__ = ("n", "m", "mode", "chosen")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("profile", "c2"):
-            raise PrefRevError(f"unknown table mode: {self.mode!r}")
-        if self.mode == "profile" and len(self.chosen) != num_profiles(self.n, self.m):
-            raise MissingEntry(
-                f"profile table has {len(self.chosen)} entries, "
-                f"needs {num_profiles(self.n, self.m)}")
+    def __init__(self, n: int, m: int, mode: str,
+                 chosen: tuple[int, ...] | dict[int, int]) -> None:
+        if mode not in ("profile", "c2"):
+            raise PrefRevError(f"unknown table mode: {mode!r}")
+        if mode == "profile" and len(chosen) != num_profiles(n, m):
+            raise MissingEntry(f"profile table has {len(chosen)} entries, "
+                               f"needs {num_profiles(n, m)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "chosen", chosen)
 
     def lookup(self, profile: Profile) -> int:
         if self.mode == "c2":

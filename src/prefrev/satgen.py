@@ -20,10 +20,7 @@ external solver binary and feed its output back through
 from __future__ import annotations
 
 import math
-import shlex
-import subprocess
-from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import (
     BudgetExceeded,
@@ -33,32 +30,38 @@ from .errors import (
     VariableOutOfRange,
 )
 from .prefs import (
+    Record,
     enumerate_orders,
     iter_digits,
     num_profiles,
     profile_to_index,
     reverse_index_table,
 )
-from .proofcheck import ProofTree, replayed_carry
-from .report import Report
 from .rules import RuleTable
-from . import keyspace, monotonicity, tally
+from . import keyspace, tally
+
+# proofcheck, monotonicity, report, shlex and subprocess are imported by the
+# functions that use them, so that encode and decode processes do not load
+# them
+if TYPE_CHECKING:
+    from .proofcheck import ProofTree
+    from .report import Report
 
 DEFAULT_KEY_BUDGET = 1_000_000
 
 Clause = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    num_vars: int
-    clauses: tuple[Clause, ...]
+class CnfFormula(Record):
+    __slots__ = ("num_vars", "clauses")
 
-    def __post_init__(self) -> None:
-        for clause in self.clauses:
+    def __init__(self, num_vars: int, clauses: tuple[Clause, ...]) -> None:
+        for clause in clauses:
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise PrefRevError(f"bad literal {lit} in clause {clause}")
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", clauses)
 
     def without_clause(self, clause: Clause) -> "CnfFormula":
         """A copy with one occurrence of ``clause`` removed (mutation tests)."""
@@ -67,19 +70,23 @@ class CnfFormula:
         return CnfFormula(self.num_vars, tuple(clauses))
 
 
-@dataclass(frozen=True)
-class VariableMap:
+class VariableMap(Record):
     """Bijection between 1-based CNF variables and (key, alternative) pairs.
 
-    Keys are profile indices (profile mode), the sorted integer margin keys
-    of :mod:`prefrev.keyspace` (c2 mode), or proof-tree node names (proof
-    mode); in every mode ``var = key_rank * m + alternative + 1``.
+    Keys are profile indices (profile mode, ``keys`` None), the sorted
+    integer margin keys of :mod:`prefrev.keyspace` (c2 mode), or proof-tree
+    node names (proof mode); in every mode
+    ``var = key_rank * m + alternative + 1``.
     """
 
-    n: int
-    m: int
-    mode: str
-    keys: tuple[int, ...] | tuple[str, ...] | None = None  # None: profile mode
+    __slots__ = ("n", "m", "mode", "keys")
+
+    def __init__(self, n: int, m: int, mode: str,
+                 keys: tuple[int, ...] | tuple[str, ...] | None = None) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "keys", keys)
 
     @property
     def num_keys(self) -> int:
@@ -105,11 +112,14 @@ class VariableMap:
         return self.keys[key_rank]
 
 
-@dataclass(frozen=True)
-class EncodeResult:
-    formula: CnfFormula
-    varmap: VariableMap
-    counts: dict[str, int]
+class EncodeResult(Record):
+    __slots__ = ("formula", "varmap", "counts")
+
+    def __init__(self, formula: CnfFormula, varmap: VariableMap,
+                 counts: dict[str, int]) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "varmap", varmap)
+        object.__setattr__(self, "counts", counts)
 
 
 # --- the full formula -----------------------------------------------------------
@@ -267,6 +277,8 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
     and head winners directly: picking b at the tail forbids at the head
     everything the replayed single reversals cannot reach from b.
     """
+    from .proofcheck import replayed_carry
+
     names = tuple(tree.profiles)
     rank = {name: i for i, name in enumerate(names)}
     m = tree.m
@@ -408,6 +420,9 @@ def verify_rule(table: RuleTable) -> Report:
     c2 table by margin key too.  Together they independently confirm what
     the formula was supposed to assert.
     """
+    from . import monotonicity
+    from .report import Report
+
     report = Report(f"rule table verification (n={table.n}, m={table.m})")
     total = num_profiles(table.n, table.m)
     bad = None if _condorcet_keys_hold(table) else _first_condorcet_failure(table)
@@ -469,11 +484,15 @@ def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
 # --- external solver ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolverRun:
-    status: str  # "SAT", "UNSAT", or "UNKNOWN"
-    output: str
-    returncode: int
+class SolverRun(Record):
+    """``status`` is "SAT", "UNSAT", or "UNKNOWN"."""
+
+    __slots__ = ("status", "output", "returncode")
+
+    def __init__(self, status: str, output: str, returncode: int) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "returncode", returncode)
 
 
 def run_solver(command: str | Sequence[str], cnf_path: str) -> SolverRun:
@@ -483,6 +502,9 @@ def run_solver(command: str | Sequence[str], cnf_path: str) -> SolverRun:
     and reports ``s SATISFIABLE`` / ``s UNSATISFIABLE`` (exit codes 10/20
     also recognised).  Models are read from its stdout.
     """
+    import shlex
+    import subprocess
+
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     proc = subprocess.run(argv + [cnf_path], capture_output=True, text=True)
     status = "UNKNOWN"

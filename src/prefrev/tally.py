@@ -3,26 +3,27 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .prefs import Alternatives, Profile, enumerate_orders, order_index
+from .prefs import Alternatives, Profile, Record, enumerate_orders, order_index
 
 Rows = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True, slots=True)
-class MarginMatrix:
+class MarginMatrix(Record):
     """Skew-symmetric matrix of pairwise majority margins.
 
     ``margin(a, b)`` is the number of voters ranking a above b minus the
     number ranking b above a; every entry has the parity of n.
     """
 
-    m: int
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("m", "n", "rows")
+
+    def __init__(self, m: int, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     def margin(self, a: int, b: int) -> int:
         return self.rows[a][b]

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -587,18 +588,80 @@ class TestBadInputFiles:
         assert "Traceback" not in err
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DPLL = f"{sys.executable} {REPO_ROOT / 'tools' / 'dpll_solve.py'}"
+PEREZ = str(REPO_ROOT / "data" / "perez41.txt")
+
+# (id, argv, exit code, modules the run must not load, modules it must load);
+# run in this order in one directory, so decode reads the c2 encode's model
+# and verify-table the decoded table
+COMMAND_RUNS = (
+    ("analyze", f"analyze {PEREZ}", 0, (), ("prefrev.rules",)),
+    ("check-certificate", "check --property hwm --rule borda --m 3 --n 3", 0,
+     ("prefrev.satgen", "prefrev.proofcheck", "prefrev.report", "json"),
+     ("prefrev.monotonicity",)),
+    ("check-certificate-set", "check --property hwm-pessimistic --rule top-cycle "
+     "--m 3 --n 3", 0,
+     ("prefrev.satgen", "prefrev.proofcheck", "prefrev.report", "json"),
+     ("prefrev.monotonicity",)),
+    ("check-witness", "check --property manipulability --rule borda --m 3 --n 3",
+     1, ("prefrev.satgen", "prefrev.proofcheck"), ("json",)),
+    ("check-json", "check --property hwm --rule maximin --m 3 --n 3 --json", 0,
+     ("prefrev.satgen", "prefrev.proofcheck"), ("json",)),
+    ("verify-proofs-odd", "verify-proofs odd --m 4", 0,
+     ("prefrev.monotonicity", "prefrev.satgen"), ("prefrev.proofcheck",)),
+    ("verify-proofs-perez", "verify-proofs perez --json", 0,
+     ("prefrev.monotonicity", "prefrev.satgen"), ("prefrev.proofcheck", "json")),
+    ("encode-profile", "encode --mode profile --n 2 --m 3 --out profile.cnf", 0,
+     ("prefrev.proofcheck",), ("prefrev.satgen",)),
+    ("encode-c2", f"encode --mode c2 --n 3 --m 3 --out c2.cnf --solve "
+     f"--solver '{DPLL}' --model-out c2.model", 0,
+     ("prefrev.proofcheck",), ("prefrev.satgen", "subprocess")),
+    ("encode-proof", "encode --proof odd --m 4 --out proof.cnf", 0, (),
+     ("prefrev.proofcheck",)),
+    ("decode", "decode --model c2.model --n 3 --m 3 --mode c2 --out c2.table", 0,
+     ("prefrev.proofcheck",), ("prefrev.satgen",)),
+    ("verify-table", "verify-table c2.table", 0,
+     ("prefrev.proofcheck",), ("prefrev.monotonicity",)),
+    ("pad", f"pad {PEREZ} --order x>y>z>u>t --out padded.txt", 0, (), ()),
+)
+
+
+def imported_modules(argv: list[str], cwd) -> tuple[int, set[str]]:
+    """Exit code and every module whose import ``-X importtime`` reports."""
+    path = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True)
+    return proc.returncode, {line.rsplit("|", 1)[1].strip()
+                             for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+@pytest.fixture(scope="module")
+def command_modules(tmp_path_factory):
+    """Per run of COMMAND_RUNS, its exit code and the modules it loaded
+    beyond those a bare ``python -c pass`` loads."""
+    workdir = tmp_path_factory.mktemp("startup")
+    _, bare = imported_modules(["-c", "pass"], workdir)
+    loaded = {}
+    for name, command, *_ in COMMAND_RUNS:
+        code, modules = imported_modules(["-m", "prefrev.cli", *shlex.split(command)],
+                                         workdir)
+        loaded[name] = code, modules - bare
+    return loaded
+
+
 class TestEntryPoint:
-    def test_check_loads_neither_satgen_nor_proofcheck(self):
-        script = ("import sys\n"
-                  "from prefrev.cli import main\n"
-                  "code = main(['check', '--property', 'hwm', '--rule', 'borda',"
-                  " '--m', '3', '--n', '3'])\n"
-                  "print(code, sorted(name for name in sys.modules"
-                  " if name in ('prefrev.satgen', 'prefrev.proofcheck')))\n")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+    @pytest.mark.parametrize("name, command, code, absent, present", COMMAND_RUNS,
+                             ids=[run[0] for run in COMMAND_RUNS])
+    def test_each_command_loads_only_what_it_runs(self, command_modules, name,
+                                                  command, code, absent, present):
+        got, modules = command_modules[name]
+        assert got == code, command
+        assert "dataclasses" not in modules
+        assert not modules & set(absent), sorted(modules & set(absent))
+        assert set(present) <= modules, sorted(set(present) - modules)
 
     def test_installed_script_runs(self, perez_profile_path):
         proc = subprocess.run(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -884,8 +883,8 @@ class EmptyOnSomeKeys:
 def undeclared(scan: _Scan) -> _Scan:
     """The scan over its rules wrapped without ``depends_on``: every block
     evaluates the rule once per profile it visits."""
-    return dataclasses.replace(
-        scan, rule=CountingRule(scan.rule),
+    return scan.replace(
+        rule=CountingRule(scan.rule),
         rule_small=None if scan.rule_small is None else CountingRule(scan.rule_small))
 
 

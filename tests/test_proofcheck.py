@@ -1,6 +1,5 @@
 import io
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -142,9 +141,9 @@ class TestTamperedTrees:
     def test_wrong_reversal_count_is_an_edge_mismatch(self):
         tree = build_odd_tree(4)
         edge = tree.edges[0]
-        bad = replace(edge, reversals=((edge.reversals[0][0] + 1,
-                                        edge.reversals[0][1]),))
-        tampered = replace(tree, edges=(bad,) + tree.edges[1:])
+        bad = edge.replace(reversals=((edge.reversals[0][0] + 1,
+                                       edge.reversals[0][1]),))
+        tampered = tree.replace(edges=(bad,) + tree.edges[1:])
         report = verify_edge(tampered, bad)
         assert not report.ok
         assert any("P1 differs from P0 with the stated reversals applied"
@@ -154,7 +153,7 @@ class TestTamperedTrees:
         tree = build_odd_tree(4)
         profiles = dict(tree.profiles)
         profiles["P1"] = profiles["P1"].reverse_vote(0)
-        tampered = replace(tree, profiles=profiles)
+        tampered = tree.replace(profiles=profiles)
         report = verify_edge(tampered, tampered.edges[0])
         assert not report.ok
         assert not verify_tree(tampered).ok
@@ -162,8 +161,8 @@ class TestTamperedTrees:
     def test_unsound_carried_set_names_the_pair(self):
         tree = build_odd_tree(4)
         edge = tree.edges[0]  # reverses dcba carrying {a,b}
-        bad = replace(edge, carried=frozenset({0, 2}))  # {a,c}
-        tampered = replace(tree, edges=(bad,) + tree.edges[1:])
+        bad = edge.replace(carried=frozenset({0, 2}))  # {a,c}
+        tampered = tree.replace(edges=(bad,) + tree.edges[1:])
         report = verify_edge(tampered, bad)
         assert not report.ok
         # the vote d>c>b>a ranks carried c above non-carried b
@@ -173,8 +172,8 @@ class TestTamperedTrees:
     def test_empty_carried_set_fails_a_line(self):
         tree = build_odd_tree(4)
         edge = tree.edges[0]  # P0 -> P1
-        bad = replace(edge, carried=frozenset())
-        tampered = replace(tree, edges=(bad,) + tree.edges[1:])
+        bad = edge.replace(carried=frozenset())
+        tampered = tree.replace(edges=(bad,) + tree.edges[1:])
         report = verify_edge(tampered, bad)
         assert any("the edge carries no alternative" in line.text
                    for line in report.failures)
@@ -185,24 +184,24 @@ class TestTamperedTrees:
 
     def test_wrong_leaf_claim_fails(self):
         tree = build_odd_tree(4)
-        leaves = tuple(replace(l, condorcet=0) if l.node == "P2" else l
+        leaves = tuple(l.replace(condorcet=0) if l.node == "P2" else l
                        for l in tree.leaves)
-        tampered = replace(tree, leaves=leaves)
+        tampered = tree.replace(leaves=leaves)
         report = verify_tree(tampered)
         assert not report.ok
         assert any("P2" in line.text for line in report.failures)
 
     def test_undeclared_childless_node_fails(self):
         tree = build_odd_tree(4)
-        tampered = replace(tree, leaves=tree.leaves[1:])
+        tampered = tree.replace(leaves=tree.leaves[1:])
         assert not verify_tree(tampered).ok
 
     def test_coverage_gap_fails(self):
         tree = build_odd_tree(4)
         # shrink the first root case from {a,b} to {b}: 'a' becomes unhandled
         edge = tree.edges[0]
-        bad = replace(edge, carried=frozenset({1}))
-        tampered = replace(tree, edges=(bad,) + tree.edges[1:])
+        bad = edge.replace(carried=frozenset({1}))
+        tampered = tree.replace(edges=(bad,) + tree.edges[1:])
         report = verify_tree(tampered)
         assert any("cover" in line.text for line in report.failures)
 
@@ -249,9 +248,9 @@ class TestIrresolute:
     @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
     def test_agrees_with_resolute_on_tampered_tree(self, mode):
         tree = build_odd_tree(4)
-        leaves = tuple(replace(l, condorcet=0) if l.node == "P2" else l
+        leaves = tuple(l.replace(condorcet=0) if l.node == "P2" else l
                        for l in tree.leaves)
-        tampered = replace(tree, leaves=leaves)
+        tampered = tree.replace(leaves=leaves)
         assert verify_tree(tampered).ok == verify_tree_irresolute(tampered, mode).ok
 
     @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
@@ -261,12 +260,12 @@ class TestIrresolute:
         # the irresolute lines alone must still refute the tampering
         tree = build_odd_tree(4)
         if tamper == "leaf winner":
-            tampered = replace(tree, leaves=tuple(
-                replace(l, condorcet=0) if l.node == "P2" else l for l in tree.leaves))
+            tampered = tree.replace(leaves=tuple(
+                l.replace(condorcet=0) if l.node == "P2" else l for l in tree.leaves))
         else:
             # P0 -> P1 reverses d>c>b>a, which ranks c above b: {a,c} escapes
-            bad = replace(tree.edges[0], carried=frozenset({0, 2}))
-            tampered = replace(tree, edges=(bad,) + tree.edges[1:])
+            bad = tree.edges[0].replace(carried=frozenset({0, 2}))
+            tampered = tree.replace(edges=(bad,) + tree.edges[1:])
         monkeypatch.setattr(proofcheck, "_tree_report",
                             lambda tree, title: Report(title))
         assert verify_tree_irresolute(tree, mode).ok
@@ -352,8 +351,8 @@ class TestFileFormat:
 
     def test_edge_carrying_nothing_is_a_clear_error(self):
         tree = build_odd_tree(4)
-        bad = replace(tree.edges[0], carried=frozenset())
-        text = proof_tree_to_text(replace(tree, edges=(bad,) + tree.edges[1:]))
+        bad = tree.edges[0].replace(carried=frozenset())
+        text = proof_tree_to_text(tree.replace(edges=(bad,) + tree.edges[1:]))
         assert any(line.endswith(" CARRY ") for line in text.splitlines())
         with pytest.raises(errors.PrefRevError, match="carries no alternative"):
             read_proof_tree(io.StringIO(text))

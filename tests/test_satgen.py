@@ -3,7 +3,6 @@ import io
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -354,11 +353,11 @@ def random_mutant(tree, rng: random.Random):
         i = rng.randrange(len(edges))
         if rng.random() < 0.5:
             flipped = edges[i].carried ^ {rng.randrange(tree.m)}
-            edges[i] = replace(edges[i], carried=frozenset(flipped))
+            edges[i] = edges[i].replace(carried=frozenset(flipped))
         else:
             ((count, order),) = edges[i].reversals
             count = max(1, count + rng.choice((-2, -1, 1, 2)))
-            edges[i] = replace(edges[i], reversals=((count, order),))
+            edges[i] = edges[i].replace(reversals=((count, order),))
     profiles = {tree.root: tree.profiles[tree.root]}
     try:
         for edge in edges:
@@ -366,11 +365,11 @@ def random_mutant(tree, rng: random.Random):
     except errors.EdgeMismatch:
         return None
     carried = {edge.dst: edge.carried for edge in edges}
-    leaves = tuple(replace(leaf, condorcet=condorcet_winner(profiles[leaf.node]),
-                           forbidden=carried[leaf.node]) for leaf in tree.leaves)
+    leaves = tuple(leaf.replace(condorcet=condorcet_winner(profiles[leaf.node]),
+                                forbidden=carried[leaf.node]) for leaf in tree.leaves)
     if any(leaf.condorcet is None for leaf in leaves):
         return None
-    return replace(tree, profiles=profiles, edges=tuple(edges), leaves=leaves)
+    return tree.replace(profiles=profiles, edges=tuple(edges), leaves=leaves)
 
 
 class TestProofNeighborhood:
@@ -395,18 +394,18 @@ class TestProofNeighborhood:
         tree = build_odd_tree(4)
         mutants = []
         # wrong Condorcet claim at a leaf
-        mutants.append(replace(tree, leaves=tuple(
-            replace(l, condorcet=0) if l.node == "P2" else l
+        mutants.append(tree.replace(leaves=tuple(
+            l.replace(condorcet=0) if l.node == "P2" else l
             for l in tree.leaves)))
         # a leaf dropped entirely
-        mutants.append(replace(tree, leaves=tree.leaves[1:]))
+        mutants.append(tree.replace(leaves=tree.leaves[1:]))
         # an edge reversing the wrong order (destination kept stale)
         abcd = Alternatives(default_labels(4))
         wrong = parse_order("a>b>c>d", abcd)
-        edges = tuple(replace(e, reversals=((3, wrong),))
+        edges = tuple(e.replace(reversals=((3, wrong),))
                       if (e.src, e.dst) == ("P4", "P6") else e
                       for e in tree.edges)
-        mutants.append(replace(tree, edges=edges))
+        mutants.append(tree.replace(edges=edges))
 
         cases = [(tree, True)] + [(mutant, False) for mutant in mutants]
         for i, (candidate, expect_sound) in enumerate(cases):
@@ -438,8 +437,8 @@ class TestProofNeighborhood:
             if all(edge.carried == own[edge.src, edge.dst] for edge in mutant.edges):
                 assert unsat == sound
             else:
-                restored = replace(mutant, edges=tuple(
-                    replace(edge, carried=own[edge.src, edge.dst]) for edge in mutant.edges))
+                restored = mutant.replace(edges=tuple(
+                    edge.replace(carried=own[edge.src, edge.dst]) for edge in mutant.edges))
                 assert satgen.encode_proof_neighborhood(restored).formula == formula
             verdicts[sound, unsat] += 1
         # the mutants reach both verdicts of the formula and of the checker

@@ -1,5 +1,6 @@
 """The package and its tools import nothing outside the standard library,
-and no package module imports a private name from another."""
+no package module imports a private name from another, and none imports
+``dataclasses``."""
 
 import ast
 import sys
@@ -46,3 +47,16 @@ def test_no_private_names_imported_across_modules(path):
                      and (node.level or (node.module or "").startswith("prefrev"))
                      for alias in node.names if alias.name.startswith("_"))
     assert not private, f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda path: str(path.relative_to(REPO_ROOT)))
+def test_no_package_module_imports_dataclasses(path):
+    """Importing ``dataclasses`` pulls in ``inspect`` and its dependencies,
+    a start-up cost every CLI run would pay; records are plain classes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and not node.level]
+    assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
