@@ -30,16 +30,18 @@ from .errors import (
 
 MAX_ENUMERABLE_M = 8
 
-_set = object.__setattr__  # how a record's __init__ sets its fields
+# how a record's __init__ sets its fields; bound once, since orders and
+# profiles are built in the scan and proof loops
+_set = object.__setattr__
 
 
 class Record:
     """Base of prefrev's immutable records.
 
-    A record names its fields in ``__slots__``, takes them under those
-    names as the parameters of its ``__init__`` and sets each once there
-    with ``object.__setattr__``; afterwards assigning or deleting a field
-    raises AttributeError.  Records of one class with equal fields are
+    A record names its fields in ``__slots__``, takes them in that order and
+    under those names as the parameters of its ``__init__`` and sets each
+    once there with ``object.__setattr__``; afterwards assigning or
+    deleting a field raises AttributeError.  Records of one class with equal fields are
     equal and hash alike (a record with an unhashable field is unhashable),
     and pickle and copy go through ``__init__``.
     """
@@ -125,6 +127,8 @@ class LinearOrder(Record):
             raise PrefRevError(f"not a permutation of 0..{m - 1}: {ranking}")
         _set(self, "ranking", ranking)
 
+    # the base's comparison and hash, specialised to the one field: orders
+    # and profiles are compared and hashed in the scan and proof loops
     def __eq__(self, other):
         if other.__class__ is not LinearOrder:
             return NotImplemented
