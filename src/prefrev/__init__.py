@@ -1,8 +1,9 @@
 """Voting rules, reversal-paradox checkers, proof verification, CNF pipeline.
 
 The public surface mirrors the module layout: ``prefs`` for orders and
-profiles, ``tally`` for majority margins, ``keyspace`` for the margin
-matrices realizable by n voters, ``rules`` for the rule suite,
+profiles, ``keyspace`` for integer margin keys (where votes become
+margins) and the margin matrices realizable by n voters, ``tally`` for
+majority margins and Condorcet winners, ``rules`` for the rule suite,
 ``monotonicity`` for the paradox checkers, ``proofcheck`` for the
 machine-checked impossibility trees, ``satgen`` for the CNF pipeline,
 ``cli`` for the command line.  Import those submodules directly: the

@@ -41,7 +41,7 @@ from .prefs import (
     write_profile,
 )
 from .rules import TieBreak, read_rule_table
-from .tally import condorcet_winner, margin_matrix
+from .tally import margin_matrix, rows_condorcet_winner
 
 SOLVER_ENV = "PREFREV_SOLVER"
 
@@ -213,7 +213,7 @@ def cmd_analyze(args) -> int:
         "record": "profile", "n": profile.n, "m": profile.m,
         "labels": ",".join(alternatives.labels),
     }]
-    winner = condorcet_winner(margins)
+    winner = rows_condorcet_winner(margins.rows)
     winner_label = alternatives.label_of(winner) if winner is not None else "none"
     records.append({"_text": f"condorcet-winner: {winner_label}",
                     "record": "condorcet-winner", "winner": winner_label})

@@ -21,6 +21,12 @@ The c2 encoder and decoder (:mod:`prefrev.satgen`), the margin pass of the
 scan kernel (:mod:`prefrev.monotonicity`) and the key-level re-check of c2
 tables all take their keys from :func:`margin_levels`; c2 tables and the c2
 variable map hold these integers too.  Only files hold :func:`key_text`.
+
+This module is the bottom layer of the margin arithmetic: the layers go
+``prefs`` -> ``keyspace`` -> ``tally`` -> ``rules``, and it imports only
+``prefs`` (and the exceptions).  Votes become margins only here, in
+:func:`profile_key` and :func:`digits_key`; every margin matrix, Condorcet
+verdict and rule of the margins is read off such a key.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExceeded
-from .tally import comparison_matrices
+from .prefs import Profile, enumerate_orders, order_index
 
 Level = set[int]
 
@@ -47,9 +53,11 @@ def _entries(m: int) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def vote_keys(m: int) -> tuple[int, ...]:
-    """The key change of a single vote, by canonical order index."""
-    return tuple(sum(rows[a][b] << shift for a, b, shift in _entries(m))
-                 for rows in comparison_matrices(m))
+    """The key change of a single vote, by canonical order index: entry
+    (a, b) is +1 if the order ranks a above b and -1 if below."""
+    units = [(a, b, 1 << shift) for a, b, shift in _entries(m)]
+    return tuple(sum(unit if pos[a] < pos[b] else -unit for a, b, unit in units)
+                 for pos in (order.positions() for order in enumerate_orders(m)))
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +69,11 @@ def empty_key(m: int) -> int:
 def digits_key(m: int, digits) -> int:
     """The key of the votes with these canonical order indices."""
     return empty_key(m) + sum(map(vote_keys(m).__getitem__, digits))
+
+
+def profile_key(profile: Profile) -> int:
+    """The key of a profile's margins."""
+    return digits_key(profile.m, map(order_index, profile.votes))
 
 
 def key_rows(key: int, m: int) -> tuple[tuple[int, ...], ...]:

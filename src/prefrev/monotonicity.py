@@ -130,7 +130,7 @@ from .prefs import (
     reverse_index_table,
 )
 from .rules import Rule, SetRule
-from .tally import rows_condorcet_winner
+from .tally import key_condorcet_winner
 from . import keyspace
 
 # either one rule valid at every electorate size, or a mapping size -> rule
@@ -385,7 +385,7 @@ def _condorcet_domain(m: int):
     def in_domain(key) -> bool:
         ok = winners.get(key)
         if ok is None:
-            ok = winners[key] = rows_condorcet_winner(keyspace.key_rows(key, m)) is not None
+            ok = winners[key] = key_condorcet_winner(key, m) is not None
         return ok
 
     return in_domain

@@ -1,10 +1,13 @@
 """The voting-rule suite: scoring rules, Condorcet extensions, set-valued rules.
 
-Every resolute rule takes a profile plus a :class:`TieBreak` and returns a
-single alternative id; set-valued rules return frozensets.  All rules here
-are pure functions of the profile, so they can back the paradox checkers
-directly.  :class:`RuleTable` wraps an explicit lookup table (e.g. decoded
-from a SAT model) behind the same callable interface.
+The top layer of the margin arithmetic (``prefs`` -> ``keyspace`` ->
+``tally`` -> ``rules``).  A rule is obtained by name from
+:func:`resolute_rule` or :func:`set_rule`: a resolute rule takes a profile
+and returns a single alternative id, ties settled by a :class:`TieBreak`;
+a set-valued rule returns a frozenset.  All rules here are pure functions
+of the profile, so they can back the paradox checkers directly.
+:class:`RuleTable` wraps an explicit lookup table (e.g. decoded from a SAT
+model) behind the same callable interface.
 
 Rule callables declare what their outcome depends on in a ``depends_on``
 attribute: ``"margins"`` (only the margin matrix), ``"multiset"`` (the
@@ -15,7 +18,9 @@ also provides ``on_key(key, n, m)``, its outcome at an integer margin key
 (:mod:`prefrev.keyspace`) of n voters over m alternatives; the scan kernel
 evaluates it only there, and takes a "margins" rule without ``on_key`` for
 a "multiset" one.  Registry rules of the margins are :class:`MarginsRule`
-objects, and a c2 :class:`RuleTable` answers ``on_key`` from its entries.
+objects, written once on margin rows and evaluated only at a key (a
+profile's through :func:`prefrev.keyspace.profile_key`), and a c2
+:class:`RuleTable` answers ``on_key`` from its entries.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .prefs import (
     enumerate_orders,
     iter_profiles,
     num_profiles,
-    order_index,
     profile_to_index,
 )
 from .tally import Rows, margin_matrix, rows_condorcet_winner
@@ -124,18 +128,18 @@ def plurality_winner(profile: Profile, tie_break: TieBreak) -> int:
 # --- rules of the margins alone -----------------------------------------------
 # Fishburn's C2 class ("Condorcet social choice functions", SIAM J. Appl.
 # Math. 1977).  Each rule is written once on margin rows, ``rows[a][b]`` the
-# margin of a over b as a tuple of tuples; its Profile form counts the
-# margins and calls it, and :class:`MarginsRule` also evaluates it on an
-# integer margin key.  Restricted to a set A of alternatives, a's Borda score
-# is (n (|A| - 1) + the sum of rows[a][b] over b in A) / 2, so Borda and the
-# Borda eliminations rank by row sums over A.
+# margin of a over b as a tuple of tuples, and :class:`MarginsRule`
+# evaluates it on an integer margin key, a profile's included.  Restricted
+# to a set A of alternatives, a's Borda score is (n (|A| - 1) + the sum of
+# rows[a][b] over b in A) / 2, so Borda and the Borda eliminations rank by
+# row sums over A.
 
 
 class MarginsRule:
     """A rule of the margin matrix alone: ``impl(rows, *args)`` on margin
-    rows.  Called on a profile it counts the margins first; :meth:`on_key`
-    evaluates it on an integer margin key (:mod:`prefrev.keyspace`), which
-    is how the scan kernel calls it."""
+    rows.  :meth:`on_key` evaluates it on an integer margin key
+    (:mod:`prefrev.keyspace`), which is how the scan kernel calls it; called
+    on a profile it takes the profile's key and does the same."""
 
     depends_on = "margins"
     __slots__ = ("impl", "args")
@@ -144,7 +148,7 @@ class MarginsRule:
         self.impl, self.args = impl, args
 
     def __call__(self, profile: Profile):
-        return self.impl(margin_matrix(profile).rows, *self.args)
+        return self.on_key(keyspace.profile_key(profile), profile.n, profile.m)
 
     def on_key(self, key: int, n: int, m: int):
         """The outcome at margin key ``key`` of n voters over m
@@ -156,18 +160,10 @@ def borda_rows(rows: Rows, tie_break: TieBreak) -> int:
     return tie_break.best(_argmax_set(list(map(sum, rows))))
 
 
-def borda_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return borda_rows(margin_matrix(profile).rows, tie_break)
-
-
 def black_rows(rows: Rows, tie_break: TieBreak) -> int:
     """Condorcet winner if one exists, Borda winner otherwise."""
     winner = rows_condorcet_winner(rows)
     return borda_rows(rows, tie_break) if winner is None else winner
-
-
-def black_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return black_rows(margin_matrix(profile).rows, tie_break)
 
 
 def maximin_row_scores(rows: Rows) -> list[int]:
@@ -175,16 +171,8 @@ def maximin_row_scores(rows: Rows) -> list[int]:
     return [min(row[:a] + row[a + 1:], default=0) for a, row in enumerate(rows)]
 
 
-def maximin_scores(profile: Profile) -> list[int]:
-    return maximin_row_scores(margin_matrix(profile).rows)
-
-
 def maximin_rows(rows: Rows, tie_break: TieBreak) -> int:
     return tie_break.best(_argmax_set(maximin_row_scores(rows)))
-
-
-def maximin_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return maximin_rows(margin_matrix(profile).rows, tie_break)
 
 
 # --- set-valued rules over the strict majority relation ---------------------
@@ -284,10 +272,6 @@ def kemeny_rows(rows: Rows, tie_break: TieBreak) -> int:
     return chosen.top
 
 
-def kemeny_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return kemeny_rows(margin_matrix(profile).rows, tie_break)
-
-
 # --- elimination rules --------------------------------------------------------
 
 
@@ -306,10 +290,6 @@ def baldwin_rows(rows: Rows, tie_break: TieBreak) -> int:
     return active[0]
 
 
-def baldwin_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return baldwin_rows(margin_matrix(profile).rows, tie_break)
-
-
 def nanson_rows(rows: Rows, tie_break: TieBreak) -> int:
     """Repeatedly eliminate everything strictly below the average Borda
     score.  Over the active set the row sums add up to zero, so that is
@@ -321,10 +301,6 @@ def nanson_rows(rows: Rows, tie_break: TieBreak) -> int:
             break
         active = kept
     return tie_break.best(active)
-
-
-def nanson_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return nanson_rows(margin_matrix(profile).rows, tie_break)
 
 
 # --- Dodgson ------------------------------------------------------------------
@@ -425,10 +401,6 @@ def schulze_rows(rows: Rows, tie_break: TieBreak) -> int:
     return tie_break.best([a for a in range(m) if all(map(ge, p[a], columns[a]))])
 
 
-def schulze_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return schulze_rows(margin_matrix(profile).rows, tie_break)
-
-
 def ranked_pairs_rows(rows: Rows, tie_break: TieBreak) -> int:
     """Lock majority pairs by descending margin, skipping cycles.
 
@@ -462,10 +434,6 @@ def ranked_pairs_rows(rows: Rows, tie_break: TieBreak) -> int:
     return tie_break.best([a for a in range(m) if a not in has_in])
 
 
-def ranked_pairs_winner(profile: Profile, tie_break: TieBreak) -> int:
-    return ranked_pairs_rows(margin_matrix(profile).rows, tie_break)
-
-
 # --- explicit lookup tables -------------------------------------------------------
 
 
@@ -493,8 +461,7 @@ class RuleTable(Record):
 
     def lookup(self, profile: Profile) -> int:
         if self.mode == "c2":
-            key = keyspace.digits_key(profile.m, map(order_index, profile.votes))
-            return self.on_key(key, profile.n, profile.m)
+            return self.on_key(keyspace.profile_key(profile), profile.n, profile.m)
         self._check_size(profile.n, profile.m)
         return self.chosen[profile_to_index(profile)]
 

@@ -163,7 +163,7 @@ def _profile_key_space(n: int, m: int):
         edges = [(d, key + (rev[d] - d) * place) for d, place in zip(digits, places)]
         margins = keyspace.digits_key(m, digits)
         if margins not in winners:
-            winners[margins] = _key_winner(margins, m)
+            winners[margins] = tally.key_condorcet_winner(margins, m)
         yield key, winners[margins], edges
 
 
@@ -190,12 +190,7 @@ def _c2_key_space(varmap: VariableMap, witness_orders: dict[int, set[int]]):
         # reversing a witness voter lands on a realizable key again
         edges = [(order_ix, rank[key + votes[rev[order_ix]] - votes[order_ix]])
                  for order_ix in sorted(witness_orders[key])]
-        yield key_rank, _key_winner(key, m), edges
-
-
-def _key_winner(key: int, m: int) -> int | None:
-    """The Condorcet winner of a margin key, if any."""
-    return tally.rows_condorcet_winner(keyspace.key_rows(key, m))
+        yield key_rank, tally.key_condorcet_winner(key, m), edges
 
 
 def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
@@ -458,7 +453,7 @@ def _condorcet_keys_hold(table: RuleTable) -> bool:
     except BudgetExceeded:
         return False  # some key has no entry
     for key in level:
-        winner = _key_winner(key, table.m)
+        winner = tally.key_condorcet_winner(key, table.m)
         if winner is not None and table.chosen.get(key) != winner:
             return False
     return True
@@ -474,7 +469,7 @@ def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
     # failing index; it is read by margin key, a profile table by index
     for index, digits in iter_digits(n, m, anonymous=c2):
         key = keyspace.digits_key(m, digits)
-        winner = _key_winner(key, m)
+        winner = tally.key_condorcet_winner(key, m)
         if winner is not None and (chosen := table.on_key(key, n, m) if c2
                                    else table.chosen[index]) != winner:
             return index, winner, chosen

@@ -1,12 +1,17 @@
-"""Pairwise majority arithmetic: margin matrices and Condorcet winners."""
+"""Pairwise majority arithmetic: margin matrices and Condorcet winners.
+
+Layered on :mod:`prefrev.keyspace` (``prefs`` -> ``keyspace`` -> ``tally``
+-> ``rules``): a profile's margins are counted once, into its integer
+margin key, and the matrix and the Condorcet test are read off that key.
+"""
 
 from __future__ import annotations
 
 import io
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .prefs import Alternatives, Profile, Record, enumerate_orders, order_index
+from .prefs import Alternatives, Profile, Record
+from . import keyspace
 
 Rows = Sequence[Sequence[int]]
 
@@ -14,7 +19,7 @@ Rows = Sequence[Sequence[int]]
 class MarginMatrix(Record):
     """Skew-symmetric matrix of pairwise majority margins.
 
-    ``margin(a, b)`` is the number of voters ranking a above b minus the
+    ``rows[a][b]`` is the number of voters ranking a above b minus the
     number ranking b above a; every entry has the parity of n.
     """
 
@@ -25,9 +30,6 @@ class MarginMatrix(Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
-    def margin(self, a: int, b: int) -> int:
-        return self.rows[a][b]
-
     def to_csv(self, alternatives: Alternatives) -> str:
         out = io.StringIO()
         out.write("," + ",".join(alternatives.labels) + "\n")
@@ -37,36 +39,9 @@ class MarginMatrix(Record):
         return out.getvalue()
 
 
-@lru_cache(maxsize=None)
-def comparison_matrices(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The margins of a single vote, by canonical order index: entry (a, b)
-    is +1 if the order ranks a above b, -1 below, 0 on the diagonal."""
-    matrices = []
-    for order in enumerate_orders(m):
-        pos = order.positions()
-        matrices.append(tuple(
-            tuple(0 if a == b else (1 if pos[a] < pos[b] else -1) for b in range(m))
-            for a in range(m)))
-    return tuple(matrices)
-
-
-def margin_rows(m: int, order_ixs: Iterable[int]) -> list[list[int]]:
-    """Margin rows of the votes with these canonical order indices."""
-    matrices = comparison_matrices(m)
-    totals = [[0] * m for _ in range(m)]
-    for order_ix in order_ixs:
-        cmp = matrices[order_ix]
-        for a in range(m):
-            row = cmp[a]
-            trow = totals[a]
-            for b in range(m):
-                trow[b] += row[b]
-    return totals
-
-
 def margin_matrix(profile: Profile) -> MarginMatrix:
-    totals = margin_rows(profile.m, [order_index(vote) for vote in profile.votes])
-    return MarginMatrix(m=profile.m, n=profile.n, rows=tuple(tuple(r) for r in totals))
+    return MarginMatrix(profile.m, profile.n,
+                        keyspace.key_rows(keyspace.profile_key(profile), profile.m))
 
 
 def rows_condorcet_winner(rows: Rows) -> int | None:
@@ -78,12 +53,15 @@ def rows_condorcet_winner(rows: Rows) -> int | None:
     return None
 
 
-def condorcet_winner(profile_or_margins: Profile | MarginMatrix) -> int | None:
+def key_condorcet_winner(key: int, m: int) -> int | None:
+    """The Condorcet winner of a margin key of m alternatives, if any."""
+    return rows_condorcet_winner(keyspace.key_rows(key, m))
+
+
+def condorcet_winner(profile: Profile) -> int | None:
     """The alternative beating every other by a strict majority, if any.
 
     On even electorates strict positivity means a margin of at least 2,
     by parity.
     """
-    margins = (profile_or_margins if isinstance(profile_or_margins, MarginMatrix)
-               else margin_matrix(profile_or_margins))
-    return rows_condorcet_winner(margins.rows)
+    return key_condorcet_winner(keyspace.profile_key(profile), profile.m)

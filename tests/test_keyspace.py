@@ -1,15 +1,25 @@
 import pytest
 
 from prefrev import errors, keyspace
-from prefrev.prefs import iter_digits, iter_profiles, order_index
-from prefrev.tally import margin_matrix, margin_rows
+from prefrev.prefs import enumerate_orders, iter_digits, iter_profiles, order_index
+
+
+def recount(votes, m: int) -> tuple[tuple[int, ...], ...]:
+    """Margin rows recounted pair by pair with ``LinearOrder.prefers``."""
+    return tuple(tuple(sum(v.prefers(a, b) for v in votes)
+                       - sum(v.prefers(b, a) for v in votes) for b in range(m))
+                 for a in range(m))
+
+
+def digit_votes(m: int, digits) -> list:
+    return [enumerate_orders(m)[d] for d in digits]
 
 
 def brute_force_keys(n: int, m: int) -> dict[tuple, set[int]]:
     """Every margin matrix of n voters with the orders its realizations use."""
     keys: dict[tuple, set[int]] = {}
     for profile in iter_profiles(n, m):
-        keys.setdefault(margin_matrix(profile).rows, set()).update(
+        keys.setdefault(recount(profile.votes, m), set()).update(
             order_index(v) for v in profile.votes)
     return keys
 
@@ -48,8 +58,23 @@ def test_keys_add_like_margins():
     for digits in [(0,), (5, 17, 23), (23, 23, 0, 11)]:
         key = keyspace.digits_key(m, digits)
         for order_ix, vote in enumerate(keyspace.vote_keys(m)):
-            rows = margin_rows(m, digits + (order_ix,))
-            assert keyspace.key_rows(key + vote, m) == tuple(map(tuple, rows))
+            rows = recount(digit_votes(m, digits + (order_ix,)), m)
+            assert keyspace.key_rows(key + vote, m) == rows
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_vote_keys_are_each_orders_comparisons(m):
+    for order, vote in zip(enumerate_orders(m), keyspace.vote_keys(m), strict=True):
+        pos = order.positions()
+        assert keyspace.key_rows(keyspace.empty_key(m) + vote, m) == tuple(
+            tuple((pos[a] < pos[b]) - (pos[b] < pos[a]) for b in range(m))
+            for a in range(m))
+
+
+def test_profile_key_is_the_key_of_its_votes():
+    for profile in iter_profiles(3, 3):
+        assert keyspace.key_rows(keyspace.profile_key(profile), 3) == \
+            recount(profile.votes, 3)
 
 
 def test_budget_caps_every_level():
@@ -68,7 +93,7 @@ def test_key_text_round_trips(n, m):
 @pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
 def test_key_text_is_the_row_major_margins(n, m):
     for _, digits in iter_digits(n, m):
-        text = "_".join(str(x) for row in margin_rows(m, digits) for x in row)
+        text = "_".join(str(x) for row in recount(digit_votes(m, digits), m) for x in row)
         assert keyspace.key_text(keyspace.digits_key(m, digits), m) == text
 
 

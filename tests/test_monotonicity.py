@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from prefrev import errors, keyspace, monotonicity, rules, tally
+from prefrev import errors, keyspace, monotonicity
 from prefrev.cli import _Singleton
 from prefrev.monotonicity import (
     ManipulationWitness,
@@ -46,11 +46,6 @@ from prefrev.rules import (
 from prefrev.tally import condorcet_winner
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-
-
-def profile_key(profile: Profile) -> int:
-    """The integer margin key of a profile."""
-    return keyspace.digits_key(profile.m, map(order_index, profile.votes))
 
 
 def key_seed(seed: str, key: int, m: int) -> str:
@@ -686,7 +681,7 @@ class MarginRandomRule:
         self.seed, self.m, self.sets = seed, m, sets
 
     def __call__(self, profile: Profile):
-        return self.on_key(profile_key(profile), profile.n, profile.m)
+        return self.on_key(keyspace.profile_key(profile), profile.n, profile.m)
 
     def on_key(self, key: int, n: int, m: int):
         rng = random.Random(key_seed(self.seed, key, m))
@@ -714,7 +709,7 @@ class KeyCountingRule:
         self.rule, self.calls = rule, {}
 
     def __call__(self, profile: Profile):
-        key = profile_key(profile)
+        key = keyspace.profile_key(profile)
         self.calls[key] = self.calls.get(key, 0) + 1
         return self.rule(profile)
 
@@ -854,8 +849,8 @@ class TestMarginPassCallCounts:
         assert witness is not None
         assert witness == check_hwm_pessimistic(as_multiset(set_rule("top-cycle")), 4, 4)
         # revalidation asks the rule again about the witness's two profiles
-        revalidated = {profile_key(witness.profile),
-                       profile_key(witness.profile.reverse_vote(witness.voter))}
+        revalidated = {keyspace.profile_key(witness.profile),
+                       keyspace.profile_key(witness.profile.reverse_vote(witness.voter))}
         assert all(count == 1 + (key in revalidated)
                    for key, count in rule.calls.items())
 
@@ -873,7 +868,7 @@ class EmptyOnSomeKeys:
         self.seed, self.share = seed, share
 
     def __call__(self, profile: Profile) -> frozenset[int]:
-        return self.on_key(profile_key(profile), profile.n, profile.m)
+        return self.on_key(keyspace.profile_key(profile), profile.n, profile.m)
 
     def on_key(self, key: int, n: int, m: int) -> frozenset[int]:
         rng = random.Random(key_seed(self.seed, key, m))
@@ -923,8 +918,8 @@ class TestSampledKeyMemo:
         witness = check_halfway_monotonicity(declared, n, m, sample=sample, seed=seed)
         assert witness is not None
         # revalidation asks the rule again about the witness's two profiles
-        revalidated = {profile_key(witness.profile),
-                       profile_key(witness.profile.reverse_vote(witness.voter))}
+        revalidated = {keyspace.profile_key(witness.profile),
+                       keyspace.profile_key(witness.profile.reverse_vote(witness.voter))}
         assert all(count == 1 + (key in revalidated)
                    for key, count in declared.calls.items())
 
@@ -939,14 +934,13 @@ class TestSampledKeyMemo:
         # the kernel evaluates a "margins" rule on the margin key: no profile
         # has its margins counted but the witness's two, on revalidation
         counted = []
-        count_margins = tally.margin_matrix
+        count_margins = keyspace.profile_key
 
         def counting(profile):
             counted.append(profile)
             return count_margins(profile)
 
-        monkeypatch.setattr(tally, "margin_matrix", counting)
-        monkeypatch.setattr(rules, "margin_matrix", counting)
+        monkeypatch.setattr(keyspace, "profile_key", counting)
         n, m = 6, 4
         witness = check_halfway_monotonicity(resolute_rule("maximin", m), n, m,
                                              sample=4000, seed=5)

@@ -12,33 +12,25 @@ from prefrev.prefs import (
     Profile,
     enumerate_orders,
     iter_profiles,
-    order_index,
     parse_order,
 )
 from prefrev.proofcheck import build_perez_profile
 from prefrev.rules import (
     RESOLUTE_RULES,
     SET_RULES,
+    MarginsRule,
     RuleTable,
     TieBreak,
-    baldwin_winner,
-    black_winner,
     borda_vector,
-    borda_winner,
     copeland_set,
     dodgson_scores,
     dodgson_winner,
     kemeny_rankings,
-    kemeny_winner,
-    maximin_scores,
-    maximin_winner,
-    nanson_winner,
+    maximin_row_scores,
     plurality_vector,
     plurality_winner,
-    ranked_pairs_winner,
     read_rule_table,
     resolute_rule,
-    schulze_winner,
     scoring_winner,
     set_rule,
     tabulate_rule,
@@ -58,11 +50,6 @@ def profile_from(texts, alternatives):
     return Profile(tuple(parse_order(t, alternatives) for t in texts))
 
 
-def profile_key(profile):
-    """The integer margin key of a profile, as c2 tables are keyed."""
-    return keyspace.digits_key(profile.m, map(order_index, profile.votes))
-
-
 @pytest.fixture(scope="module")
 def perez():
     return build_perez_profile()
@@ -78,15 +65,15 @@ class TestPerezSuite:
 
     def test_borda_and_black(self, perez, tb5):
         profile, alts = perez
-        assert alts.label_of(borda_winner(profile, tb5)) == "y"
-        assert alts.label_of(black_winner(profile, tb5)) == "y"
+        assert alts.label_of(resolute_rule("borda", 5, tb5)(profile)) == "y"
+        assert alts.label_of(resolute_rule("black", 5, tb5)(profile)) == "y"
 
     def test_maximin_strictly_unique(self, perez, tb5):
         profile, alts = perez
-        scores = maximin_scores(profile)
+        scores = maximin_row_scores(margin_matrix(profile).rows)
         t = alts.id_of("t")
         assert all(scores[t] > scores[a] for a in range(5) if a != t)
-        assert maximin_winner(profile, tb5) == t
+        assert resolute_rule("maximin", 5, tb5)(profile) == t
 
     def test_kemeny_unique_ranking(self, perez, tb5):
         profile, alts = perez
@@ -94,12 +81,12 @@ class TestPerezSuite:
         assert len(rankings) == 1
         assert [alts.label_of(a) for a in rankings[0].ranking] == \
             ["z", "y", "x", "t", "u"]
-        assert alts.label_of(kemeny_winner(profile, tb5)) == "z"
+        assert alts.label_of(resolute_rule("kemeny", 5, tb5)(profile)) == "z"
 
     def test_baldwin_and_nanson(self, perez, tb5):
         profile, alts = perez
-        assert alts.label_of(baldwin_winner(profile, tb5)) == "z"
-        assert alts.label_of(nanson_winner(profile, tb5)) == "z"
+        assert alts.label_of(resolute_rule("baldwin", 5, tb5)(profile)) == "z"
+        assert alts.label_of(resolute_rule("nanson", 5, tb5)(profile)) == "z"
 
     def test_dodgson_winner_and_t_score(self, perez, tb5):
         profile, alts = perez
@@ -112,9 +99,9 @@ class TestPerezSuite:
         y, z = alts.id_of("y"), alts.id_of("z")
         margins = margin_matrix(profile)
         # y trails only z; each adjacent swap moves that tally by at most 1
-        deficit = (1 - margins.margin(y, z) + 1) // 2
+        deficit = (1 - margins.rows[y][z] + 1) // 2
         assert deficit == 8
-        assert all(margins.margin(y, a) > 0 for a in range(5) if a not in (y, z))
+        assert all(margins.rows[y][a] > 0 for a in range(5) if a not in (y, z))
         # 8 voters rank z immediately above y; swapping them suffices
         swapped = 0
         votes = list(profile.votes)
@@ -131,8 +118,8 @@ class TestPerezSuite:
 
     def test_schulze_and_ranked_pairs(self, perez, tb5):
         profile, alts = perez
-        assert alts.label_of(schulze_winner(profile, tb5)) == "t"
-        assert alts.label_of(ranked_pairs_winner(profile, tb5)) == "t"
+        assert alts.label_of(resolute_rule("schulze", 5, tb5)(profile)) == "t"
+        assert alts.label_of(resolute_rule("ranked-pairs", 5, tb5)(profile)) == "t"
 
     def test_uncovered_set(self, perez):
         profile, alts = perez
@@ -146,7 +133,7 @@ class TestScoringRules:
 
     def test_borda_single_voter(self):
         profile = profile_from(["c>a>d>b"], ABCD)
-        assert borda_winner(profile, TieBreak.lexicographic(4)) == 2
+        assert resolute_rule("borda", 4, TieBreak.lexicographic(4))(profile) == 2
 
     def test_score_vector_validation(self):
         with pytest.raises(errors.PrefRevError):
@@ -250,7 +237,7 @@ class TestSetRules:
             margins = margin_matrix(profile)
             for inside in cycle:
                 for outside in set(range(5)) - cycle:
-                    assert margins.margin(inside, outside) > 0
+                    assert margins.rows[inside][outside] > 0
 
 
 class TestKemeny:
@@ -273,7 +260,7 @@ class TestKemeny:
                 total = 0
                 for i, a in enumerate(ranking):
                     for b in ranking[i + 1:]:
-                        total += margins.margin(a, b)
+                        total += margins.rows[a][b]
                 return total
 
             best = kemeny_rankings(profile)
@@ -295,20 +282,20 @@ class TestEliminationRules:
         ab = Alternatives(("a", "b"))
         profile = profile_from(["b>a", "b>a", "a>b"], ab)
         tie = TieBreak.lexicographic(2)
-        assert baldwin_winner(profile, tie) == 1
-        assert nanson_winner(profile, tie) == 1
+        assert resolute_rule("baldwin", 2, tie)(profile) == 1
+        assert resolute_rule("nanson", 2, tie)(profile) == 1
 
     def test_nanson_all_tied_falls_back_to_tie_break(self):
         cycle = profile_from(["a>b>c", "b>c>a", "c>a>b"], ABC)
-        assert nanson_winner(cycle, TieBreak(parse_order("c>b>a", ABC))) == 2
-        assert nanson_winner(cycle, TieBreak.lexicographic(3)) == 0
+        assert resolute_rule("nanson", 3, TieBreak(parse_order("c>b>a", ABC)))(cycle) == 2
+        assert resolute_rule("nanson", 3, TieBreak.lexicographic(3))(cycle) == 0
 
     def test_baldwin_eliminates_tie_break_worst(self):
         # a,b,c tie at Borda 3; the priority-worst goes first, then the
         # remaining pair is settled by majority (b beats c, a beats b)
         cycle = profile_from(["a>b>c", "b>c>a", "c>a>b"], ABC)
-        assert baldwin_winner(cycle, TieBreak(parse_order("c>b>a", ABC))) == 1
-        assert baldwin_winner(cycle, TieBreak.lexicographic(3)) == 0
+        assert resolute_rule("baldwin", 3, TieBreak(parse_order("c>b>a", ABC)))(cycle) == 1
+        assert resolute_rule("baldwin", 3, TieBreak.lexicographic(3))(cycle) == 0
 
 
 class TestDodgson:
@@ -362,8 +349,8 @@ def bfs_swap_distances(profile: Profile, cap: int) -> dict[int, int | None]:
 class TestMaximin:
     def test_cycle_tie_break(self):
         cycle = profile_from(["a>b>c", "b>c>a", "c>a>b"], ABC)
-        assert maximin_winner(cycle, TieBreak.lexicographic(3)) == 0
-        assert maximin_winner(cycle, TieBreak(parse_order("b>a>c", ABC))) == 1
+        assert resolute_rule("maximin", 3, TieBreak.lexicographic(3))(cycle) == 0
+        assert resolute_rule("maximin", 3, TieBreak(parse_order("b>a>c", ABC)))(cycle) == 1
 
 
 class TestTwoAlternatives:
@@ -381,12 +368,13 @@ class TestBlack:
         rng = random.Random(13)
         orders = enumerate_orders(4)
         tie = TieBreak.lexicographic(4)
+        black, borda = resolute_rule("black", 4, tie), resolute_rule("borda", 4, tie)
         seen = 0
         while seen < 20:
             profile = Profile(tuple(rng.choice(orders) for _ in range(5)))
             if condorcet_winner(profile) is not None:
                 continue
-            assert black_winner(profile, tie) == borda_winner(profile, tie)
+            assert black(profile) == borda(profile)
             seen += 1
 
 
@@ -406,9 +394,9 @@ class TestRuleTable:
 
     def test_file_round_trip_c2_mode(self):
         chosen = {}
+        maximin = resolute_rule("maximin", 3, TieBreak.lexicographic(3))
         for profile in iter_profiles(2, 3):
-            chosen.setdefault(profile_key(profile),
-                              maximin_winner(profile, TieBreak.lexicographic(3)))
+            chosen.setdefault(keyspace.profile_key(profile), maximin(profile))
         table = RuleTable(2, 3, "c2", chosen)
         sink = io.StringIO()
         write_rule_table(table, sink)
@@ -418,7 +406,7 @@ class TestRuleTable:
     def test_c2_keying_ignores_voter_order(self):
         chosen = {}
         for profile in iter_profiles(2, 3):
-            chosen.setdefault(profile_key(profile), 0)
+            chosen.setdefault(keyspace.profile_key(profile), 0)
         table = RuleTable(2, 3, "c2", chosen)
         orders = enumerate_orders(3)
         p = Profile((orders[1], orders[4]))
@@ -564,18 +552,20 @@ class TestDependsOn:
         # these references count restricted Borda scores from the votes
         rng = random.Random(f"borda-family:{m}:{n}")
         tie = TieBreak(LinearOrder(tuple(rng.sample(range(m), m))))
+        rule = {name: resolute_rule(name, m, tie)
+                for name in ("borda", "black", "baldwin", "nanson")}
         for profile in iter_profiles(n, m):
             borda = scoring_winner(profile, borda_vector(m), tie)
-            assert borda_winner(profile, tie) == borda
+            assert rule["borda"](profile) == borda
             winner = condorcet_winner(profile)
-            assert black_winner(profile, tie) == (borda if winner is None else winner)
-            assert baldwin_winner(profile, tie) == vote_baldwin(profile, tie)
-            assert nanson_winner(profile, tie) == vote_nanson(profile, tie)
+            assert rule["black"](profile) == (borda if winner is None else winner)
+            assert rule["baldwin"](profile) == vote_baldwin(profile, tie)
+            assert rule["nanson"](profile) == vote_nanson(profile, tie)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
     def test_c2_table_declares_margins_and_holds(self, m, n):
         rng = random.Random(f"c2:{m}:{n}")
-        keys = sorted({profile_key(p) for p in iter_profiles(n, m)})
+        keys = sorted({keyspace.profile_key(p) for p in iter_profiles(n, m)})
         table = RuleTable(n, m, "c2", {key: rng.randrange(m) for key in keys})
         assert table.depends_on == "margins"
         assert_declaration_holds(table, n, m)
@@ -639,6 +629,24 @@ def keyed_cases(n: int, m: int, keys, rng: random.Random):
     return cases
 
 
+def recount(votes, m: int) -> tuple[tuple[int, ...], ...]:
+    """Margin rows recounted pair by pair with ``LinearOrder.prefers``."""
+    return tuple(tuple(sum(v.prefers(a, b) for v in votes)
+                       - sum(v.prefers(b, a) for v in votes) for b in range(m))
+                 for a in range(m))
+
+
+def profile_form(rule, profile: Profile, rows):
+    """A rule's outcome on a profile apart from its key entry point: a
+    :class:`MarginsRule`, lifted or not, runs its implementation on the
+    recounted margin rows; any other rule is called on the profile."""
+    if isinstance(rule, _Singleton) and isinstance(rule.rule, MarginsRule):
+        return frozenset((profile_form(rule.rule, profile, rows),))
+    if isinstance(rule, MarginsRule):
+        return rule.impl(rows, *rule.args)
+    return rule(profile)
+
+
 class TestKeyEntryPoint:
     @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (3, 5), (4, 6)])
     def test_entry_point_equals_the_profile_form(self, m, n):
@@ -653,8 +661,9 @@ class TestKeyEntryPoint:
         seen = set()
         for key, digits in realizations.items():
             profile = Profile(tuple(orders[d] for d in digits))
+            rows = recount(profile.votes, m)
             for name, rule in cases:
-                expected = outcome_or_error(rule, profile)
+                expected = outcome_or_error(profile_form, rule, profile, rows)
                 assert outcome_or_error(rule.on_key, key, n, m) == expected, (name, digits)
                 seen.add((name, expected[0]))
         # the Condorcet rule and the holed table raise on some keys

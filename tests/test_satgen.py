@@ -25,11 +25,6 @@ from prefrev.tally import condorcet_winner, margin_matrix, rows_condorcet_winner
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def profile_key(profile):
-    """The integer margin key of a profile, as c2 tables are keyed."""
-    return keyspace.digits_key(profile.m, map(order_index, profile.votes))
-
-
 @pytest.fixture(scope="module")
 def dpll():
     """The bundled solver, loaded in process."""
@@ -232,7 +227,7 @@ class KeyCountingTable:
 
     def __call__(self, profile):
         self.profile_calls += 1
-        self.calls.append(profile_key(profile))
+        self.calls.append(keyspace.profile_key(profile))
         return self.table(profile)
 
     def on_key(self, key, n, m):
@@ -283,14 +278,14 @@ class TestFullPipeline:
         rule = resolute_rule("maximin", 3)
         chosen = {}
         for profile in iter_profiles(3, 3):
-            chosen.setdefault(profile_key(profile), rule(profile))
+            chosen.setdefault(keyspace.profile_key(profile), rule(profile))
         table = RuleTable(3, 3, "c2", chosen)
         keys = sorted(key for key in chosen if rows_condorcet_winner(
             keyspace.key_rows(key, 3)) is not None)
         key = random.Random(seed).choice(keys)
         corrupted = table.replace_entry(key, (chosen[key] + 1) % 3)
         first = next(k for k, profile in enumerate(iter_profiles(3, 3))
-                     if profile_key(profile) == key)
+                     if keyspace.profile_key(profile) == key)
         report = satgen.verify_rule(corrupted)
         assert report.failures[0].text.startswith(f"profile {first}: ")
 
@@ -300,7 +295,7 @@ class TestFullPipeline:
         rule = resolute_rule("maximin", 3)
         chosen = {}
         for profile in iter_profiles(4, 3):
-            chosen.setdefault(profile_key(profile), rule(profile))
+            chosen.setdefault(keyspace.profile_key(profile), rule(profile))
         table = KeyCountingTable(RuleTable(4, 3, "c2", chosen))
         assert satgen.verify_rule(table).ok
         assert max(Counter(table.calls).values()) == 1
@@ -334,7 +329,7 @@ class TestFullPipeline:
                       if condorcet_winner(index_to_profile(k, 3, 3)) is not None)
         profile = index_to_profile(target, 3, 3)
         winner = condorcet_winner(profile)
-        corrupted = table.replace_entry(profile_key(profile),
+        corrupted = table.replace_entry(keyspace.profile_key(profile),
                                         (winner + 1) % 3)
         report = satgen.verify_rule(corrupted)
         assert not report.ok

@@ -1,6 +1,6 @@
 """The package and its tools import nothing outside the standard library,
-no package module imports a private name from another, and none imports
-``dataclasses``."""
+no package module imports a private name from another, none imports
+``dataclasses``, and the margin layers import only the layers below."""
 
 import ast
 import sys
@@ -60,3 +60,18 @@ def test_no_package_module_imports_dataclasses(path):
     modules += [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and not node.level]
     assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
+
+
+@pytest.mark.parametrize("module,below", [("keyspace", {"errors", "prefs"}),
+                                          ("tally", {"prefs", "keyspace"})])
+def test_margin_layers_import_only_the_layers_below(module, below):
+    """Votes become margins in ``keyspace`` and ``tally`` reads its keys:
+    ``prefs`` -> ``keyspace`` -> ``tally`` -> ``rules``."""
+    path = REPO_ROOT / "src" / "prefrev" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module
+                            else (alias.name for alias in node.names))
+    assert imported == below

@@ -10,14 +10,10 @@ from prefrev.prefs import (
     Profile,
     enumerate_orders,
     iter_profiles,
-    order_index,
     parse_order,
 )
-from prefrev.tally import (
-    comparison_matrices,
-    condorcet_winner,
-    margin_matrix,
-)
+from prefrev.proofcheck import build_even_tree, build_odd_tree
+from prefrev.tally import condorcet_winner, margin_matrix
 
 ABC = Alternatives(("a", "b", "c"))
 ABCD = Alternatives(("a", "b", "c", "d"))
@@ -46,7 +42,7 @@ class TestMarginMatrix:
     def test_unanimous(self):
         profile = profile_from(["a>b>c"] * 3, ABC)
         margins = margin_matrix(profile)
-        assert margins.margin(0, 1) == margins.margin(0, 2) == margins.margin(1, 2) == 3
+        assert margins.rows[0][1] == margins.rows[0][2] == margins.rows[1][2] == 3
 
     def test_perez_against_string_recount(self):
         alternatives = Alternatives(tuple(PEREZ_LABELS))
@@ -58,21 +54,21 @@ class TestMarginMatrix:
             for j, b in enumerate(PEREZ_LABELS):
                 if i != j:
                     expected = string_tally_margin(PEREZ_COLUMNS, PEREZ_LABELS, a, b)
-                    assert margins.margin(i, j) == expected
-                    assert margins.margin(i, j) % 2 == 1
-        assert margins.margin(PEREZ_LABELS.index("t"), PEREZ_LABELS.index("u")) > 0
+                    assert margins.rows[i][j] == expected
+                    assert margins.rows[i][j] % 2 == 1
+        assert margins.rows[PEREZ_LABELS.index("t")][PEREZ_LABELS.index("u")] > 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_invariants_exhaustive_m3(self, n):
         for profile in iter_profiles(n, 3):
             margins = margin_matrix(profile)
             for a in range(3):
-                assert margins.margin(a, a) == 0
+                assert margins.rows[a][a] == 0
                 for b in range(3):
-                    assert margins.margin(a, b) == -margins.margin(b, a)
-                    assert abs(margins.margin(a, b)) <= n
+                    assert margins.rows[a][b] == -margins.rows[b][a]
+                    assert abs(margins.rows[a][b]) <= n
                     if a != b:
-                        assert (margins.margin(a, b) - n) % 2 == 0
+                        assert (margins.rows[a][b] - n) % 2 == 0
 
     def test_reversal_changes_each_margin_by_two(self):
         rng = random.Random(11)
@@ -82,9 +78,10 @@ class TestMarginMatrix:
             voter = rng.randrange(5)
             before = margin_matrix(profile)
             after = margin_matrix(profile.reverse_vote(voter))
-            vote = comparison_matrices(4)[order_index(profile.votes[voter])]
+            vote = profile.votes[voter]
             assert after.rows == tuple(
-                tuple(before.rows[a][b] - 2 * vote[a][b] for b in range(4))
+                tuple(before.rows[a][b] - 2 * (vote.prefers(a, b) - vote.prefers(b, a))
+                      for b in range(4))
                 for a in range(4))
 
     def test_csv(self):
@@ -124,10 +121,6 @@ class TestCondorcetWinner:
     def test_odd_tree_root_has_none(self):
         assert condorcet_winner(profile_from_columns(ODD_P0_COLUMNS)) is None
 
-    def test_accepts_margin_matrix(self):
-        profile = profile_from(["a>b>c"] * 3, ABC)
-        assert condorcet_winner(margin_matrix(profile)) == 0
-
     def test_even_electorate_requires_strict_majority(self):
         tied = profile_from(["a>b>c", "b>a>c"], ABC)
         assert condorcet_winner(tied) is None
@@ -145,6 +138,15 @@ class TestCondorcetWinner:
                     continue
                 wins = sum(1 for v in profile.votes if v.prefers(winner, other))
                 assert wins > profile.n - wins
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("builder", [build_odd_tree, build_even_tree])
+    def test_proof_tree_profiles_against_prefers_recount(self, builder, m):
+        for profile in builder(m).profiles.values():
+            beats = [[sum(v.prefers(a, b) for v in profile.votes) * 2 > profile.n
+                      for b in range(m)] for a in range(m)]
+            expected = [a for a in range(m) if all(beats[a][b] for b in range(m) if b != a)]
+            assert condorcet_winner(profile) == (expected[0] if expected else None)
 
 
 class TestCondorcetDomain:
