@@ -516,7 +516,8 @@ def _sorted_profiles(scan: _Scan, lo: int, hi: int):
 
 
 def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
-                outcomes: tuple[_Outcomes, _Outcomes] | None = None) -> tuple | None:
+                outcomes: tuple[_Outcomes, _Outcomes] | None = None,
+                in_domain=None) -> tuple | None:
     """First violating unit in [lo, hi).
 
     Returns ``(unit, index, voter, order, before, after)``: the truthful
@@ -533,7 +534,8 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     one's; its digits are built only where a rule must be evaluated on a
     profile (or, on the quotient path, to key a memo by sorted digit
     tuple), never for a "margins" rule.
-    ``outcomes`` are the outcome memos to use (fresh ones by default).
+    ``outcomes`` are the outcome memos to use and ``in_domain`` the
+    Condorcet-domain test (fresh memos by default).
     """
     n, m = scan.n, scan.m
     fact = math.factorial(m)
@@ -551,7 +553,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     outcome, deviated = outcomes or _outcomes(scan)
     truthful_table, deviated_table = outcome.chosen, deviated.chosen
     keys = condorcet_only or outcome.keyed or deviated.keyed  # track margin keys
-    in_domain = _condorcet_domain(m)
+    in_domain = in_domain or _condorcet_domain(m)
 
     def deviate(digits, voter, target):
         """The deviated profile's digits, sorted on the quotient path."""
@@ -624,7 +626,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
 
 
 def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
-                 budget: int) -> bool:
+                 budget: int, in_domain=None) -> bool:
     """Whether the margin pass certifies the scan: False when its units do
     not fit in ``budget``, when some unit violates, or when a rule raises.
 
@@ -639,7 +641,8 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     if len(level) * per_key > budget:
         return False
     try:
-        return not _margin_violation(scan, outcome, deviated, level)
+        return not _margin_violation(scan, outcome, deviated, level,
+                                     in_domain or _condorcet_domain(scan.m))
     except Exception:
         # whatever the rule raised, the quotient path raises it again at
         # the same unit as before, unless a witness comes first
@@ -647,7 +650,7 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
 
 
 def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
-                      level: set[int]) -> bool:
+                      level: set[int], in_domain) -> bool:
     """Whether some unit (K, o), K a key of ``level`` (n-1 voters), violates."""
     m = scan.m
     votes = keyspace.vote_keys(m)
@@ -655,7 +658,6 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     rev = reverse_index_table(m)
     compare = _COMPARE[scan.compare]
     deviation = scan.deviation
-    in_domain = _condorcet_domain(m)
 
     for key in level:
         truthful = [key + vote for vote in votes]
@@ -688,10 +690,12 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
     rules are anonymous and otherwise on the ordered path, and raises
     :class:`BudgetExceeded` if that had to stop short without a witness.
     Sampled mode visits ``sample`` random blocks of ``scan.block_span``
-    units drawn from a seeded generator.
+    units drawn from a seeded generator.  Either way one Condorcet-domain
+    memo serves the whole scan.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     total_units = scan.total_units
+    in_domain = _condorcet_domain(scan.m)
     if sample is not None:
         rng = random.Random(seed)
         span = scan.block_span
@@ -701,7 +705,7 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
         for _ in range(sample):
             block = rng.randrange(blocks)
             found = _scan_chunk(scan, block * span, (block + 1) * span,
-                                outcomes=outcomes)
+                                outcomes=outcomes, in_domain=in_domain)
             if found is not None and (hit is None or found[0] < hit[0]):
                 hit = found
             for memo in outcomes:
@@ -711,9 +715,10 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
 
     region = min(total_units, budget)
     outcomes = _outcomes(scan)
-    if scan.margins_only and _margin_pass(scan, *outcomes, budget):
+    if scan.margins_only and _margin_pass(scan, *outcomes, budget, in_domain):
         return None
-    hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes)
+    hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes,
+                      in_domain=in_domain)
     if hit is None and region < total_units:
         raise BudgetExceeded(
             f"scanned {region} of {total_units} scan units without a verdict",

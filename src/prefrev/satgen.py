@@ -467,9 +467,12 @@ def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
     # a c2 table fails first on a sorted profile (its sorted votes fail too,
     # at an index no larger), so walking only those finds the same first
     # failing index; it is read by margin key, a profile table by index
+    winners: dict[int, int | None] = {}  # per margin key, which fixes the winner
     for index, digits in iter_digits(n, m, anonymous=c2):
         key = keyspace.digits_key(m, digits)
-        winner = tally.key_condorcet_winner(key, m)
+        if key not in winners:
+            winners[key] = tally.key_condorcet_winner(key, m)
+        winner = winners[key]
         if winner is not None and (chosen := table.on_key(key, n, m) if c2
                                    else table.chosen[index]) != winner:
             return index, winner, chosen

@@ -1,9 +1,11 @@
-"""The bundled DIMACS solver's loader: equal to the per-line reference parser
-on well-formed files, a clear error on malformed ones."""
+"""The bundled DIMACS solver: its loader equals the per-line reference
+parser on well-formed files and gives a clear error on malformed ones, and
+its search returns the reference DPLL's model, byte for byte."""
 
 import importlib.util
 import random
 import subprocess
+from collections import deque
 
 import pytest
 
@@ -42,6 +44,131 @@ def reference_parse(path):
                 clauses.append(lits)
             else:
                 clauses.append([])  # empty clause: trivially unsatisfiable
+    return num_vars, clauses
+
+
+def reference_solve(num_vars, clauses):
+    """The solver's earlier search: DPLL over occurrence lists with clause
+    counters, unit propagation, chronological backtracking and the static
+    most-occurrences order, True first."""
+    occ = [[] for _ in range(2 * num_vars + 1)]  # occ[num_vars + lit]: clauses with lit
+    for ci, clause in enumerate(clauses):
+        if not clause:
+            return None
+        for lit in clause:
+            occ[num_vars + lit].append(ci)
+    occ_pos, occ_neg = occ[num_vars:], occ[num_vars::-1]  # by variable
+
+    sat_count = [0] * len(clauses)
+    free_count = [len(c) for c in clauses]
+    value = [None] * (num_vars + 1)
+    trail = []  # (var, is_decision, flipped)
+    queue = deque()
+
+    order = sorted(range(1, num_vars + 1),
+                   key=lambda v: -(len(occ_pos[v]) + len(occ_neg[v])))
+
+    def on_assign(var, val):
+        # returns a conflicting clause index or None
+        value[var] = val
+        sats = occ_pos[var] if val else occ_neg[var]
+        unsats = occ_neg[var] if val else occ_pos[var]
+        for ci in sats:
+            sat_count[ci] += 1
+        conflict = None
+        for ci in unsats:
+            free_count[ci] -= 1
+            if sat_count[ci] == 0:
+                if free_count[ci] == 0:
+                    conflict = ci
+                elif free_count[ci] == 1:
+                    queue.append(ci)
+        return conflict
+
+    def undo(var):
+        val = value[var]
+        value[var] = None
+        sats = occ_pos[var] if val else occ_neg[var]
+        unsats = occ_neg[var] if val else occ_pos[var]
+        for ci in sats:
+            sat_count[ci] -= 1
+        for ci in unsats:
+            free_count[ci] += 1
+
+    def propagate():
+        while queue:
+            ci = queue.popleft()
+            if sat_count[ci] > 0 or free_count[ci] != 1:
+                continue
+            lit = next(l for l in clauses[ci] if value[abs(l)] is None)
+            trail.append((abs(lit), False, False))
+            conflict = on_assign(abs(lit), lit > 0)
+            if conflict is not None:
+                return conflict
+        return None
+
+    for ci, clause in enumerate(clauses):
+        if len(clause) == 1:
+            queue.append(ci)
+
+    next_order_pos = 0
+    conflict = propagate()
+    while True:
+        if conflict is not None:
+            queue.clear()
+            flipped_a_decision = False
+            while trail:
+                var, is_decision, flipped = trail.pop()
+                undo(var)
+                if is_decision and not flipped:
+                    # retry this decision with the other value
+                    trail.append((var, True, True))
+                    conflict = on_assign(var, False)
+                    next_order_pos = 0
+                    flipped_a_decision = True
+                    break
+            if not flipped_a_decision:
+                return None
+            if conflict is None:
+                conflict = propagate()
+            continue
+        while next_order_pos < len(order) and value[order[next_order_pos]] is not None:
+            next_order_pos += 1
+        if next_order_pos == len(order):
+            return [v if value[v] else -v for v in range(1, num_vars + 1)]
+        var = order[next_order_pos]
+        trail.append((var, True, False))
+        conflict = on_assign(var, True)
+        if conflict is None:
+            conflict = propagate()
+
+
+def solver_output(model):
+    """The exit code and stdout the solver gives for ``model``."""
+    if model is None:
+        return 20, "s UNSATISFIABLE\n"
+    words = [str(lit) for lit in model] + ["0"]
+    return 10, "s SATISFIABLE\n" + "".join("v " + " ".join(words[i:i + 19]) + "\n"
+                                           for i in range(0, len(words), 19))
+
+
+def random_cnf(rng):
+    """A small random formula: clauses of 1-6 literals, some with a repeated
+    literal or a tautology, now and then an empty clause, and variables
+    above ``used`` that never occur."""
+    num_vars = rng.randint(0, 14)
+    used = rng.randint(0, num_vars)
+    clauses = []
+    for _ in range(rng.randint(0, 6 * used)):
+        clause = [rng.choice((-1, 1)) * rng.randint(1, used)
+                  for _ in range(rng.choice((1, 2, 2, 2, 3, 3, 4, 5, 6)))]
+        if rng.random() < 0.1:
+            clause.append(clause[0])
+        if rng.random() < 0.05:
+            clause.append(-clause[0])
+        clauses.append(tuple(clause))
+    if rng.random() < 0.02:
+        clauses.insert(rng.randrange(len(clauses) + 1), ())
     return num_vars, clauses
 
 
@@ -100,6 +227,32 @@ class TestLoaderMatchesReference:
         lined = write(tmp_path, one_per_line(3, clauses), "lined.cnf")
         assert loaded(dpll, split) == reference_parse(lined) == (3, clauses)
 
+    @pytest.mark.parametrize("layout", ["runs", "mixed", "unterminated", "odd-spellings"])
+    def test_uniform_and_mixed_blocks(self, dpll, tmp_path, layout):
+        # "runs": families of one length, each longer than a read block, as
+        # the encoder writes them; "mixed": one 4-literal clause, then six
+        # binary ones, over and over, so that every block mixes lengths
+        rng = random.Random(layout)
+
+        def family(length, count):
+            return [[rng.choice((-1, 1)) * rng.randint(1, 300) for _ in range(length)]
+                    for _ in range(count)]
+
+        if layout == "mixed":
+            clauses = [c for _ in range(5000) for c in family(4, 1) + family(2, 6)]
+        else:
+            clauses = family(2, 20_000) + family(3, 12_000) + family(1, 30_000)
+        lines = [" ".join(map(str, clause)) + " 0\n" for clause in clauses]
+        if layout == "unterminated":
+            lines[-1] = lines[-1].removesuffix(" 0\n")
+        elif layout == "odd-spellings":
+            # inside the binary family: +1 for 1, -0 for the closing 0
+            for i in rng.sample(range(20_000), 50):
+                lines[i] = f"+1 {clauses[i][1]} -0\n"
+        path = write(tmp_path, "p cnf 300 %d\n" % len(lines) + "".join(lines))
+        assert path.stat().st_size > 4 * dpll._BLOCK
+        assert loaded(dpll, path) == reference_parse(path)
+
     def test_larger_than_a_read_block(self, dpll, tmp_path):
         rng = random.Random(11)
         num_vars = 1000
@@ -123,10 +276,37 @@ class TestSolverRuns:
     def test_model_lines_hold_19_words(self, tmp_path, num_vars):
         text = one_per_line(num_vars, [[v] for v in range(1, num_vars + 1)])
         proc = run_solver(write(tmp_path, text))
-        words = [str(v) for v in range(1, num_vars + 1)] + ["0"]
-        expected = "".join("v " + " ".join(words[i:i + 19]) + "\n"
-                           for i in range(0, len(words), 19))
-        assert (proc.returncode, proc.stdout) == (10, "s SATISFIABLE\n" + expected)
+        assert (proc.returncode, proc.stdout) == solver_output(list(range(1, num_vars + 1)))
+
+
+class TestSearchMatchesReference:
+    def test_random_cnfs(self, dpll):
+        verdicts = []
+        for seed in range(3000):
+            num_vars, clauses = random_cnf(random.Random(seed))
+            model = dpll.solve(num_vars, clauses)
+            assert model == reference_solve(num_vars, clauses), seed
+            verdicts.append(model is None)
+        # both verdicts, each many times over
+        assert min(verdicts.count(True), verdicts.count(False)) > 500
+
+    @pytest.mark.parametrize("case", ["profile-n2-m3", "c2-n3-m4", "proof-odd-m4",
+                                      "proof-even-m6"])
+    def test_stdout_is_the_reference_model(self, tmp_path, case):
+        if case.startswith("proof"):
+            builder, m = ((build_odd_tree, 4) if case == "proof-odd-m4"
+                          else (build_even_tree, 6))
+            result = satgen.encode_proof_neighborhood(builder(m))
+        elif case == "profile-n2-m3":
+            result = satgen.encode_full(2, 3)
+        else:
+            result = satgen.encode_full(3, 4, mode="c2")
+        path = tmp_path / "f.cnf"
+        with open(path, "w") as handle:
+            satgen.write_dimacs(result.formula, handle)
+        proc = run_solver(path)
+        assert (proc.returncode, proc.stdout) == solver_output(
+            reference_solve(*reference_parse(path)))
 
 
 MALFORMED = {  # file text, expected message

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -962,6 +963,20 @@ class TestSampledKeyMemo:
                 assert messages[0] == messages[1]
                 raised += 1
         assert raised
+
+    def test_condorcet_domain_is_tested_once_per_key(self, monkeypatch):
+        # one domain memo serves every sampled block, not one per block
+        tested = []
+        winner = monotonicity.key_condorcet_winner
+
+        def counting(key, m):
+            tested.append(key)
+            return winner(key, m)
+
+        monkeypatch.setattr(monotonicity, "key_condorcet_winner", counting)
+        assert check_manipulability(resolute_rule("maximin", 4), 4, 4, sample=300,
+                                    seed=3, domain="condorcet") is None
+        assert tested and max(Counter(tested).values()) == 1
 
     @pytest.mark.parametrize("prop", ["hwm", "participation", "manipulability"])
     def test_index_memos_hold_at_most_one_block(self, monkeypatch, prop):

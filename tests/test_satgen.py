@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from prefrev import errors, keyspace, satgen
+from prefrev import errors, keyspace, satgen, tally
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import (
     Alternatives,
@@ -270,6 +270,23 @@ class TestFullPipeline:
         winner = condorcet_winner(index_to_profile(target, 3, 3))
         report = satgen.verify_rule(table.replace_entry(target, (winner + 1) % 3))
         assert report.failures[0].text.startswith(f"profile {target}: ")
+
+    def test_failure_walk_tests_each_margin_key_once(self, monkeypatch):
+        # a profile table is walked at every index, but the Condorcet
+        # winner is computed once per margin key
+        tested = []
+        winner = tally.key_condorcet_winner
+
+        def counting(key, m):
+            tested.append(key)
+            return winner(key, m)
+
+        monkeypatch.setattr(tally, "key_condorcet_winner", counting)
+        table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
+        assert satgen._first_condorcet_failure(table) is None
+        assert max(Counter(tested).values()) == 1
+        assert len(tested) == len({keyspace.profile_key(profile)
+                                   for profile in iter_profiles(3, 3)})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_c2_table_names_the_first_failing_profile(self, seed):
