@@ -29,35 +29,39 @@ on the truthful one's: a voter of order o deviating to o' adds
 (o' - o) * (m!)^(n-1-voter) to the index and cmp[o'] - cmp[o] to the key.
 A truthful profile outside the Condorcet domain (a test on its margin key)
 is tested once and all its units are skipped, and comparisons read each
-order's precomputed position row.  How outcomes are read depends on the
-rule, not on the path:
+order's precomputed position row.
 
-- a profile-mode table of the scan's own (n, m) is read by profile index
-  (recognised by its ``mode``, ``chosen``, ``n`` and ``m``, so a wrapper
-  that forwards them qualifies), with no memo and no profile built;
-- a "margins" rule (one with an ``on_key`` entry point, see
-  :mod:`prefrev.rules`) is evaluated on the margin key itself and memoised
-  by it, with no profile built and no margins recounted; digits are built
-  only to name a profile in an error.  The memo outlives the blocks of a
-  sampled scan, so the rule runs once per margin key visited, and memory
-  is bounded by the distinct keys visited (at most ``sample * (span + 1)``,
-  span the block's units);
-- any other rule is memoised by profile index, or on the quotient path by
-  sorted digit tuple; a sampled scan clears that memo after each block.
+What a rule declares (``depends_on``, see :mod:`prefrev.rules`) fixes
+once how its outcomes are read, the same on every path:
 
-The truthful profiles come from one of three sources:
+- a profile-mode table of the scan's own (n, m): by profile index, from
+  its entries (recognised by ``mode``, ``chosen``, ``n`` and ``m``, so a
+  wrapper that forwards them qualifies), with no memo and no profile built;
+- a "margins" rule (one with an ``on_key`` entry point): memoised by
+  margin key and evaluated on the key, with no profile built and no
+  margins recounted;
+- a "multiset" rule: memoised by sorted digit tuple and evaluated on the
+  sorted profile;
+- an "order" rule: memoised by profile index and evaluated on the profile.
 
-- the ordered path walks every profile with a unit in the region, its
-  digits advanced like an odometer.  Sampled scans and scans over a rule
-  that depends on voter order take it.
+A sampled scan keeps the key memo across its blocks, so the rule runs once
+per margin key visited, and memory is bounded by the distinct keys visited
+(at most ``sample * (span + 1)``, span the block's units); it clears the
+other memos after each block.  Participation stores no n-voter outcome of
+an "order" rule: it meets each such profile once.  An empty outcome set
+names the profile met, or the margin key in the margin pass.
+
+The paths (one odometer walks the truthful profiles of the first two):
+
+- the ordered path meets every profile with a unit in the region.
+  Sampled scans and scans over a rule that depends on voter order take it.
 - the quotient path serves exhaustive scans when every rule the scan calls
-  declares ``depends_on`` "multiset" or "margins" (see
-  :mod:`prefrev.rules`).  It tries only the sorted truthful profiles (non-
-  decreasing digits, from ``combinations_with_replacement``, which come in
-  ascending index) and on each only the first voter of each distinct
-  order; participation tries the sorted (n-1)-voter profiles with every
-  joiner.  The rule runs once per multiset of votes (once per margin key
-  for a "margins" rule).
+  declares "multiset" or "margins".  It keeps the digits sorted (a carry
+  resets the digits after the one that moved to that digit, not to 0;
+  participation's joiner, the last digit, runs free), starts at the first
+  sorted profile with a unit in the region, and on each profile tries only
+  the first voter of each distinct order.  The rule runs once per multiset
+  of votes (once per margin key for a "margins" rule).
 - the margin pass serves exhaustive scans when every rule the scan calls
   declares "margins".  Its unit is (K, o): K a margin key realizable by
   n-1 voters, o the deviating voter's order.  The truthful key is
@@ -73,8 +77,8 @@ The truthful profiles come from one of three sources:
   rule runs once per key, on the key, and never on a key that the
   Condorcet-domain filter (a Condorcet winner of the key) rejects.  The
   pass only certifies: if it meets a violation, or the rule raises, it
-  hands over to the quotient path, which shares its outcome memo (keyed
-  by margin key) and returns the first witness, or the error, as before.
+  hands over to the quotient path, which shares its key memo and returns
+  the first witness, or the error, as before.
 
 Budgets count units of the path taken.  The margin pass runs when its
 keys(n-1) * m! units (keys(n-1) * m!^2 for manipulation) fit in the
@@ -124,13 +128,12 @@ from .prefs import (
     format_order,
     format_profile,
     index_to_profile,
-    iter_digits,
     num_profiles,
     profile_digits,
     reverse_index_table,
 )
 from .rules import Rule, SetRule
-from .tally import key_condorcet_winner
+from .tally import CondorcetWinners
 from . import keyspace
 
 # either one rule valid at every electorate size, or a mapping size -> rule
@@ -378,19 +381,6 @@ def _depends_on(rule) -> str:
     return declared
 
 
-def _condorcet_domain(m: int):
-    """A memoised test of whether a margin key has a Condorcet winner."""
-    winners: dict = {}
-
-    def in_domain(key) -> bool:
-        ok = winners.get(key)
-        if ok is None:
-            ok = winners[key] = key_condorcet_winner(key, m) is not None
-        return ok
-
-    return in_domain
-
-
 def _table_entries(rule, n: int, m: int, *, sets: bool):
     """The dense entries of a profile-mode table of this (n, m), so that
     ``rule(P)`` is ``entries[index of P]``; None for any other rule.  Duck
@@ -405,16 +395,14 @@ def _table_entries(rule, n: int, m: int, *, sets: bool):
 
 
 class _Outcomes(dict):
-    """The outcomes of one rule at one electorate size, read the cheapest
-    way the rule allows.
+    """The outcomes of one rule at one electorate size, read by the probe
+    the rule's declaration fixes (``by``): "index" for a profile table of
+    the scan's own (n, m) (its entries, ``chosen``; the dict stays empty)
+    and for an "order" rule, "key" for a "margins" rule, "multiset" (the
+    sorted digit tuple) for any other.
 
-    - ``chosen``: the entries of a profile table of the scan's own (n, m),
-      read by profile index; the dict stays empty.
-    - ``keyed``: a "margins" rule, evaluated by its ``on_key`` entry point
-      and memoised by margin key.  The margin pass fills the same dict, and
-      a sampled scan keeps it across its blocks.
-    - otherwise memoised by profile index, or on the quotient path by sorted
-      digit tuple; a sampled scan clears it after each block.
+    :meth:`read` gives any outcome; the kernel reads table entries and
+    memo hits inline.
     """
 
     def __init__(self, rule, n: int, m: int, *, sets: bool):
@@ -423,46 +411,34 @@ class _Outcomes(dict):
         self.n, self.m = n, m
         self.orders = enumerate_orders(m)
         self.sets = sets
+        self.keep = True
         self.chosen = _table_entries(rule, n, m, sets=sets)
-        self.keyed = self.chosen is None and _depends_on(rule) == "margins"
-        self.on_key = rule.on_key if self.keyed else None
+        declared = _depends_on(rule)
+        self.by = ("index" if self.chosen is not None or declared == "order" else
+                   "key" if declared == "margins" else "multiset")
+        self.keyed = self.by == "key"
 
-    def evaluate(self, digits) -> object:
-        """The outcome of the profile with these digits, not cached."""
-        value = self.rule(Profile(tuple(map(self.orders.__getitem__, digits))))
-        if self.sets and not value:
-            self._empty(f"profile index {digits_to_index(digits, self.m)}")
-        return value
-
-    def evaluate_key(self, key: int, where=None, *args) -> object:
-        """The outcome at margin key ``key``, not cached.  ``where(*args)``
-        gives the digits of a profile with that key; it is called only to
-        name that profile in an error, which names the key without it."""
-        value = self.on_key(key, self.n, self.m)
-        if self.sets and not value:
-            self._empty(f"profile index {digits_to_index(where(*args), self.m)}"
-                        if where else f"margin key {keyspace.key_text(key, self.m)}")
-        return value
-
-    @staticmethod
-    def _empty(place: str):
-        raise EmptyOutcomeSet(f"set-valued rule returned an empty set at {place}")
-
-    def at(self, probe, digits) -> object:
-        """The outcome memoised under ``probe`` (a profile index or a sorted
-        digit tuple), evaluated on ``digits`` as given on a miss (so an
-        error names the profile that met it first)."""
+    def read(self, probe, where=None, *args) -> object:
+        """The outcome at ``probe``: the stored one, or else the rule's,
+        stored unless ``keep`` is false.  A "margins" rule runs on the key,
+        a "multiset" rule on the sorted profile the probe spells, an "order"
+        rule on the profile whose digits ``where(*args)`` gives.  An empty
+        set raises :class:`EmptyOutcomeSet` naming that profile, the one met
+        (the margin key without ``where``)."""
         value = self.get(probe)
-        if value is None:
-            value = self[probe] = self.evaluate(digits)
-        return value
-
-    def at_key(self, key: int, where=None, *args) -> object:
-        """The outcome memoised under margin key ``key``, evaluated on a miss
-        as :meth:`evaluate_key` does."""
-        value = self.get(key)
-        if value is None:
-            value = self[key] = self.evaluate_key(key, where, *args)
+        if value is not None:
+            return value
+        if self.keyed:
+            value = self.rule.on_key(probe, self.n, self.m)
+        else:
+            digits = probe if self.by == "multiset" else where(*args)
+            value = self.rule(Profile(tuple(map(self.orders.__getitem__, digits))))
+        if self.sets and not value:
+            place = (f"profile index {digits_to_index(where(*args), self.m)}" if where
+                     else f"margin key {keyspace.key_text(probe, self.m)}")
+            raise EmptyOutcomeSet(f"set-valued rule returned an empty set at {place}")
+        if self.keep:
+            self[probe] = value
         return value
 
 
@@ -473,51 +449,46 @@ def _outcomes(scan: _Scan) -> tuple[_Outcomes, _Outcomes]:
     outcome = _Outcomes(scan.rule, scan.n, scan.m, sets=sets)
     if scan.deviation != "abstain":
         return outcome, outcome
+    # participation meets each n-voter profile once: storing an "order"
+    # rule's outcomes by index is waste
+    outcome.keep = outcome.by != "index"
     return outcome, _Outcomes(scan.rule_small, scan.n - 1, scan.m, sets=sets)
 
 
-def _ordered_profiles(scan: _Scan, lo: int, hi: int):
+def _profiles(scan: _Scan, lo: int, hi: int, quotient: bool):
     """``(index, digits)`` of every truthful profile with a unit in
-    [lo, hi), ascending.  ``digits`` is one list, advanced in place like an
-    odometer."""
-    n, per_profile = scan.n, scan.voters * scan.width
-    top = math.factorial(scan.m) - 1
-    first = lo // per_profile
-    digits = profile_digits(first, n, scan.m)
-    for index in range(first, -(-hi // per_profile)):
+    [lo, hi), ascending; on the quotient path only the sorted ones (for
+    participation a sorted (n-1)-voter prefix and any joiner).  ``digits``
+    is one list, advanced in place like an odometer."""
+    n, m, per_profile = scan.n, scan.m, scan.voters * scan.width
+    top = math.factorial(m) - 1
+    end = n - 1 if scan.deviation == "abstain" else n  # the digits kept sorted
+    index = lo // per_profile
+    digits = profile_digits(index, n, m)
+    if quotient:  # up to the next sorted profile
+        for voter in range(1, end):
+            if digits[voter] < digits[voter - 1]:
+                digits[voter:] = [digits[voter - 1]] * (end - voter) + [0] * (n - end)
+                index = digits_to_index(digits, m)
+                break
+    stop = -(-hi // per_profile)
+    while index < stop:
         yield index, digits
         voter = n - 1
         while voter and digits[voter] == top:
             digits[voter] = 0
             voter -= 1
-        digits[voter] += 1
-
-
-def _sorted_profiles(scan: _Scan, lo: int, hi: int):
-    """``(index, digits)`` of the quotient path's truthful profiles with a
-    unit in [lo, hi), ascending: the sorted profiles, or for participation
-    every joiner after each sorted (n-1)-voter prefix."""
-    per_profile = scan.voters * scan.width
-    if scan.deviation == "abstain":
-        fact = math.factorial(scan.m)
-        for prefix_index, prefix in iter_digits(scan.n - 1, scan.m, anonymous=True):
-            for joiner in range(fact):
-                index = prefix_index * fact + joiner
-                if index >= hi:
-                    return
-                if index >= lo:
-                    yield index, prefix + (joiner,)
-        return
-    for index, digits in iter_digits(scan.n, scan.m, anonymous=True):
-        if index * per_profile >= hi:
-            return
-        if (index + 1) * per_profile > lo:
-            yield index, digits
+        digits[voter] += 1  # past the last profile: an index of at least stop
+        if quotient:
+            digits[voter + 1:end] = [digits[voter]] * (end - voter - 1)
+            index = digits_to_index(digits, m)
+        else:
+            index += 1
 
 
 def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
                 outcomes: tuple[_Outcomes, _Outcomes] | None = None,
-                in_domain=None) -> tuple | None:
+                winners: CondorcetWinners | None = None) -> tuple | None:
     """First violating unit in [lo, hi).
 
     Returns ``(unit, index, voter, order, before, after)``: the truthful
@@ -525,17 +496,14 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     own order when abstaining), and the outcomes of the truthful and the
     deviated profile.
 
-    The scan walks truthful profiles, and inside each one its voters (and
-    a misreporting voter's orders), clipped to [lo, hi).  The ordered path
-    walks every profile, the quotient path (for anonymous rules only) the
-    profiles of :func:`_sorted_profiles` and on each only the first voter
-    of each distinct order; both return the same first hit.  The deviated
-    profile's index and margin key come from arithmetic on the truthful
-    one's; its digits are built only where a rule must be evaluated on a
-    profile (or, on the quotient path, to key a memo by sorted digit
-    tuple), never for a "margins" rule.
-    ``outcomes`` are the outcome memos to use and ``in_domain`` the
-    Condorcet-domain test (fresh memos by default).
+    The scan walks the profiles of :func:`_profiles`, and inside each one
+    its voters (and a misreporting voter's orders), clipped to [lo, hi);
+    on the quotient path (for anonymous rules only) only the first voter
+    of each distinct order.  Both paths return the same first hit.  The
+    deviated profile's index and margin key come from arithmetic on the
+    truthful one's; its digits are built only for a "multiset" probe or
+    for :meth:`_Outcomes.read`.  ``outcomes`` are the outcome memos to use
+    and ``winners`` the Condorcet-winner memo (fresh ones by default).
     """
     n, m = scan.n, scan.m
     fact = math.factorial(m)
@@ -551,22 +519,24 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     width = scan.width
     per_profile = scan.voters * width
     outcome, deviated = outcomes or _outcomes(scan)
+    truthful_by, deviated_by = outcome.by, deviated.by
     truthful_table, deviated_table = outcome.chosen, deviated.chosen
     keys = condorcet_only or outcome.keyed or deviated.keyed  # track margin keys
-    in_domain = in_domain or _condorcet_domain(m)
+    winners = CondorcetWinners(m) if winners is None else winners
+    met = sorted if quotient else list  # the truthful digits as met
 
     def deviate(digits, voter, target):
         """The deviated profile's digits, sorted on the quotient path."""
         if abstain:
-            return digits[:-1]  # on the quotient path a sorted prefix
+            return tuple(digits[:-1])  # on the quotient path a sorted prefix
         changed = list(digits)
         changed[voter] = target
         return tuple(sorted(changed)) if quotient else changed
 
     first_voter = n - 1 if abstain else 0  # the first voter who deviates
-    for index, digits in (_sorted_profiles if quotient else _ordered_profiles)(scan, lo, hi):
+    for index, digits in _profiles(scan, lo, hi, quotient):
         key = keyspace.digits_key(m, digits) if keys else None
-        if condorcet_only and not in_domain(key):
+        if condorcet_only and winners[key] is None:
             continue  # a truthful profile outside the domain has no unit to try
         start = index * per_profile
         voters = range(first_voter + max(lo - start, 0) // width,
@@ -588,37 +558,27 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
                         continue  # a misreport of one's own order
                     other = index + (target - d) * places[voter]
                     other_key = key + votes[target] - votes[d] if keys else None
-                if condorcet_only and not in_domain(other_key):
+                if condorcet_only and winners[other_key] is None:
                     continue
                 if before is None:
                     if truthful_table is not None:
                         before = truthful_table[index]
-                    elif outcome.keyed:
-                        before = outcome.at_key(key, sorted if quotient else list, digits)
-                    elif quotient:
-                        here = tuple(sorted(digits))
-                        before = outcome.at(here, here)
-                    elif abstain:
-                        # ordered participation meets each n-voter profile
-                        # once: caching it by index is waste
-                        before = outcome.evaluate(digits)
                     else:
-                        before = outcome.at(index, digits)
+                        probe = (index if truthful_by == "index" else
+                                 key if truthful_by == "key" else tuple(sorted(digits)))
+                        before = outcome.get(probe)
+                        if before is None:
+                            before = outcome.read(probe, met, digits)
                 if deviated_table is not None:
                     after = deviated_table[other]
-                elif deviated.keyed:
-                    after = deviated.get(other_key)
-                    if after is None:
-                        after = deviated[other_key] = deviated.evaluate_key(
-                            other_key, deviate, digits, voter, target)
-                elif quotient:
-                    sorted_digits = deviate(digits, voter, target)
-                    after = deviated.at(sorted_digits, sorted_digits)
                 else:
-                    after = deviated.get(other)
+                    probe = (other if deviated_by == "index" else
+                             other_key if deviated_by == "key" else
+                             deviate(digits, voter, target) if quotient else
+                             tuple(sorted(deviate(digits, voter, target))))
+                    after = deviated.get(probe)
                     if after is None:
-                        after = deviated[other] = deviated.evaluate(
-                            deviate(digits, voter, target))
+                        after = deviated.read(probe, deviate, digits, voter, target)
                 if compare(rows[d], before, after):
                     return (first + target if misreport else first,
                             index, voter, target, before, after)
@@ -626,7 +586,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
 
 
 def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
-                 budget: int, in_domain=None) -> bool:
+                 budget: int, winners: CondorcetWinners | None = None) -> bool:
     """Whether the margin pass certifies the scan: False when its units do
     not fit in ``budget``, when some unit violates, or when a rule raises.
 
@@ -642,7 +602,8 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
         return False
     try:
         return not _margin_violation(scan, outcome, deviated, level,
-                                     in_domain or _condorcet_domain(scan.m))
+                                     CondorcetWinners(scan.m) if winners is None
+                                     else winners)
     except Exception:
         # whatever the rule raised, the quotient path raises it again at
         # the same unit as before, unless a witness comes first
@@ -650,7 +611,7 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
 
 
 def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
-                      level: set[int], in_domain) -> bool:
+                      level: set[int], winners: CondorcetWinners) -> bool:
     """Whether some unit (K, o), K a key of ``level`` (n-1 voters), violates."""
     m = scan.m
     votes = keyspace.vote_keys(m)
@@ -661,13 +622,13 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
 
     for key in level:
         truthful = [key + vote for vote in votes]
-        tried = ([o for o, here in enumerate(truthful) if in_domain(here)]
+        tried = ([o for o, here in enumerate(truthful) if winners[here] is not None]
                  if scan.condorcet_only else range(len(votes)))
         if deviation == "misreport" and len(tried) < 2:
             continue  # no misreport stays inside the domain
-        before = {o: outcome.at_key(truthful[o]) for o in tried}
+        before = {o: outcome.read(truthful[o]) for o in tried}
         if deviation == "abstain":
-            afters = (deviated.at_key(key),)
+            afters = (deviated.read(key),)
         elif deviation == "misreport":
             # a misreport to one's own order changes nothing, and no
             # comparison counts an unchanged outcome as a gain
@@ -695,7 +656,7 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     total_units = scan.total_units
-    in_domain = _condorcet_domain(scan.m)
+    winners = CondorcetWinners(scan.m)
     if sample is not None:
         rng = random.Random(seed)
         span = scan.block_span
@@ -705,7 +666,7 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
         for _ in range(sample):
             block = rng.randrange(blocks)
             found = _scan_chunk(scan, block * span, (block + 1) * span,
-                                outcomes=outcomes, in_domain=in_domain)
+                                outcomes=outcomes, winners=winners)
             if found is not None and (hit is None or found[0] < hit[0]):
                 hit = found
             for memo in outcomes:
@@ -715,10 +676,10 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
 
     region = min(total_units, budget)
     outcomes = _outcomes(scan)
-    if scan.margins_only and _margin_pass(scan, *outcomes, budget, in_domain):
+    if scan.margins_only and _margin_pass(scan, *outcomes, budget, winners):
         return None
     hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes,
-                      in_domain=in_domain)
+                      winners=winners)
     if hit is None and region < total_units:
         raise BudgetExceeded(
             f"scanned {region} of {total_units} scan units without a verdict",

@@ -158,13 +158,10 @@ def _profile_key_space(n: int, m: int):
     fact = math.factorial(m)
     places = [fact ** (n - 1 - voter) for voter in range(n)]
     rev = reverse_index_table(m)
-    winners: dict[int, int | None] = {}  # per margin key, which fixes the winner
+    winners = tally.CondorcetWinners(m)  # the margin key fixes the winner
     for key, digits in iter_digits(n, m):
         edges = [(d, key + (rev[d] - d) * place) for d, place in zip(digits, places)]
-        margins = keyspace.digits_key(m, digits)
-        if margins not in winners:
-            winners[margins] = tally.key_condorcet_winner(margins, m)
-        yield key, winners[margins], edges
+        yield key, winners[keyspace.digits_key(m, digits)], edges
 
 
 def c2_variable_map(n: int, m: int, *, budget: int | None = None
@@ -467,11 +464,9 @@ def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
     # a c2 table fails first on a sorted profile (its sorted votes fail too,
     # at an index no larger), so walking only those finds the same first
     # failing index; it is read by margin key, a profile table by index
-    winners: dict[int, int | None] = {}  # per margin key, which fixes the winner
+    winners = tally.CondorcetWinners(m)  # the margin key fixes the winner
     for index, digits in iter_digits(n, m, anonymous=c2):
         key = keyspace.digits_key(m, digits)
-        if key not in winners:
-            winners[key] = tally.key_condorcet_winner(key, m)
         winner = winners[key]
         if winner is not None and (chosen := table.on_key(key, n, m) if c2
                                    else table.chosen[index]) != winner:

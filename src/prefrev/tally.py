@@ -58,6 +58,20 @@ def key_condorcet_winner(key: int, m: int) -> int | None:
     return rows_condorcet_winner(keyspace.key_rows(key, m))
 
 
+class CondorcetWinners(dict):
+    """``winners[key]``: :func:`key_condorcet_winner` of a margin key of m
+    alternatives, computed once per key.  Make one per scan or encode; it
+    holds every key asked about."""
+
+    def __init__(self, m: int) -> None:
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, key: int) -> int | None:
+        winner = self[key] = key_condorcet_winner(key, self.m)
+        return winner
+
+
 def condorcet_winner(profile: Profile) -> int | None:
     """The alternative beating every other by a strict majority, if any.
 

@@ -2,10 +2,12 @@
 parser on well-formed files and gives a clear error on malformed ones, and
 its search returns the reference DPLL's model, byte for byte."""
 
+import gc
 import importlib.util
 import random
 import subprocess
-from collections import deque
+import sys
+from collections import defaultdict, deque
 
 import pytest
 
@@ -277,6 +279,65 @@ class TestSolverRuns:
         text = one_per_line(num_vars, [[v] for v in range(1, num_vars + 1)])
         proc = run_solver(write(tmp_path, text))
         assert (proc.returncode, proc.stdout) == solver_output(list(range(1, num_vars + 1)))
+
+
+class TestPropagation:
+    """``_propagate`` on hand-built implication lists and watches, laid out
+    as ``solve`` lays them out: the model does not show how much the
+    propagation sets, the trail does."""
+
+    @staticmethod
+    def propagate(dpll, num_vars, binary, longer, assumed):
+        size = 2 * num_vars + 1
+        imp = [[] for _ in range(size)]
+        for a, b in binary:
+            imp[-a].append(b)
+            imp[-b].append(a)
+        watch = defaultdict(list)
+        for clause in map(list, longer):
+            watch[clause[0]].append(clause)
+            watch[clause[1]].append(clause)
+        value = [None] * size
+        for lit in assumed:
+            value[lit], value[-lit] = True, False
+        trail = list(assumed)
+        return dpll._propagate(trail, 0, value, imp, watch), trail
+
+    def test_watched_clause_puts_its_last_literal_on_the_trail(self, dpll):
+        assert self.propagate(dpll, 3, [], [(1, 2, 3)], [-1, -2]) == (True, [-1, -2, 3])
+
+    def test_implications_chain_into_a_watched_clause(self, dpll):
+        binary = [(-1, 2), (-2, 3)]
+        assert self.propagate(dpll, 4, binary, [(-2, -3, 4)], [1]) == (True, [1, 2, 3, 4])
+
+    def test_conflicts(self, dpll):
+        assert self.propagate(dpll, 3, [], [(1, 2, 3)], [-1, -2, -3])[0] is False
+        assert self.propagate(dpll, 3, [(-1, 2)], [(-1, -2, 3)], [-3, 1])[0] is False
+
+
+class TestMainInProcess:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_restores_the_callers_gc(self, dpll, tmp_path, monkeypatch, capsys,
+                                          enabled):
+        solve, seen = dpll.solve, []
+
+        def solve_watching_gc(*args):
+            seen.append(gc.isenabled())
+            return solve(*args)
+
+        monkeypatch.setattr(dpll, "solve", solve_watching_gc)
+        monkeypatch.setattr(sys, "argv", ["dpll_solve.py",
+                                          str(write(tmp_path, "p cnf 2 1\n1 -2 0\n"))])
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            status = dpll.main()
+            after = gc.isenabled(), gc.get_freeze_count()
+        finally:
+            gc.enable()
+        assert (status, capsys.readouterr().out) == solver_output([1, 2])
+        assert seen == [False]  # the search runs with the GC off
+        assert after == (enabled, frozen)
 
 
 class TestSearchMatchesReference:

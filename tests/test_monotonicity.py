@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from prefrev import errors, keyspace, monotonicity
+from prefrev import errors, keyspace, monotonicity, tally
 from prefrev.cli import _Singleton
 from prefrev.monotonicity import (
     ManipulationWitness,
@@ -665,7 +665,35 @@ class TestQuotientFastPath:
         big = CountingRule(resolute_rule("borda", 3), "multiset")
         small = CountingRule(resolute_rule("borda", 3))
         assert check_participation({2: small, 3: big}, 3, 3) is None
-        assert big.calls == num_profiles(3, 3)
+        # the ordered path meets every 2-voter profile, not only the sorted
+        # ones, and still evaluates the "multiset" rule once per multiset
+        assert small.calls == num_profiles(2, 3)
+        assert big.calls == math.comb(6 + 3 - 1, 3) == 56
+
+    def test_ordered_participation_stores_no_n_voter_outcome(self):
+        # each 3-voter profile is met once; the 2-voter outcomes are reused
+        big = CountingRule(resolute_rule("borda", 3))
+        small = CountingRule(resolute_rule("borda", 3))
+        scan = _Scan(big, 3, 3, "abstain", "weak", rule_small=small)
+        outcomes = _outcomes(scan)
+        assert _scan_chunk(scan, 0, scan.total_units, outcomes=outcomes) is None
+        assert (big.calls, small.calls) == (num_profiles(3, 3), num_profiles(2, 3))
+        assert tuple(map(len, outcomes)) == (0, num_profiles(2, 3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_multiset_rule_is_called_once_per_multiset(self, seed):
+        # a sampled block of six voters over six orders almost always repeats
+        # a vote, and reversing either copy reaches the same multiset
+        seen = Counter()
+
+        def rule(profile):
+            seen[tuple(sorted(map(order_index, profile.votes)))] += 1
+            return maximin(profile)
+
+        maximin = resolute_rule("maximin", 3)
+        rule.depends_on = "multiset"
+        assert check_halfway_monotonicity(rule, 6, 3, sample=1, seed=seed) is None
+        assert len(seen) > 1 and max(seen.values()) == 1
 
 
 # --- the margin pass against the quotient path ------------------------------------
@@ -967,13 +995,13 @@ class TestSampledKeyMemo:
     def test_condorcet_domain_is_tested_once_per_key(self, monkeypatch):
         # one domain memo serves every sampled block, not one per block
         tested = []
-        winner = monotonicity.key_condorcet_winner
+        winner = tally.key_condorcet_winner
 
         def counting(key, m):
             tested.append(key)
             return winner(key, m)
 
-        monkeypatch.setattr(monotonicity, "key_condorcet_winner", counting)
+        monkeypatch.setattr(tally, "key_condorcet_winner", counting)
         assert check_manipulability(resolute_rule("maximin", 4), 4, 4, sample=300,
                                     seed=3, domain="condorcet") is None
         assert tested and max(Counter(tested).values()) == 1

@@ -37,7 +37,7 @@ encoder writes them family by family, is cut into clauses by slices.  A
 malformed file (no header, a clause before it, a second header, a
 non-integer token or a literal beyond the header's variable count) prints
 one ``error:`` line naming the line to stderr and exits 1.  The cyclic GC
-stays off for the run.
+is off while :func:`main` runs and back as the caller had it on return.
 """
 
 import gc
@@ -252,28 +252,32 @@ def _propagate(trail, head, value, imp, watch):
 
 def main():
     # the loaded clauses, the implication lists, the watches and the search
-    # make no reference cycles, so the cyclic GC only walks them for nothing: it is
-    # off for the run, and what is left is frozen before the interpreter's
-    # collection at exit
+    # make no reference cycles, so the cyclic GC would only walk them for
+    # nothing: it is off while main runs, and the caller's setting returns
+    enabled = gc.isenabled()
     gc.disable()
-    if len(sys.argv) != 2:
-        print("usage: dpll_solve.py FILE.cnf", file=sys.stderr)
-        return 1
     try:
-        num_vars, clauses = parse_dimacs(sys.argv[1])
-    except (DimacsError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {sys.argv[1]}: {exc}", file=sys.stderr)
-        return 1
-    model = solve(num_vars, clauses)
-    gc.freeze()
-    if model is None:
-        print("s UNSATISFIABLE")
-        return 20
-    print("s SATISFIABLE")
-    # the model and its 0, 19 words to a v line
-    words = list(map(str, model)) + ["0"]
-    print("\n".join("v " + " ".join(words[i:i + 19]) for i in range(0, len(words), 19)))
-    return 10
+        if len(sys.argv) != 2:
+            print("usage: dpll_solve.py FILE.cnf", file=sys.stderr)
+            return 1
+        try:
+            num_vars, clauses = parse_dimacs(sys.argv[1])
+        except (DimacsError, OSError, UnicodeDecodeError) as exc:
+            print(f"error: {sys.argv[1]}: {exc}", file=sys.stderr)
+            return 1
+        model = solve(num_vars, clauses)
+        if model is None:
+            print("s UNSATISFIABLE")
+            return 20
+        print("s SATISFIABLE")
+        # the model and its 0, 19 words to a v line
+        words = list(map(str, model)) + ["0"]
+        print("\n".join("v " + " ".join(words[i:i + 19])
+                        for i in range(0, len(words), 19)))
+        return 10
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":
