@@ -24,9 +24,10 @@ variable map hold these integers too.  Only files hold :func:`key_text`.
 
 This module is the bottom layer of the margin arithmetic: the layers go
 ``prefs`` -> ``keyspace`` -> ``tally`` -> ``rules``, and it imports only
-``prefs`` (and the exceptions).  Votes become margins only here, in
-:func:`profile_key` and :func:`digits_key`; every margin matrix, Condorcet
-verdict and rule of the margins is read off such a key.
+``prefs`` (and the exceptions).  Votes become margins only here, through
+:func:`vote_key`: :func:`profile_key` sums it over a profile's votes, and
+:func:`digits_key` reads it from the table :func:`vote_keys`; every margin
+matrix, Condorcet verdict and rule of the margins is read off such a key.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExceeded
-from .prefs import Profile, enumerate_orders, order_index
+from .prefs import Profile, enumerate_orders
 
 Level = set[int]
 
@@ -52,12 +53,19 @@ def _entries(m: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def vote_key(positions: tuple[int, ...]) -> int:
+    """The key change of a single vote that puts alternative a at position
+    ``positions[a]``: entry (a, b) is +1 if the vote ranks a above b and -1
+    if below.  Memoised per vote met, so a profile's key costs a lookup per
+    vote."""
+    return sum(1 << shift if positions[a] < positions[b] else -(1 << shift)
+               for a, b, shift in _entries(len(positions)))
+
+
+@lru_cache(maxsize=None)
 def vote_keys(m: int) -> tuple[int, ...]:
-    """The key change of a single vote, by canonical order index: entry
-    (a, b) is +1 if the order ranks a above b and -1 if below."""
-    units = [(a, b, 1 << shift) for a, b, shift in _entries(m)]
-    return tuple(sum(unit if pos[a] < pos[b] else -unit for a, b, unit in units)
-                 for pos in (order.positions() for order in enumerate_orders(m)))
+    """:func:`vote_key` of every order, by canonical order index."""
+    return tuple(vote_key(order.positions()) for order in enumerate_orders(m))
 
 
 @lru_cache(maxsize=None)
@@ -72,8 +80,9 @@ def digits_key(m: int, digits) -> int:
 
 
 def profile_key(profile: Profile) -> int:
-    """The key of a profile's margins."""
-    return digits_key(profile.m, map(order_index, profile.votes))
+    """The key of a profile's margins, from its votes' positions, so that a
+    few profiles of many alternatives build no table of all m! orders."""
+    return empty_key(profile.m) + sum(vote_key(vote.positions()) for vote in profile.votes)
 
 
 def key_rows(key: int, m: int) -> tuple[tuple[int, ...], ...]:

@@ -12,6 +12,10 @@ unsatisfiability is an impossibility proof for that electorate.
 verified proof tree and is expected unsatisfiable; it is small enough to
 hand to core-extraction tooling unchanged.
 
+Both encoders take every literal from one pair of tables per formula
+(``positive[v] == v``, ``negative[v] == -v``), so a formula holds one int
+object per literal value, not one per occurrence.
+
 Solving is never done in-process: callers hand the DIMACS file to any
 external solver binary and feed its output back through
 :func:`read_dimacs_model`.
@@ -196,13 +200,14 @@ def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
     ordered pair forbidding the reversal from strictly improving the
     outcome for that order.
 
-    Clauses come from templates of negated 1-based alternatives, shifted
-    by a key's ``base = key * m``: ``var(key, a) = base + a + 1``.
+    Every literal is read from the formula's literal tables (see
+    :func:`_literal_tables`), a key's ``m`` negated literals sliced once:
+    ``neg[a]`` is the literal -x[key, a].
     """
     m = varmap.m
-    # per order, for each pair it ranks above before below:
-    # (-(below + 1), -(above + 1)), shifted by the bases of key and rev_key
-    pairs = [[(-below - 1, -above - 1)
+    positive, negative = _literal_tables(varmap.num_vars)
+    # per order, each pair as (below, above): the order ranks above over below
+    pairs = [[(below, above)
               for i, above in enumerate(order.ranking) for below in order.ranking[i + 1:]]
              for order in enumerate_orders(m)]
     at_most_one = _at_most_one(m)
@@ -211,25 +216,37 @@ def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
     hwm: list[Clause] = []
     for key, winner, edges in key_space:
         base = key * m
-        functionality += _functionality(base, m, at_most_one)
+        neg = negative[base + 1:base + m + 1]
+        functionality += _functionality(positive[base + 1:base + m + 1], neg, at_most_one)
         if winner is not None:
-            condorcet.append((base + winner + 1,))
+            condorcet.append((positive[base + winner + 1],))
         for order_ix, rev_key in edges:
             rev_base = rev_key * m
-            hwm += [(below - base, above - rev_base) for below, above in pairs[order_ix]]
+            rev = negative[rev_base + 1:rev_base + m + 1]
+            hwm += [(neg[below], rev[above]) for below, above in pairs[order_ix]]
     return _encode_result(varmap, functionality, condorcet, hwm)
 
 
+def _literal_tables(num_vars: int) -> tuple[list[int], list[int]]:
+    """``positive[v]`` is v and ``negative[v]`` is -v for v in 0..num_vars:
+    a formula takes every literal from these two lists, so each literal
+    value is one shared object however often it occurs (a ``range`` would
+    hand out a new int per element)."""
+    positive = list(range(num_vars + 1))
+    return positive, [-v for v in positive]
+
+
 def _at_most_one(m: int) -> list[tuple[int, int]]:
-    """The at-most-one template: (-(a + 1), -(b + 1)) for a < b."""
-    return [(-a - 1, -b - 1) for a in range(m) for b in range(a + 1, m)]
+    """The at-most-one template: the alternative pairs (a, b), a < b."""
+    return [(a, b) for a in range(m) for b in range(a + 1, m)]
 
 
-def _functionality(base: int, m: int, at_most_one) -> list[Clause]:
-    """Exactly one winner at the key with this base: at least one, then
-    pairwise at most one."""
-    clauses = [tuple(range(base + 1, base + m + 1))]
-    clauses += [(a - base, b - base) for a, b in at_most_one]
+def _functionality(pos: list[int], neg: list[int], at_most_one) -> list[Clause]:
+    """Exactly one winner at a key whose literals x[key, a] and -x[key, a]
+    are ``pos[a]`` and ``neg[a]``: at least one, then pairwise at most
+    one."""
+    clauses = [tuple(pos)]
+    clauses += [(neg[a], neg[b]) for a, b in at_most_one]
     return clauses
 
 
@@ -276,22 +293,25 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
     m = tree.m
     varmap = VariableMap(n=tree.n, m=m, mode="proof", keys=names)
     var = varmap.var
+    positive, negative = _literal_tables(varmap.num_vars)
 
     at_most_one = _at_most_one(m)
     functionality: list[Clause] = []
     condorcet: list[Clause] = []
     hwm: list[Clause] = []
-    for name in names:
-        functionality += _functionality(rank[name] * m, m, at_most_one)
+    for key_rank in range(len(names)):
+        base = key_rank * m
+        functionality += _functionality(positive[base + 1:base + m + 1],
+                                        negative[base + 1:base + m + 1], at_most_one)
     for leaf in tree.leaves:
-        condorcet.append((var(rank[leaf.node], leaf.condorcet),))
+        condorcet.append((positive[var(rank[leaf.node], leaf.condorcet)],))
     for edge in tree.edges:
         src, dst = rank[edge.src], rank[edge.dst]
         for b in range(m):
             reachable = replayed_carry(edge, frozenset((b,)))
             for a in range(m):
                 if a not in reachable:
-                    hwm.append((-var(src, b), -var(dst, a)))
+                    hwm.append((negative[var(src, b)], negative[var(dst, a)]))
 
     return _encode_result(varmap, functionality, condorcet, hwm)
 
@@ -340,6 +360,7 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
     Accepts ``v``-prefixed literal lines and bare literal lists; ``c`` and
     ``s`` lines are ignored.  The assignment may stop at a ``0`` terminator.
     """
+    num_vars = varmap.num_vars
     assignment: dict[int, bool] = {}
     done = False
     saw_literal = False
@@ -363,9 +384,9 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
                 continue
             saw_literal = True
             var = abs(lit)
-            if var > varmap.num_vars:
+            if var > num_vars:
                 raise VariableOutOfRange(
-                    f"model mentions variable {var}, map has {varmap.num_vars}")
+                    f"model mentions variable {var}, map has {num_vars}")
             value = lit > 0
             if assignment.get(var, value) != value:
                 raise MalformedModel(f"model assigns variable {var} both ways")

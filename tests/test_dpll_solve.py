@@ -347,6 +347,8 @@ class TestSearchMatchesReference:
             num_vars, clauses = random_cnf(random.Random(seed))
             model = dpll.solve(num_vars, clauses)
             assert model == reference_solve(num_vars, clauses), seed
+            # one pass over any iterable, as main hands it the file's clauses
+            assert dpll.solve(num_vars, iter(clauses)) == model, seed
             verdicts.append(model is None)
         # both verdicts, each many times over
         assert min(verdicts.count(True), verdicts.count(False)) > 500
@@ -400,6 +402,25 @@ class TestMalformed:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "No such file" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    def test_header_errors_raise_before_the_body_is_read(self, dpll, tmp_path):
+        with pytest.raises(dpll.DimacsError, match="line 1: bad header"):
+            dpll.read_dimacs(write(tmp_path, "p cnf two 1\n1 0\n"))
+        # a body error waits until the clauses are read
+        num_vars, clauses = dpll.read_dimacs(write(tmp_path, "p cnf 2 2\n1 0\n1 x 0\n"))
+        assert num_vars == 2
+        with pytest.raises(dpll.DimacsError, match="line 3: non-integer token 'x'"):
+            list(clauses)
+
+    def test_error_past_many_blocks_prints_no_s_line(self, dpll, tmp_path):
+        # the clauses are solved as they are read, yet the error is all the
+        # output: no s line before the whole file is read
+        clauses = [[1, -2], [2, 3, -1]] * 20_000
+        path = write(tmp_path, one_per_line(3, clauses) + "1 x 0\n")
+        assert path.stat().st_size > 4 * dpll._BLOCK
+        proc = run_solver(path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {path}: line 40002: non-integer token 'x'\n"
 
     def test_large_file_names_the_line(self, dpll, tmp_path):
         clauses = [[1, -2]] * 20_000 + [[1, 7]]

@@ -1,7 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from conftest import REPO_ROOT
 from prefrev import errors, keyspace
-from prefrev.prefs import enumerate_orders, iter_digits, iter_profiles, order_index
+from prefrev.prefs import (
+    LinearOrder,
+    enumerate_orders,
+    iter_digits,
+    iter_profiles,
+    order_index,
+)
 
 
 def recount(votes, m: int) -> tuple[tuple[int, ...], ...]:
@@ -75,6 +87,35 @@ def test_profile_key_is_the_key_of_its_votes():
     for profile in iter_profiles(3, 3):
         assert keyspace.key_rows(keyspace.profile_key(profile), 3) == \
             recount(profile.votes, 3)
+
+
+def test_a_few_profiles_of_many_alternatives_build_no_order_table():
+    # in a fresh process, so that no other test has filled the caches: the
+    # Condorcet winner of one m=8 profile takes a key change per vote, and
+    # neither the m!-entry key table nor the order-index map of m=8
+    code = """if True:
+        import json, random
+        from prefrev import keyspace, prefs, tally
+        from prefrev.prefs import LinearOrder, Profile
+        rng = random.Random(8)
+        top = LinearOrder(tuple(rng.sample(range(8), 8)))
+        votes = [top] * 3 + [LinearOrder(tuple(rng.sample(range(8), 8))) for _ in range(4)]
+        profile = Profile(tuple(votes))
+        winner = tally.condorcet_winner(profile)
+        rows = keyspace.key_rows(keyspace.profile_key(profile), 8)
+        print(json.dumps([winner, top.top, rows, [v.ranking for v in votes],
+                          keyspace.vote_keys.cache_info().currsize,
+                          prefs._order_index_map.cache_info().currsize]))
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    winner, top, rows, rankings, vote_tables, index_maps = json.loads(proc.stdout)
+    votes = [LinearOrder(tuple(ranking)) for ranking in rankings]
+    assert rows == [list(row) for row in recount(votes, 8)]
+    assert winner == (top if all(rows[top][b] > 0 for b in range(8) if b != top)
+                      else None)
+    assert (vote_tables, index_maps) == (0, 0)
 
 
 def test_budget_caps_every_level():

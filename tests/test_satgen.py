@@ -119,6 +119,16 @@ class TestDimacs:
             f"p cnf {formula.num_vars} {len(formula.clauses)}\n"
             + "".join(" ".join(map(str, clause)) + " 0\n" for clause in formula.clauses))
 
+    @pytest.mark.parametrize("make", [
+        lambda: satgen.encode_full(2, 3).formula,
+        lambda: satgen.encode_full(3, 3).formula,
+        lambda: satgen.encode_full(3, 3, mode="c2").formula,
+        lambda: satgen.encode_proof_neighborhood(build_odd_tree(4)).formula,
+    ], ids=["profile-2-3", "profile-3-3", "c2-3-3", "proof-odd-4"])
+    def test_every_literal_is_one_shared_object(self, make):
+        lits = [lit for clause in make().clauses for lit in clause]
+        assert len({id(lit) for lit in lits}) == len(set(lits))
+
     def test_two_var_example(self):
         formula = satgen.CnfFormula(2, ((1, -2),))
         out = io.StringIO()

@@ -27,17 +27,22 @@ counters.  On clauses without a repeated literal the two also make the
 same decisions, since the closure of unit propagation, and whether it
 conflicts, does not depend on the order in which it is computed.
 
-The loader reads the file in blocks of about 64 KiB.  After the
-``p cnf VARS CLAUSES`` header every token is a literal or a ``0`` that
-ends a clause; clauses may span lines or share one, ``c`` lines are
-comments, and a last clause may omit its ``0``.  Tokens map to integers
-through one table built from the header, so each literal value is a
-single shared object.  A block whose clauses all have one length, as the
-encoder writes them family by family, is cut into clauses by slices.  A
-malformed file (no header, a clause before it, a second header, a
-non-integer token or a literal beyond the header's variable count) prints
-one ``error:`` line naming the line to stderr and exits 1.  The cyclic GC
-is off while :func:`main` runs and back as the caller had it on return.
+The file is streamed: :func:`read_dimacs` reads the header at once and
+returns an iterator that reads the body in blocks of about 64 KiB and
+yields its clauses, which :func:`solve` files as they come, so no list of
+the file's clauses is kept (:func:`parse_dimacs` is the list form, for
+callers that want one).  After the ``p cnf VARS CLAUSES`` header every
+token is a literal or a ``0`` that ends a clause; clauses may span lines
+or share one, ``c`` lines are comments, and a last clause may omit its
+``0``.  Tokens map to integers through one table built from the header,
+so each literal value is a single shared object.  A block whose clauses
+all have one length, as the encoder writes them family by family, is cut
+into clauses by slices.  A malformed file (no header, a clause before it,
+a second header, a non-integer token or a literal beyond the header's
+variable count) prints one ``error:`` line naming the line to stderr and
+exits 1; :func:`solve` reads every clause before it returns, so an error
+in the body surfaces before any ``s`` line.  The cyclic GC is off while
+:func:`main` runs and back as the caller had it on return.
 """
 
 import gc
@@ -52,14 +57,29 @@ class DimacsError(ValueError):
     """A malformed CNF file; the message names the line."""
 
 
+def read_dimacs(path):
+    """``(num_vars, clauses)`` of a DIMACS file: the header is read now, and
+    ``clauses`` is an iterator that reads the body a block at a time and
+    yields each clause as a tuple of nonzero literals.  A malformed header
+    raises DimacsError here, a malformed body while ``clauses`` is read."""
+    body = _read(path)
+    return next(body), body
+
+
 def parse_dimacs(path):
-    """``(num_vars, clauses)`` of a DIMACS file, each clause a tuple of
-    nonzero literals; raises DimacsError on a malformed file."""
+    """``(num_vars, clauses)`` of a DIMACS file, the clauses in a list;
+    raises DimacsError on a malformed file."""
+    num_vars, clauses = read_dimacs(path)
+    return num_vars, list(clauses)
+
+
+def _read(path):
+    """The header's variable count, then each clause of the body."""
     with open(path, encoding="utf-8") as handle:
         num_vars, lineno = _read_header(handle)
+        yield num_vars
         # str(lit) -> lit for every token a well-formed body can hold
         table = {str(lit): lit for lit in range(-num_vars, num_vars + 1)}
-        clauses = []
         pending = ()  # the literals after the last 0 read so far
         while block := handle.readlines(_BLOCK):
             try:
@@ -74,17 +94,16 @@ def parse_dimacs(path):
             if step > 1 and values[step - 1:start:step].count(0) == zeros:
                 # every 0 at a multiple of step: all the block's clauses have
                 # the first one's length, one zip of its columns
-                clauses += zip(*[values[i:start:step] for i in range(step - 1)])
+                yield from zip(*[values[i:start:step] for i in range(step - 1)])
             else:
                 index, start = values.index, 0
                 for _ in range(zeros):
                     end = index(0, start)
-                    clauses.append(values[start:end])
+                    yield values[start:end]
                     start = end + 1
             pending = values[start:]
     if pending:
-        clauses.append(pending)
-    return num_vars, clauses
+        yield pending
 
 
 def _read_header(handle):
@@ -130,9 +149,11 @@ def _block_values(block, lineno, table, num_vars):
 
 
 def solve(num_vars, clauses):
-    """Return a model as a list of signed literals, or None if unsatisfiable."""
-    if not all(clauses):
-        return None  # an empty clause
+    """Return a model as a list of signed literals, or None if unsatisfiable.
+
+    ``clauses`` is any iterable of clauses, read once: each binary clause
+    is filed into the implication lists as it comes, and only the clauses
+    of other lengths are kept."""
     # lists of 2 VARS + 1 entries are indexed by a literal: -v wraps to the end
     size = 2 * num_vars + 1
     imp = [[] for _ in range(size)]  # imp[lit]: the literals lit true implies
@@ -144,6 +165,8 @@ def solve(num_vars, clauses):
             imp[-b].append(a)
         else:
             others.append(clause)
+    if not all(others):
+        return None  # an empty clause
 
     # frequency[v]: the occurrences of v and -v, every repeat counted;
     # imp[-lit] holds one entry per occurrence of lit in a binary clause
@@ -251,7 +274,7 @@ def _propagate(trail, head, value, imp, watch):
 
 
 def main():
-    # the loaded clauses, the implication lists, the watches and the search
+    # the kept clauses, the implication lists, the watches and the search
     # make no reference cycles, so the cyclic GC would only walk them for
     # nothing: it is off while main runs, and the caller's setting returns
     enabled = gc.isenabled()
@@ -261,11 +284,13 @@ def main():
             print("usage: dpll_solve.py FILE.cnf", file=sys.stderr)
             return 1
         try:
-            num_vars, clauses = parse_dimacs(sys.argv[1])
+            # solve reads every clause before it returns, so a malformed
+            # body is reported before any s line
+            num_vars, clauses = read_dimacs(sys.argv[1])
+            model = solve(num_vars, clauses)
         except (DimacsError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {sys.argv[1]}: {exc}", file=sys.stderr)
             return 1
-        model = solve(num_vars, clauses)
         if model is None:
             print("s UNSATISFIABLE")
             return 20
