@@ -313,7 +313,15 @@ def cmd_check(args) -> int:
         {"_text": f"mode: {mode_text}", "record": "mode", "mode": mode_text},
     ]
 
-    witness = _dispatch_check(args, rule, scan)
+    try:
+        witness = _dispatch_check(args, rule, scan)
+    except BudgetExceeded as exc:
+        if not args.json:
+            raise  # main prints the text verdict line alone
+        header.append({"record": "result", "result": "budget-exceeded",
+                       "scanned": exc.scanned, "total": exc.total})
+        _emit(args, header)
+        return EXIT_BUDGET
 
     if witness is None:
         verdict = ("no violation (exhaustive certificate)"
@@ -436,6 +444,8 @@ def cmd_encode(args) -> int:
     from . import satgen
 
     _require_positive(args, "n", "m")
+    if not args.solve and (args.solver or args.model_out):
+        raise PrefRevError("--solver and --model-out apply only with --solve")
     if args.proof:
         from . import proofcheck
 

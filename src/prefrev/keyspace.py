@@ -16,6 +16,9 @@ skew-symmetric integer matrix whose off-diagonal entries share one parity
 is the margin matrix of some profile; the DP decides at which sizes.  An
 order o is a *witness order* of a key K at level k, i.e. some realization
 of K has a voter with vote o, exactly when K - vote(o) lies at level k-1.
+This membership test is the one way witness orders are read: no table of
+them is stored, so level k-1, as :func:`margin_levels` returns it, is all
+a reader needs.
 
 The c2 encoder and decoder (:mod:`prefrev.satgen`), the margin pass of the
 scan kernel (:mod:`prefrev.monotonicity`) and the key-level re-check of c2
@@ -32,12 +35,13 @@ matrix, Condorcet verdict and rule of the margins is read off such a key.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from functools import lru_cache
 
 from .errors import BudgetExceeded
 from .prefs import Profile, enumerate_orders
 
-Level = set[int]
+Level = KeysView[int]
 
 _BITS = 32
 _OFFSET = 1 << (_BITS - 1)
@@ -119,7 +123,8 @@ def parse_key(text: str, m: int) -> int:
 
 def margin_levels(n: int, m: int, *, budget: int | None = None
                   ) -> tuple[Level, Level]:
-    """Levels n-1 and n (level -1 is empty), as sets of keys.
+    """Levels n-1 and n (level -1 is empty), as the set-like key views of
+    the dicts they were built in.
 
     ``budget`` caps the keys of any level, checked on each insertion while
     a level is built (levels never shrink: adding one fixed vote maps level
@@ -144,15 +149,5 @@ def margin_levels(n: int, m: int, *, budget: int | None = None
                             scanned=budget)
                     reached[new] = None
         previous, level = level, reached
-    return set(previous), set(level)
+    return previous.keys(), level.keys()
 
-
-def witness_orders(previous: Level, m: int) -> dict[int, set[int]]:
-    """Per key of the level above ``previous``, its witness orders: the o
-    with key - vote(o) in ``previous``, collected as vote(o) is added."""
-    witnesses: dict[int, set[int]] = {}
-    votes = vote_keys(m)
-    for key in previous:
-        for order_ix, vote in enumerate(votes):
-            witnesses.setdefault(key + vote, set()).add(order_ix)
-    return witnesses

@@ -611,7 +611,7 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
 
 
 def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
-                      level: set[int], winners: CondorcetWinners) -> bool:
+                      level: keyspace.Level, winners: CondorcetWinners) -> bool:
     """Whether some unit (K, o), K a key of ``level`` (n-1 voters), violates."""
     m = scan.m
     votes = keyspace.vote_keys(m)

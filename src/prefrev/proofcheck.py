@@ -99,11 +99,10 @@ class ProofTree(Record):
     def alternatives(self) -> Alternatives:
         return Alternatives(default_labels(self.m))
 
-    def incoming(self, node: str) -> ReversalEdge | None:
-        found = [e for e in self.edges if e.dst == node]
-        if len(found) > 1:
-            raise PrefRevError(f"node {node} has {len(found)} incoming edges")
-        return found[0] if found else None
+    def incoming(self, node: str) -> tuple[ReversalEdge, ...]:
+        """Every edge into ``node``: one in a well-formed tree, but a
+        tampered tree may have none or several, which the checks report."""
+        return tuple(e for e in self.edges if e.dst == node)
 
     def children(self, node: str) -> tuple[ReversalEdge, ...]:
         return tuple(e for e in self.edges if e.src == node)
@@ -335,11 +334,11 @@ def _structure_report(tree: ProofTree) -> Report:
         children = tree.children(name)
         if not children:
             continue
-        inc = tree.incoming(name)
         union = frozenset().union(*(e.carried for e in children))
-        report.add(inc.carried <= union,
-                   f"cases out of {name} cover the incoming constraint "
-                   f"{alternatives.label_set(inc.carried)}")
+        for inc in tree.incoming(name):
+            report.add(inc.carried <= union,
+                       f"cases out of {name} cover the incoming constraint "
+                       f"{alternatives.label_set(inc.carried)}")
     leaf_names = {leaf.node for leaf in tree.leaves}
     childless = {name for name in names if not tree.children(name)}
     report.add(leaf_names == childless,
@@ -357,8 +356,8 @@ def _leaf_report(tree: ProofTree, leaf: Leaf) -> Report:
                f"{leaf.node}: Condorcet winner is "
                f"{label(actual) if actual is not None else 'none'}, "
                f"claimed {label(leaf.condorcet)}")
-    inc = tree.incoming(leaf.node)
-    report.add(inc is not None and leaf.forbidden == inc.carried,
+    incoming = tree.incoming(leaf.node)
+    report.add(len(incoming) == 1 and leaf.forbidden == incoming[0].carried,
                f"{leaf.node}: forbidden set matches the incoming constraint "
                f"{alternatives.label_set(leaf.forbidden)}")
     report.add(leaf.condorcet not in leaf.forbidden,

@@ -135,10 +135,10 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
     extensions at (n, m).
 
     Profile mode spends one variable block per profile; c2 mode keys the
-    blocks by realizable margin matrices instead (see
-    :func:`enumerate_margin_keys` for the gating).  Both feed the same
-    encoder a key space: per key its Condorcet winner and its reversal
-    edges.
+    blocks by realizable margin matrices instead, and gates a key's
+    reversal edges on its witness orders, read off level n-1 (see
+    :func:`_c2_key_space`).  Both feed the same encoder a key space: per
+    key its Condorcet winner and its reversal edges.
     """
     if mode == "profile":
         budget = DEFAULT_KEY_BUDGET if budget is None else budget
@@ -149,8 +149,8 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
         varmap = VariableMap(n=n, m=m, mode="profile")
         key_space = _profile_key_space(n, m)
     elif mode == "c2":
-        varmap, witness_orders = c2_variable_map(n, m, budget=budget)
-        key_space = _c2_key_space(varmap, witness_orders)
+        varmap, previous = c2_variable_map(n, m, budget=budget)
+        key_space = _c2_key_space(varmap, previous)
     else:
         raise PrefRevError(f"unknown encode mode {mode!r}")
     return _encode_key_space(varmap, key_space)
@@ -169,28 +169,30 @@ def _profile_key_space(n: int, m: int):
 
 
 def c2_variable_map(n: int, m: int, *, budget: int | None = None
-                    ) -> tuple[VariableMap, dict[int, set[int]]]:
+                    ) -> tuple[VariableMap, keyspace.Level]:
     """The c2 variable map, keyed by the margin keys realizable by n
-    voters, with their witness orders.
+    voters, with level n-1, off which their witness orders are read.
 
     ``encode_full`` and ``cli decode`` both take their c2 keys from here,
     so a model is always read against the key order it was written with.
     """
-    keys, witness_orders = enumerate_margin_keys(n, m, budget=budget)
-    return VariableMap(n=n, m=m, mode="c2", keys=tuple(keys)), witness_orders
+    keys, previous = enumerate_margin_keys(n, m, budget=budget)
+    return VariableMap(n=n, m=m, mode="c2", keys=tuple(keys)), previous
 
 
-def _c2_key_space(varmap: VariableMap, witness_orders: dict[int, set[int]]):
-    """Per margin key: its Condorcet winner and, per witness order, the
-    edge (order, rank of the key after one voter of that order reversed)."""
+def _c2_key_space(varmap: VariableMap, previous: keyspace.Level):
+    """Per margin key, in sorted order: its Condorcet winner and, per
+    witness order o ascending (key - vote(o) lies in ``previous``, level
+    n-1), the edge (o, rank of the key after one voter of that order
+    reversed)."""
     m = varmap.m
     rank = {key: i for i, key in enumerate(varmap.keys)}
     votes = keyspace.vote_keys(m)
     rev = reverse_index_table(m)
     for key_rank, key in enumerate(varmap.keys):
         # reversing a witness voter lands on a realizable key again
-        edges = [(order_ix, rank[key + votes[rev[order_ix]] - votes[order_ix]])
-                 for order_ix in sorted(witness_orders[key])]
+        edges = [(order_ix, rank[key + votes[rev[order_ix]] - vote])
+                 for order_ix, vote in enumerate(votes) if key - vote in previous]
         yield key_rank, tally.key_condorcet_winner(key, m), edges
 
 
@@ -259,20 +261,19 @@ def _encode_result(varmap: VariableMap, functionality: list[Clause],
 
 
 def enumerate_margin_keys(n: int, m: int, *, budget: int | None = None
-                          ) -> tuple[list[int], dict[int, set[int]]]:
-    """All margin keys realizable by n voters, sorted, with their witness
-    orders.
+                          ) -> tuple[list[int], keyspace.Level]:
+    """All margin keys realizable by n voters, sorted, with level n-1.
 
-    The keys come from :func:`keyspace.margin_levels`; a key's witness
-    orders are those o whose removal lands at n-1 voters, i.e. exactly the
-    orders that appear in at least one realization.  That set is what makes
-    a reversal clause sound for a margin key, so the encoder gates on it.
+    Both come from :func:`keyspace.margin_levels`.  A key's witness orders
+    are the o with key - vote(o) in level n-1, i.e. exactly the orders that
+    appear in at least one realization.  They are what makes a reversal
+    clause sound for a margin key, so the encoder gates on that test.
     ``budget`` caps the distinct keys at any size, checked while a level is
     built.
     """
     budget = DEFAULT_KEY_BUDGET if budget is None else budget
     previous, level = keyspace.margin_levels(n, m, budget=budget)
-    return sorted(level), keyspace.witness_orders(previous, m)
+    return sorted(level), previous
 
 
 # --- proof-neighborhood encoding ------------------------------------------------

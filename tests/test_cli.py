@@ -168,6 +168,20 @@ class TestCheck:
         assert code == 2
         assert "budget exceeded" in out
 
+    @pytest.mark.parametrize("flags", ["--rule borda --m 3 --n 3 --budget 5",
+                                       "--rule maximin --m 3 --n 1 --budget 3"])
+    def test_json_budget_exceeded_is_json(self, run, flags):
+        code, out = run(f"check --property hwm {flags} --json")
+        assert code == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["record"] for r in records] == ["check", "rule", "domain", "mode", "result"]
+        code, text = run(f"check --property hwm {flags}")
+        assert code == 2
+        scanned, total = map(int, re.search(r"\((\d+)/(\d+) units", text).groups())
+        assert records[-1] == {"record": "result", "result": "budget-exceeded",
+                               "scanned": scanned, "total": total}
+        assert text.splitlines() == [text.strip()]  # the text verdict line alone
+
     def test_margin_pass_certifies_beyond_the_quotient_budget(self, run):
         # 39.8M scan units, but only 4175 margin keys of 4 voters x 24 orders
         code, out = run("check --property hwm --rule kemeny --m 4 --n 5")
@@ -412,6 +426,17 @@ class TestEncodeDecodePipeline:
             assert code == 3
             assert captured.err.startswith("error: --proof")
             assert captured.out == ""
+        assert not cnf.exists()
+
+    @pytest.mark.parametrize("flags", ["--n 2 --solver true", "--n 2 --model-out m.model",
+                                       "--proof odd --model-out m.model"])
+    def test_solver_flags_need_solve(self, capsys, tmp_path, flags):
+        cnf = tmp_path / "x.cnf"
+        code = main(shlex.split(f"encode --m 4 --out {cnf} {flags}"))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "apply only with --solve" in captured.err
+        assert captured.out == ""
         assert not cnf.exists()
 
     def test_solver_without_verdict_is_an_error(self, capsys, tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import KeysView
 
 import pytest
 
@@ -44,13 +45,16 @@ def decoded(keys, m: int) -> set:
 def test_levels_match_profile_enumeration(n, m):
     previous, level = keyspace.margin_levels(n, m)
     expected = brute_force_keys(n, m)
-    assert isinstance(level, set) and isinstance(previous, set)
+    # the views of the dicts the levels were built in, not copies
+    assert isinstance(level, KeysView) and isinstance(previous, KeysView)
     assert decoded(level, m) == set(expected)
     assert len(level) == len(expected)  # one integer per margin matrix
     assert decoded(previous, m) == set(brute_force_keys(n - 1, m))
-    witnesses = keyspace.witness_orders(previous, m)
-    assert {keyspace.key_rows(key, m): orders
-            for key, orders in witnesses.items()} == expected
+    # o is a witness order of K exactly when K - vote(o) lies at level n-1
+    votes = keyspace.vote_keys(m)
+    assert {keyspace.key_rows(key, m): {o for o, vote in enumerate(votes)
+                                        if key - vote in previous}
+            for key in level} == expected
 
 
 def test_level_zero_is_the_empty_profile():

@@ -834,15 +834,23 @@ class TestMarginPass:
                 assert (exc.value.scanned, exc.value.total) == (first, total), name
                 assert check(wrap, budget=first + 1) == expected, name
 
-    @pytest.mark.parametrize("prop", ["hwm", "participation", "manipulability:condorcet"])
-    def test_budget_counts_margin_units(self, prop):
-        # maximin certifies all three at (3, 3); the margin pass runs
-        # exactly when its units fit, else the quotient path runs out
-        n, m = 3, 3
+    @pytest.mark.parametrize("prop,n", [
+        pytest.param("hwm", 3, id="hwm"),
+        pytest.param("participation", 3, id="participation"),
+        pytest.param("manipulability:condorcet", 3, id="manipulability:condorcet"),
+        pytest.param("hwm", 1, id="hwm-n1"),
+        pytest.param("manipulability", 1, id="manipulability-n1"),
+    ])
+    def test_budget_counts_margin_units(self, prop, n):
+        # maximin certifies all of these at m=3; the margin pass runs
+        # exactly when its units fit, else the quotient path runs out.  At
+        # n=1 the pass reads level 0, which no level build budget-checks,
+        # and has as many units as the full space
+        m = 3
         rule = resolute_rule("maximin", m)
         scan, check = margin_scan(prop, n, m, {n - 1: rule, n: rule})
         units = margin_units(scan)
-        assert units < scan.total_units
+        assert units < scan.total_units if n > 1 else units == scan.total_units
         assert check(lambda rule: rule, budget=units) is None
         with pytest.raises(errors.BudgetExceeded) as exc:
             check(lambda rule: rule, budget=units - 1)

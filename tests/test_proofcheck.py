@@ -205,6 +205,20 @@ class TestTamperedTrees:
         report = verify_tree(tampered)
         assert any("cover" in line.text for line in report.failures)
 
+    @pytest.mark.parametrize("verify", [
+        verify_tree,
+        lambda tree: verify_tree_irresolute(tree, "optimistic"),
+        lambda tree: verify_tree_irresolute(tree, "pessimistic"),
+    ], ids=["resolute", "optimistic", "pessimistic"])
+    @pytest.mark.parametrize("copied,src,node", [(1, "P0", "P2"), (0, "P4", "P1")],
+                             ids=["into-leaf", "into-inner-node"])
+    def test_second_incoming_edge_is_reported_not_raised(self, verify, copied, src, node):
+        tree = build_odd_tree(4)
+        tampered = tree.replace(edges=tree.edges + (tree.edges[copied].replace(src=src),))
+        report = verify(tampered)
+        assert not report.ok
+        assert f"{node} has exactly one incoming edge" in [line.text for line in report.failures]
+
 
 class TestTransportHelpers:
     def test_blockers_empty_only_for_bottom_segments(self):

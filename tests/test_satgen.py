@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import random
@@ -103,6 +104,21 @@ class TestDimacs:
         satgen.write_varmap(result.varmap, default_labels(3), varmap)
         assert cnf.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.cnf").read_text()
         assert varmap.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.map").read_text()
+
+    @pytest.mark.parametrize("n,m,cnf_sha,map_sha", [
+        (4, 4, "8cfbd9ec3c23a27daf65e00c0fae9e6ab59e887b2e605939c34d3fe20343890b",
+         "30e6e0654df1a1f18c1a03b9a970e135a39b254e01b7b7870b0c7bcf0bb98a80"),
+        (5, 3, "0f7319ab54a82dd00e031b87aa2e431f323caec8c819ce7c1a469783421b2de5",
+         "a84978e4c028080b9d58ba2f025480a2bab0256b2ea33d937eb451e7ef1cfc82"),
+    ], ids=["c2-4-4", "c2-5-3"])
+    def test_c2_bytes_digest(self, n, m, cnf_sha, map_sha):
+        # digests of the c2 .cnf and .map text, too large for golden files
+        result = satgen.encode_full(n, m, mode="c2")
+        cnf, varmap = io.StringIO(), io.StringIO()
+        satgen.write_dimacs(result.formula, cnf)
+        satgen.write_varmap(result.varmap, default_labels(m), varmap)
+        assert hashlib.sha256(cnf.getvalue().encode()).hexdigest() == cnf_sha
+        assert hashlib.sha256(varmap.getvalue().encode()).hexdigest() == map_sha
 
     @pytest.mark.parametrize("make", [
         lambda: satgen.encode_full(2, 3).formula,
@@ -470,13 +486,18 @@ class TestProofNeighborhood:
 class TestC2Mode:
     def test_gate_matches_profile_enumeration(self):
         for n, m in ((1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)):
-            keys, witness = satgen.enumerate_margin_keys(n, m)
+            keys, previous = satgen.enumerate_margin_keys(n, m)
             oracle: dict[tuple, set[int]] = {}
             for profile in iter_profiles(n, m):
                 oracle.setdefault(margin_matrix(profile).rows, set()).update(
                     order_index(v) for v in profile.votes)
-            assert keys == sorted(keys) and set(witness) == set(keys)
-            assert {keyspace.key_rows(key, m): witness[key] for key in keys} == oracle
+            assert keys == sorted(keys) and len(keys) == len(oracle)
+            # the gate, K - vote(o) at level n-1, gives each key's edges the
+            # orders its realizations use, ascending
+            varmap = satgen.VariableMap(n=n, m=m, mode="c2", keys=tuple(keys))
+            assert {keyspace.key_rows(keys[rank], m): [o for o, _ in edges]
+                    for rank, _, edges in satgen._c2_key_space(varmap, previous)} == {
+                rows: sorted(orders) for rows, orders in oracle.items()}
 
     def test_pipeline(self, solver_cmd, tmp_path):
         result = satgen.encode_full(3, 3, mode="c2")
