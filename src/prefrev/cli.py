@@ -125,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
                                              "arguments")
     p.add_argument("which", choices=("odd", "even", "perez",
                                      "irresolute-opt", "irresolute-pess"))
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int, default=4,
+                   help="alternatives of the proof trees; perez (a fixed "
+                        "41-voter, 5-alternative profile) ignores it until a "
+                        "benchmark change lets it exit 3 (ROADMAP item 6)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_proofs)
 
@@ -446,6 +449,7 @@ def cmd_encode(args) -> int:
     _require_positive(args, "n", "m")
     if not args.solve and (args.solver or args.model_out):
         raise PrefRevError("--solver and --model-out apply only with --solve")
+    solver = _solver_command(args) if args.solve else None
     if args.proof:
         from . import proofcheck
 
@@ -478,7 +482,7 @@ def cmd_encode(args) -> int:
           f"(functionality={counts['functionality']} "
           f"condorcet={counts['condorcet']} hwm={counts['hwm']})")
     if args.solve:
-        run = satgen.run_solver(_solver_command(args), args.out)
+        run = satgen.run_solver(solver, args.out)
         if run.status == "UNKNOWN":
             raise PrefRevError(f"solver gave no SAT/UNSAT verdict "
                                f"(exit code {run.returncode})")

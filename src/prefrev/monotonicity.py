@@ -147,13 +147,6 @@ class ReversalWitness(Record):
 
     __slots__ = ("profile", "voter", "winner_before", "winner_after")
 
-    def __init__(self, profile: Profile, voter: int, winner_before: int,
-                 winner_after: int) -> None:
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "voter", voter)
-        object.__setattr__(self, "winner_before", winner_before)
-        object.__setattr__(self, "winner_after", winner_after)
-
     @property
     def truthful_order(self) -> LinearOrder:
         return self.profile.votes[self.voter]
@@ -184,14 +177,6 @@ class SetReversalWitness(Record):
 
     __slots__ = ("profile", "voter", "set_before", "set_after", "mode")
 
-    def __init__(self, profile: Profile, voter: int, set_before: frozenset[int],
-                 set_after: frozenset[int], mode: str) -> None:
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "voter", voter)
-        object.__setattr__(self, "set_before", set_before)
-        object.__setattr__(self, "set_after", set_after)
-        object.__setattr__(self, "mode", mode)
-
     def _event(self):
         return (self.profile.votes[self.voter], self.profile, self.set_before,
                 self.profile.reverse_vote(self.voter), self.set_after)
@@ -216,14 +201,6 @@ class ParticipationWitness(Record):
 
     __slots__ = ("profile_without", "joiner_order", "winner_without",
                  "winner_with", "position")
-
-    def __init__(self, profile_without: Profile, joiner_order: LinearOrder,
-                 winner_without: int, winner_with: int, position: int) -> None:
-        object.__setattr__(self, "profile_without", profile_without)
-        object.__setattr__(self, "joiner_order", joiner_order)
-        object.__setattr__(self, "winner_without", winner_without)
-        object.__setattr__(self, "winner_with", winner_with)
-        object.__setattr__(self, "position", position)
 
     def joined_profile(self) -> Profile:
         return self.profile_without.insert_voter(self.position, self.joiner_order)
@@ -250,14 +227,6 @@ class ManipulationWitness(Record):
 
     __slots__ = ("profile", "voter", "misreport", "winner_truthful",
                  "winner_misreport")
-
-    def __init__(self, profile: Profile, voter: int, misreport: LinearOrder,
-                 winner_truthful: int, winner_misreport: int) -> None:
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "voter", voter)
-        object.__setattr__(self, "misreport", misreport)
-        object.__setattr__(self, "winner_truthful", winner_truthful)
-        object.__setattr__(self, "winner_misreport", winner_misreport)
 
     def is_violation(self) -> bool:
         truthful = self.profile.votes[self.voter]
@@ -329,16 +298,7 @@ class _Scan(Record):
 
     __slots__ = ("rule", "n", "m", "deviation", "compare", "condorcet_only",
                  "rule_small")
-
-    def __init__(self, rule: object, n: int, m: int, deviation: str, compare: str,
-                 condorcet_only: bool = False, rule_small: object = None) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "deviation", deviation)
-        object.__setattr__(self, "compare", compare)
-        object.__setattr__(self, "condorcet_only", condorcet_only)
-        object.__setattr__(self, "rule_small", rule_small)
+    _defaults = {"condorcet_only": False, "rule_small": None}
 
     @property
     def voters(self) -> int:

@@ -30,23 +30,49 @@ from .errors import (
 
 MAX_ENUMERABLE_M = 8
 
-# how a record's __init__ sets its fields; bound once, since orders and
-# profiles are built in the scan and proof loops
+# how Record.__init__ and the validating records set a field; bound once,
+# since orders and profiles are built in the scan and proof loops
 _set = object.__setattr__
 
 
 class Record:
     """Base of prefrev's immutable records.
 
-    A record names its fields in ``__slots__``, takes them in that order and
-    under those names as the parameters of its ``__init__`` and sets each
-    once there with ``object.__setattr__``; afterwards assigning or
-    deleting a field raises AttributeError.  Records of one class with equal fields are
-    equal and hash alike (a record with an unhashable field is unhashable),
-    and pickle and copy go through ``__init__``.
+    A record names its fields in ``__slots__`` and nothing more: this
+    constructor takes them in that order, positionally or by name, and sets
+    each once with ``object.__setattr__``.  A field not given takes its
+    value from the class's ``_defaults``; a missing field, an extra value,
+    an unknown name or a field given twice raises TypeError.  A record that
+    validates its fields defines ``__init__`` to check them and then calls
+    this one.  Afterwards assigning or deleting a field raises
+    AttributeError.  Records of one class with equal fields are equal and
+    hash alike (a record with an unhashable field is unhashable), and
+    pickle and copy go through ``__init__``.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *values, **named) -> None:
+        names = self.__slots__
+        if len(values) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields, got {len(values)} values")
+        for name, value in zip(names, values):
+            _set(self, name, value)
+        for name in names[len(values):]:
+            if name in named:
+                _set(self, name, named.pop(name))
+            elif name in self._defaults:
+                _set(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field "
+                                f"{name!r}")
+        if named:
+            name = next(iter(named))
+            raise TypeError(f"{type(self).__name__} got field {name!r} twice"
+                            if name in names else
+                            f"{type(self).__name__} has no field {name!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a "
@@ -96,7 +122,7 @@ class Alternatives(Record):
     def __init__(self, labels: tuple[str, ...]) -> None:
         if len(set(labels)) != len(labels):
             raise DuplicateLabel(next(x for x in labels if labels.count(x) > 1))
-        _set(self, "labels", labels)
+        super().__init__(labels)
 
     @property
     def m(self) -> int:

@@ -61,14 +61,6 @@ class ReversalEdge(Record):
 
     __slots__ = ("src", "dst", "reversals", "carried")
 
-    def __init__(self, src: str, dst: str,
-                 reversals: tuple[tuple[int, LinearOrder], ...],
-                 carried: frozenset[int]) -> None:
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "reversals", reversals)
-        object.__setattr__(self, "carried", carried)
-
     @property
     def reversal_count(self) -> int:
         return sum(count for count, _ in self.reversals)
@@ -77,23 +69,9 @@ class ReversalEdge(Record):
 class Leaf(Record):
     __slots__ = ("node", "condorcet", "forbidden")
 
-    def __init__(self, node: str, condorcet: int, forbidden: frozenset[int]) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "condorcet", condorcet)
-        object.__setattr__(self, "forbidden", forbidden)
-
 
 class ProofTree(Record):
     __slots__ = ("m", "n", "root", "profiles", "edges", "leaves")
-
-    def __init__(self, m: int, n: int, root: str, profiles: dict[str, Profile],
-                 edges: tuple[ReversalEdge, ...], leaves: tuple[Leaf, ...]) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "profiles", profiles)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "leaves", leaves)
 
     @property
     def alternatives(self) -> Alternatives:

@@ -8,10 +8,6 @@ from .prefs import Record
 class CheckLine(Record):
     __slots__ = ("ok", "text")
 
-    def __init__(self, ok: bool, text: str) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "text", text)
-
     def render(self) -> str:
         return f"[{'ok' if self.ok else 'FAIL'}] {self.text}"
 

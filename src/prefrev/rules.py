@@ -68,7 +68,7 @@ class ScoreVector(Record):
     def __init__(self, s: tuple[int, ...]) -> None:
         if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
             raise PrefRevError(f"score vector must be weakly decreasing: {s}")
-        object.__setattr__(self, "s", s)
+        super().__init__(s)
 
     @property
     def m(self) -> int:
@@ -87,9 +87,6 @@ class TieBreak(Record):
     """A fixed priority order over alternatives that resolves every tie."""
 
     __slots__ = ("priority",)
-
-    def __init__(self, priority: LinearOrder) -> None:
-        object.__setattr__(self, "priority", priority)
 
     @classmethod
     def lexicographic(cls, m: int) -> "TieBreak":
@@ -454,12 +451,9 @@ class RuleTable(Record):
         if mode == "profile" and len(chosen) != num_profiles(n, m):
             raise MissingEntry(f"profile table has {len(chosen)} entries, "
                                f"needs {num_profiles(n, m)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "chosen", chosen)
+        super().__init__(n, m, mode, chosen)
 
-    def lookup(self, profile: Profile) -> int:
+    def __call__(self, profile: Profile) -> int:
         if self.mode == "c2":
             return self.on_key(keyspace.profile_key(profile), profile.n, profile.m)
         self._check_size(profile.n, profile.m)
@@ -482,8 +476,6 @@ class RuleTable(Record):
             raise DomainMismatch(
                 f"table is for n={self.n}, m={self.m}; "
                 f"profile has n={n}, m={m}")
-
-    __call__ = lookup
 
     @property
     def depends_on(self) -> str:

@@ -64,8 +64,7 @@ class CnfFormula(Record):
             for lit in clause:
                 if lit == 0 or abs(lit) > num_vars:
                     raise PrefRevError(f"bad literal {lit} in clause {clause}")
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", clauses)
+        super().__init__(num_vars, clauses)
 
     def without_clause(self, clause: Clause) -> "CnfFormula":
         """A copy with one occurrence of ``clause`` removed (mutation tests)."""
@@ -84,13 +83,7 @@ class VariableMap(Record):
     """
 
     __slots__ = ("n", "m", "mode", "keys")
-
-    def __init__(self, n: int, m: int, mode: str,
-                 keys: tuple[int, ...] | tuple[str, ...] | None = None) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "keys", keys)
+    _defaults = {"keys": None}
 
     @property
     def num_keys(self) -> int:
@@ -118,12 +111,6 @@ class VariableMap(Record):
 
 class EncodeResult(Record):
     __slots__ = ("formula", "varmap", "counts")
-
-    def __init__(self, formula: CnfFormula, varmap: VariableMap,
-                 counts: dict[str, int]) -> None:
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "varmap", varmap)
-        object.__setattr__(self, "counts", counts)
 
 
 # --- the full formula -----------------------------------------------------------
@@ -352,14 +339,24 @@ def write_varmap(varmap: VariableMap, alternatives_labels: Sequence[str],
                        f"{alternatives_labels[alt]}\n")
 
 
-_STATUS_WORDS = {"SAT", "SATISFIABLE", "UNSAT", "UNSATISFIABLE"}
+# a solver's verdict line, upper-cased: the DIMACS ``s`` line or a bare word
+_STATUS_LINES = {"S SATISFIABLE": "SAT", "SATISFIABLE": "SAT", "SAT": "SAT",
+                 "S UNSATISFIABLE": "UNSAT", "UNSATISFIABLE": "UNSAT",
+                 "UNSAT": "UNSAT"}
+
+
+def solver_status(line: str) -> str | None:
+    """"SAT" or "UNSAT" when ``line`` is a solver's verdict line, in any
+    case and with any surrounding whitespace; None otherwise."""
+    return _STATUS_LINES.get(line.strip().upper())
 
 
 def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
     """Parse a solver's model output into a variable assignment.
 
     Accepts ``v``-prefixed literal lines and bare literal lists; ``c`` and
-    ``s`` lines are ignored.  The assignment may stop at a ``0`` terminator.
+    ``s`` lines and the verdict lines of :func:`solver_status` are ignored.
+    The assignment may stop at a ``0`` terminator.
     """
     num_vars = varmap.num_vars
     assignment: dict[int, bool] = {}
@@ -367,9 +364,7 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
     saw_literal = False
     for raw in source:
         line = raw.strip()
-        if not line or line[0] in "cs":
-            continue
-        if line.upper() in _STATUS_WORDS:
+        if not line or line[0] in "cs" or solver_status(line):
             continue
         if line.startswith(("v", "V")):
             line = line[1:]
@@ -504,36 +499,24 @@ class SolverRun(Record):
 
     __slots__ = ("status", "output", "returncode")
 
-    def __init__(self, status: str, output: str, returncode: int) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "returncode", returncode)
-
 
 def run_solver(command: str | Sequence[str], cnf_path: str) -> SolverRun:
     """Invoke an external DIMACS solver on a CNF file.
 
     The solver is any binary that takes the CNF path as its last argument
-    and reports ``s SATISFIABLE`` / ``s UNSATISFIABLE`` (exit codes 10/20
-    also recognised).  Models are read from its stdout.
+    and reports ``s SATISFIABLE`` / ``s UNSATISFIABLE`` (any line that
+    :func:`solver_status` reads; exit codes 10/20 also recognised).  Models
+    are read from its stdout.
     """
     import shlex
     import subprocess
 
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     proc = subprocess.run(argv + [cnf_path], capture_output=True, text=True)
-    status = "UNKNOWN"
     for line in proc.stdout.splitlines():
-        upper = line.strip().upper()
-        if upper in ("S SATISFIABLE", "SAT", "SATISFIABLE"):
-            status = "SAT"
+        status = solver_status(line)
+        if status is not None:
             break
-        if upper in ("S UNSATISFIABLE", "UNSAT", "UNSATISFIABLE"):
-            status = "UNSAT"
-            break
-    if status == "UNKNOWN":
-        if proc.returncode == 10:
-            status = "SAT"
-        elif proc.returncode == 20:
-            status = "UNSAT"
+    else:
+        status = {10: "SAT", 20: "UNSAT"}.get(proc.returncode, "UNKNOWN")
     return SolverRun(status=status, output=proc.stdout, returncode=proc.returncode)

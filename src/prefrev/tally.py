@@ -25,11 +25,6 @@ class MarginMatrix(Record):
 
     __slots__ = ("m", "n", "rows")
 
-    def __init__(self, m: int, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-
     def to_csv(self, alternatives: Alternatives) -> str:
         out = io.StringIO()
         out.write("," + ",".join(alternatives.labels) + "\n")

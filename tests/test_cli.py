@@ -460,10 +460,15 @@ class TestEncodeDecodePipeline:
 
     def test_missing_solver_is_an_error(self, run, tmp_path, monkeypatch,
                                         capsys):
+        # checked before encoding: nothing is printed or written
         monkeypatch.delenv("PREFREV_SOLVER", raising=False)
-        code = main(["encode", "--proof", "odd", "--out",
-                     str(tmp_path / "x.cnf"), "--solve"])
+        monkeypatch.chdir(tmp_path)
+        code = main(["encode", "--proof", "odd", "--out", "x.cnf", "--solve"])
+        captured = capsys.readouterr()
         assert code == 3
+        assert "no solver configured" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_decode_unsat_output_hints(self, run, tmp_path, capsys):
         model = tmp_path / "unsat.model"

@@ -1,5 +1,5 @@
-"""The package's records: value equality, frozen fields, copies with
-changes, and the validation their constructors run."""
+"""The package's records: the shared constructor, value equality, frozen
+fields, copies with changes, and the validation their constructors run."""
 
 import copy
 import pickle
@@ -14,7 +14,7 @@ from prefrev.monotonicity import (
     SetReversalWitness,
     _Scan,
 )
-from prefrev.prefs import Alternatives, LinearOrder, Profile
+from prefrev.prefs import Alternatives, LinearOrder, Profile, Record
 from prefrev.proofcheck import Leaf, ProofTree, ReversalEdge
 from prefrev.report import CheckLine, Report
 from prefrev.rules import RuleTable, ScoreVector, TieBreak, borda_vector
@@ -152,6 +152,47 @@ class TestRecords:
         a = make()
         assert a != tuple(getattr(a, name) for name in a.__slots__)
         assert a != object()
+
+
+class TestConstructor:
+    def test_fields_by_name_equal_fields_by_position(self, record):
+        make, _, _ = record
+        a = make()
+        values = [getattr(a, name) for name in a.__slots__]
+        assert type(a)(*values) == a
+        assert type(a)(**dict(zip(a.__slots__, values))) == a
+
+    def test_bad_arguments_raise_type_error_naming_the_class(self, record):
+        make, _, _ = record
+        a = make()
+        cls, names = type(a), a.__slots__
+        values = [getattr(a, name) for name in names]
+        named = dict(zip(names, values))
+        del named[names[0]]
+        for build in (lambda: cls(**named),                       # missing
+                      lambda: cls(*values, None),                 # extra
+                      lambda: cls(*values, colour="red"),         # unknown
+                      lambda: cls(*values, **{names[0]: values[0]})):  # twice
+            with pytest.raises(TypeError, match=cls.__name__):
+                build()
+
+    def test_defaults(self):
+        scan = _Scan(rule, 3, 3, "reverse", "weak")
+        assert scan.condorcet_only is False and scan.rule_small is None
+        assert _Scan(rule, 3, 3, "abstain", "weak", rule_small=rule).rule_small is rule
+        assert varmap().keys is None
+        assert VariableMap(2, 3, "c2", (7,)).keys == (7,)
+
+    def test_only_validating_records_define_init(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert {cls.__name__ for cls in subclasses(Record)
+                if "__init__" in vars(cls)} == {
+            "Alternatives", "LinearOrder", "Profile", "ScoreVector",
+            "RuleTable", "CnfFormula"}
 
 
 class TestReport:

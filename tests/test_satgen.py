@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import io
 import random
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -546,3 +547,28 @@ class TestRunSolver:
         varmap = satgen.VariableMap(n=1, m=2, mode="profile")
         model = satgen.read_dimacs_model(io.StringIO(run.output), varmap)
         assert model[1] or not model[2]
+
+    # every verdict line run_solver reads, in the spellings solvers print
+    @pytest.mark.parametrize("line, status", [
+        ("s SATISFIABLE", "SAT"), ("S SATISFIABLE", "SAT"), ("SATISFIABLE", "SAT"),
+        ("satisfiable", "SAT"), ("SAT", "SAT"), ("sat", "SAT"),
+        ("  S SATISFIABLE  ", "SAT"),
+        ("s UNSATISFIABLE", "UNSAT"), ("S UNSATISFIABLE", "UNSAT"),
+        ("UNSATISFIABLE", "UNSAT"), ("unsatisfiable", "UNSAT"),
+        ("UNSAT", "UNSAT"), ("unsat", "UNSAT"), ("  S UNSATISFIABLE\t", "UNSAT"),
+    ])
+    def test_both_readers_take_each_status_line(self, tmp_path, line, status):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 0\n")
+        # exits 0, so the verdict can only come from the printed line
+        fake = [sys.executable, "-c", f"print({line!r})"]
+        assert satgen.run_solver(fake, str(cnf)).status == status
+        assert satgen.solver_status(line) == status
+        varmap = satgen.VariableMap(n=1, m=2, mode="profile")
+        if status == "SAT":
+            model = satgen.read_dimacs_model(io.StringIO(f"{line}\nv 1 -2 0\n"),
+                                             varmap)
+            assert model == {1: True, 2: False}
+        else:
+            with pytest.raises(errors.MalformedModel, match="no model literals"):
+                satgen.read_dimacs_model(io.StringIO(f"{line}\n"), varmap)
