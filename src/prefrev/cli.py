@@ -6,9 +6,9 @@ byte-identical output.  ``check`` exits 0 when no violation was found,
 1 when a witness is printed, 2 when the scan budget ran out; ``encode``
 exits 2 when its key budget runs out.  Exit 3 covers usage and input
 problems: malformed command lines, non-positive size or budget flags,
-flags the command would ignore (README lists them), missing, unwritable
-or malformed files, and an ``encode --solve`` run whose solver gives no
-SAT/UNSAT verdict.  ``verify-table`` re-checks profile and c2 tables.
+flags the command would ignore (README lists them), two output flags that
+name one file, missing, unwritable or malformed files, and an ``encode
+--solve`` run whose solver gives no SAT/UNSAT verdict.  ``verify-table`` re-checks profile and c2 tables.
 The SAT solver is only ever an external binary, taken from ``--solver``
 or the PREFREV_SOLVER environment variable, and is only invoked when
 ``--solve`` is passed explicitly.
@@ -20,11 +20,11 @@ import argparse
 import os
 import sys
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-# json, monotonicity, proofcheck and satgen are imported by the commands and
-# outputs that use them, so that each process loads only what it runs
-from . import rules
+# json, monotonicity, proofcheck, rules and satgen are imported by the
+# commands and outputs that use them, so that each process loads only what
+# it runs
 from .errors import (
     BadBudget,
     BudgetExceeded,
@@ -33,6 +33,8 @@ from .errors import (
     UnknownRule,
 )
 from .prefs import (
+    RESOLUTE_RULES,
+    SET_RULES,
     Alternatives,
     default_labels,
     format_order,
@@ -40,8 +42,10 @@ from .prefs import (
     read_profile,
     write_profile,
 )
-from .rules import TieBreak, read_rule_table
 from .tally import margin_matrix, rows_condorcet_winner
+
+if TYPE_CHECKING:
+    from .rules import TieBreak
 
 SOLVER_ENV = "PREFREV_SOLVER"
 
@@ -96,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="scan a domain for paradox witnesses")
     p.add_argument("--property", required=True, choices=CHECK_PROPERTIES)
     named = p.add_mutually_exclusive_group(required=True)
-    named.add_argument("--rule", help=f"one of: {', '.join(rules.RESOLUTE_RULES)}; "
-                                      f"set-valued: {', '.join(rules.SET_RULES)}")
+    named.add_argument("--rule", help=f"one of: {', '.join(RESOLUTE_RULES)}; "
+                                      f"set-valued: {', '.join(SET_RULES)}")
     named.add_argument("--table", help="rule table file (profile or c2 mode) "
                                        "to check instead of a named rule")
     p.add_argument("--m", type=int, required=True)
@@ -175,6 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tie_break(text: str | None, alternatives: Alternatives) -> TieBreak:
+    from .rules import TieBreak
+
     if text is None:
         return TieBreak.lexicographic(alternatives.m)
     return TieBreak(parse_order(text, alternatives))
@@ -207,6 +213,8 @@ def _emit(args, records: list[dict]) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from . import rules
+
     profile, alternatives = read_profile(args.profile)
     tie_break = _tie_break(args.tie_break, alternatives)
     margins = margin_matrix(profile)
@@ -221,7 +229,7 @@ def cmd_analyze(args) -> int:
     records.append({"_text": f"condorcet-winner: {winner_label}",
                     "record": "condorcet-winner", "winner": winner_label})
 
-    for name in rules.RESOLUTE_RULES:
+    for name in RESOLUTE_RULES:
         if name == "condorcet":  # undefined without a Condorcet winner
             continue
         try:
@@ -236,7 +244,7 @@ def cmd_analyze(args) -> int:
         records.append({"_text": f"{name}: {label}{text}", "record": "rule",
                         "rule": name, "winner": label, **extra})
 
-    for name in rules.SET_RULES:
+    for name in SET_RULES:
         chosen = alternatives.label_set(rules.set_rule(name)(profile))
         records.append({"_text": f"{name}: {chosen}",
                         "record": "set-rule", "rule": name, "winners": chosen})
@@ -255,12 +263,16 @@ def cmd_analyze(args) -> int:
 
 
 def _kemeny_detail(profile, alternatives) -> tuple[str, dict]:
+    from . import rules
+
     text = "|".join(format_order(r, alternatives)
                     for r in rules.kemeny_rankings(profile))
     return f"  rankings={text}", {"rankings": text}
 
 
 def _dodgson_detail(profile, alternatives) -> tuple[str, dict]:
+    from . import rules
+
     scores = rules.dodgson_scores(profile)
     text = " ".join(f"{alternatives.label_of(a)}={scores[a]}"
                     for a in range(profile.m))
@@ -276,6 +288,8 @@ _RULE_DETAILS = {"kemeny": _kemeny_detail, "dodgson": _dodgson_detail}
 
 
 def cmd_check(args) -> int:
+    from . import rules
+
     _require_positive(args, "n", "m", "sample")
     _reject_ignored_flags(args)
     alternatives = Alternatives(default_labels(args.m))
@@ -286,12 +300,12 @@ def cmd_check(args) -> int:
     set_valued = args.property in ("hwm-optimistic", "hwm-pessimistic")
     if args.table is not None:
         with open(args.table, encoding="utf-8") as handle:
-            rule = read_rule_table(handle)
+            rule = rules.read_rule_table(handle)
         rule_name = f"table:{args.table}"
         if rule.n != args.n or rule.m != args.m:
             raise PrefRevError(f"table is for n={rule.n} m={rule.m}, "
                                f"flags say n={args.n} m={args.m}")
-    elif args.rule in rules.SET_RULES:
+    elif args.rule in SET_RULES:
         if not set_valued:
             raise UnknownRule(f"{args.rule} is set-valued; use the "
                               f"hwm-optimistic/hwm-pessimistic properties")
@@ -302,7 +316,7 @@ def cmd_check(args) -> int:
         if cap is not None:
             raise PrefRevError(cap)
         rule_name, rule = args.rule, rules.resolute_rule(args.rule, args.m, tie_break)
-    if set_valued and rule_name not in rules.SET_RULES:
+    if set_valued and rule_name not in SET_RULES:
         rule = _Singleton(rule)
 
     mode_text = (f"sampled blocks={args.sample} seed={seed}"
@@ -350,7 +364,7 @@ def _reject_ignored_flags(args) -> None:
     for ignored, message in (
             (args.domain == "condorcet" and args.property != "manipulability",
              "--domain condorcet applies only to --property manipulability"),
-            (args.tie_break and (args.table is not None or args.rule in rules.SET_RULES
+            (args.tie_break and (args.table is not None or args.rule in SET_RULES
                                  or args.rule == "condorcet"),
              "--tie-break applies only to a resolute registry rule other "
              "than condorcet"),
@@ -450,6 +464,9 @@ def cmd_encode(args) -> int:
     if not args.solve and (args.solver or args.model_out):
         raise PrefRevError("--solver and --model-out apply only with --solve")
     solver = _solver_command(args) if args.solve else None
+    map_path = args.map or args.out + ".map"
+    _reject_shared_paths(("--out", args.out), ("--map", map_path),
+                         ("--model-out", args.model_out))
     if args.proof:
         from . import proofcheck
 
@@ -470,7 +487,6 @@ def cmd_encode(args) -> int:
 
     with open(args.out, "w", encoding="utf-8") as handle:
         satgen.write_dimacs(result.formula, handle)
-    map_path = args.map or args.out + ".map"
     with open(map_path, "w", encoding="utf-8") as handle:
         satgen.write_varmap(result.varmap, labels, handle)
 
@@ -478,7 +494,7 @@ def cmd_encode(args) -> int:
     print(f"cnf: {args.out}")
     print(f"map: {map_path}")
     print(f"variables: {result.formula.num_vars}")
-    print(f"clauses: {len(result.formula.clauses)} "
+    print(f"clauses: {result.formula.num_clauses} "
           f"(functionality={counts['functionality']} "
           f"condorcet={counts['condorcet']} hwm={counts['hwm']})")
     if args.solve:
@@ -494,8 +510,23 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _reject_shared_paths(*flags: tuple[str, str | None]) -> None:
+    """Exit 3 when two output flags name one file: the second write would
+    replace the first."""
+    given = [(flag, path) for flag, path in flags if path is not None]
+    for i, (flag, path) in enumerate(given):
+        for other, other_path in given[i + 1:]:
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:  # a file not written yet
+                same = os.path.realpath(path) == os.path.realpath(other_path)
+            if same:
+                raise PrefRevError(f"{flag} and {other} name the same file: {path}")
+
+
 def cmd_decode(args) -> int:
     from . import satgen
+    from .rules import write_rule_table
 
     _require_positive(args, "n", "m")
     if args.mode == "profile":
@@ -506,7 +537,7 @@ def cmd_decode(args) -> int:
         assignment = satgen.read_dimacs_model(handle, varmap)
     table = satgen.decode_model(assignment, varmap)
     with open(args.out, "w", encoding="utf-8") as handle:
-        rules.write_rule_table(table, handle)
+        write_rule_table(table, handle)
     print(f"table: {args.out}")
     print(f"entries: {varmap.num_keys}")
     return EXIT_OK
@@ -514,6 +545,7 @@ def cmd_decode(args) -> int:
 
 def cmd_verify_table(args) -> int:
     from . import satgen
+    from .rules import read_rule_table
 
     with open(args.table, encoding="utf-8") as handle:
         table = read_rule_table(handle)

@@ -30,6 +30,13 @@ from .errors import (
 
 MAX_ENUMERABLE_M = 8
 
+# the registry names of the rules of :mod:`prefrev.rules`, defined here so
+# that the CLI can list them without loading that module
+RESOLUTE_RULES = ("plurality", "borda", "black", "maximin", "kemeny",
+                  "baldwin", "nanson", "dodgson", "schulze", "ranked-pairs",
+                  "condorcet")
+SET_RULES = ("copeland-set", "uncovered-set", "top-cycle")
+
 # how Record.__init__ and the validating records set a field; bound once,
 # since orders and profiles are built in the scan and proof loops
 _set = object.__setattr__

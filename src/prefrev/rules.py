@@ -40,6 +40,8 @@ from .errors import (
     UnknownRule,
 )
 from .prefs import (
+    RESOLUTE_RULES,
+    SET_RULES,
     LinearOrder,
     Profile,
     Record,
@@ -572,11 +574,6 @@ def _condorcet_rows(rows: Rows) -> int:
 
 _condorcet_rule = MarginsRule(_condorcet_rows)
 
-
-RESOLUTE_RULES = ("plurality", "borda", "black", "maximin", "kemeny",
-                  "baldwin", "nanson", "dodgson", "schulze", "ranked-pairs",
-                  "condorcet")
-SET_RULES = ("copeland-set", "uncovered-set", "top-cycle")
 
 # resolute rules of the margin matrix alone, on margin rows
 _MARGIN_IMPL: dict[str, Callable[..., int]] = {

@@ -12,9 +12,13 @@ unsatisfiability is an impossibility proof for that electorate.
 verified proof tree and is expected unsatisfiable; it is small enough to
 hand to core-extraction tooling unchanged.
 
-Both encoders take every literal from one pair of tables per formula
-(``positive[v] == v``, ``negative[v] == -v``), so a formula holds one int
-object per literal value, not one per occurrence.
+A :class:`CnfFormula` holds its clauses as DIMACS text, the lines that
+:func:`write_dimacs` writes after the header, and no clause objects.  The
+full-formula encoder renders that text straight from per-key and per-edge
+``%`` templates and range-checks its keys and winners instead of checking
+every literal; the proof-neighborhood encoder builds clause tuples and
+hands them to the constructor, which checks and renders them.  A
+formula's ``clauses`` parses the text back on request.
 
 Solving is never done in-process: callers hand the DIMACS file to any
 external solver binary and feed its output back through
@@ -24,6 +28,7 @@ external solver binary and feed its output back through
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import (
@@ -41,15 +46,15 @@ from .prefs import (
     profile_to_index,
     reverse_index_table,
 )
-from .rules import RuleTable
 from . import keyspace, tally
 
-# proofcheck, monotonicity, report, shlex and subprocess are imported by the
-# functions that use them, so that encode and decode processes do not load
-# them
+# proofcheck, monotonicity, report, rules, shlex and subprocess are imported
+# by the functions that use them, so that each process loads only what it
+# runs
 if TYPE_CHECKING:
     from .proofcheck import ProofTree
     from .report import Report
+    from .rules import RuleTable
 
 DEFAULT_KEY_BUDGET = 1_000_000
 
@@ -57,14 +62,50 @@ Clause = tuple[int, ...]
 
 
 class CnfFormula(Record):
-    __slots__ = ("num_vars", "clauses")
+    """A CNF over the variables 1..``num_vars``, held as its DIMACS body:
+    ``text`` is its ``num_clauses`` clause lines exactly as
+    :func:`write_dimacs` writes them after the header.
 
-    def __init__(self, num_vars: int, clauses: tuple[Clause, ...]) -> None:
+    ``CnfFormula(num_vars, clauses)`` checks every literal and renders the
+    clauses once; the full-formula encoder, which range-checks its keys
+    instead, hands over its rendered text through :meth:`_from_text`.
+    """
+
+    __slots__ = ("num_vars", "num_clauses", "text")
+
+    def __init__(self, num_vars: int, clauses: Sequence[Clause]) -> None:
         for clause in clauses:
             for lit in clause:
                 if lit == 0 or abs(lit) > num_vars:
                     raise PrefRevError(f"bad literal {lit} in clause {clause}")
-        super().__init__(num_vars, clauses)
+        formats = [" ".join(["%d"] * size) + " 0\n"
+                   for size in range(max(map(len, clauses), default=0) + 1)]
+        super().__init__(num_vars, len(clauses),
+                         "".join([formats[len(clause)] % clause for clause in clauses]))
+
+    @classmethod
+    def _from_text(cls, num_vars: int, num_clauses: int, text: str) -> "CnfFormula":
+        formula = object.__new__(cls)
+        Record.__init__(formula, num_vars, num_clauses, text)
+        return formula
+
+    def __reduce__(self):
+        return type(self)._from_text, self._values()
+
+    def replace(self, **changes) -> "CnfFormula":
+        """A copy with ``num_vars`` or ``clauses`` changed, checked as a new
+        formula is."""
+        fields = {"num_vars": self.num_vars, "clauses": self.clauses}
+        fields.update(changes)
+        return CnfFormula(**fields)
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses parsed from ``text``; every literal value is one
+        shared int object."""
+        literal = {str(lit): lit for lit in range(-self.num_vars, self.num_vars + 1)}
+        return tuple(tuple(map(literal.__getitem__, line.split()[:-1]))
+                     for line in self.text.splitlines())
 
     def without_clause(self, clause: Clause) -> "CnfFormula":
         """A copy with one occurrence of ``clause`` removed (mutation tests)."""
@@ -189,62 +230,71 @@ def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
     ordered pair forbidding the reversal from strictly improving the
     outcome for that order.
 
-    Every literal is read from the formula's literal tables (see
-    :func:`_literal_tables`), a key's ``m`` negated literals sliced once:
-    ``neg[a]`` is the literal -x[key, a].
+    The clauses are rendered straight to DIMACS lines from ``%`` templates
+    (see :func:`_template`), filled with the variables' decimal strings,
+    each made once: per key its functionality block, per edge the
+    template of its order over the key's and the reversed key's ``m``
+    variables, and per Condorcet winner a unit line.  Every key, reversed
+    key and winner is range-checked here, which keeps every literal in
+    1..num_vars.
     """
-    m = varmap.m
-    positive, negative = _literal_tables(varmap.num_vars)
-    # per order, each pair as (below, above): the order ranks above over below
-    pairs = [[(below, above)
-              for i, above in enumerate(order.ranking) for below in order.ranking[i + 1:]]
-             for order in enumerate_orders(m)]
+    m, num_keys = varmap.m, varmap.num_keys
+    names = [str(var) for var in range(varmap.num_vars + 1)]
     at_most_one = _at_most_one(m)
-    functionality: list[Clause] = []
-    condorcet: list[Clause] = []
-    hwm: list[Clause] = []
+    # the at-least-one clause, then per pair (a, b) the clause -x[a] -x[b]
+    functionality_line, take_functionality = _template(
+        [[(False, a) for a in range(m)]]
+        + [[(True, a), (True, b)] for a, b in at_most_one])
+    # per order, a clause -x[key, below] -x[reversed key, above] for each
+    # pair it ranks above over below; the reversed key's variables follow
+    # the key's
+    reversal = [_template([[(True, below), (True, m + above)]
+                           for i, above in enumerate(order.ranking)
+                           for below in order.ranking[i + 1:]])
+                for order in enumerate_orders(m)]
+    functionality: list[str] = []
+    condorcet: list[str] = []
+    hwm: list[str] = []
     for key, winner, edges in key_space:
-        base = key * m
-        neg = negative[base + 1:base + m + 1]
-        functionality += _functionality(positive[base + 1:base + m + 1], neg, at_most_one)
+        if not 0 <= key < num_keys:
+            raise PrefRevError(f"key {key} is not a key rank in 0..{num_keys - 1}")
+        own = names[key * m + 1:key * m + m + 1]
+        functionality.append(functionality_line % take_functionality(own))
         if winner is not None:
-            condorcet.append((positive[base + winner + 1],))
+            if not 0 <= winner < m:
+                raise PrefRevError(f"key {key}: Condorcet winner {winner} "
+                                   f"is not an alternative in 0..{m - 1}")
+            condorcet.append(own[winner] + " 0\n")
         for order_ix, rev_key in edges:
-            rev_base = rev_key * m
-            rev = negative[rev_base + 1:rev_base + m + 1]
-            hwm += [(neg[below], rev[above]) for below, above in pairs[order_ix]]
-    return _encode_result(varmap, functionality, condorcet, hwm)
+            if not 0 <= rev_key < num_keys:
+                raise PrefRevError(f"key {key}: reversal edge to {rev_key}, "
+                                   f"not a key rank in 0..{num_keys - 1}")
+            line, take = reversal[order_ix]
+            hwm.append(line % take(own + names[rev_key * m + 1:rev_key * m + m + 1]))
+    counts = {"keys": num_keys,
+              "functionality": len(functionality) * (1 + len(at_most_one)),
+              "condorcet": len(condorcet), "hwm": len(hwm) * len(at_most_one)}
+    num_clauses = counts["functionality"] + counts["condorcet"] + counts["hwm"]
+    formula = CnfFormula._from_text(varmap.num_vars, num_clauses,
+                                    "".join(functionality + condorcet + hwm))
+    return EncodeResult(formula, varmap, counts)
 
 
-def _literal_tables(num_vars: int) -> tuple[list[int], list[int]]:
-    """``positive[v]`` is v and ``negative[v]`` is -v for v in 0..num_vars:
-    a formula takes every literal from these two lists, so each literal
-    value is one shared object however often it occurs (a ``range`` would
-    hand out a new int per element)."""
-    positive = list(range(num_vars + 1))
-    return positive, [-v for v in positive]
+def _template(clauses: list[list[tuple[bool, int]]]):
+    """The ``%`` template of these clauses' DIMACS lines, each literal given
+    as (negated, slot), and the picker that takes the slots' variable
+    strings, in template order, out of a sequence."""
+    line = "".join(" ".join(("-%s" if negated else "%s") for negated, _ in clause)
+                   + " 0\n" for clause in clauses)
+    slots = [slot for clause in clauses for _, slot in clause]
+    if len(slots) > 1:
+        return line, itemgetter(*slots)
+    return line, lambda names: tuple(names[slot] for slot in slots)  # m = 1
 
 
 def _at_most_one(m: int) -> list[tuple[int, int]]:
     """The at-most-one template: the alternative pairs (a, b), a < b."""
     return [(a, b) for a in range(m) for b in range(a + 1, m)]
-
-
-def _functionality(pos: list[int], neg: list[int], at_most_one) -> list[Clause]:
-    """Exactly one winner at a key whose literals x[key, a] and -x[key, a]
-    are ``pos[a]`` and ``neg[a]``: at least one, then pairwise at most
-    one."""
-    clauses = [tuple(pos)]
-    clauses += [(neg[a], neg[b]) for a, b in at_most_one]
-    return clauses
-
-
-def _encode_result(varmap: VariableMap, functionality: list[Clause],
-                   condorcet: list[Clause], hwm: list[Clause]) -> EncodeResult:
-    clauses = tuple(functionality + condorcet + hwm)
-    counts = {"keys": varmap.num_keys, "functionality": len(functionality),
-              "condorcet": len(condorcet), "hwm": len(hwm)}
-    return EncodeResult(CnfFormula(varmap.num_vars, clauses), varmap, counts)
 
 
 def enumerate_margin_keys(n: int, m: int, *, budget: int | None = None
@@ -281,27 +331,27 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
     m = tree.m
     varmap = VariableMap(n=tree.n, m=m, mode="proof", keys=names)
     var = varmap.var
-    positive, negative = _literal_tables(varmap.num_vars)
 
     at_most_one = _at_most_one(m)
     functionality: list[Clause] = []
-    condorcet: list[Clause] = []
-    hwm: list[Clause] = []
     for key_rank in range(len(names)):
-        base = key_rank * m
-        functionality += _functionality(positive[base + 1:base + m + 1],
-                                        negative[base + 1:base + m + 1], at_most_one)
-    for leaf in tree.leaves:
-        condorcet.append((positive[var(rank[leaf.node], leaf.condorcet)],))
+        own = range(key_rank * m + 1, key_rank * m + m + 1)  # x[key, a] for each a
+        functionality.append(tuple(own))
+        functionality += [(-own[a], -own[b]) for a, b in at_most_one]
+    condorcet = [(var(rank[leaf.node], leaf.condorcet),) for leaf in tree.leaves]
+    hwm: list[Clause] = []
     for edge in tree.edges:
         src, dst = rank[edge.src], rank[edge.dst]
         for b in range(m):
             reachable = replayed_carry(edge, frozenset((b,)))
             for a in range(m):
                 if a not in reachable:
-                    hwm.append((negative[var(src, b)], negative[var(dst, a)]))
+                    hwm.append((-var(src, b), -var(dst, a)))
 
-    return _encode_result(varmap, functionality, condorcet, hwm)
+    counts = {"keys": varmap.num_keys, "functionality": len(functionality),
+              "condorcet": len(condorcet), "hwm": len(hwm)}
+    formula = CnfFormula(varmap.num_vars, functionality + condorcet + hwm)
+    return EncodeResult(formula, varmap, counts)
 
 
 def leaf_unit_clause(tree: ProofTree, varmap: VariableMap, node: str) -> Clause:
@@ -314,19 +364,10 @@ def leaf_unit_clause(tree: ProofTree, varmap: VariableMap, node: str) -> Clause:
 # --- DIMACS and models ------------------------------------------------------------
 
 
-_WRITE_BATCH = 1 << 16  # clauses rendered per write: bounds the text held at once
-
-
 def write_dimacs(formula: CnfFormula, sink: TextIO) -> None:
-    """The header, then each clause's literals and a ``0`` on one line;
-    clauses are rendered a batch at a time, one ``%`` format per length."""
-    clauses = formula.clauses
-    sink.write(f"p cnf {formula.num_vars} {len(clauses)}\n")
-    formats = [" ".join(["%d"] * size) + " 0\n"
-               for size in range(max(map(len, clauses), default=0) + 1)]
-    for start in range(0, len(clauses), _WRITE_BATCH):
-        sink.write("".join([formats[len(clause)] % clause
-                            for clause in clauses[start:start + _WRITE_BATCH]]))
+    """The header, then the formula's clause lines."""
+    sink.write(f"p cnf {formula.num_vars} {formula.num_clauses}\n")
+    sink.write(formula.text)
 
 
 def write_varmap(varmap: VariableMap, alternatives_labels: Sequence[str],
@@ -399,6 +440,8 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
     Exactly one winner variable must be true per key; unassigned variables
     count as false.
     """
+    from .rules import RuleTable
+
     if varmap.mode not in ("profile", "c2"):
         raise PrefRevError(f"cannot decode a rule from a {varmap.mode!r} map")
     winners: list[int] = []

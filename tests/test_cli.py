@@ -470,6 +470,37 @@ class TestEncodeDecodePipeline:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        ("--out a.cnf --map a.cnf", "--out and --map name the same file: a.cnf"),
+        ("--out a.cnf --map ./sub/../a.cnf", "--out and --map"),
+        ("--out a.cnf --solve --solver false --model-out a.cnf", "--out and --model-out"),
+        ("--out a.cnf --map b.map --solve --solver false --model-out b.map",
+         "--map and --model-out"),
+        ("--out a.cnf --solve --solver false --model-out a.cnf.map",
+         "--map and --model-out"),
+    ], ids=["out-map", "out-map-normalised", "out-model", "map-model",
+            "default-map-model"])
+    def test_shared_output_path_is_an_error(self, tmp_path, monkeypatch, capsys,
+                                            flags, message):
+        # checked before encoding or solving: nothing is printed or written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code = main(["encode", "--n", "2", "--m", "3", *shlex.split(flags)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+
+    def test_an_existing_file_under_two_names_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "a.cnf").write_text("kept\n")
+        (tmp_path / "link.map").symlink_to(tmp_path / "a.cnf")
+        code = main(["encode", "--n", "2", "--m", "3", "--out", str(tmp_path / "a.cnf"),
+                     "--map", str(tmp_path / "link.map")])
+        assert code == 3
+        assert "--out and --map name the same file" in capsys.readouterr().err
+        assert (tmp_path / "a.cnf").read_text() == "kept\n"
+
     def test_decode_unsat_output_hints(self, run, tmp_path, capsys):
         model = tmp_path / "unsat.model"
         model.write_text("s UNSATISFIABLE\n")
@@ -639,21 +670,24 @@ COMMAND_RUNS = (
     ("check-json", "check --property hwm --rule maximin --m 3 --n 3 --json", 0,
      ("prefrev.satgen", "prefrev.proofcheck"), ("json",)),
     ("verify-proofs-odd", "verify-proofs odd --m 4", 0,
-     ("prefrev.monotonicity", "prefrev.satgen"), ("prefrev.proofcheck",)),
+     ("prefrev.monotonicity", "prefrev.satgen", "prefrev.rules"),
+     ("prefrev.proofcheck",)),
     ("verify-proofs-perez", "verify-proofs perez --json", 0,
-     ("prefrev.monotonicity", "prefrev.satgen"), ("prefrev.proofcheck", "json")),
+     ("prefrev.monotonicity", "prefrev.satgen", "prefrev.rules"),
+     ("prefrev.proofcheck", "json")),
     ("encode-profile", "encode --mode profile --n 2 --m 3 --out profile.cnf", 0,
-     ("prefrev.proofcheck",), ("prefrev.satgen",)),
+     ("prefrev.proofcheck", "prefrev.rules"), ("prefrev.satgen",)),
     ("encode-c2", f"encode --mode c2 --n 3 --m 3 --out c2.cnf --solve "
      f"--solver '{DPLL}' --model-out c2.model", 0,
-     ("prefrev.proofcheck",), ("prefrev.satgen", "subprocess")),
-    ("encode-proof", "encode --proof odd --m 4 --out proof.cnf", 0, (),
-     ("prefrev.proofcheck",)),
+     ("prefrev.proofcheck", "prefrev.rules"), ("prefrev.satgen", "subprocess")),
+    ("encode-proof", "encode --proof odd --m 4 --out proof.cnf", 0,
+     ("prefrev.rules",), ("prefrev.proofcheck",)),
     ("decode", "decode --model c2.model --n 3 --m 3 --mode c2 --out c2.table", 0,
      ("prefrev.proofcheck",), ("prefrev.satgen",)),
     ("verify-table", "verify-table c2.table", 0,
      ("prefrev.proofcheck",), ("prefrev.monotonicity",)),
-    ("pad", f"pad {PEREZ} --order x>y>z>u>t --out padded.txt", 0, (), ()),
+    ("pad", f"pad {PEREZ} --order x>y>z>u>t --out padded.txt", 0,
+     ("prefrev.rules",), ()),
 )
 
 

@@ -90,7 +90,7 @@ RECORDS = (
     ("ReversalEdge", edge, True, {"carried": frozenset({0})}),
     ("Leaf", leaf, True, {"condorcet": 3}),
     ("ProofTree", tree, False, {"n": 3}),
-    ("CnfFormula", formula, True, {"clauses": ((1,),)}),
+    ("CnfFormula", formula, True, {"num_vars": 3}),
     ("VariableMap", varmap, True, {"mode": "c2", "keys": (7,)}),
     ("EncodeResult", lambda: EncodeResult(formula(), varmap(), {"keys": 9}), False,
      {"counts": {"keys": 8}}),
@@ -102,6 +102,13 @@ RECORDS = (
 @pytest.fixture(params=RECORDS, ids=[record[0] for record in RECORDS])
 def record(request):
     return request.param[1:]
+
+
+def from_fields(cls):
+    """What builds a record from its fields in ``__slots__`` order: the
+    class itself, except for CnfFormula, whose constructor takes clauses
+    and whose fields are its rendered text (``_from_text``)."""
+    return cls._from_text if cls is CnfFormula else cls
 
 
 class TestRecords:
@@ -159,20 +166,22 @@ class TestConstructor:
         make, _, _ = record
         a = make()
         values = [getattr(a, name) for name in a.__slots__]
-        assert type(a)(*values) == a
-        assert type(a)(**dict(zip(a.__slots__, values))) == a
+        build = from_fields(type(a))
+        assert build(*values) == a
+        assert build(**dict(zip(a.__slots__, values))) == a
 
     def test_bad_arguments_raise_type_error_naming_the_class(self, record):
         make, _, _ = record
         a = make()
         cls, names = type(a), a.__slots__
+        make_from = from_fields(cls)
         values = [getattr(a, name) for name in names]
         named = dict(zip(names, values))
         del named[names[0]]
-        for build in (lambda: cls(**named),                       # missing
-                      lambda: cls(*values, None),                 # extra
-                      lambda: cls(*values, colour="red"),         # unknown
-                      lambda: cls(*values, **{names[0]: values[0]})):  # twice
+        for build in (lambda: make_from(**named),                       # missing
+                      lambda: make_from(*values, None),                 # extra
+                      lambda: make_from(*values, colour="red"),         # unknown
+                      lambda: make_from(*values, **{names[0]: values[0]})):  # twice
             with pytest.raises(TypeError, match=cls.__name__):
                 build()
 
@@ -270,6 +279,14 @@ class TestValidation:
             CnfFormula(2, ((3,),))
         with pytest.raises(errors.PrefRevError, match="bad literal 0"):
             formula().replace(clauses=((0,),))
+
+    def test_formula_fields_are_its_rendered_clauses(self):
+        a = formula()
+        assert (a.num_vars, a.num_clauses, a.text) == (2, 2, "1 -2 0\n2 0\n")
+        assert a.clauses == ((1, -2), (2,))
+        changed = a.replace(clauses=((1,),))
+        assert (changed.num_vars, changed.num_clauses, changed.text) == (2, 1, "1 0\n")
+        assert a.replace(num_vars=3).text == a.text
 
     def test_replace_rejects_an_unknown_field(self):
         with pytest.raises(TypeError):

@@ -106,15 +106,18 @@ class TestDimacs:
         assert cnf.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.cnf").read_text()
         assert varmap.getvalue() == (GOLDEN_DIR / "encode_c2_m3_n3.map").read_text()
 
-    @pytest.mark.parametrize("n,m,cnf_sha,map_sha", [
-        (4, 4, "8cfbd9ec3c23a27daf65e00c0fae9e6ab59e887b2e605939c34d3fe20343890b",
+    @pytest.mark.parametrize("mode,n,m,cnf_sha,map_sha", [
+        ("c2", 4, 4, "8cfbd9ec3c23a27daf65e00c0fae9e6ab59e887b2e605939c34d3fe20343890b",
          "30e6e0654df1a1f18c1a03b9a970e135a39b254e01b7b7870b0c7bcf0bb98a80"),
-        (5, 3, "0f7319ab54a82dd00e031b87aa2e431f323caec8c819ce7c1a469783421b2de5",
+        ("c2", 5, 3, "0f7319ab54a82dd00e031b87aa2e431f323caec8c819ce7c1a469783421b2de5",
          "a84978e4c028080b9d58ba2f025480a2bab0256b2ea33d937eb451e7ef1cfc82"),
-    ], ids=["c2-4-4", "c2-5-3"])
-    def test_c2_bytes_digest(self, n, m, cnf_sha, map_sha):
-        # digests of the c2 .cnf and .map text, too large for golden files
-        result = satgen.encode_full(n, m, mode="c2")
+        ("profile", 3, 4,
+         "5ef91ea565d298f02fe079d545633b4cc5611f0385f38532ec127b5e025f0769",
+         "ac2deb40ffefd0d934368f0a4cd27f864b95ee8a823734b099ae0a563e76c1ba"),
+    ], ids=["c2-4-4", "c2-5-3", "profile-3-4"])
+    def test_full_formula_bytes_digest(self, mode, n, m, cnf_sha, map_sha):
+        # digests of the .cnf and .map text, too large for golden files
+        result = satgen.encode_full(n, m, mode=mode)
         cnf, varmap = io.StringIO(), io.StringIO()
         satgen.write_dimacs(result.formula, cnf)
         satgen.write_varmap(result.varmap, default_labels(m), varmap)
@@ -126,7 +129,7 @@ class TestDimacs:
         lambda: satgen.encode_full(3, 3, mode="c2").formula,
         lambda: satgen.encode_proof_neighborhood(build_odd_tree(4)).formula,
         lambda: satgen.encode_proof_neighborhood(build_even_tree(6)).formula,
-        lambda: mixed_formula(satgen._WRITE_BATCH + 1000),
+        lambda: mixed_formula((1 << 16) + 1000),
     ], ids=["profile-2-3", "c2-3-3", "proof-odd-4", "proof-even-6", "mixed"])
     def test_writer_matches_one_line_per_clause(self, make):
         formula = make()
@@ -145,6 +148,11 @@ class TestDimacs:
     def test_every_literal_is_one_shared_object(self, make):
         lits = [lit for clause in make().clauses for lit in clause]
         assert len({id(lit) for lit in lits}) == len(set(lits))
+
+    def test_clauses_round_trip_through_the_text(self):
+        clauses = mixed_formula(5000).clauses
+        assert () in clauses
+        assert satgen.CnfFormula(1000, clauses).clauses == clauses
 
     def test_two_var_example(self):
         formula = satgen.CnfFormula(2, ((1, -2),))
@@ -175,6 +183,37 @@ class TestDimacs:
         assert seen == set(range(1, varmap.num_vars + 1))
         with pytest.raises(errors.VariableOutOfRange):
             varmap.decode_var(varmap.num_vars + 1)
+
+
+class TestKeySpaceRanges:
+    """The encoder range-checks the key spaces it renders, so that every
+    literal of the full formula lies in 1..num_vars."""
+
+    varmap = satgen.VariableMap(n=1, m=3, mode="profile")  # 6 keys
+
+    def encode(self, key_space):
+        return satgen._encode_key_space(self.varmap, iter(key_space))
+
+    def test_a_good_key_space_encodes(self):
+        result = self.encode([(0, 2, [(0, 5)]), (5, None, [])])
+        # after the two keys' functionality blocks (4 lines each): the
+        # Condorcet unit x[0, 2], then a>b>c reversed into key 5
+        assert result.formula.text.splitlines()[8:] == ["3 0", "-2 -16 0", "-3 -16 0",
+                                                         "-3 -17 0"]
+        assert result.formula.num_clauses == result.formula.text.count("\n") == 12
+
+    @pytest.mark.parametrize("key_space, message", [
+        ([(6, None, [])], "key 6 is not a key rank in 0..5"),
+        ([(-1, None, [])], "key -1 is not a key rank"),
+        ([(0, None, [(0, 6)])], "key 0: reversal edge to 6, not a key rank in 0..5"),
+        ([(2, None, [(1, -1)])], "key 2: reversal edge to -1"),
+        ([(1, 3, [])], "key 1: Condorcet winner 3 is not an alternative in 0..2"),
+        ([(1, -1, [])], "key 1: Condorcet winner -1"),
+    ], ids=["rank-num-keys", "rank-negative", "edge-num-keys", "edge-negative",
+            "winner-m", "winner-negative"])
+    def test_out_of_range_is_an_error_naming_the_key(self, key_space, message):
+        with pytest.raises(errors.PrefRevError, match=message):
+            self.encode(key_space)
 
 
 class TestModelReader:
