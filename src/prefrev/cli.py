@@ -8,10 +8,10 @@ exits 2 when its key budget runs out.  Exit 3 covers usage and input
 problems: malformed command lines, non-positive size or budget flags,
 flags the command would ignore (README lists them), two output flags that
 name one file, missing, unwritable or malformed files, and an ``encode
---solve`` run whose solver gives no SAT/UNSAT verdict.  ``verify-table`` re-checks profile and c2 tables.
-The SAT solver is only ever an external binary, taken from ``--solver``
-or the PREFREV_SOLVER environment variable, and is only invoked when
-``--solve`` is passed explicitly.
+--solve`` run whose solver gives no SAT/UNSAT verdict.  ``verify-table``
+re-checks profile and c2 tables.  The SAT solver is only ever an external
+binary, taken from ``--solver`` or the PREFREV_SOLVER environment
+variable, and is only invoked when ``--solve`` is passed explicitly.
 """
 
 from __future__ import annotations
