@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4,
                    help="alternatives of the proof trees; perez (a fixed "
                         "41-voter, 5-alternative profile) ignores it until a "
-                        "benchmark change lets it exit 3 (ROADMAP item 6)")
+                        "benchmark change lets it exit 3")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_proofs)
 

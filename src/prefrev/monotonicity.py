@@ -728,8 +728,9 @@ def check_hwm_pessimistic(set_rule: SetRule, n: int, m: int, *,
 def family_rule(family: RuleFamily, size: int) -> Rule:
     """Resolve the rule a variable-electorate family provides for ``size``.
 
-    Accepts a mapping from sizes to rules, a factory taking the size, or a
-    single profile-to-winner callable that works at any size.
+    Accepts a mapping from sizes to rules, or a single profile-to-winner
+    callable, returned as it is, that works at every size (a table fixed
+    to another size raises :class:`MissingSize`).
     """
     if isinstance(family, Mapping):
         try:

@@ -13,11 +13,11 @@ verified proof tree and is expected unsatisfiable; it is small enough to
 hand to core-extraction tooling unchanged.
 
 A :class:`CnfFormula` holds its clauses as DIMACS text, the lines that
-:func:`write_dimacs` writes after the header, and no clause objects.  The
-full-formula encoder renders that text straight from per-key and per-edge
-``%`` templates and range-checks its keys and winners instead of checking
-every literal; the proof-neighborhood encoder builds clause tuples and
-hands them to the constructor, which checks and renders them.  A
+:func:`write_dimacs` writes after the header, and no clause objects.  Both
+encoders render that text straight from ``%`` clause templates (see
+:func:`_template`): one functionality template per key, a unit line per
+Condorcet winner and one template per reversal edge.  Each range-checks
+the keys and winners it fills in instead of checking every literal.  A
 formula's ``clauses`` parses the text back on request.
 
 Solving is never done in-process: callers hand the DIMACS file to any
@@ -66,38 +66,12 @@ class CnfFormula(Record):
     ``text`` is its ``num_clauses`` clause lines exactly as
     :func:`write_dimacs` writes them after the header.
 
-    ``CnfFormula(num_vars, clauses)`` checks every literal and renders the
-    clauses once; the full-formula encoder, which range-checks its keys
-    instead, hands over its rendered text through :meth:`_from_text`.
+    The encoders render ``text`` from clause templates and range-check
+    every key and winner they fill in, which keeps every literal in
+    1..num_vars; the record itself checks nothing.
     """
 
     __slots__ = ("num_vars", "num_clauses", "text")
-
-    def __init__(self, num_vars: int, clauses: Sequence[Clause]) -> None:
-        for clause in clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > num_vars:
-                    raise PrefRevError(f"bad literal {lit} in clause {clause}")
-        formats = [" ".join(["%d"] * size) + " 0\n"
-                   for size in range(max(map(len, clauses), default=0) + 1)]
-        super().__init__(num_vars, len(clauses),
-                         "".join([formats[len(clause)] % clause for clause in clauses]))
-
-    @classmethod
-    def _from_text(cls, num_vars: int, num_clauses: int, text: str) -> "CnfFormula":
-        formula = object.__new__(cls)
-        Record.__init__(formula, num_vars, num_clauses, text)
-        return formula
-
-    def __reduce__(self):
-        return type(self)._from_text, self._values()
-
-    def replace(self, **changes) -> "CnfFormula":
-        """A copy with ``num_vars`` or ``clauses`` changed, checked as a new
-        formula is."""
-        fields = {"num_vars": self.num_vars, "clauses": self.clauses}
-        fields.update(changes)
-        return CnfFormula(**fields)
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
@@ -106,12 +80,6 @@ class CnfFormula(Record):
         literal = {str(lit): lit for lit in range(-self.num_vars, self.num_vars + 1)}
         return tuple(tuple(map(literal.__getitem__, line.split()[:-1]))
                      for line in self.text.splitlines())
-
-    def without_clause(self, clause: Clause) -> "CnfFormula":
-        """A copy with one occurrence of ``clause`` removed (mutation tests)."""
-        clauses = list(self.clauses)
-        clauses.remove(clause)
-        return CnfFormula(self.num_vars, tuple(clauses))
 
 
 class VariableMap(Record):
@@ -240,11 +208,7 @@ def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
     """
     m, num_keys = varmap.m, varmap.num_keys
     names = [str(var) for var in range(varmap.num_vars + 1)]
-    at_most_one = _at_most_one(m)
-    # the at-least-one clause, then per pair (a, b) the clause -x[a] -x[b]
-    functionality_line, take_functionality = _template(
-        [[(False, a) for a in range(m)]]
-        + [[(True, a), (True, b)] for a, b in at_most_one])
+    functionality_line, take_functionality = _functionality(m)
     # per order, a clause -x[key, below] -x[reversed key, above] for each
     # pair it ranks above over below; the reversed key's variables follow
     # the key's
@@ -271,13 +235,11 @@ def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
                                    f"not a key rank in 0..{num_keys - 1}")
             line, take = reversal[order_ix]
             hwm.append(line % take(own + names[rev_key * m + 1:rev_key * m + m + 1]))
-    counts = {"keys": num_keys,
-              "functionality": len(functionality) * (1 + len(at_most_one)),
-              "condorcet": len(condorcet), "hwm": len(hwm) * len(at_most_one)}
-    num_clauses = counts["functionality"] + counts["condorcet"] + counts["hwm"]
-    formula = CnfFormula._from_text(varmap.num_vars, num_clauses,
-                                    "".join(functionality + condorcet + hwm))
-    return EncodeResult(formula, varmap, counts)
+    pairs = m * (m - 1) // 2  # the clauses of a reversal template
+    return _encode_result(varmap, functionality, condorcet, hwm,
+                          {"keys": num_keys,
+                           "functionality": len(functionality) * (1 + pairs),
+                           "condorcet": len(condorcet), "hwm": len(hwm) * pairs})
 
 
 def _template(clauses: list[list[tuple[bool, int]]]):
@@ -289,12 +251,27 @@ def _template(clauses: list[list[tuple[bool, int]]]):
     slots = [slot for clause in clauses for _, slot in clause]
     if len(slots) > 1:
         return line, itemgetter(*slots)
-    return line, lambda names: tuple(names[slot] for slot in slots)  # m = 1
+    # one slot (m = 1) or none (an edge with no clause)
+    return line, lambda names: tuple(names[slot] for slot in slots)
 
 
-def _at_most_one(m: int) -> list[tuple[int, int]]:
-    """The at-most-one template: the alternative pairs (a, b), a < b."""
-    return [(a, b) for a in range(m) for b in range(a + 1, m)]
+def _functionality(m: int):
+    """The template of one key's functionality clauses over its ``m``
+    variables: the at-least-one clause, then per pair (a, b), a < b, the
+    at-most-one clause -x[a] -x[b]."""
+    return _template([[(False, a) for a in range(m)]]
+                     + [[(True, a), (True, b)]
+                        for a in range(m) for b in range(a + 1, m)])
+
+
+def _encode_result(varmap: VariableMap, functionality: list[str],
+                   condorcet: list[str], hwm: list[str], counts: dict) -> EncodeResult:
+    """The formula of the three families' rendered lines, in that order,
+    whose clauses ``counts`` gives per family."""
+    num_clauses = counts["functionality"] + counts["condorcet"] + counts["hwm"]
+    formula = CnfFormula(varmap.num_vars, num_clauses,
+                         "".join(functionality + condorcet + hwm))
+    return EncodeResult(formula, varmap, counts)
 
 
 def enumerate_margin_keys(n: int, m: int, *, budget: int | None = None
@@ -323,42 +300,52 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
     Edge clauses are the reversal-monotonicity consequences linking tail
     and head winners directly: picking b at the tail forbids at the head
     everything the replayed single reversals cannot reach from b.
+
+    The clauses are rendered as the full formula's are (see
+    :func:`_template`): per profile the same functionality block, per leaf,
+    in ``tree.leaves`` order, a unit line, and per edge, in ``tree.edges``
+    order, a template over the tail's and the head's ``m`` variables.
+    Every leaf's and edge's profile and every leaf's winner is checked
+    here, which keeps every literal in 1..num_vars.
     """
     from .proofcheck import replayed_carry
 
-    names = tuple(tree.profiles)
-    rank = {name: i for i, name in enumerate(names)}
+    keys = tuple(tree.profiles)
     m = tree.m
-    varmap = VariableMap(n=tree.n, m=m, mode="proof", keys=names)
-    var = varmap.var
+    varmap = VariableMap(n=tree.n, m=m, mode="proof", keys=keys)
+    names = [str(var) for var in range(varmap.num_vars + 1)]
+    own = {key: names[i * m + 1:i * m + m + 1] for i, key in enumerate(keys)}
 
-    at_most_one = _at_most_one(m)
-    functionality: list[Clause] = []
-    for key_rank in range(len(names)):
-        own = range(key_rank * m + 1, key_rank * m + m + 1)  # x[key, a] for each a
-        functionality.append(tuple(own))
-        functionality += [(-own[a], -own[b]) for a, b in at_most_one]
-    condorcet = [(var(rank[leaf.node], leaf.condorcet),) for leaf in tree.leaves]
-    hwm: list[Clause] = []
+    functionality_line, take_functionality = _functionality(m)
+    functionality = [functionality_line % take_functionality(own[key]) for key in keys]
+    condorcet: list[str] = []
+    for leaf in tree.leaves:
+        if leaf.node not in own:
+            raise PrefRevError(f"leaf {leaf.node}: not a profile of the tree")
+        if leaf.condorcet not in range(m):
+            raise PrefRevError(f"leaf {leaf.node}: Condorcet winner {leaf.condorcet} "
+                               f"is not an alternative in 0..{m - 1}")
+        condorcet.append(own[leaf.node][leaf.condorcet] + " 0\n")
+    hwm: list[str] = []
+    num_hwm = 0
     for edge in tree.edges:
-        src, dst = rank[edge.src], rank[edge.dst]
-        for b in range(m):
-            reachable = replayed_carry(edge, frozenset((b,)))
-            for a in range(m):
-                if a not in reachable:
-                    hwm.append((-var(src, b), -var(dst, a)))
+        for node in (edge.src, edge.dst):
+            if node not in own:
+                raise PrefRevError(f"edge {edge.src} -> {edge.dst}: {node} is not "
+                                   f"a profile of the tree")
+        # -x[src, b] -x[dst, a] for each a the reversals cannot reach from b;
+        # the head's variables follow the tail's
+        reachable = [replayed_carry(edge, frozenset((b,))) for b in range(m)]
+        clauses = [[(True, b), (True, m + a)]
+                   for b in range(m) for a in range(m) if a not in reachable[b]]
+        line, take = _template(clauses)
+        hwm.append(line % take(own[edge.src] + own[edge.dst]))
+        num_hwm += len(clauses)
 
-    counts = {"keys": varmap.num_keys, "functionality": len(functionality),
-              "condorcet": len(condorcet), "hwm": len(hwm)}
-    formula = CnfFormula(varmap.num_vars, functionality + condorcet + hwm)
-    return EncodeResult(formula, varmap, counts)
-
-
-def leaf_unit_clause(tree: ProofTree, varmap: VariableMap, node: str) -> Clause:
-    """The Condorcet unit clause a given leaf contributes to the formula."""
-    leaf = next(l for l in tree.leaves if l.node == node)
-    rank = varmap.keys.index(node)  # type: ignore[union-attr]
-    return (varmap.var(rank, leaf.condorcet),)
+    return _encode_result(varmap, functionality, condorcet, hwm,
+                          {"keys": len(keys),
+                           "functionality": len(functionality) * (1 + m * (m - 1) // 2),
+                           "condorcet": len(condorcet), "hwm": num_hwm})
 
 
 # --- DIMACS and models ------------------------------------------------------------

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from prefrev.satgen import CnfFormula
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -19,3 +21,18 @@ def solver_cmd() -> list[str]:
 @pytest.fixture(scope="session")
 def perez_profile_path() -> Path:
     return REPO_ROOT / "data" / "perez41.txt"
+
+
+def cnf_formula(num_vars: int, clauses) -> CnfFormula:
+    """A formula holding these clause tuples, one DIMACS line each."""
+    return CnfFormula(num_vars, len(clauses),
+                      "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses))
+
+
+def without_leaf_unit(result, leaf) -> CnfFormula:
+    """An encoded proof neighborhood's formula with the Condorcet unit line
+    of ``leaf`` removed."""
+    formula, varmap = result.formula, result.varmap
+    lines = formula.text.splitlines(keepends=True)
+    lines.remove(f"{varmap.var(varmap.keys.index(leaf.node), leaf.condorcet)} 0\n")
+    return formula.replace(num_clauses=formula.num_clauses - 1, text="".join(lines))

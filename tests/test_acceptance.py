@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from conftest import without_leaf_unit
 from prefrev import satgen
 from prefrev.cli import main
 from prefrev.monotonicity import (
@@ -170,8 +171,7 @@ def test_criterion_06_proof_neighborhood_unsat(tmp_path, solver_cmd, capsys):
         assert run.status == "UNSAT"
         if which == "odd":
             for leaf in tree.leaves:
-                unit = satgen.leaf_unit_clause(tree, encoded.varmap, leaf.node)
-                mutated = encoded.formula.without_clause(unit)
+                mutated = without_leaf_unit(encoded, leaf)
                 mpath = tmp_path / f"odd_minus_{leaf.node}.cnf"
                 with open(mpath, "w") as handle:
                     satgen.write_dimacs(mutated, handle)

@@ -418,6 +418,15 @@ class TestEncodeDecodePipeline:
             assert code == 0
             assert "solver: UNSAT" in out
 
+    @pytest.mark.parametrize("which,m", [("odd", 4), ("even", 6)])
+    def test_proof_encode_matches_golden(self, run, tmp_path, which, m):
+        cnf, varmap = tmp_path / "proof.cnf", tmp_path / "proof.map"
+        code, _ = run(f"encode --proof {which} --m {m} --out {cnf} --map {varmap}")
+        assert code == 0
+        golden = GOLDEN_DIR / f"encode_proof_{which}_m{m}"
+        assert cnf.read_bytes() == golden.with_suffix(".cnf").read_bytes()
+        assert varmap.read_bytes() == golden.with_suffix(".map").read_bytes()
+
     def test_proof_rejects_full_formula_flags(self, capsys, tmp_path):
         cnf = tmp_path / "odd.cnf"
         for flags in ("--n 2", "--budget 5", "--mode c2"):

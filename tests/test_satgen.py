@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cnf_formula, without_leaf_unit
 from prefrev import errors, keyspace, satgen, tally
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import (
@@ -59,7 +60,7 @@ def mixed_formula(num_clauses: int) -> satgen.CnfFormula:
                      for _ in range(rng.choice((1, 2, 2, 2, 3, 4, 7))))
                for _ in range(num_clauses)]
     clauses[num_clauses // 2] = ()
-    return satgen.CnfFormula(1000, tuple(clauses))
+    return cnf_formula(1000, clauses)
 
 
 class TestClauseCounts:
@@ -152,19 +153,13 @@ class TestDimacs:
     def test_clauses_round_trip_through_the_text(self):
         clauses = mixed_formula(5000).clauses
         assert () in clauses
-        assert satgen.CnfFormula(1000, clauses).clauses == clauses
+        assert cnf_formula(1000, clauses).clauses == clauses
 
     def test_two_var_example(self):
-        formula = satgen.CnfFormula(2, ((1, -2),))
+        formula = cnf_formula(2, ((1, -2),))
         out = io.StringIO()
         satgen.write_dimacs(formula, out)
         assert out.getvalue() == "p cnf 2 1\n1 -2 0\n"
-
-    def test_bad_literal_rejected(self):
-        with pytest.raises(errors.PrefRevError):
-            satgen.CnfFormula(2, ((0,),))
-        with pytest.raises(errors.PrefRevError):
-            satgen.CnfFormula(2, ((3,),))
 
     def test_varmap_sidecar(self):
         result = satgen.encode_full(1, 2)
@@ -463,10 +458,35 @@ class TestProofNeighborhood:
         tree = build_odd_tree(4)
         result = satgen.encode_proof_neighborhood(tree)
         for leaf in tree.leaves:
-            unit = satgen.leaf_unit_clause(tree, result.varmap, leaf.node)
-            mutated = result.formula.without_clause(unit)
+            mutated = without_leaf_unit(result, leaf)
             run = solve(mutated, solver_cmd, tmp_path, f"minus_{leaf.node}.cnf")
             assert run.status == "SAT", leaf.node
+
+    @pytest.mark.parametrize("builder", [build_odd_tree, build_even_tree])
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_tampered_tree_is_rejected(self, builder, m):
+        # every node and winner that names a variable is checked: a bad one
+        # is a PrefRevError naming the edge or leaf, never a KeyError, an
+        # IndexError or a unit on another profile's variable
+        tree = builder(m)
+        first = tree.edges[0]
+        bad_leaf = tree.leaves[0]  # not the last node of the tree
+        assert bad_leaf.node != list(tree.profiles)[-1]
+        tampered = {
+            rf"edge NOPE -> {first.dst}: NOPE": tree.replace(
+                edges=(first.replace(src="NOPE"),) + tree.edges[1:]),
+            rf"edge {first.src} -> NOPE: NOPE": tree.replace(
+                edges=(first.replace(dst="NOPE"),) + tree.edges[1:]),
+            rf"leaf {bad_leaf.node}: Condorcet winner {m} ": tree.replace(
+                leaves=(bad_leaf.replace(condorcet=m),) + tree.leaves[1:]),
+            rf"leaf {bad_leaf.node}: Condorcet winner -1 ": tree.replace(
+                leaves=(bad_leaf.replace(condorcet=-1),) + tree.leaves[1:]),
+            "leaf NOPE: not a profile": tree.replace(
+                leaves=(bad_leaf.replace(node="NOPE"),) + tree.leaves[1:]),
+        }
+        for message, candidate in tampered.items():
+            with pytest.raises(errors.PrefRevError, match=message):
+                satgen.encode_proof_neighborhood(candidate)
 
     def test_unsat_iff_tree_verifies_on_mutations(self, solver_cmd, tmp_path):
         tree = build_odd_tree(4)
@@ -576,11 +596,11 @@ class TestC2Mode:
 
 class TestRunSolver:
     def test_reports_unsat(self, solver_cmd, tmp_path):
-        formula = satgen.CnfFormula(1, ((1,), (-1,)))
+        formula = cnf_formula(1, ((1,), (-1,)))
         assert solve(formula, solver_cmd, tmp_path).status == "UNSAT"
 
     def test_reports_sat_with_model(self, solver_cmd, tmp_path):
-        formula = satgen.CnfFormula(2, ((1, -2),))
+        formula = cnf_formula(2, ((1, -2),))
         run = solve(formula, solver_cmd, tmp_path)
         assert run.status == "SAT"
         varmap = satgen.VariableMap(n=1, m=2, mode="profile")
