@@ -35,6 +35,7 @@ matrix, Condorcet verdict and rule of the margins is read off such a key.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import KeysView
 from functools import lru_cache
 
@@ -45,7 +46,6 @@ Level = KeysView[int]
 
 _BITS = 32
 _OFFSET = 1 << (_BITS - 1)
-_MASK = (1 << _BITS) - 1
 
 
 @lru_cache(maxsize=None)
@@ -89,13 +89,26 @@ def profile_key(profile: Profile) -> int:
     return empty_key(profile.m) + sum(vote_key(vote.positions()) for vote in profile.votes)
 
 
+@lru_cache(maxsize=None)
+def _unpacking(m: int) -> tuple[struct.Struct, int, tuple[tuple[int, int], ...]]:
+    """How :func:`key_rows` reads a key of m alternatives: the signed
+    32-bit big-endian entries of ``key ^ empty_key(m)`` (flipping each
+    entry's top bit removes its offset), that text's length in bytes, and
+    each entry's two cells of the flat row-major matrix."""
+    entries = _entries(m)
+    return (struct.Struct(f">{len(entries)}i"), 4 * len(entries),
+            tuple((a * m + b, b * m + a) for a, b, _ in entries))
+
+
 def key_rows(key: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The full margin matrix of a key."""
-    rows = [[0] * m for _ in range(m)]
-    for a, b, shift in _entries(m):
-        rows[a][b] = ((key >> shift) & _MASK) - _OFFSET
-        rows[b][a] = -rows[a][b]
-    return tuple(map(tuple, rows))
+    unpacker, size, cells = _unpacking(m)
+    margins = unpacker.unpack((key ^ empty_key(m)).to_bytes(size, "big"))
+    flat = [0] * (m * m)
+    for (ab, ba), margin in zip(cells, margins):
+        flat[ab] = margin
+        flat[ba] = -margin
+    return tuple(zip(*[iter(flat)] * m))  # m rows of m entries
 
 
 def key_text(key: int, m: int) -> str:

@@ -79,6 +79,19 @@ The paths (one odometer walks the truthful profiles of the first two):
   pass only certifies: if it meets a violation, or the rule raises, it
   hands over to the quotient path, which shares its key memo and returns
   the first witness, or the error, as before.
+- the table pass serves exhaustive reversal scans (half-way monotonicity
+  and strong reversal) over a resolute profile table of the scan's own
+  (n, m), one whose entries are ints in range(m), for m <= 16.  It reads
+  the table's entries as bytes and compares, for each voter and order,
+  whole slices of truthful profiles with the slices of their reversals, at
+  C speed: the sum of the truthful outcomes times m and the deviated
+  outcomes, as big-endian integers, spells each pair's code in one byte,
+  and a translate table per order marks the codes at which that voter
+  gains.  It walks windows of the (m!)^(n-1) profiles that share a first
+  vote in ascending order and stops at the first window with a gain, whose
+  least unit is the first witness; the kernel then builds that one unit's
+  hit.  Misreport, participation, sampled, set-valued and Condorcet-domain
+  scans, c2 tables and other callables take the paths above.
 
 Budgets count units of the path taken.  The margin pass runs when its
 keys(n-1) * m! units (keys(n-1) * m!^2 for manipulation) fit in the
@@ -601,15 +614,105 @@ def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     return False
 
 
+@lru_cache(maxsize=None)
+def _gain_tables(m: int, compare: str) -> tuple[bytes, ...]:
+    """Per order, the 256-byte translate table that maps the code
+    ``before * m + after`` of two resolute outcomes to 1 when a voter of
+    that order gains by the move from ``before`` to ``after``, else to 0."""
+    paid = _COMPARE[compare]
+    tables = []
+    for row in _position_rows(m):
+        table = bytearray(256)
+        for before in range(m):
+            for after in range(m):
+                table[before * m + after] = paid(row, before, after)
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _first_gain(truthful, deviated, gains: bytes) -> int:
+    """The first lane at which an outcome pair gains, or -1.  ``truthful``
+    holds outcomes times m and ``deviated`` outcomes, both below m, so each
+    lane of their sum as big-endian integers is the pair's code, below m²,
+    with no carry into the next lane."""
+    codes = int.from_bytes(truthful, "big") + int.from_bytes(deviated, "big")
+    return codes.to_bytes(len(truthful), "big").translate(gains).find(1)
+
+
+def _table_pass(scan: _Scan, outcome: _Outcomes, region: int) -> int | None:
+    """The first violating unit of an exhaustive reversal scan over a
+    resolute profile table, or ``region`` when no unit before it violates;
+    None for a scan the pass does not serve (the kernel takes it).
+
+    The table's entries, as bytes, are compared a whole slice at a time, by
+    windows of the (m!)^(n-1) profiles that share a first vote, in
+    ascending order.  In a window, voter 0's slice pairs with the window of
+    their reversed vote.  Voter v >= 1 of order d, at place p, sits in runs
+    of p profiles, one per value of the digits between voter 0 and v; with
+    more runs than p, the pass instead takes p strided slices of step
+    m! * p, one per value of the digits after v.  Each slice pairs with the
+    one whose digit v is the reverse of d.  The least unit with a gain in a
+    window is the first witness, so the pass stops at the first window with
+    one, and scans no window that starts at or past ``region``.
+    """
+    n, m, chosen = scan.n, scan.m, outcome.chosen
+    if (chosen is None or scan.deviation != "reverse" or scan.condorcet_only
+            or scan.compare not in ("weak", "strong") or m > 16):
+        return None
+    try:
+        outcomes = bytearray(chosen)  # so every code, below m² <= 256, fits a byte
+    except (TypeError, ValueError):
+        return None  # an entry that is not an int in range(256)
+    if len(outcomes) != num_profiles(n, m) or outcomes.translate(None, bytes(range(m))):
+        return None  # not one entry per profile, or an entry of m or more
+    scaled = outcomes.translate(bytes(x * m & 255 for x in range(256)))
+    gains = _gain_tables(m, scan.compare)
+    rev = reverse_index_table(m)
+    places = _places(n, m)
+    fact = math.factorial(m)
+    window = places[0]
+    for first in range(fact):  # the window of the profiles whose first vote is this
+        lo, end = first * window, (first + 1) * window
+        if lo * n >= region:
+            break
+        mirror = rev[first] * window
+        k = _first_gain(scaled[lo:end], outcomes[mirror:mirror + window], gains[first])
+        found = [] if k < 0 else [(lo + k) * n]
+        for voter in range(1, n):
+            place = places[voter]
+            step = fact * place
+            for d in range(fact):
+                mine, theirs = lo + d * place, lo + rev[d] * place
+                if place >= window // step:  # runs of ascending profiles
+                    for run in range(0, window, step):
+                        k = _first_gain(scaled[mine + run:mine + run + place],
+                                        outcomes[theirs + run:theirs + run + place],
+                                        gains[d])
+                        if k >= 0:
+                            found.append((mine + run + k) * n + voter)
+                            break
+                else:  # strides, one per low part
+                    for low in range(place):
+                        k = _first_gain(scaled[mine + low:end:step],
+                                        outcomes[theirs + low:end:step], gains[d])
+                        if k >= 0:
+                            found.append((mine + low + k * step) * n + voter)
+        if found:
+            return min(min(found), region)
+    return region
+
+
 def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
               seed: int) -> tuple | None:
     """Dispatch a first-witness scan over all of ``scan``'s units.
 
     Exhaustive mode first tries the margin pass when every rule reads only
     the margins and its units fit in ``budget``; unless that certifies, it
-    covers units [0, min(total, budget)), on the quotient path when the
-    rules are anonymous and otherwise on the ordered path, and raises
-    :class:`BudgetExceeded` if that had to stop short without a witness.
+    covers units [0, min(total, budget)): by the table pass when it serves
+    the scan (the kernel then builds the hit of the one unit it found), on
+    the quotient path when the rules are anonymous, and otherwise on the
+    ordered path, and raises :class:`BudgetExceeded` if that had to stop
+    short without a witness.
     Sampled mode visits ``sample`` random blocks of ``scan.block_span``
     units drawn from a seeded generator.  Either way one Condorcet-domain
     memo serves the whole scan.
@@ -638,8 +741,13 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
     outcomes = _outcomes(scan)
     if scan.margins_only and _margin_pass(scan, *outcomes, budget, winners):
         return None
-    hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes,
-                      winners=winners)
+    unit = _table_pass(scan, outcomes[0], region)
+    if unit is None:
+        hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes,
+                          winners=winners)
+    else:  # the kernel builds the hit of the one unit the pass found
+        hit = (_scan_chunk(scan, unit, unit + 1, outcomes=outcomes, winners=winners)
+               if unit < region else None)
     if hit is None and region < total_units:
         raise BudgetExceeded(
             f"scanned {region} of {total_units} scan units without a verdict",

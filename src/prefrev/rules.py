@@ -26,9 +26,9 @@ profile's through :func:`prefrev.keyspace.profile_key`), and a c2
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from operator import ge
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import (
     BudgetExceeded,
@@ -504,15 +504,46 @@ def write_rule_table(table: RuleTable, sink: TextIO) -> None:
     """Profile entries in index order, c2 entries in key-text order."""
     labels = default_labels(table.m)
     sink.write(f"n={table.n} m={table.m} mode={table.mode}\n")
-    entries = (enumerate(table.chosen) if table.mode == "profile" else
-               sorted((keyspace.key_text(key, table.m), alt)
-                      for key, alt in table.chosen.items()))
-    sink.writelines(f"{key},{labels[alt]}\n" for key, alt in entries)
+    if table.mode == "profile":
+        sink.write(_profile_text(tuple(map(labels.__getitem__, table.chosen))))
+        return
+    sink.writelines(f"{key},{labels[alt]}\n" for key, alt in
+                    sorted((keyspace.key_text(key, table.m), alt)
+                           for key, alt in table.chosen.items()))
+
+
+def _profile_text(labels: Sequence[str]) -> str:
+    """The body of a profile table whose entries carry these labels: one
+    ``<index>,<label>`` line per entry, in index order."""
+    return ("%d,%s\n" * len(labels)) % tuple(chain.from_iterable(enumerate(labels)))
+
+
+def _written_entries(body: str, total: int, ids: dict[str, int]
+                     ) -> tuple[int, ...] | None:
+    """The entries of a profile-table body that is exactly what
+    :func:`write_rule_table` writes for ``total`` entries (the final
+    newline optional) with labels that ``ids`` knows; None otherwise."""
+    labels = body.replace("\n", ",").split(",")[1::2]
+    if len(labels) != total:
+        return None
+    chosen = tuple(map(ids.get, labels))
+    if None in chosen or _profile_text(labels) != (
+            body if body.endswith("\n") else body + "\n"):
+        return None
+    return chosen
 
 
 def read_rule_table(source: TextIO) -> RuleTable:
     """What :func:`write_rule_table` writes (blank and ``#`` lines skipped);
-    the error for a malformed line or a repeated key names the line."""
+    the error for a malformed line or a repeated key names the line.
+
+    A profile table's body is read at once.  When it is exactly the text
+    :func:`write_rule_table` writes (keys 0, 1, ... in order, one
+    ``<index>,<label>`` line each, every label known, the final newline
+    optional), which one comparison with that text decides, its labels map
+    to entries in bulk.  Any other profile body, and any c2 body, is read
+    line by line, so every accepted file and every error stays the same.
+    """
     header = source.readline().strip()
     fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     try:
@@ -524,9 +555,17 @@ def read_rule_table(source: TextIO) -> RuleTable:
     if mode not in ("profile", "c2"):
         raise PrefRevError(f"unknown table mode: {mode!r}")
     profile = mode == "profile"
+    ids = {label: alt for alt, label in enumerate(default_labels(m))}
+    rows: Iterable[str] = source
+    if profile:
+        body = source.read()
+        chosen = _written_entries(body, num_profiles(n, m), ids)
+        if chosen is not None:
+            return RuleTable(n, m, mode, chosen)
+        rows = body.split("\n")
     lines: dict[int, int] = {}  # the line of each key, in file order
     labels: list[str] = []
-    for lineno, raw in enumerate(source, start=2):
+    for lineno, raw in enumerate(rows, start=2):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -542,7 +581,6 @@ def read_rule_table(source: TextIO) -> RuleTable:
                                f"the key of line {lines[key]}")
         lines[key] = lineno
         labels.append(label)
-    ids = {label: alt for alt, label in enumerate(default_labels(m))}
     alts = list(map(ids.get, map(str.strip, labels)))
     if None in alts:
         bad = alts.index(None)

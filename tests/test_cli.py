@@ -254,6 +254,19 @@ class TestCheck:
             assert record["set_before"] == "{" + expected["winner_before"] + "}"
             assert record["set_after"] == "{" + expected["winner_after"] + "}"
 
+    def test_planted_table_check_matches_golden(self, run, monkeypatch):
+        # Borda at (3, 3) with entry 150 changed from a to b; the output
+        # names the table by the path given, so the check runs beside it
+        golden = GOLDEN_DIR / "planted_borda_m3_n3.table"
+        table = read_rule_table(io.StringIO(golden.read_text()))
+        borda = tabulate_rule(resolute_rule("borda", 3), 3, 3)
+        assert table == borda.replace_entry(150, 1)
+        monkeypatch.chdir(GOLDEN_DIR)
+        code, out = run("check --property hwm --table planted_borda_m3_n3.table "
+                        "--m 3 --n 3")
+        assert code == 1
+        assert out == (GOLDEN_DIR / "planted_borda_m3_n3_hwm.txt").read_text()
+
     def test_sample_mode_reports_seed(self, run):
         code, out = run("check --property hwm --rule borda --m 3 --n 3 "
                         "--sample 5 --seed 42")

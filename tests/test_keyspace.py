@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from collections.abc import KeysView
@@ -157,3 +158,31 @@ def test_parse_key_rejects_what_key_text_never_writes(text):
 def test_parse_key_accepts_the_largest_entries():
     text = "0_2147483647_-2147483647_0"
     assert keyspace.key_text(keyspace.parse_key(text, 2), 2) == text
+
+
+def shifted_rows(key: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The margin matrix of a key read entry by entry with shifts and masks."""
+    rows = [[0] * m for _ in range(m)]
+    cells = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    for i, (a, b) in enumerate(cells):
+        shift = 32 * (len(cells) - 1 - i)
+        rows[a][b] = ((key >> shift) & 0xFFFFFFFF) - 2 ** 31
+        rows[b][a] = -rows[a][b]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_key_rows_unpacks_like_shifts_and_masks(m):
+    rng = random.Random(f"key_rows:{m}")
+    largest = 2 ** 31 - 1
+    size = m * (m - 1) // 2
+    for _ in range(200):
+        entries = [rng.choice((rng.randrange(-largest, largest + 1), largest, -largest,
+                               0, rng.randrange(-3, 4)))
+                   for _ in range(size)]
+        key = sum((x + 2 ** 31) << (32 * (size - 1 - i)) for i, x in enumerate(entries))
+        assert keyspace.key_rows(key, m) == shifted_rows(key, m)
+    # the extreme keys: every entry at the top or the bottom of the range
+    for x in (largest, -largest):
+        key = sum((x + 2 ** 31) << (32 * i) for i in range(size))
+        assert keyspace.key_rows(key, m) == shifted_rows(key, m)

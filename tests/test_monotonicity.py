@@ -1284,3 +1284,88 @@ class TestKernelAgainstUnitReference:
         lifted = _Singleton(table)
         with pytest.raises(errors.DomainMismatch):
             check_hwm_pessimistic(lifted, 3, 3)
+
+
+# --- the table pass ------------------------------------------------------------------
+
+
+def planted_table(n: int, m: int, rng: random.Random, planted: int | None) -> RuleTable:
+    """A table of uniform random entries (``planted`` None), or of one
+    constant entry with ``planted`` random entries changed."""
+    total = num_profiles(n, m)
+    if planted is None:
+        return RuleTable(n, m, "profile", tuple(rng.randrange(m) for _ in range(total)))
+    chosen = [rng.randrange(m)] * total
+    for _ in range(planted):
+        chosen[rng.randrange(total)] = rng.randrange(m)
+    return RuleTable(n, m, "profile", tuple(chosen))
+
+
+def scan_result(check, rule, n: int, m: int, budget: int | None):
+    try:
+        witness = check(rule, n, m, budget=budget)
+    except errors.BudgetExceeded as exc:
+        return ("budget", str(exc), exc.scanned, exc.total)
+    return ("none",) if witness is None else ("witness", witness)
+
+
+class TestTablePass:
+    """The table pass against the kernel, which a plain wrapper forces: it
+    exposes no ``mode`` or ``chosen``, so the scan calls it on profiles."""
+
+    # (5, 3) and (6, 2) have strided slices of several low parts
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)
+                                     if (n, m) != (4, 4)] + [(5, 3), (6, 2)])
+    @pytest.mark.parametrize("check", [check_halfway_monotonicity, check_strong_reversal])
+    def test_same_first_witness_and_budget_verdicts_as_the_kernel(self, n, m, check):
+        rng = random.Random(f"table-pass:{check.__name__}:{n}:{m}")
+        total = num_profiles(n, m) * n
+        verdicts = set()
+        for planted in (None, 0, 1, 2, 3, 4, 5):
+            table = planted_table(n, m, rng, planted)
+            expected = scan_result(check, lambda profile: table(profile), n, m, None)
+            assert scan_result(check, table, n, m, None) == expected, planted
+            verdicts.add(expected[0])
+            # budgets that cut just before and just after the first witness,
+            # or inside the domain when there is none
+            cuts = ((witness_unit("hwm", expected[1], n, m),) * 2
+                    if expected[0] == "witness" else (total - 1, rng.randrange(1, total + 1)))
+            for budget in (cuts[0], cuts[1] + 1):
+                if 0 < budget <= total:
+                    assert scan_result(check, table, n, m, budget) == scan_result(
+                        check, lambda profile: table(profile), n, m, budget), (planted, budget)
+        assert "none" in verdicts
+        assert "witness" in verdicts or num_profiles(n, m) <= 2
+
+    def test_largest_size_matches_the_kernels_inline_reads(self, monkeypatch):
+        # calling a wrapper on each of the 331,776 profiles of (4, 4) takes
+        # seconds; the kernel reading the entries inline is the reference
+        rng = random.Random("table-pass:4:4")
+        tables = [planted_table(4, 4, rng, planted) for planted in (None, 2, 5)]
+        results = [scan_result(check, table, 4, 4, budget)
+                   for table in tables for budget in (None, 10_000)
+                   for check in (check_halfway_monotonicity, check_strong_reversal)]
+        monkeypatch.setattr(monotonicity, "_table_pass", lambda *args: None)
+        assert results == [scan_result(check, table, 4, 4, budget)
+                           for table in tables for budget in (None, 10_000)
+                           for check in (check_halfway_monotonicity, check_strong_reversal)]
+
+    def test_other_scans_never_enter_the_pass(self, monkeypatch):
+        def entered(*args):
+            raise AssertionError("the table pass compared slices")
+
+        rng = random.Random("table-pass:other")
+        big, small = planted_table(3, 3, rng, None), planted_table(2, 3, rng, None)
+        runs = [
+            lambda: check_manipulability(big, 3, 3),
+            lambda: check_manipulability(big, 3, 3, domain="condorcet"),
+            lambda: check_participation({2: small, 3: big}, 3, 3),
+            lambda: check_halfway_monotonicity(big, 3, 3, sample=20, seed=1),
+            lambda: check_strong_reversal(big, 3, 3, sample=20, seed=2),
+            lambda: check_hwm_optimistic(_Singleton(big), 3, 3),
+        ]
+        expected = [run() for run in runs]
+        monkeypatch.setattr(monotonicity, "_first_gain", entered)
+        assert [run() for run in runs] == expected
+        with pytest.raises(AssertionError, match="compared slices"):
+            check_halfway_monotonicity(big, 3, 3)  # the pass does serve this one

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from prefrev import errors, keyspace
+from prefrev import errors, keyspace, rules
 from prefrev.cli import _Singleton
 from prefrev.prefs import (
     Alternatives,
@@ -454,6 +454,79 @@ class TestRuleTable:
         with pytest.raises(errors.UnknownLabel,
                            match="rule-table line 3: unknown alternative label: 'c'"):
             read_rule_table(io.StringIO("n=1 m=2 mode=profile\n0,a\n1,c\n"))
+
+    def test_profile_body_written_twice_reads_the_same(self):
+        table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
+        sink = io.StringIO()
+        write_rule_table(table, sink)
+        assert sink.getvalue().splitlines()[:3] == ["n=2 m=3 mode=profile", "0,a", "1,a"]
+        again = io.StringIO()
+        write_rule_table(read_rule_table(io.StringIO(sink.getvalue())), again)
+        assert again.getvalue() == sink.getvalue()
+
+    def test_written_body_is_read_in_bulk(self):
+        table = tabulate_rule(resolute_rule("maximin", 4), 2, 4)
+        sink = io.StringIO()
+        write_rule_table(table, sink)
+        body = sink.getvalue().partition("\n")[2]
+        ids = {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert rules._written_entries(body, 576, ids) == table.chosen
+        assert rules._written_entries(body[:-1], 576, ids) == table.chosen
+        assert rules._written_entries(body.replace("\n", "\r\n"), 576, ids) is None
+        assert rules._written_entries(body, 577, ids) is None
+
+    @pytest.mark.parametrize("edit", [
+        "canonical", "no final newline", "crlf", "blank line", "comment line",
+        "space before comma", "space after comma", "space after label", "key +1",
+        "key 01", "out of order", "repeated key", "missing key", "empty label",
+        "unknown label", "extra comma", "no comma", "two final newlines",
+        "key past the end",
+    ])
+    def test_bulk_read_matches_the_line_by_line_read(self, edit, monkeypatch, tmp_path):
+        sink = io.StringIO()
+        write_rule_table(tabulate_rule(resolute_rule("maximin", 3), 2, 3), sink)
+        header, *lines = sink.getvalue().splitlines()
+        edits = {
+            "canonical": lambda: lines,
+            "no final newline": lambda: lines,
+            "crlf": lambda: [line + "\r" for line in lines],
+            "blank line": lambda: lines[:5] + [""] + lines[5:],
+            "comment line": lambda: ["# decoded"] + lines,
+            "space before comma": lambda: [lines[0].replace(",", " ,")] + lines[1:],
+            "space after comma": lambda: lines[:-1] + [lines[-1].replace(",", ", ")],
+            "space after label": lambda: lines[:7] + [lines[7] + " "] + lines[8:],
+            "key +1": lambda: lines[:1] + ["+" + lines[1]] + lines[2:],
+            "key 01": lambda: lines[:1] + ["0" + lines[1]] + lines[2:],
+            "out of order": lambda: [lines[1], lines[0]] + lines[2:],
+            "repeated key": lambda: lines + [lines[3]],
+            "missing key": lambda: lines[:-1],
+            "empty label": lambda: ["0,,a"] + lines[1:],
+            "unknown label": lambda: lines[:-1] + ["35,x1"],
+            "extra comma": lambda: lines[:2] + [lines[2] + ",a"] + lines[3:],
+            "no comma": lambda: lines[:2] + [lines[2].replace(",", "")] + lines[3:],
+            "two final newlines": lambda: lines + [""],
+            "key past the end": lambda: lines[:-1] + ["36,a"],
+        }
+        text = "\n".join([header] + edits[edit]())
+        if edit != "no final newline":
+            text += "\n"
+
+        def read(source):
+            try:
+                return read_rule_table(source)
+            except errors.PrefRevError as exc:
+                return type(exc).__name__, str(exc)
+
+        path = tmp_path / "table.txt"
+        path.write_bytes(text.encode())  # opened as the CLI opens it
+        with open(path, encoding="utf-8") as handle:
+            bulk = read(io.StringIO(text)), read(handle)
+        monkeypatch.setattr(rules, "_written_entries", lambda *args: None)
+        with open(path, encoding="utf-8") as handle:
+            assert bulk == (read(io.StringIO(text)), read(handle))
+        if edit in ("canonical", "no final newline", "crlf", "blank line",
+                    "comment line", "space after label", "space after comma"):
+            assert isinstance(bulk[0], RuleTable)
 
     def test_partial_profile_table_rejected(self):
         with pytest.raises(errors.MissingEntry):
