@@ -25,6 +25,7 @@ profile's through :func:`prefrev.keyspace.profile_key`), and a c2
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 from itertools import chain, combinations
 from operator import ge
@@ -518,13 +519,17 @@ def _profile_text(labels: Sequence[str]) -> str:
     return ("%d,%s\n" * len(labels)) % tuple(chain.from_iterable(enumerate(labels)))
 
 
-def _written_entries(body: str, total: int, ids: dict[str, int]
+def _written_entries(body: str, n: int, m: int, ids: dict[str, int]
                      ) -> tuple[int, ...] | None:
     """The entries of a profile-table body that is exactly what
-    :func:`write_rule_table` writes for ``total`` entries (the final
+    :func:`write_rule_table` writes for a table of (n, m) (the final
     newline optional) with labels that ``ids`` knows; None otherwise."""
     labels = body.replace("\n", ",").split(",")[1::2]
-    if len(labels) != total:
+    fact = math.factorial(m)
+    # (m!)^n >= 2^(n * floor(log2 m!)): a header whose n alone makes that
+    # exceed the labels costs no exact count
+    if (n * (fact.bit_length() - 1) >= len(labels).bit_length()
+            or fact ** n != len(labels)):
         return None
     chosen = tuple(map(ids.get, labels))
     if None in chosen or _profile_text(labels) != (
@@ -559,7 +564,7 @@ def read_rule_table(source: TextIO) -> RuleTable:
     rows: Iterable[str] = source
     if profile:
         body = source.read()
-        chosen = _written_entries(body, num_profiles(n, m), ids)
+        chosen = _written_entries(body, n, m, ids)
         if chosen is not None:
             return RuleTable(n, m, mode, chosen)
         rows = body.split("\n")

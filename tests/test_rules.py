@@ -470,10 +470,11 @@ class TestRuleTable:
         write_rule_table(table, sink)
         body = sink.getvalue().partition("\n")[2]
         ids = {"a": 0, "b": 1, "c": 2, "d": 3}
-        assert rules._written_entries(body, 576, ids) == table.chosen
-        assert rules._written_entries(body[:-1], 576, ids) == table.chosen
-        assert rules._written_entries(body.replace("\n", "\r\n"), 576, ids) is None
-        assert rules._written_entries(body, 577, ids) is None
+        assert rules._written_entries(body, 2, 4, ids) == table.chosen
+        assert rules._written_entries(body[:-1], 2, 4, ids) == table.chosen
+        assert rules._written_entries(body.replace("\n", "\r\n"), 2, 4, ids) is None
+        for n, m in ((1, 4), (3, 4), (2, 3), (10 ** 9, 8)):  # a domain of another size
+            assert rules._written_entries(body, n, m, ids) is None
 
     @pytest.mark.parametrize("edit", [
         "canonical", "no final newline", "crlf", "blank line", "comment line",
