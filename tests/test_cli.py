@@ -261,6 +261,9 @@ class TestCheck:
         table = read_rule_table(io.StringIO(golden.read_text()))
         borda = tabulate_rule(resolute_rule("borda", 3), 3, 3)
         assert table == borda.replace_entry(150, 1)
+        written = io.StringIO()
+        write_rule_table(table, written)
+        assert written.getvalue() == golden.read_text()
         monkeypatch.chdir(GOLDEN_DIR)
         code, out = run("check --property hwm --table planted_borda_m3_n3.table "
                         "--m 3 --n 3")

@@ -455,15 +455,6 @@ class TestRuleTable:
                            match="rule-table line 3: unknown alternative label: 'c'"):
             read_rule_table(io.StringIO("n=1 m=2 mode=profile\n0,a\n1,c\n"))
 
-    def test_profile_body_written_twice_reads_the_same(self):
-        table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
-        sink = io.StringIO()
-        write_rule_table(table, sink)
-        assert sink.getvalue().splitlines()[:3] == ["n=2 m=3 mode=profile", "0,a", "1,a"]
-        again = io.StringIO()
-        write_rule_table(read_rule_table(io.StringIO(sink.getvalue())), again)
-        assert again.getvalue() == sink.getvalue()
-
     def test_written_body_is_read_in_bulk(self):
         table = tabulate_rule(resolute_rule("maximin", 4), 2, 4)
         sink = io.StringIO()
