@@ -42,7 +42,7 @@ from .prefs import (
     read_profile,
     write_profile,
 )
-from .tally import margin_matrix, rows_condorcet_winner
+from .tally import condorcet_winner, margin_matrix
 
 if TYPE_CHECKING:
     from .rules import TieBreak
@@ -224,7 +224,7 @@ def cmd_analyze(args) -> int:
         "record": "profile", "n": profile.n, "m": profile.m,
         "labels": ",".join(alternatives.labels),
     }]
-    winner = rows_condorcet_winner(margins.rows)
+    winner = condorcet_winner(profile)
     winner_label = alternatives.label_of(winner) if winner is not None else "none"
     records.append({"_text": f"condorcet-winner: {winner_label}",
                     "record": "condorcet-winner", "winner": winner_label})

@@ -31,13 +31,16 @@ This module is the bottom layer of the margin arithmetic: the layers go
 :func:`vote_key`: :func:`profile_key` sums it over a profile's votes, and
 :func:`digits_key` reads it from the table :func:`vote_keys`; every margin
 matrix, Condorcet verdict and rule of the margins is read off such a key.
+Keys are read in one flat form (:func:`key_margins`), through getters built
+once per m; :func:`key_rows` is only the adapter for rules written on rows.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import KeysView
+from collections.abc import Callable, KeysView, Sequence
 from functools import lru_cache
+from operator import itemgetter, neg
 
 from .errors import BudgetExceeded
 from .prefs import Profile, enumerate_orders
@@ -89,32 +92,52 @@ def profile_key(profile: Profile) -> int:
     return empty_key(profile.m) + sum(vote_key(vote.positions()) for vote in profile.votes)
 
 
+def getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``itemgetter(*indices)``, a tuple for fewer than two indices too."""
+    return (itemgetter(*indices) if len(indices) > 1
+            else lambda seq: tuple(map(seq.__getitem__, indices)))
+
+
 @lru_cache(maxsize=None)
-def _unpacking(m: int) -> tuple[struct.Struct, int, tuple[tuple[int, int], ...]]:
-    """How :func:`key_rows` reads a key of m alternatives: the signed
+def _flat_form(m: int) -> tuple[struct.Struct, int, Callable]:
+    """How :func:`key_margins` reads a key of m alternatives: the signed
     32-bit big-endian entries of ``key ^ empty_key(m)`` (flipping each
     entry's top bit removes its offset), that text's length in bytes, and
-    each entry's two cells of the flat row-major matrix."""
-    entries = _entries(m)
-    return (struct.Struct(f">{len(entries)}i"), 4 * len(entries),
-            tuple((a * m + b, b * m + a) for a, b, _ in entries))
+    the getter of the flat form from the entries, their negations and 0."""
+    size = len(_entries(m))
+    signed = [2 * size] * (m * m)
+    for i, (a, b, _) in enumerate(_entries(m)):
+        signed[a * m + b], signed[b * m + a] = i, size + i
+    return struct.Struct(f">{size}i"), 4 * size, getter(signed)
+
+
+def key_margins(key: int, m: int) -> tuple[int, ...]:
+    """The flat form of a key: its m x m margins row-major, a over b at a * m + b."""
+    unpacker, size, flat = _flat_form(m)
+    upper = unpacker.unpack((key ^ empty_key(m)).to_bytes(size, "big"))
+    return flat(upper + tuple(map(neg, upper)) + (0,))
+
+
+@lru_cache(maxsize=None)
+def off_diagonal(m: int) -> tuple[Callable[[Sequence[int]], tuple[int, ...]], ...]:
+    """Per alternative, the getter of its margins over the others."""
+    return tuple(getter([a * m + b for b in range(m) if b != a]) for a in range(m))
+
+
+@lru_cache(maxsize=None)
+def transpose(m: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The getter of a flat m x m matrix's transpose."""
+    return getter([b * m + a for a in range(m) for b in range(m)])
 
 
 def key_rows(key: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """The full margin matrix of a key."""
-    unpacker, size, cells = _unpacking(m)
-    margins = unpacker.unpack((key ^ empty_key(m)).to_bytes(size, "big"))
-    flat = [0] * (m * m)
-    for (ab, ba), margin in zip(cells, margins):
-        flat[ab] = margin
-        flat[ba] = -margin
-    return tuple(zip(*[iter(flat)] * m))  # m rows of m entries
+    """A key's margin matrix as m rows: the adapter for rules on rows."""
+    return tuple(zip(*[iter(key_margins(key, m))] * m))
 
 
 def key_text(key: int, m: int) -> str:
-    """The file form of a key: the full m x m margin matrix, row-major,
-    each entry in canonical integer spelling, joined by ``_``."""
-    return "_".join(str(x) for row in key_rows(key, m) for x in row)
+    """The file form of a key: its flat form in canonical integers, ``_``-joined."""
+    return "_".join(map(str, key_margins(key, m)))
 
 
 def parse_key(text: str, m: int) -> int:
@@ -122,13 +145,13 @@ def parse_key(text: str, m: int) -> int:
     text, such as a wrong entry count, a nonzero diagonal, asymmetric
     entries, ``+1``, ``01`` or ``-0``, or an entry of 2^31 or more."""
     try:
-        flat = list(map(int, text.split("_")))
+        flat = tuple(map(int, text.split("_")))
     except ValueError:
-        flat = []
+        flat = ()
     # canonically spelt, skew-symmetric (so the diagonal is zero) and in
     # range: exactly what key_text writes
     if (len(flat) == m * m and "_".join(map(str, flat)) == text
-            and flat == [-flat[b * m + a] for a in range(m) for b in range(m)]
+            and flat == tuple(map(neg, transpose(m)(flat)))
             and -_OFFSET < min(flat) and max(flat) < _OFFSET):
         return sum((flat[a * m + b] + _OFFSET) << shift for a, b, shift in _entries(m))
     raise ValueError(f"not a margin key of {m} alternatives: {text!r}")

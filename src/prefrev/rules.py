@@ -18,7 +18,7 @@ also provides ``on_key(key, n, m)``, its outcome at an integer margin key
 (:mod:`prefrev.keyspace`) of n voters over m alternatives; the scan kernel
 evaluates it only there, and takes a "margins" rule without ``on_key`` for
 a "multiset" one.  Registry rules of the margins are :class:`MarginsRule`
-objects, written once on margin rows and evaluated only at a key (a
+objects, written once on a key's flat form and evaluated only at a key (a
 profile's through :func:`prefrev.keyspace.profile_key`), and a c2
 :class:`RuleTable` answers ``on_key`` from its entries.
 """
@@ -48,15 +48,15 @@ from .prefs import (
     Record,
     default_labels,
     enumerate_orders,
-    iter_profiles,
     num_profiles,
     profile_to_index,
 )
-from .tally import Rows, margin_matrix, rows_condorcet_winner
+from .tally import margins_condorcet_winner
 from . import keyspace
 
 Rule = Callable[[Profile], int]
 SetRule = Callable[[Profile], frozenset[int]]
+Margins = Sequence[int]  # the flat form of a margin matrix
 
 MAX_EXACT_KEMENY_M = 7
 MAX_DODGSON_M = 6
@@ -76,10 +76,6 @@ class ScoreVector(Record):
     @property
     def m(self) -> int:
         return len(self.s)
-
-
-def borda_vector(m: int) -> ScoreVector:
-    return ScoreVector(tuple(range(m - 1, -1, -1)))
 
 
 def plurality_vector(m: int) -> ScoreVector:
@@ -102,9 +98,15 @@ class TieBreak(Record):
         return self.priority.worst_of(alts)
 
 
-def _argmax_set(scores: list[int]) -> list[int]:
-    top = max(scores)
-    return [a for a, v in enumerate(scores) if v == top]
+def _first_top(scores: Sequence[int], tie_break: TieBreak) -> int:
+    """The top scorer that comes first in the tie-break order."""
+    return max(_ranking(tie_break, len(scores)), key=scores.__getitem__)
+
+
+def _ranking(tie_break: TieBreak, m: int) -> Sequence[int]:
+    """The tie-break order of 0..m-1 (a tie-break may rank more)."""
+    ranking = tie_break.priority.ranking
+    return ranking if len(ranking) == m else [a for a in ranking if a < m]
 
 
 # --- scoring rules ----------------------------------------------------------
@@ -118,7 +120,7 @@ def scoring_winner(profile: Profile, score_vector: ScoreVector,
     for vote in profile.votes:
         for pos, alt in enumerate(vote.ranking):
             totals[alt] += score_vector.s[pos]
-    return tie_break.best(_argmax_set(totals))
+    return _first_top(totals, tie_break)
 
 
 def plurality_winner(profile: Profile, tie_break: TieBreak) -> int:
@@ -127,17 +129,17 @@ def plurality_winner(profile: Profile, tie_break: TieBreak) -> int:
 
 # --- rules of the margins alone -----------------------------------------------
 # Fishburn's C2 class ("Condorcet social choice functions", SIAM J. Appl.
-# Math. 1977).  Each rule is written once on margin rows, ``rows[a][b]`` the
-# margin of a over b as a tuple of tuples, and :class:`MarginsRule`
-# evaluates it on an integer margin key, a profile's included.  Restricted
-# to a set A of alternatives, a's Borda score is (n (|A| - 1) + the sum of
-# rows[a][b] over b in A) / 2, so Borda and the Borda eliminations rank by
-# row sums over A.
+# Math. 1977).  Each rule is written once on the flat form of a margin
+# matrix (:func:`prefrev.keyspace.key_margins`: entry a * m + b is the margin
+# of a over b), and :class:`MarginsRule` evaluates it on an integer margin
+# key, a profile's included.  Restricted to a set A of alternatives, a's
+# Borda score is (n (|A| - 1) + the sum of a's margins over A) / 2, so
+# Borda and the Borda eliminations rank by row sums over A.
 
 
 class MarginsRule:
-    """A rule of the margin matrix alone: ``impl(rows, *args)`` on margin
-    rows.  :meth:`on_key` evaluates it on an integer margin key
+    """A rule of the margin matrix alone: ``impl(margins, m, *args)`` on its
+    flat form.  :meth:`on_key` evaluates it on an integer margin key
     (:mod:`prefrev.keyspace`), which is how the scan kernel calls it; called
     on a profile it takes the profile's key and does the same."""
 
@@ -152,122 +154,114 @@ class MarginsRule:
 
     def on_key(self, key: int, n: int, m: int):
         """The outcome at margin key ``key`` of n voters over m
-        alternatives (the rows do not depend on n)."""
-        return self.impl(keyspace.key_rows(key, m), *self.args)
+        alternatives (the margins do not depend on n)."""
+        return self.impl(keyspace.key_margins(key, m), m, *self.args)
 
 
-def borda_rows(rows: Rows, tie_break: TieBreak) -> int:
-    return tie_break.best(_argmax_set(list(map(sum, rows))))
+def borda_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+    return _first_top(list(map(sum, zip(*[iter(margins)] * m))), tie_break)
 
 
-def black_rows(rows: Rows, tie_break: TieBreak) -> int:
+def black_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
     """Condorcet winner if one exists, Borda winner otherwise."""
-    winner = rows_condorcet_winner(rows)
-    return borda_rows(rows, tie_break) if winner is None else winner
+    winner = margins_condorcet_winner(margins, m)
+    return borda_margins(margins, m, tie_break) if winner is None else winner
 
 
-def maximin_row_scores(rows: Rows) -> list[int]:
-    """Each alternative's worst margin against another."""
-    return [min(row[:a] + row[a + 1:], default=0) for a, row in enumerate(rows)]
+def maximin_scores(margins: Margins, m: int) -> list[int]:
+    """Each alternative's worst margin against another (0 for a lone one)."""
+    return [min(over_others(margins) or (0,)) for over_others in keyspace.off_diagonal(m)]
 
 
-def maximin_rows(rows: Rows, tie_break: TieBreak) -> int:
-    return tie_break.best(_argmax_set(maximin_row_scores(rows)))
+def maximin_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+    return _first_top(maximin_scores(margins, m), tie_break)
 
 
 # --- set-valued rules over the strict majority relation ---------------------
 
 
-def copeland_rows(rows: Rows) -> frozenset[int]:
+def copeland_margins(margins: Margins, m: int) -> frozenset[int]:
     """Alternatives maximising (majority wins - majority losses); ties count
     for neither side."""
-    return frozenset(_argmax_set([sum((x > 0) - (x < 0) for x in row) for row in rows]))
+    scores = [sum((x > 0) - (x < 0) for x in margins[i:i + m]) for i in range(0, m * m, m)]
+    return frozenset(a for a, score in enumerate(scores) if score == max(scores))
 
 
-def uncovered_rows(rows: Rows) -> frozenset[int]:
+def uncovered_margins(margins: Margins, m: int) -> frozenset[int]:
     """Alternatives not covered by any other.
 
     b covers a iff b beats a and b beats everything a beats (Gillies
     covering; on tournaments this is the standard uncovered set).
     """
-    m = len(rows)
 
     def covers(b: int, a: int) -> bool:
-        row_b, row_a = rows[b], rows[a]
-        if row_b[a] <= 0:
-            return False
-        return all(row_b[c] > 0 for c in range(m) if c not in (a, b) and row_a[c] > 0)
+        row_b, row_a = margins[b * m:b * m + m], margins[a * m:a * m + m]
+        return row_b[a] > 0 and all(row_b[c] > 0 for c in range(m)
+                                    if c not in (a, b) and row_a[c] > 0)
 
     return frozenset(a for a in range(m)
                      if not any(covers(b, a) for b in range(m) if b != a))
 
 
-def top_cycle_rows(rows: Rows) -> frozenset[int]:
+@lru_cache(maxsize=None)
+def _closure_steps(m: int) -> tuple[tuple[int, int, int], ...]:
+    """The steps of Floyd-Warshall over a flat m x m matrix, k outermost,
+    then i, then j: the cells (i k, k j, i j) for distinct i, j and k."""
+    return tuple((i * m + k, k * m + j, i * m + j) for k in range(m) for i in range(m)
+                 for j in range(m) if len({i, j, k}) == 3)
+
+
+def top_cycle_margins(margins: Margins, m: int) -> frozenset[int]:
     """The smallest set whose members strictly beat every non-member.
 
     Computed as the top strongly connected component of the ties-or-beats
     relation, which is complete, so the component ordering is linear.
     """
-    m = len(rows)
-    reach = [[x >= 0 or a == b for b, x in enumerate(row)] for a, row in enumerate(rows)]
-    for k in range(m):
-        for i in range(m):
-            if reach[i][k]:
-                row_i, row_k = reach[i], reach[k]
-                for j in range(m):
-                    if row_k[j]:
-                        row_i[j] = True
-    return frozenset(a for a in range(m) if all(reach[a]))
+    reach = [x >= 0 for x in margins]  # the diagonal is 0, so reflexive
+    for ik, kj, ij in _closure_steps(m):
+        if reach[ik] and reach[kj]:
+            reach[ij] = True
+    return frozenset(a for a in range(m) if all(reach[a * m:a * m + m]))
 
 
-copeland_set = MarginsRule(copeland_rows)
-uncovered_set = MarginsRule(uncovered_rows)
-top_cycle = MarginsRule(top_cycle_rows)
+copeland_set = MarginsRule(copeland_margins)
+uncovered_set = MarginsRule(uncovered_margins)
+top_cycle = MarginsRule(top_cycle_margins)
 
 
 # --- Kemeny -----------------------------------------------------------------
 
 
-def _check_exact_kemeny(m: int) -> None:
-    if m > MAX_EXACT_KEMENY_M:
-        raise MTooLargeForExactKemeny(
-            f"exact Kemeny enumerates m! rankings; m={m} > {MAX_EXACT_KEMENY_M}")
-
-
 @lru_cache(maxsize=None)
-def _agreement_cells(m: int) -> tuple[tuple[LinearOrder, tuple[int, ...]], ...]:
+def _agreements(m: int) -> tuple[tuple[LinearOrder, Callable], ...]:
     """Per ranking, in canonical enumeration order: the ranking and the
-    row-major cells a * m + b of its pairs a above b."""
-    return tuple((order, tuple(a * m + b for a, b in combinations(order.ranking, 2)))
+    getter of the margins a over b of its pairs a above b."""
+    return tuple((order, keyspace.getter([a * m + b for a, b in combinations(order.ranking, 2)]))
                  for order in enumerate_orders(m))
 
 
-def kemeny_row_rankings(rows: Rows) -> tuple[LinearOrder, ...]:
+def kemeny_margin_rankings(margins: Margins, m: int) -> tuple[LinearOrder, ...]:
     """All rankings maximising total pairwise agreement, by exhaustive scan.
 
     Returned in canonical enumeration order; always nonempty.
     """
-    _check_exact_kemeny(len(rows))
-    flat = sum(rows, ())
-    best_score: int | None = None
-    best: list[LinearOrder] = []
-    for order, cells in _agreement_cells(len(rows)):
-        score = sum(map(flat.__getitem__, cells))
-        if best_score is None or score > best_score:
-            best_score, best = score, [order]
-        elif score == best_score:
-            best.append(order)
-    return tuple(best)
+    if m > MAX_EXACT_KEMENY_M:
+        raise MTooLargeForExactKemeny(
+            f"exact Kemeny enumerates m! rankings; m={m} > {MAX_EXACT_KEMENY_M}")
+    rankings = _agreements(m)
+    scores = [sum(agreement(margins)) for _, agreement in rankings]
+    top = max(scores)
+    return tuple(order for (order, _), score in zip(rankings, scores) if score == top)
 
 
 def kemeny_rankings(profile: Profile) -> tuple[LinearOrder, ...]:
-    _check_exact_kemeny(profile.m)  # before counting margins over m! orders
-    return kemeny_row_rankings(margin_matrix(profile).rows)
+    return kemeny_margin_rankings(
+        keyspace.key_margins(keyspace.profile_key(profile), profile.m), profile.m)
 
 
-def kemeny_rows(rows: Rows, tie_break: TieBreak) -> int:
+def kemeny_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
     pos = tie_break.priority.positions()
-    chosen = min(kemeny_row_rankings(rows),
+    chosen = min(kemeny_margin_rankings(margins, m),
                  key=lambda r: tuple(pos[a] for a in r.ranking))
     return chosen.top
 
@@ -275,28 +269,28 @@ def kemeny_rows(rows: Rows, tie_break: TieBreak) -> int:
 # --- elimination rules --------------------------------------------------------
 
 
-def baldwin_rows(rows: Rows, tie_break: TieBreak) -> int:
+def baldwin_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
     """Repeatedly eliminate the single lowest-Borda alternative.
 
     Elimination ties are settled by removing the tie-break-lowest
     alternative among those tied.
     """
-    active = list(range(len(rows)))
+    active = list(range(m))
     while len(active) > 1:
-        scores = [sum(map(rows[a].__getitem__, active)) for a in active]
+        scores = [sum(map(margins[a * m:a * m + m].__getitem__, active)) for a in active]
         low = min(scores)
         active.remove(tie_break.worst(
             [a for a, score in zip(active, scores) if score == low]))
     return active[0]
 
 
-def nanson_rows(rows: Rows, tie_break: TieBreak) -> int:
+def nanson_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
     """Repeatedly eliminate everything strictly below the average Borda
     score.  Over the active set the row sums add up to zero, so that is
     everything with a negative row sum there."""
-    active = list(range(len(rows)))
+    active = list(range(m))
     while len(active) > 1:
-        kept = [a for a in active if sum(map(rows[a].__getitem__, active)) >= 0]
+        kept = [a for a in active if sum(map(margins[a * m:a * m + m].__getitem__, active)) >= 0]
         if len(kept) == len(active):
             break
         active = kept
@@ -327,11 +321,11 @@ def dodgson_scores(profile: Profile) -> dict[int, int]:
     cap = dodgson_cap(m, n)
     if cap is not None:
         raise BudgetExceeded(cap)
-    margins = margin_matrix(profile)
+    margins = keyspace.key_margins(keyspace.profile_key(profile), m)
     scores: dict[int, int] = {}
     for x in range(m):
         # voters that must newly switch to x over y: margin + 2k >= 1
-        need = {y: max(0, (2 - margins.rows[x][y]) // 2)
+        need = {y: max(0, (2 - margins[x * m + y]) // 2)
                 for y in range(m) if y != x}
         need = {y: k for y, k in need.items() if k > 0}
         if not need:
@@ -374,43 +368,33 @@ def dodgson_scores(profile: Profile) -> dict[int, int]:
 
 def dodgson_winner(profile: Profile, tie_break: TieBreak) -> int:
     scores = dodgson_scores(profile)
-    low = min(scores.values())
-    return tie_break.best([a for a, s in scores.items() if s == low])
+    return min(_ranking(tie_break, profile.m), key=scores.__getitem__)
 
 
 # --- Schulze and Ranked Pairs ---------------------------------------------------
 
 
-def schulze_rows(rows: Rows, tie_break: TieBreak) -> int:
+def schulze_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
     """Widest-path (beatpath) strengths over the margin matrix."""
-    m = len(rows)
-    p = [list(row) for row in rows]
-    for k in range(m):
-        p_k = p[k]
-        for i in range(m):
-            if i == k:
-                continue
-            p_i = p[i]
-            pik = p_i[k]
-            for j in range(m):
-                if j != i and j != k:
-                    w = pik if pik < p_k[j] else p_k[j]
-                    if w > p_i[j]:
-                        p_i[j] = w
-    columns = list(zip(*p))  # a's column: the strengths of paths into a
-    return tie_break.best([a for a in range(m) if all(map(ge, p[a], columns[a]))])
+    p = list(margins)
+    for ik, kj, ij in _closure_steps(m):
+        w = p[ik] if p[ik] < p[kj] else p[kj]
+        if w > p[ij]:
+            p[ij] = w
+    # at a * m + b: the path from a to b is at least as strong as back
+    holds = list(map(ge, p, keyspace.transpose(m)(p)))
+    return next(a for a in _ranking(tie_break, m) if all(holds[a * m:a * m + m]))
 
 
-def ranked_pairs_rows(rows: Rows, tie_break: TieBreak) -> int:
+def ranked_pairs_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
     """Lock majority pairs by descending margin, skipping cycles.
 
     Equal margins are ordered by tie-break priority of the pair's winner,
     then of its loser.
     """
-    m = len(rows)
     tpos = tie_break.priority.positions()
-    pairs = sorted((-x, tpos[a], tpos[b], a, b)
-                   for a, row in enumerate(rows) for b, x in enumerate(row) if x > 0)
+    pairs = sorted((-x, tpos[i // m], tpos[i % m], i // m, i % m)
+                   for i, x in enumerate(margins) if x > 0)
     locked: list[set[int]] = [set() for _ in range(m)]
 
     def reaches(src: int, dst: int) -> bool:
@@ -428,9 +412,7 @@ def ranked_pairs_rows(rows: Rows, tie_break: TieBreak) -> int:
     for *_, a, b in pairs:
         if not reaches(b, a):
             locked[a].add(b)
-    has_in = set()
-    for a in range(m):
-        has_in |= locked[a]
+    has_in = set().union(*locked)
     return tie_break.best([a for a in range(m) if a not in has_in])
 
 
@@ -493,12 +475,6 @@ class RuleTable(Record):
         else:
             chosen = {**self.chosen, key: winner}
         return RuleTable(self.n, self.m, self.mode, chosen)
-
-
-def tabulate_rule(rule: Rule, n: int, m: int) -> RuleTable:
-    """Materialise any resolute rule as a profile-mode table."""
-    return RuleTable(n, m, "profile",
-                     tuple(rule(p) for p in iter_profiles(n, m)))
 
 
 def write_rule_table(table: RuleTable, sink: TextIO) -> None:
@@ -594,40 +570,43 @@ def read_rule_table(source: TextIO) -> RuleTable:
     entries = dict(zip(lines, alts))
     if not profile:
         return RuleTable(n, m, mode, entries)
-    total = num_profiles(n, m)
-    if beyond := [ix for ix in entries if ix >= total]:
-        raise MissingEntry(f"profile index {beyond[0]} out of range")
-    if len(entries) < total:
-        # the keys are distinct, so the first gap lies at most at len(entries)
-        missing = next(ix for ix in range(len(entries) + 1) if ix not in entries)
-        raise MissingEntry(f"no entry for profile index {missing}")
-    return RuleTable(n, m, mode, tuple(map(entries.__getitem__, range(total))))
+    # (m!)^n >= 2^floor: keys of fewer bits are in range, and too few
+    floor = n * (math.factorial(m).bit_length() - 1)
+    if max(entries, default=0).bit_length() >= floor:
+        total = num_profiles(n, m)
+        if beyond := [ix for ix in entries if ix >= total]:
+            raise MissingEntry(f"profile index {beyond[0]} out of range")
+        if len(entries) == total:
+            return RuleTable(n, m, mode, tuple(map(entries.__getitem__, range(total))))
+    # the keys are distinct, so the first gap lies at most at len(entries)
+    missing = next(ix for ix in range(len(entries) + 1) if ix not in entries)
+    raise MissingEntry(f"no entry for profile index {missing}")
 
 
 # --- registry -----------------------------------------------------------------
 
 
-def _condorcet_rows(rows: Rows) -> int:
-    winner = rows_condorcet_winner(rows)
+def _condorcet_margins(margins: Margins, m: int) -> int:
+    winner = margins_condorcet_winner(margins, m)
     if winner is None:
         raise DomainMismatch("the Condorcet rule is only defined on profiles "
                              "with a Condorcet winner")
     return winner
 
 
-_condorcet_rule = MarginsRule(_condorcet_rows)
+_condorcet_rule = MarginsRule(_condorcet_margins)
 
 
-# resolute rules of the margin matrix alone, on margin rows
+# resolute rules of the margin matrix alone, on its flat form
 _MARGIN_IMPL: dict[str, Callable[..., int]] = {
-    "borda": borda_rows,
-    "black": black_rows,
-    "maximin": maximin_rows,
-    "kemeny": kemeny_rows,
-    "baldwin": baldwin_rows,
-    "nanson": nanson_rows,
-    "schulze": schulze_rows,
-    "ranked-pairs": ranked_pairs_rows,
+    "borda": borda_margins,
+    "black": black_margins,
+    "maximin": maximin_margins,
+    "kemeny": kemeny_margins,
+    "baldwin": baldwin_margins,
+    "nanson": nanson_margins,
+    "schulze": schulze_margins,
+    "ranked-pairs": ranked_pairs_margins,
 }
 # resolute rules of the votes cast, on profiles
 _MULTISET_IMPL: dict[str, Callable[..., int]] = {

@@ -3,6 +3,7 @@
 Layered on :mod:`prefrev.keyspace` (``prefs`` -> ``keyspace`` -> ``tally``
 -> ``rules``): a profile's margins are counted once, into its integer
 margin key, and the matrix and the Condorcet test are read off that key.
+The one Condorcet test reads a key's flat form (``keyspace.key_margins``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from typing import Sequence
 
 from .prefs import Alternatives, Profile, Record
 from . import keyspace
-
-Rows = Sequence[Sequence[int]]
 
 
 class MarginMatrix(Record):
@@ -39,18 +38,17 @@ def margin_matrix(profile: Profile) -> MarginMatrix:
                         keyspace.key_rows(keyspace.profile_key(profile), profile.m))
 
 
-def rows_condorcet_winner(rows: Rows) -> int | None:
-    """The alternative with a positive margin over every other, if any."""
-    m = len(rows)
-    for a in range(m):
-        if all(rows[a][b] > 0 for b in range(m) if b != a):
+def margins_condorcet_winner(margins: Sequence[int], m: int) -> int | None:
+    """The alternative whose worst margin in a flat form is positive, if any."""
+    for a, over_others in enumerate(keyspace.off_diagonal(m)):
+        if all(map((0).__lt__, over_others(margins))):
             return a
     return None
 
 
 def key_condorcet_winner(key: int, m: int) -> int | None:
     """The Condorcet winner of a margin key of m alternatives, if any."""
-    return rows_condorcet_winner(keyspace.key_rows(key, m))
+    return margins_condorcet_winner(keyspace.key_margins(key, m), m)
 
 
 class CondorcetWinners(dict):

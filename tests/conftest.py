@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from prefrev.prefs import iter_profiles
+from prefrev.rules import RuleTable, ScoreVector
 from prefrev.satgen import CnfFormula
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +23,16 @@ def solver_cmd() -> list[str]:
 @pytest.fixture(scope="session")
 def perez_profile_path() -> Path:
     return REPO_ROOT / "data" / "perez41.txt"
+
+
+def borda_vector(m: int) -> ScoreVector:
+    return ScoreVector(tuple(range(m - 1, -1, -1)))
+
+
+def tabulate_rule(rule, n: int, m: int) -> RuleTable:
+    """Materialise any resolute rule as a profile-mode table."""
+    return RuleTable(n, m, "profile",
+                     tuple(rule(p) for p in iter_profiles(n, m)))
 
 
 def cnf_formula(num_vars: int, clauses) -> CnfFormula:

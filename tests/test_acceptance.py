@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import without_leaf_unit
+from conftest import tabulate_rule, without_leaf_unit
 from prefrev import satgen
 from prefrev.cli import main
 from prefrev.monotonicity import (
@@ -35,7 +35,7 @@ from prefrev.proofcheck import (
     verify_tree,
     verify_tree_irresolute,
 )
-from prefrev.rules import dodgson_scores, resolute_rule, tabulate_rule
+from prefrev.rules import dodgson_scores, resolute_rule
 from prefrev.tally import condorcet_winner, margin_matrix
 
 

@@ -5,15 +5,17 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from conftest import tabulate_rule
 from prefrev import keyspace
 from prefrev.cli import _Singleton, main
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import read_profile
-from prefrev.rules import read_rule_table, resolute_rule, tabulate_rule, write_rule_table
+from prefrev.rules import read_rule_table, resolute_rule, write_rule_table
 from prefrev.tally import margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -269,6 +271,13 @@ class TestCheck:
                         "--m 3 --n 3")
         assert code == 1
         assert out == (GOLDEN_DIR / "planted_borda_m3_n3_hwm.txt").read_text()
+
+    @pytest.mark.parametrize("rule", ["maximin", "schulze"])
+    def test_sampled_check_matches_golden(self, run, rule):
+        code, out = run(f"check --property hwm --rule {rule} --m 4 --n 6 "
+                        "--sample 500 --seed 7 --tie-break 'c>a>d>b'")
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"sampled_hwm_{rule}_m4_n6.txt").read_text()
 
     def test_sample_mode_reports_seed(self, run):
         code, out = run("check --property hwm --rule borda --m 3 --n 3 "
@@ -638,6 +647,9 @@ BAD_INPUTS = {  # argv (with {tmp}), files to write first, expected message
     "table-huge-domain": ("verify-table {tmp}/t.table",
                           {"t.table": "n=4 m=9 mode=profile\n0,a\n"},
                           "no entry for profile index 1"),
+    "table-index-out-of-range": ("verify-table {tmp}/t.table",
+                                 {"t.table": "n=1 m=2 mode=profile\n0,a\n5,b\n"},
+                                 "profile index 5 out of range"),
     "table-repeated-key": ("check --property hwm --table {tmp}/t.table --m 2 --n 1",
                            {"t.table": "n=1 m=2 mode=profile\n0,a\n1,b\n00,b\n"},
                            "rule-table line 4: key 00 repeats the key of line 2"),
@@ -672,6 +684,19 @@ class TestBadInputFiles:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+
+    def test_oversized_table_header_fails_fast(self, capsys, tmp_path):
+        # (8!)^3000000 has about 46 million bits: the missing entry is
+        # reported without computing it
+        table = tmp_path / "big.table"
+        table.write_text("n=3000000 m=8 mode=profile\n0,a\n")
+        start = time.perf_counter()
+        code = main(["check", "--property", "hwm", "--table", str(table),
+                     "--m", "8", "--n", "3000000"])
+        elapsed = time.perf_counter() - start
+        assert (code, capsys.readouterr().err) == (
+            3, "error: no entry for profile index 1\n")
+        assert elapsed < 1.0
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

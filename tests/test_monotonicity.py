@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tabulate_rule
 from prefrev import errors, keyspace, monotonicity, tally
 from prefrev.cli import _Singleton
 from prefrev.monotonicity import (
@@ -42,7 +43,6 @@ from prefrev.rules import (
     TieBreak,
     resolute_rule,
     set_rule,
-    tabulate_rule,
 )
 from prefrev.tally import condorcet_winner
 

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from conftest import cnf_formula
+from conftest import borda_vector, cnf_formula
 from prefrev import errors
 from prefrev.monotonicity import (
     ManipulationWitness,
@@ -18,7 +18,7 @@ from prefrev.monotonicity import (
 from prefrev.prefs import Alternatives, LinearOrder, Profile, Record
 from prefrev.proofcheck import Leaf, ProofTree, ReversalEdge
 from prefrev.report import CheckLine, Report
-from prefrev.rules import RuleTable, ScoreVector, TieBreak, borda_vector
+from prefrev.rules import RuleTable, ScoreVector, TieBreak
 from prefrev.satgen import EncodeResult, SolverRun, VariableMap
 from prefrev.tally import MarginMatrix
 

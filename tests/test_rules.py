@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from conftest import borda_vector, tabulate_rule
 from prefrev import errors, keyspace, rules
 from prefrev.cli import _Singleton
 from prefrev.prefs import (
@@ -21,19 +22,17 @@ from prefrev.rules import (
     MarginsRule,
     RuleTable,
     TieBreak,
-    borda_vector,
     copeland_set,
     dodgson_scores,
     dodgson_winner,
     kemeny_rankings,
-    maximin_row_scores,
+    maximin_scores,
     plurality_vector,
     plurality_winner,
     read_rule_table,
     resolute_rule,
     scoring_winner,
     set_rule,
-    tabulate_rule,
     uncovered_set,
     write_rule_table,
 )
@@ -70,7 +69,7 @@ class TestPerezSuite:
 
     def test_maximin_strictly_unique(self, perez, tb5):
         profile, alts = perez
-        scores = maximin_row_scores(margin_matrix(profile).rows)
+        scores = maximin_scores(keyspace.key_margins(keyspace.profile_key(profile), 5), 5)
         t = alts.id_of("t")
         assert all(scores[t] > scores[a] for a in range(5) if a != t)
         assert resolute_rule("maximin", 5, tb5)(profile) == t
@@ -704,11 +703,12 @@ def recount(votes, m: int) -> tuple[tuple[int, ...], ...]:
 def profile_form(rule, profile: Profile, rows):
     """A rule's outcome on a profile apart from its key entry point: a
     :class:`MarginsRule`, lifted or not, runs its implementation on the
-    recounted margin rows; any other rule is called on the profile."""
+    recounted margin rows, flattened row-major; any other rule is called on
+    the profile."""
     if isinstance(rule, _Singleton) and isinstance(rule.rule, MarginsRule):
         return frozenset((profile_form(rule.rule, profile, rows),))
     if isinstance(rule, MarginsRule):
-        return rule.impl(rows, *rule.args)
+        return rule.impl(sum(rows, ()), profile.m, *rule.args)
     return rule(profile)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cnf_formula, without_leaf_unit
+from conftest import cnf_formula, tabulate_rule, without_leaf_unit
 from prefrev import errors, keyspace, satgen, tally
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import (
@@ -22,8 +22,8 @@ from prefrev.prefs import (
     parse_order,
 )
 from prefrev.proofcheck import apply_reversals, build_even_tree, build_odd_tree, verify_tree
-from prefrev.rules import RuleTable, resolute_rule, tabulate_rule
-from prefrev.tally import condorcet_winner, margin_matrix, rows_condorcet_winner
+from prefrev.rules import RuleTable, resolute_rule
+from prefrev.tally import condorcet_winner, key_condorcet_winner, margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -358,8 +358,8 @@ class TestFullPipeline:
         for profile in iter_profiles(3, 3):
             chosen.setdefault(keyspace.profile_key(profile), rule(profile))
         table = RuleTable(3, 3, "c2", chosen)
-        keys = sorted(key for key in chosen if rows_condorcet_winner(
-            keyspace.key_rows(key, 3)) is not None)
+        keys = sorted(key for key in chosen
+                      if key_condorcet_winner(key, 3) is not None)
         key = random.Random(seed).choice(keys)
         corrupted = table.replace_entry(key, (chosen[key] + 1) % 3)
         first = next(k for k, profile in enumerate(iter_profiles(3, 3))
