@@ -106,6 +106,8 @@ def _first_top(scores: Sequence[int], tie_break: TieBreak) -> int:
 def _ranking(tie_break: TieBreak, m: int) -> Sequence[int]:
     """The tie-break order of 0..m-1 (a tie-break may rank more)."""
     ranking = tie_break.priority.ranking
+    if len(ranking) < m:
+        raise DomainMismatch(f"tie-break ranks {len(ranking)} alternatives, m={m}")
     return ranking if len(ranking) == m else [a for a in ranking if a < m]
 
 
@@ -205,8 +207,7 @@ def uncovered_margins(margins: Margins, m: int) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def _closure_steps(m: int) -> tuple[tuple[int, int, int], ...]:
-    """The steps of Floyd-Warshall over a flat m x m matrix, k outermost,
-    then i, then j: the cells (i k, k j, i j) for distinct i, j and k."""
+    """Floyd-Warshall's steps, k then i then j: cells (ik, kj, ij), i, j, k distinct."""
     return tuple((i * m + k, k * m + j, i * m + j) for k in range(m) for i in range(m)
                  for j in range(m) if len({i, j, k}) == 3)
 
@@ -234,8 +235,7 @@ top_cycle = MarginsRule(top_cycle_margins)
 
 @lru_cache(maxsize=None)
 def _agreements(m: int) -> tuple[tuple[LinearOrder, Callable], ...]:
-    """Per ranking, in canonical enumeration order: the ranking and the
-    getter of the margins a over b of its pairs a above b."""
+    """Per ranking, in canonical order: it and the getter of its pairs' margins."""
     return tuple((order, keyspace.getter([a * m + b for a, b in combinations(order.ranking, 2)]))
                  for order in enumerate_orders(m))
 

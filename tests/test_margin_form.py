@@ -347,3 +347,13 @@ def test_a_tie_break_over_more_alternatives():
         for name, impl in REFERENCE_RESOLUTE.items():
             rule = rules.resolute_rule(name, m + 2, tie_break)
             assert rule.on_key(key, n, m) == impl(rows, tie_break), name
+
+
+def test_a_tie_break_over_fewer_alternatives_is_refused():
+    # the rows-based code raised IndexError only when an unranked
+    # alternative was among the top scorers
+    tie_break = TieBreak(LinearOrder((1, 0)))
+    key = keyspace.digits_key(3, (0, 5))  # a vote and its reverse: all tied
+    for name in ("borda", "black", "maximin", "schulze"):
+        with pytest.raises(DomainMismatch, match="tie-break ranks 2 alternatives, m=3"):
+            rules.resolute_rule(name, 3, tie_break).on_key(key, 2, 3)
