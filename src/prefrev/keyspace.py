@@ -99,23 +99,23 @@ def getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
-def _flat_form(m: int) -> tuple[struct.Struct, int, Callable]:
-    """How :func:`key_margins` reads a key of m alternatives: the signed
-    32-bit big-endian entries of ``key ^ empty_key(m)`` (flipping each
-    entry's top bit removes its offset), that text's length in bytes, and
-    the getter of the flat form from the entries, their negations and 0."""
+def _flat_form(m: int) -> tuple[int, int, struct.Struct, Callable]:
+    """How :func:`key_margins` reads a key of m alternatives: its offsets, its
+    width in bits, the unpacker of its entries, their negations and a zero
+    (signed 32-bit big-endian), and the getter of the flat form from them."""
     size = len(_entries(m))
     signed = [2 * size] * (m * m)
     for i, (a, b, _) in enumerate(_entries(m)):
         signed[a * m + b], signed[b * m + a] = i, size + i
-    return struct.Struct(f">{size}i"), 4 * size, getter(signed)
+    return empty_key(m), _BITS * size, struct.Struct(f">{2 * size + 1}i"), getter(signed)
 
 
 def key_margins(key: int, m: int) -> tuple[int, ...]:
     """The flat form of a key: its m x m margins row-major, a over b at a * m + b."""
-    unpacker, size, flat = _flat_form(m)
-    upper = unpacker.unpack((key ^ empty_key(m)).to_bytes(size, "big"))
-    return flat(upper + tuple(map(neg, upper)) + (0,))
+    offsets, width, unpacker, flat = _flat_form(m)
+    # 2 * offsets - key: the negated margins' key; ^ offsets flips off each offset
+    signed = ((key ^ offsets) << width | (2 * offsets - key) ^ offsets) << _BITS
+    return flat(unpacker.unpack(signed.to_bytes(unpacker.size, "big")))
 
 
 @lru_cache(maxsize=None)
