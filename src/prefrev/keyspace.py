@@ -113,7 +113,7 @@ def _flat_form(m: int) -> tuple[int, int, struct.Struct, Callable]:
 def key_margins(key: int, m: int) -> tuple[int, ...]:
     """The flat form of a key: its m x m margins row-major, a over b at a * m + b."""
     offsets, width, unpacker, flat = _flat_form(m)
-    # 2 * offsets - key: the negated margins' key; ^ offsets flips off each offset
+    # 2 * offsets - key is the negated margins' key; ^ offsets removes each offset
     signed = ((key ^ offsets) << width | (2 * offsets - key) ^ offsets) << _BITS
     return flat(unpacker.unpack(signed.to_bytes(unpacker.size, "big")))
 
