@@ -297,7 +297,6 @@ def cmd_check(args) -> int:
     seed = 0 if args.seed is None else args.seed
     scan = dict(budget=args.budget, sample=args.sample, seed=seed)
 
-    set_valued = args.property in ("hwm-optimistic", "hwm-pessimistic")
     if args.table is not None:
         with open(args.table, encoding="utf-8") as handle:
             rule = rules.read_rule_table(handle)
@@ -306,7 +305,7 @@ def cmd_check(args) -> int:
             raise PrefRevError(f"table is for n={rule.n} m={rule.m}, "
                                f"flags say n={args.n} m={args.m}")
     elif args.rule in SET_RULES:
-        if not set_valued:
+        if args.property not in ("hwm-optimistic", "hwm-pessimistic"):
             raise UnknownRule(f"{args.rule} is set-valued; use the "
                               f"hwm-optimistic/hwm-pessimistic properties")
         rule_name, rule = args.rule, rules.set_rule(args.rule)
@@ -316,8 +315,6 @@ def cmd_check(args) -> int:
         if cap is not None:
             raise PrefRevError(cap)
         rule_name, rule = args.rule, rules.resolute_rule(args.rule, args.m, tie_break)
-    if set_valued and rule_name not in SET_RULES:
-        rule = _Singleton(rule)
 
     mode_text = (f"sampled blocks={args.sample} seed={seed}"
                  if args.sample is not None else "exhaustive")
@@ -374,27 +371,6 @@ def _reject_ignored_flags(args) -> None:
             raise PrefRevError(message)
 
 
-class _Singleton:
-    """Lift a resolute rule to a singleton-valued set rule, keeping what
-    the rule depends on and its margin-key entry point.  A profile table's
-    entries are lifted once, so that the scan still reads them by profile
-    index."""
-
-    def __init__(self, rule):
-        self.rule = rule
-        self.depends_on = getattr(rule, "depends_on", "order")
-        on_key = getattr(rule, "on_key", None)
-        if on_key is not None:
-            self.on_key = lambda key, n, m: frozenset((on_key(key, n, m),))
-        if getattr(rule, "mode", None) == "profile":
-            singletons = [frozenset((alt,)) for alt in range(rule.m)]
-            self.mode, self.n, self.m = rule.mode, rule.n, rule.m
-            self.chosen = tuple(map(singletons.__getitem__, rule.chosen))
-
-    def __call__(self, profile):
-        return frozenset((self.rule(profile),))
-
-
 def _dispatch_check(args, rule, scan):
     from . import monotonicity
 
@@ -409,6 +385,15 @@ def _dispatch_check(args, rule, scan):
         "hwm-optimistic": monotonicity.check_hwm_optimistic,
         "hwm-pessimistic": monotonicity.check_hwm_pessimistic,
     }
+    mode = args.property.removeprefix("hwm-")
+    if mode in ("optimistic", "pessimistic") and args.rule not in SET_RULES:
+        # a resolute rule's or table's outcome sets are singletons, on which
+        # both set comparisons are the weak one: its half-way monotonicity
+        # scan meets the same units and first witness, restated as sets
+        witness = checkers["hwm"](rule, args.n, args.m, **scan)
+        return None if witness is None else monotonicity.SetReversalWitness(
+            witness.profile, witness.voter, frozenset((witness.winner_before,)),
+            frozenset((witness.winner_after,)), mode)
     return checkers[args.property](rule, args.n, args.m, **scan)
 
 

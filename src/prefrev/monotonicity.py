@@ -51,7 +51,8 @@ other memos after each block.  Participation stores no n-voter outcome of
 an "order" rule: it meets each such profile once.  An empty outcome set
 names the profile met, or the margin key in the margin pass.
 
-The paths (one odometer walks the truthful profiles of the first two):
+The paths (one walker, :func:`~prefrev.prefs.iter_digits`, gives the
+truthful profiles of the first two):
 
 - the ordered path meets every profile with a unit in the region.
   Sampled scans and scans over a rule that depends on voter order take it.
@@ -90,8 +91,11 @@ The paths (one odometer walks the truthful profiles of the first two):
   gains.  It walks windows of the (m!)^(n-1) profiles that share a first
   vote in ascending order and stops at the first window with a gain, whose
   least unit is the first witness; the kernel then builds that one unit's
-  hit.  Misreport, participation, sampled, set-valued and Condorcet-domain
-  scans, c2 tables and other callables take the paths above.
+  hit.  The CLI checks a resolute table under hwm-optimistic or
+  hwm-pessimistic with a half-way monotonicity scan (on singletons both
+  set comparisons are the weak one), so those checks take the pass too.
+  Misreport, participation, sampled and Condorcet-domain scans, set-valued
+  tables, c2 tables and other callables take the paths above.
 
 Budgets count units of the path taken.  The margin pass runs when its
 keys(n-1) * m! units (keys(n-1) * m!^2 for manipulation) fit in the
@@ -141,8 +145,9 @@ from .prefs import (
     format_order,
     format_profile,
     index_to_profile,
+    iter_digits,
     num_profiles,
-    profile_digits,
+    places as place_values,
     reverse_index_table,
 )
 from .rules import Rule, SetRule
@@ -293,13 +298,6 @@ def _position_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(order.positions() for order in enumerate_orders(m))
 
 
-@lru_cache(maxsize=None)
-def _places(n: int, m: int) -> tuple[int, ...]:
-    """The place value of each voter's digit in a profile index."""
-    fact = math.factorial(m)
-    return tuple(fact ** (n - 1 - voter) for voter in range(n))
-
-
 # --- the scan kernel -----------------------------------------------------------
 
 
@@ -428,37 +426,6 @@ def _outcomes(scan: _Scan) -> tuple[_Outcomes, _Outcomes]:
     return outcome, _Outcomes(scan.rule_small, scan.n - 1, scan.m, sets=sets)
 
 
-def _profiles(scan: _Scan, lo: int, hi: int, quotient: bool):
-    """``(index, digits)`` of every truthful profile with a unit in
-    [lo, hi), ascending; on the quotient path only the sorted ones (for
-    participation a sorted (n-1)-voter prefix and any joiner).  ``digits``
-    is one list, advanced in place like an odometer."""
-    n, m, per_profile = scan.n, scan.m, scan.voters * scan.width
-    top = math.factorial(m) - 1
-    end = n - 1 if scan.deviation == "abstain" else n  # the digits kept sorted
-    index = lo // per_profile
-    digits = profile_digits(index, n, m)
-    if quotient:  # up to the next sorted profile
-        for voter in range(1, end):
-            if digits[voter] < digits[voter - 1]:
-                digits[voter:] = [digits[voter - 1]] * (end - voter) + [0] * (n - end)
-                index = digits_to_index(digits, m)
-                break
-    stop = -(-hi // per_profile)
-    while index < stop:
-        yield index, digits
-        voter = n - 1
-        while voter and digits[voter] == top:
-            digits[voter] = 0
-            voter -= 1
-        digits[voter] += 1  # past the last profile: an index of at least stop
-        if quotient:
-            digits[voter + 1:end] = [digits[voter]] * (end - voter - 1)
-            index = digits_to_index(digits, m)
-        else:
-            index += 1
-
-
 def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
                 outcomes: tuple[_Outcomes, _Outcomes] | None = None,
                 winners: CondorcetWinners | None = None) -> tuple | None:
@@ -469,18 +436,20 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     own order when abstaining), and the outcomes of the truthful and the
     deviated profile.
 
-    The scan walks the profiles of :func:`_profiles`, and inside each one
-    its voters (and a misreporting voter's orders), clipped to [lo, hi);
-    on the quotient path (for anonymous rules only) only the first voter
-    of each distinct order.  Both paths return the same first hit.  The
-    deviated profile's index and margin key come from arithmetic on the
-    truthful one's; its digits are built only for a "multiset" probe or
-    for :meth:`_Outcomes.read`.  ``outcomes`` are the outcome memos to use
-    and ``winners`` the Condorcet-winner memo (fresh ones by default).
+    The scan walks the truthful profiles that
+    :func:`~prefrev.prefs.iter_digits` gives, and inside each one its
+    voters (and a misreporting voter's orders), clipped to [lo, hi); on
+    the quotient path (for anonymous rules only) only the sorted profiles
+    and the first voter of each distinct order.  Both paths return the
+    same first hit.  The deviated profile's index and margin key come from
+    arithmetic on the truthful one's; its digits are built only for a
+    "multiset" probe or for :meth:`_Outcomes.read`.  ``outcomes`` are the
+    outcome memos to use and ``winners`` the Condorcet-winner memo (fresh
+    ones by default).
     """
     n, m = scan.n, scan.m
     fact = math.factorial(m)
-    places = _places(n, m)
+    places = place_values(n, m)
     rev = reverse_index_table(m)
     rows = _position_rows(m)
     votes = keyspace.vote_keys(m)
@@ -507,7 +476,12 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
         return tuple(sorted(changed)) if quotient else changed
 
     first_voter = n - 1 if abstain else 0  # the first voter who deviates
-    for index, digits in _profiles(scan, lo, hi, quotient):
+    # every truthful profile with a unit in [lo, hi); on the quotient path
+    # only the sorted ones (for participation a sorted (n-1)-voter prefix
+    # and any joiner)
+    sorted_prefix = (n - 1 if abstain else n) if quotient else 0
+    for index, digits in iter_digits(n, m, lo // per_profile, -(-hi // per_profile),
+                                     sorted_prefix=sorted_prefix):
         key = keyspace.digits_key(m, digits) if keys else None
         if condorcet_only and winners[key] is None:
             continue  # a truthful profile outside the domain has no unit to try
@@ -668,7 +642,7 @@ def _table_pass(scan: _Scan, outcome: _Outcomes, region: int) -> int | None:
     scaled = outcomes.translate(bytes(x * m & 255 for x in range(256)))
     gains = _gain_tables(m, scan.compare)
     rev = reverse_index_table(m)
-    places = _places(n, m)
+    places = place_values(n, m)
     fact = math.factorial(m)
     window = places[0]
     for first in range(fact):  # the window of the profiles whose first vote is this

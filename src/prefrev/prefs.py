@@ -9,13 +9,19 @@ The canonical enumeration of the m! orders is lexicographic by alternative
 id, with index 0 the identity order ``0>1>...>m-1``.  Profile indices use
 voter 0 as the most significant digit in base m!.  Both are fixed so that
 CNF variable ids and golden files are stable across runs.
+
+:func:`iter_digits` is the one walk over profiles: the scan kernel, the
+CNF encoder, the table verifier and :func:`iter_profiles` all take their
+profiles from it, as (index, digits) pairs, optionally only those whose
+first digits are sorted.  Its digits list is reused: each step advances
+the same list in place.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -336,18 +342,47 @@ def profile_digits(index: int, n: int, m: int) -> list[int]:
     return digits
 
 
-def iter_digits(n: int, m: int, *, anonymous: bool = False
-                ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(index, digits)`` of every profile, in ascending canonical index.
-
-    With ``anonymous`` only the non-decreasing digit tuples come out: one
-    profile per multiset of votes, the lowest-index ordering of it.
-    """
+@lru_cache(maxsize=None)
+def places(n: int, m: int) -> tuple[int, ...]:
+    """The place value of each voter's digit in a profile index."""
     fact = math.factorial(m)
-    tuples = (combinations_with_replacement(range(fact), n) if anonymous
-              else product(range(fact), repeat=n))
-    for digits in tuples:
-        yield digits_to_index(digits, m), digits
+    return tuple(fact ** (n - 1 - voter) for voter in range(n))
+
+
+def iter_digits(n: int, m: int, start: int = 0, stop: int | None = None, *,
+                sorted_prefix: int = 0) -> Iterator[tuple[int, list[int]]]:
+    """``(index, digits)`` of every profile with an index in [start, stop),
+    ascending; ``stop``, at most (m!)^n, defaults to (m!)^n.
+
+    With ``sorted_prefix`` k only the profiles whose first k digits do not
+    decrease come out: with k = n one per multiset of votes, the
+    lowest-index ordering of it.  ``digits`` is one list, advanced in place
+    like an odometer (a carry resets the digits after the one that moved to
+    that digit inside the sorted prefix, to 0 past it): copy it to keep it.
+    """
+    top = math.factorial(m) - 1
+    stop = num_profiles(n, m) if stop is None else stop
+    index = start
+    digits = profile_digits(index, n, m)
+    for voter in range(1, sorted_prefix):  # up to the next sorted profile
+        if digits[voter] < digits[voter - 1]:
+            digits[voter:] = ([digits[voter - 1]] * (sorted_prefix - voter)
+                              + [0] * (n - sorted_prefix))
+            index = digits_to_index(digits, m)
+            break
+    while index < stop:
+        yield index, digits
+        voter = n - 1
+        while voter and digits[voter] == top:
+            digits[voter] = 0
+            voter -= 1
+        digits[voter] += 1  # past the last profile: an index of at least stop
+        if sorted_prefix:
+            digits[voter + 1:sorted_prefix] = ([digits[voter]]
+                                               * (sorted_prefix - voter - 1))
+            index = digits_to_index(digits, m)
+        else:
+            index += 1
 
 
 def index_to_profile(index: int, n: int, m: int) -> Profile:
@@ -360,10 +395,8 @@ def index_to_profile(index: int, n: int, m: int) -> Profile:
 def iter_profiles(n: int, m: int) -> Iterator[Profile]:
     """All (m!)^n profiles in canonical index order."""
     orders = enumerate_orders(m)
-    # product varies the last position fastest, matching voter 0 as the
-    # most significant digit
-    for combo in product(range(len(orders)), repeat=n):
-        yield Profile(tuple(orders[d] for d in combo))
+    for _, digits in iter_digits(n, m):
+        yield Profile(tuple(map(orders.__getitem__, digits)))
 
 
 # --- text formats -----------------------------------------------------------

@@ -15,7 +15,6 @@ format, and tampered copies are first-class inputs for the checkers.
 
 from __future__ import annotations
 
-import io
 from typing import TextIO
 
 from .errors import EdgeMismatch, MTooSmall, PrefRevError
@@ -549,12 +548,6 @@ def write_proof_tree(tree: ProofTree, sink: TextIO) -> None:
     for leaf in tree.leaves:
         sink.write(f"LEAF {leaf.node} CONDORCET "
                    f"{alternatives.label_of(leaf.condorcet)}\n")
-
-
-def proof_tree_to_text(tree: ProofTree) -> str:
-    out = io.StringIO()
-    write_proof_tree(tree, out)
-    return out.getvalue()
 
 
 def read_proof_tree(source: TextIO) -> ProofTree:

@@ -27,7 +27,6 @@ external solver binary and feed its output back through
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
@@ -43,6 +42,7 @@ from .prefs import (
     enumerate_orders,
     iter_digits,
     num_profiles,
+    places,
     profile_to_index,
     reverse_index_table,
 )
@@ -155,12 +155,12 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
 def _profile_key_space(n: int, m: int):
     """Per profile index: its Condorcet winner and, per voter, the edge
     (vote, index of the profile where that voter reversed)."""
-    fact = math.factorial(m)
-    places = [fact ** (n - 1 - voter) for voter in range(n)]
+    place_values = places(n, m)
     rev = reverse_index_table(m)
     winners = tally.CondorcetWinners(m)  # the margin key fixes the winner
     for key, digits in iter_digits(n, m):
-        edges = [(d, key + (rev[d] - d) * place) for d, place in zip(digits, places)]
+        edges = [(d, key + (rev[d] - d) * place)
+                 for d, place in zip(digits, place_values)]
         yield key, winners[keyspace.digits_key(m, digits)], edges
 
 
@@ -512,7 +512,7 @@ def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
     # at an index no larger), so walking only those finds the same first
     # failing index; it is read by margin key, a profile table by index
     winners = tally.CondorcetWinners(m)  # the margin key fixes the winner
-    for index, digits in iter_digits(n, m, anonymous=c2):
+    for index, digits in iter_digits(n, m, sorted_prefix=n if c2 else 0):
         key = keyspace.digits_key(m, digits)
         winner = winners[key]
         if winner is not None and (chosen := table.on_key(key, n, m) if c2

@@ -35,6 +35,29 @@ def tabulate_rule(rule, n: int, m: int) -> RuleTable:
                      tuple(rule(p) for p in iter_profiles(n, m)))
 
 
+# the reference for the CLI's set-valued checks of a resolute rule or table,
+# and a set rule whose outcomes the scan reads by table index or margin key
+class _Singleton:
+    """Lift a resolute rule to a singleton-valued set rule, keeping what
+    the rule depends on and its margin-key entry point.  A profile table's
+    entries are lifted once, so that the scan still reads them by profile
+    index."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.depends_on = getattr(rule, "depends_on", "order")
+        on_key = getattr(rule, "on_key", None)
+        if on_key is not None:
+            self.on_key = lambda key, n, m: frozenset((on_key(key, n, m),))
+        if getattr(rule, "mode", None) == "profile":
+            singletons = [frozenset((alt,)) for alt in range(rule.m)]
+            self.mode, self.n, self.m = rule.mode, rule.n, rule.m
+            self.chosen = tuple(map(singletons.__getitem__, rule.chosen))
+
+    def __call__(self, profile):
+        return frozenset((self.rule(profile),))
+
+
 def cnf_formula(num_vars: int, clauses) -> CnfFormula:
     """A formula holding these clause tuples, one DIMACS line each."""
     return CnfFormula(num_vars, len(clauses),

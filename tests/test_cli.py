@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -10,12 +11,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import tabulate_rule
-from prefrev import keyspace
-from prefrev.cli import _Singleton, main
-from prefrev.monotonicity import check_halfway_monotonicity
-from prefrev.prefs import read_profile
-from prefrev.rules import read_rule_table, resolute_rule, write_rule_table
+from conftest import _Singleton, tabulate_rule
+from prefrev import keyspace, monotonicity
+from prefrev.cli import main
+from prefrev.errors import BudgetExceeded, PrefRevError
+from prefrev.monotonicity import SetReversalWitness, check_halfway_monotonicity
+from prefrev.prefs import (
+    RESOLUTE_RULES,
+    Alternatives,
+    default_labels,
+    num_profiles,
+    profile_to_index,
+    read_profile,
+)
+from prefrev.rules import RuleTable, read_rule_table, resolute_rule, write_rule_table
 from prefrev.tally import margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -250,7 +259,7 @@ class TestCheck:
                 l for l in out.splitlines()
                 if l.startswith("witness: "))[len("witness: "):])
             assert record["set_after"].strip("{}") != ""
-            # the lifted table's witness is the resolute one
+            # the table's set-valued witness is its resolute one
             assert (record["profile"], record["voter"]) == (expected["profile"],
                                                             expected["voter"])
             assert record["set_before"] == "{" + expected["winner_before"] + "}"
@@ -271,6 +280,14 @@ class TestCheck:
                         "--m 3 --n 3")
         assert code == 1
         assert out == (GOLDEN_DIR / "planted_borda_m3_n3_hwm.txt").read_text()
+
+    @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
+    def test_planted_table_set_check_matches_golden(self, run, monkeypatch, mode):
+        monkeypatch.chdir(GOLDEN_DIR)
+        code, out = run(f"check --property hwm-{mode} --table "
+                        f"planted_borda_m3_n3.table --m 3 --n 3")
+        assert code == 1
+        assert out == (GOLDEN_DIR / f"planted_borda_m3_n3_hwm_{mode}.txt").read_text()
 
     @pytest.mark.parametrize("rule", ["maximin", "schulze"])
     def test_sampled_check_matches_golden(self, run, rule):
@@ -322,20 +339,6 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[-1] == "result: no violation (sampled region only)"
 
-    def test_singleton_lift_keeps_the_declaration(self):
-        lifted = _Singleton(resolute_rule("maximin", 3))
-        assert lifted.depends_on == "margins"
-        # the margin-key entry point is lifted too
-        key = keyspace.digits_key(3, (0, 5, 2))
-        winner = resolute_rule("maximin", 3).on_key(key, 3, 3)
-        assert lifted.on_key(key, 3, 3) == frozenset((winner,))
-        assert _Singleton(resolute_rule("plurality", 3)).depends_on == "multiset"
-        assert not hasattr(_Singleton(resolute_rule("plurality", 3)), "on_key")
-        table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
-        assert _Singleton(table).depends_on == "order"
-        # a profile table's entries are lifted once, so scans read them by index
-        assert _Singleton(table).chosen == tuple(frozenset((w,)) for w in table.chosen)
-
     @pytest.mark.parametrize("prop,flags,message", IGNORED_FLAGS.values(),
                              ids=IGNORED_FLAGS.keys())
     def test_ignored_flag_is_an_error(self, capsys, tmp_path, prop, flags, message):
@@ -351,6 +354,74 @@ class TestCheck:
         assert code == 3
         assert message in captured.err
         assert captured.out == ""
+
+
+def set_valued_cases(n: int, m: int, tmp_path: Path) -> list[tuple[str, object]]:
+    """(CLI flags, rule) for every resolute registry rule, a random profile
+    table and a random c2 table at (n, m); the tables are written beside."""
+    rng = random.Random(f"set-valued:{n}:{m}")
+    tables = {
+        "profile": RuleTable(n, m, "profile", tuple(
+            rng.randrange(m) for _ in range(num_profiles(n, m)))),
+        "c2": RuleTable(n, m, "c2", {key: rng.randrange(m) for key in
+                                     sorted(keyspace.margin_levels(n, m)[1])}),
+    }
+    cases = [(f"--rule {name}", resolute_rule(name, m)) for name in RESOLUTE_RULES]
+    for kind, table in tables.items():
+        path = tmp_path / f"{kind}.table"
+        with open(path, "w") as handle:
+            write_rule_table(table, handle)
+        cases.append((f"--table {path}", table))
+    return cases
+
+
+def lifted_verdict(rule, n: int, m: int, mode: str, **scan):
+    """The set-valued scan of ``rule`` lifted to singletons: its witness
+    (or None), and the exit code, records after the header and stderr
+    that ``check --json`` prints for that result."""
+    try:
+        witness = getattr(monotonicity, f"check_hwm_{mode}")(_Singleton(rule), n, m,
+                                                               **scan)
+    except BudgetExceeded as exc:
+        return None, (2, [{"record": "result", "result": "budget-exceeded",
+                           "scanned": exc.scanned, "total": exc.total}], "")
+    except PrefRevError as exc:
+        return None, (3, [], f"error: {exc}\n")
+    if witness is None:
+        return None, (0, [{"record": "result", "result": "none",
+                           "exhaustive": scan.get("sample") is None}], "")
+    record = witness.describe(Alternatives(default_labels(m)))
+    return witness, (1, [{"record": "result", "result": "violation"},
+                         {"record": "witness", **record, "check": f"hwm-{mode}"}], "")
+
+
+class TestSetValuedResolute:
+    """hwm-optimistic and hwm-pessimistic of a resolute rule or table run its
+    half-way monotonicity scan; checked against the set-valued scan of the
+    rule lifted to singletons, exhaustive, cut by a budget and sampled."""
+
+    @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
+    @pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
+    def test_matches_the_lifted_scan(self, capsys, tmp_path, n, m, mode):
+        cut = 0
+        for flags, rule in set_valued_cases(n, m, tmp_path):
+            witness, _ = lifted_verdict(rule, n, m, mode)
+            # a witness's unit: a budget of that many stops just before it
+            budget = (num_profiles(n, m) * n // 2 if witness is None else
+                      profile_to_index(witness.profile) * n + witness.voter)
+            cut += witness is not None and budget > 0
+            runs = [{}, {"sample": 4, "seed": 5}]
+            if budget:  # a witness at unit 0 leaves no budget before it
+                runs.append({"budget": budget})
+            for scan in runs:
+                extra = "".join(f" --{name} {value}" for name, value in scan.items())
+                code = main(shlex.split(f"check --property hwm-{mode} {flags} "
+                                        f"--m {m} --n {n} --json{extra}"))
+                captured = capsys.readouterr()
+                records = [json.loads(line) for line in captured.out.splitlines()]
+                assert ((code, records[4:], captured.err)
+                        == lifted_verdict(rule, n, m, mode, **scan)[1]), (flags, extra)
+        assert cut  # some budget run stopped before a witness
 
 
 class TestUsageErrors:

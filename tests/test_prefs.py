@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 
@@ -16,6 +17,7 @@ from prefrev.prefs import (
     format_order,
     format_profile,
     index_to_profile,
+    iter_digits,
     iter_profiles,
     num_profiles,
     order_index,
@@ -135,6 +137,28 @@ class TestProfileIndex:
     def test_iter_profiles_matches_indexing(self):
         for index, profile in enumerate(iter_profiles(2, 3)):
             assert profile_to_index(profile) == index
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 3), (2, 4), (4, 2)])
+    def test_iter_digits_matches_itertools(self, n, m):
+        # the reference: every digit tuple, numbered, and kept when in
+        # [start, stop) with its first k digits non-decreasing
+        fact = math.factorial(m)
+        every = list(enumerate(itertools.product(range(fact), repeat=n)))
+        total = len(every)
+        for k in sorted({0, n - 1, n}):
+            kept = [i for i, digits in every if list(digits[:k]) == sorted(digits[:k])]
+            keep = set(kept)
+            # bounds on kept profiles, just past them and between them
+            bounds = sorted({0, 1, total // 3, total // 2, total - 1, total,
+                             *kept[1:4], *(i + 1 for i in kept[1:4]), kept[-1]})
+            for start, stop in itertools.combinations_with_replacement(bounds, 2):
+                expected = [(i, digits) for i, digits in every
+                            if start <= i < stop and i in keep]
+                walked = [(i, tuple(digits)) for i, digits in
+                          iter_digits(n, m, start, stop, sorted_prefix=k)]
+                assert walked == expected, (k, start, stop)
+            assert ([(i, tuple(d)) for i, d in iter_digits(n, m, sorted_prefix=k)]
+                    == [every[i] for i in kept])
 
 
 class TestProfileEditing:

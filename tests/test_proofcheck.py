@@ -14,7 +14,6 @@ from prefrev.proofcheck import (
     build_odd_tree,
     build_perez_profile,
     pad_tree,
-    proof_tree_to_text,
     read_proof_tree,
     replayed_carry,
     transport_blockers,
@@ -339,7 +338,9 @@ class TestFileFormat:
     @pytest.mark.parametrize("builder", [build_odd_tree, build_even_tree])
     def test_round_trip(self, builder):
         tree = builder(4)
-        text = proof_tree_to_text(tree)
+        out = io.StringIO()
+        write_proof_tree(tree, out)
+        text = out.getvalue()
         again = read_proof_tree(io.StringIO(text))
         assert again.n == tree.n and again.m == tree.m
         assert again.root == tree.root
@@ -349,12 +350,15 @@ class TestFileFormat:
         assert verify_tree(again).ok
 
     def test_rendering_is_stable(self):
-        tree = build_odd_tree(5)
-        assert proof_tree_to_text(tree) == proof_tree_to_text(build_odd_tree(5))
+        first, second = io.StringIO(), io.StringIO()
+        write_proof_tree(build_odd_tree(5), first)
+        write_proof_tree(build_odd_tree(5), second)
+        assert first.getvalue() == second.getvalue()
 
     def test_header_and_sections(self):
-        text = proof_tree_to_text(build_odd_tree(4))
-        lines = text.splitlines()
+        out = io.StringIO()
+        write_proof_tree(build_odd_tree(4), out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "15 4"
         assert sum(1 for l in lines if l.startswith("EDGE ")) == 7
         assert sum(1 for l in lines if l.startswith("LEAF ")) == 4
@@ -366,14 +370,18 @@ class TestFileFormat:
     def test_edge_carrying_nothing_is_a_clear_error(self):
         tree = build_odd_tree(4)
         bad = tree.edges[0].replace(carried=frozenset())
-        text = proof_tree_to_text(tree.replace(edges=(bad,) + tree.edges[1:]))
+        out = io.StringIO()
+        write_proof_tree(tree.replace(edges=(bad,) + tree.edges[1:]), out)
+        text = out.getvalue()
         assert any(line.endswith(" CARRY ") for line in text.splitlines())
         with pytest.raises(errors.PrefRevError, match="carries no alternative"):
             read_proof_tree(io.StringIO(text))
 
     @pytest.mark.parametrize("token", ["2*d>c>b>a", "twoxd>c>b>a", "xd>c>b>a"])
     def test_malformed_reversal_is_a_clear_error(self, token):
-        text = proof_tree_to_text(build_odd_tree(4))
+        out = io.StringIO()
+        write_proof_tree(build_odd_tree(4), out)
+        text = out.getvalue()
         bad = text.replace("REVERSE 1xd>c>b>a", f"REVERSE {token}", 1)
         assert bad != text
         with pytest.raises(errors.PrefRevError, match="bad reversal"):

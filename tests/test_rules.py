@@ -4,9 +4,8 @@ from collections import deque
 
 import pytest
 
-from conftest import borda_vector, tabulate_rule
+from conftest import _Singleton, borda_vector, tabulate_rule
 from prefrev import errors, keyspace, rules
-from prefrev.cli import _Singleton
 from prefrev.prefs import (
     Alternatives,
     LinearOrder,
