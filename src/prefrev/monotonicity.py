@@ -31,12 +31,15 @@ A truthful profile outside the Condorcet domain (a test on its margin key)
 is tested once and all its units are skipped, and comparisons read each
 order's precomputed position row.
 
-What a rule declares (``depends_on``, see :mod:`prefrev.rules`) fixes
-once how its outcomes are read, the same on every path:
+What a rule declares (``depends_on``, see :mod:`prefrev.rules`) is read
+once, by the reader of its outcomes at one electorate size, which fixes
+how they are read, the same on every path; the path follows from the
+scan's readers (one, or two when the last voter abstains):
 
 - a profile-mode table of the scan's own (n, m): by profile index, from
-  its entries (recognised by ``mode``, ``chosen``, ``n`` and ``m``, so a
-  wrapper that forwards them qualifies), with no memo and no profile built;
+  its entries (recognised by ``mode``, ``n`` and ``m``, so a wrapper that
+  forwards them is read so too, whatever it declares), with no memo and no
+  profile built;
 - a "margins" rule (one with an ``on_key`` entry point): memoised by
   margin key and evaluated on the key, with no profile built and no
   margins recounted;
@@ -55,17 +58,17 @@ The paths (one walker, :func:`~prefrev.prefs.iter_digits`, gives the
 truthful profiles of the first two):
 
 - the ordered path meets every profile with a unit in the region.
-  Sampled scans and scans over a rule that depends on voter order take it.
-- the quotient path serves exhaustive scans when every rule the scan calls
-  declares "multiset" or "margins".  It keeps the digits sorted (a carry
-  resets the digits after the one that moved to that digit, not to 0;
-  participation's joiner, the last digit, runs free), starts at the first
-  sorted profile with a unit in the region, and on each profile tries only
-  the first voter of each distinct order.  The rule runs once per multiset
-  of votes (once per margin key for a "margins" rule).
-- the margin pass serves exhaustive scans when every rule the scan calls
-  declares "margins".  Its unit is (K, o): K a margin key realizable by
-  n-1 voters, o the deviating voter's order.  The truthful key is
+  Sampled scans and scans with a reader by profile index take it.
+- the quotient path serves exhaustive scans when no reader reads by
+  profile index.  It keeps the digits sorted (a carry resets the digits
+  after the one that moved to that digit, not to 0; participation's
+  joiner, the last digit, runs free), starts at the first sorted profile
+  with a unit in the region, and on each profile tries only the first
+  voter of each distinct order.  The rule runs once per multiset of votes
+  (once per margin key for a "margins" rule).
+- the margin pass serves exhaustive scans when every reader reads by
+  margin key, and decides so itself.  Its unit is (K, o): K a margin key
+  realizable by n-1 voters, o the deviating voter's order.  The truthful key is
   K + cmp[o]; reversal goes to K - cmp[o], a misreport o' to K + cmp[o'],
   abstention to K itself at n-1 voters.  An order o is a witness order of
   an n-voter key M (some realization of M has a voter of order o) exactly
@@ -329,48 +332,15 @@ class _Scan(Record):
     def block_span(self) -> int:
         return self.n if self.deviation == "reverse" else math.factorial(self.m)
 
-    @property
-    def called(self) -> tuple:
-        """The rules the scan calls."""
-        return (self.rule,) if self.rule_small is None else (self.rule, self.rule_small)
-
-    @property
-    def anonymous(self) -> bool:
-        """Whether no rule the scan calls depends on voter order."""
-        return all(_depends_on(rule) != "order" for rule in self.called)
-
-    @property
-    def margins_only(self) -> bool:
-        """Whether every rule the scan calls reads only the margins."""
-        return all(_depends_on(rule) == "margins" for rule in self.called)
-
-
-def _depends_on(rule) -> str:
-    declared = getattr(rule, "depends_on", "order")
-    if declared == "margins" and not hasattr(rule, "on_key"):
-        return "multiset"  # margins are read by key only through on_key
-    return declared
-
-
-def _table_entries(rule, n: int, m: int, *, sets: bool):
-    """The dense entries of a profile-mode table of this (n, m), so that
-    ``rule(P)`` is ``entries[index of P]``; None for any other rule.  Duck
-    typed (``mode``, ``chosen``, ``n``, ``m``), so a wrapper that forwards
-    those attributes is read by index too.  A set-valued table with an
-    empty entry is called instead, so that the empty set raises as usual."""
-    if (getattr(rule, "mode", None) != "profile" or getattr(rule, "n", None) != n
-            or getattr(rule, "m", None) != m):
-        return None
-    entries = rule.chosen
-    return None if sets and not all(entries) else entries
-
 
 class _Outcomes(dict):
     """The outcomes of one rule at one electorate size, read by the probe
     the rule's declaration fixes (``by``): "index" for a profile table of
-    the scan's own (n, m) (its entries, ``chosen``; the dict stays empty)
-    and for an "order" rule, "key" for a "margins" rule, "multiset" (the
-    sorted digit tuple) for any other.
+    the scan's own (n, m) (its entries, ``chosen``, and the dict stays
+    empty; a set-valued one with an empty entry is called, so that the
+    empty set raises as usual) and for an "order" rule, "key" for a
+    "margins" rule with ``on_key``, "multiset" (the sorted digit tuple)
+    for any other.
 
     :meth:`read` gives any outcome; the kernel reads table entries and
     memo hits inline.
@@ -383,10 +353,16 @@ class _Outcomes(dict):
         self.orders = enumerate_orders(m)
         self.sets = sets
         self.keep = True
-        self.chosen = _table_entries(rule, n, m, sets=sets)
-        declared = _depends_on(rule)
-        self.by = ("index" if self.chosen is not None or declared == "order" else
-                   "key" if declared == "margins" else "multiset")
+        self.chosen = None
+        declared = getattr(rule, "depends_on", "order")
+        if (getattr(rule, "mode", None) == "profile" and getattr(rule, "n", None) == n
+                and getattr(rule, "m", None) == m):  # read by index, whatever declared
+            declared = "order"
+            if not sets or all(rule.chosen):
+                self.chosen = rule.chosen
+        self.by = ("index" if declared == "order" else
+                   "key" if declared == "margins" and hasattr(rule, "on_key") else
+                   "multiset")
         self.keyed = self.by == "key"
 
     def read(self, probe, where=None, *args) -> object:
@@ -534,58 +510,53 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
 
 def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
                  budget: int, winners: CondorcetWinners | None = None) -> bool:
-    """Whether the margin pass certifies the scan: False when its units do
-    not fit in ``budget``, when some unit violates, or when a rule raises.
+    """Whether the margin pass certifies the scan: False for a scan it does
+    not serve (a reader not by margin key), when its units do not fit in
+    ``budget``, when some unit (K, o), K a key of n-1 voters, violates, or
+    when a rule raises.
 
     Outcomes go into the key memos, so the quotient path that takes over
     asks the rule about no key twice.
     """
-    per_key = math.factorial(scan.m) * scan.width
+    if not (outcome.keyed and deviated.keyed):
+        return False
+    m, deviation = scan.m, scan.deviation
+    per_key = math.factorial(m) * scan.width
     try:
-        level = keyspace.margin_levels(scan.n - 1, scan.m, budget=budget // per_key)[1]
+        level = keyspace.margin_levels(scan.n - 1, m, budget=budget // per_key)[1]
     except BudgetExceeded:
         return False
     if len(level) * per_key > budget:
         return False
-    try:
-        return not _margin_violation(scan, outcome, deviated, level,
-                                     CondorcetWinners(scan.m) if winners is None
-                                     else winners)
-    except Exception:
-        # whatever the rule raised, the quotient path raises it again at
-        # the same unit as before, unless a witness comes first
-        return False
-
-
-def _margin_violation(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
-                      level: keyspace.Level, winners: CondorcetWinners) -> bool:
-    """Whether some unit (K, o), K a key of ``level`` (n-1 voters), violates."""
-    m = scan.m
     votes = keyspace.vote_keys(m)
     rows = _position_rows(m)
     rev = reverse_index_table(m)
     compare = _COMPARE[scan.compare]
-    deviation = scan.deviation
-
-    for key in level:
-        truthful = [key + vote for vote in votes]
-        tried = ([o for o, here in enumerate(truthful) if winners[here] is not None]
-                 if scan.condorcet_only else range(len(votes)))
-        if deviation == "misreport" and len(tried) < 2:
-            continue  # no misreport stays inside the domain
-        before = {o: outcome.read(truthful[o]) for o in tried}
-        if deviation == "abstain":
-            afters = (deviated.read(key),)
-        elif deviation == "misreport":
-            # a misreport to one's own order changes nothing, and no
-            # comparison counts an unchanged outcome as a gain
-            afters = set(before.values())
-        for o in tried:
-            if deviation == "reverse":
-                afters = (before[rev[o]],)
-            if any(compare(rows[o], before[o], after) for after in afters):
-                return True
-    return False
+    winners = CondorcetWinners(m) if winners is None else winners
+    try:
+        for key in level:
+            truthful = [key + vote for vote in votes]
+            tried = ([o for o, here in enumerate(truthful) if winners[here] is not None]
+                     if scan.condorcet_only else range(len(votes)))
+            if deviation == "misreport" and len(tried) < 2:
+                continue  # no misreport stays inside the domain
+            before = {o: outcome.read(truthful[o]) for o in tried}
+            if deviation == "abstain":
+                afters = (deviated.read(key),)
+            elif deviation == "misreport":
+                # a misreport to one's own order changes nothing, and no
+                # comparison counts an unchanged outcome as a gain
+                afters = set(before.values())
+            for o in tried:
+                if deviation == "reverse":
+                    afters = (before[rev[o]],)
+                if any(compare(rows[o], before[o], after) for after in afters):
+                    return False
+    except Exception:
+        # whatever the rule raised, the quotient path raises it again at
+        # the same unit as before, unless a witness comes first
+        return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -680,13 +651,13 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
               seed: int) -> tuple | None:
     """Dispatch a first-witness scan over all of ``scan``'s units.
 
-    Exhaustive mode first tries the margin pass when every rule reads only
-    the margins and its units fit in ``budget``; unless that certifies, it
-    covers units [0, min(total, budget)): by the table pass when it serves
-    the scan (the kernel then builds the hit of the one unit it found), on
-    the quotient path when the rules are anonymous, and otherwise on the
-    ordered path, and raises :class:`BudgetExceeded` if that had to stop
-    short without a witness.
+    Exhaustive mode first tries the margin pass, which serves the scan when
+    both readers read by margin key and its units fit in ``budget``; unless
+    that certifies, it covers units [0, min(total, budget)): by the table
+    pass when it serves the scan (the kernel then builds the hit of the one
+    unit it found), on the quotient path when no reader probes by profile
+    index, and otherwise on the ordered path, and raises
+    :class:`BudgetExceeded` if that had to stop short without a witness.
     Sampled mode visits ``sample`` random blocks of ``scan.block_span``
     units drawn from a seeded generator.  Either way one Condorcet-domain
     memo serves the whole scan.
@@ -713,11 +684,12 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
 
     region = min(total_units, budget)
     outcomes = _outcomes(scan)
-    if scan.margins_only and _margin_pass(scan, *outcomes, budget, winners):
+    if _margin_pass(scan, *outcomes, budget, winners):
         return None
     unit = _table_pass(scan, outcomes[0], region)
     if unit is None:
-        hit = _scan_chunk(scan, 0, region, quotient=scan.anonymous, outcomes=outcomes,
+        quotient = all(memo.by != "index" for memo in outcomes)
+        hit = _scan_chunk(scan, 0, region, quotient=quotient, outcomes=outcomes,
                           winners=winners)
     else:  # the kernel builds the hit of the one unit the pass found
         hit = (_scan_chunk(scan, unit, unit + 1, outcomes=outcomes, winners=winners)

@@ -281,13 +281,9 @@ def _structure_report(tree: ProofTree) -> Report:
         if edge.src not in names or edge.dst not in names:
             report.add(False, f"edge {edge.src}->{edge.dst} references an "
                               f"unknown profile")
-    incoming_counts: dict[str, int] = {name: 0 for name in names}
-    for edge in tree.edges:
-        incoming_counts[edge.dst] = incoming_counts.get(edge.dst, 0) + 1
-    report.add(incoming_counts.get(tree.root, 0) == 0,
-               f"{tree.root} has no incoming edge")
+    report.add(not tree.incoming(tree.root), f"{tree.root} has no incoming edge")
     for name in sorted(names - {tree.root}):
-        report.add(incoming_counts.get(name, 0) == 1,
+        report.add(len(tree.incoming(name)) == 1,
                    f"{name} has exactly one incoming edge")
     reached = {tree.root}
     frontier = [tree.root]

@@ -452,19 +452,19 @@ def verify_rule(table: RuleTable) -> Report:
 
     Condorcet-consistency is recomputed with the tally module: a c2 table's
     entry is read once per realizable margin key, and only if some key
-    fails is the walk below run, to name the first failing profile.  That
-    walk reads a profile table at every profile index, and a c2 table by
-    margin key on only the sorted profiles (one per multiset of votes).
-    The reversal scan comes from the monotonicity checker, which reads a
-    c2 table by margin key too.  Together they independently confirm what
-    the formula was supposed to assert.
+    fails or has no entry are the profiles walked, to name the first
+    failing one.  The walk reads a profile table at every profile index,
+    and a c2 table by margin key on only the sorted profiles (one per
+    multiset of votes).  The reversal scan comes from the monotonicity
+    checker, which reads a c2 table by margin key too.  Together they
+    independently confirm what the formula was supposed to assert.
     """
     from . import monotonicity
     from .report import Report
 
     report = Report(f"rule table verification (n={table.n}, m={table.m})")
     total = num_profiles(table.n, table.m)
-    bad = None if _condorcet_keys_hold(table) else _first_condorcet_failure(table)
+    bad = _first_condorcet_failure(table)
     report.add(bad is None,
                f"Condorcet-consistency over all {total} profiles"
                if bad is None else
@@ -486,28 +486,23 @@ def verify_rule(table: RuleTable) -> Report:
     return report
 
 
-def _condorcet_keys_hold(table: RuleTable) -> bool:
-    """Whether a c2 table picks the Condorcet winner at every realizable
-    margin key that has one; False for a profile table or a missing key."""
-    if table.mode != "c2":
-        return False
-    try:
-        level = keyspace.margin_levels(table.n, table.m,
-                                       budget=len(table.chosen))[1]
-    except BudgetExceeded:
-        return False  # some key has no entry
-    for key in level:
-        winner = tally.key_condorcet_winner(key, table.m)
-        if winner is not None and table.chosen.get(key) != winner:
-            return False
-    return True
-
-
 def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
     """(profile index, Condorcet winner, table's pick) of the first profile
     where the table misses the Condorcet winner, if any."""
     n, m = table.n, table.m
     c2 = table.mode == "c2"
+    if c2:
+        try:
+            level = keyspace.margin_levels(n, m, budget=len(table.chosen))[1]
+        except BudgetExceeded:
+            pass  # some key has no entry: walk
+        else:
+            for key in level:
+                winner = tally.key_condorcet_winner(key, m)
+                if winner is not None and table.chosen.get(key) != winner:
+                    break
+            else:
+                return None  # every key holds: no profile fails
     # a c2 table fails first on a sorted profile (its sorted votes fail too,
     # at an index no larger), so walking only those finds the same first
     # failing index; it is read by margin key, a profile table by index

@@ -20,12 +20,14 @@ from prefrev.monotonicity import (
     explain_hwm_via_participation,
 )
 from prefrev.prefs import (
+    LinearOrder,
     Profile,
     enumerate_orders,
     index_to_profile,
     iter_profiles,
     num_profiles,
     profile_to_index,
+    read_profile,
 )
 from prefrev.proofcheck import (
     build_even_tree,
@@ -93,6 +95,33 @@ def test_criterion_01_dodgson_y_swap_count_as_stated(perez_profile_path):
         f"stated swap count for y is 9, exact minimisation gives {computed}; "
         f"8 single z/y swaps demonstrably make y the Condorcet winner and "
         f"the y-z tally moves by at most 1 per adjacent swap, so 8 is tight")
+
+
+def test_criterion_01_dodgson_y_swap_count_is_eight(perez_profile_path):
+    # the bounds on y's Dodgson score, found without calling dodgson_scores
+    profile, alternatives = read_profile(perez_profile_path)
+    ids = {label: alternatives.id_of(label) for label in "xyzut"}
+    y, z = ids["y"], ids["z"]
+    rows = margin_matrix(profile).rows
+    assert {label: rows[y][ids[label]] for label in "xzut"} == {
+        "x": 17, "z": -15, "u": 11, "t": 9}
+    # an adjacent swap moves one voter's y/z order, so y's margin over z by
+    # 2 at most: from -15 to positive takes at least 8 swaps
+    lower = (-rows[y][z] + 1) // 2
+    # and 8 swaps do it: z and y trade places in 8 of the 20 votes where z
+    # sits directly above y
+    above = [voter for voter, vote in enumerate(profile.votes)
+             if vote.position_of(z) + 1 == vote.position_of(y)]
+    assert len(above) == 20
+    votes = list(profile.votes)
+    for voter in above[:8]:
+        ranking = list(votes[voter].ranking)
+        at = ranking.index(z)
+        ranking[at:at + 2] = [y, z]
+        votes[voter] = LinearOrder(tuple(ranking))
+    assert condorcet_winner(Profile(tuple(votes))) == y
+    assert lower == 8
+    assert dodgson_scores(profile)[y] == 8
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

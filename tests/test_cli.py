@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import _Singleton, tabulate_rule
-from prefrev import keyspace, monotonicity
+from prefrev import keyspace, monotonicity, tally
 from prefrev.cli import main
 from prefrev.errors import BudgetExceeded, PrefRevError
 from prefrev.monotonicity import SetReversalWitness, check_halfway_monotonicity
@@ -739,6 +739,26 @@ BAD_INPUTS = {  # argv (with {tmp}), files to write first, expected message
                            {"t.table": "n=1 m=3 mode=weird\n"}, "unknown table mode"),
     "profile-header-m": ("analyze {tmp}/p.txt",
                          {"p.txt": "m=q labels=a,b,c\n1: a>b>c\n"}, "bad m"),
+    "profile-labels-m": ("analyze {tmp}/p.txt",
+                         {"p.txt": "m=3 labels=a,b\n1: a>b\n"},
+                         "p.txt:1: m=3 but 2 labels given"),
+    "profile-bad-count": ("analyze {tmp}/p.txt",
+                          {"p.txt": "m=2 labels=a,b\n1: a>b\nx: b>a\n"},
+                          "p.txt:3: bad count 'x'"),
+    "profile-count-zero": ("analyze {tmp}/p.txt",
+                           {"p.txt": "m=2 labels=a,b\n1: a>b\n0: b>a\n"},
+                           "p.txt:3: count must be positive"),
+    "profile-comments-only": ("analyze {tmp}/p.txt",
+                              {"p.txt": "# no header\n\n# and no votes\n"},
+                              "p.txt: missing 'm=... labels=...' header"),
+    "profile-no-voters": ("analyze {tmp}/p.txt",
+                          {"p.txt": "m=2 labels=a,b\n# no votes\n"},
+                          "p.txt: profile has no voters"),
+    "check-table-other-size": ("check --property hwm --table {tmp}/t.table --m 2 --n 2",
+                               {"t.table": "n=1 m=2 mode=profile\n0,a\n1,b\n"},
+                               "table is for n=1 m=2, flags say n=2 m=2"),
+    "encode-no-n": ("encode --m 3 --out {tmp}/x.cnf", {},
+                    "--n is required unless --proof is given"),
 }
 
 
@@ -755,6 +775,26 @@ class TestBadInputFiles:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("has_winner", [True, False], ids=["winner", "no-winner"])
+    @pytest.mark.parametrize("command", ["verify-table {table}",
+                                         "check --property hwm --table {table} --m 3 --n 3"])
+    def test_c2_table_with_a_key_removed(self, capsys, tmp_path, command, has_winner):
+        # the Condorcet re-check meets a removed key with a Condorcet
+        # winner, the reversal scan one without
+        with open(GOLDEN_DIR / "decode_c2_m3_n3.table", encoding="utf-8") as handle:
+            table = read_rule_table(handle)
+        removed = next(key for key in table.chosen
+                       if (tally.key_condorcet_winner(key, 3) is not None) == has_winner)
+        chosen = dict(table.chosen)
+        del chosen[removed]
+        path = tmp_path / "c2.table"
+        with open(path, "w") as handle:
+            write_rule_table(RuleTable(3, 3, "c2", chosen), handle)
+        code = main(shlex.split(command.format(table=path)))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            3, "", f"error: no entry for margin key {keyspace.key_text(removed, 3)}\n")
 
     def test_oversized_table_header_fails_fast(self, capsys, tmp_path):
         # (8!)^3000000 has about 46 million bits: the missing entry is

@@ -603,7 +603,7 @@ class TestQuotientPath:
                 break
         else:
             pytest.fail("no random rule violates the property past unit 0")
-        assert scan.anonymous
+        assert all(memo.by != "index" for memo in _outcomes(scan))
         first = reference[0][0]
 
         # the full region and budgets ending just before and just after the
@@ -652,7 +652,7 @@ class TestQuotientFastPath:
         rule = CountingRule(resolute_rule("maximin", 3))
         rule.depends_on = "margins"
         scan = _Scan(rule, 6, 3, "reverse", "weak")
-        assert scan.anonymous and not scan.margins_only
+        assert {memo.by for memo in _outcomes(scan)} == {"multiset"}
         assert check_halfway_monotonicity(rule, 6, 3) is None
         assert rule.calls <= math.comb(math.factorial(3) + 6 - 1, 6)
 
@@ -815,7 +815,7 @@ class TestMarginPass:
     def test_margin_pass_and_quotient_path_agree(self, prop, m, n):
         for name, family in margin_cases(prop, n, m):
             scan, check = margin_scan(prop, n, m, family)
-            assert scan.margins_only, name
+            assert all(memo.keyed for memo in _outcomes(scan)), name
             total = scan.total_units
             certified = _margin_pass(scan, *_outcomes(scan), total)
             hit = _scan_chunk(scan, 0, total, quotient=True)
@@ -1236,9 +1236,10 @@ class TestKernelAgainstUnitReference:
         for name, family in kernel_cases(prop, n, m):
             scan, check = margin_scan(prop, n, m, family)
             total, per_profile = scan.total_units, scan.voters * scan.width
-            quotient = scan.anonymous
+            quotient = all(memo.by != "index" for memo in _outcomes(scan))
             event = first_event(prop, family, n, m, 0, total, quotient=quotient)
-            margin_fit = margin_units(scan) if scan.margins_only else total
+            margin_fit = (margin_units(scan) if all(memo.keyed for memo in _outcomes(scan))
+                          else total)
             # exhaustive, and budgets cutting just before, at and inside the
             # profile of the first event, or inside the domain and at the
             # margin pass's size when there is none

@@ -367,6 +367,28 @@ class TestFileFormat:
         with pytest.raises(errors.PrefRevError):
             read_proof_tree(io.StringIO("nonsense\n"))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: "", "empty proof tree file"),
+        (lambda text: "# only a comment\n", "empty proof tree file"),
+        (lambda text: text[:text.index("END")], "PROFILE P0 not terminated by END"),
+        (lambda text: text + "LEAF P2 CONDORCET\n", "bad LEAF line: 'LEAF P2 CONDORCET'"),
+        (lambda text: text + "LEAF P2 WINNER c\n", "bad LEAF line: 'LEAF P2 WINNER c'"),
+        (lambda text: text + "ROOT P0\n", "unexpected proof tree line: 'ROOT P0'"),
+        (lambda text: text + "PROFILE Q\nm=4 labels=a,b,c,d\n1: a>b>c>d\nEND\n",
+         "expected exactly one root, found ['P0', 'Q']"),
+        (lambda text: text + "LEAF P0 CONDORCET a\n", "leaf P0 has no incoming edge"),
+        (lambda text: text + "EDGE P0 P1 CARRY a\n", "bad EDGE line: 'EDGE P0 P1 CARRY a'"),
+        (lambda text: text + "EDGE P0\n", "bad EDGE line: 'EDGE P0'"),
+    ], ids=["empty", "comments-only", "profile-without-end", "leaf-short",
+            "leaf-not-condorcet", "unknown-line", "two-roots", "leaf-without-edge",
+            "edge-without-reverse", "edge-one-end"])
+    def test_malformed_file_is_a_clear_error(self, edit, message):
+        out = io.StringIO()
+        write_proof_tree(build_odd_tree(4), out)
+        with pytest.raises(errors.PrefRevError) as caught:
+            read_proof_tree(io.StringIO(edit(out.getvalue())))
+        assert str(caught.value) == message
+
     def test_edge_carrying_nothing_is_a_clear_error(self):
         tree = build_odd_tree(4)
         bad = tree.edges[0].replace(carried=frozenset())
