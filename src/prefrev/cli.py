@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from functools import partial
+from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 # json, monotonicity, proofcheck, rules and satgen are imported by the
@@ -499,14 +500,13 @@ def _reject_shared_paths(*flags: tuple[str, str | None]) -> None:
     """Exit 3 when two output flags name one file: the second write would
     replace the first."""
     given = [(flag, path) for flag, path in flags if path is not None]
-    for i, (flag, path) in enumerate(given):
-        for other, other_path in given[i + 1:]:
-            try:
-                same = os.path.samefile(path, other_path)
-            except OSError:  # a file not written yet
-                same = os.path.realpath(path) == os.path.realpath(other_path)
-            if same:
-                raise PrefRevError(f"{flag} and {other} name the same file: {path}")
+    for (flag, path), (other, other_path) in combinations(given, 2):
+        try:
+            same = os.path.samefile(path, other_path)
+        except OSError:  # a file not written yet
+            same = os.path.realpath(path) == os.path.realpath(other_path)
+        if same:
+            raise PrefRevError(f"{flag} and {other} name the same file: {path}")
 
 
 def cmd_decode(args) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -42,10 +42,6 @@ RESOLUTE_RULES = ("plurality", "borda", "black", "maximin", "kemeny",
                   "baldwin", "nanson", "dodgson", "schulze", "ranked-pairs",
                   "condorcet")
 SET_RULES = ("copeland-set", "uncovered-set", "top-cycle")
-
-# how Record.__init__ and the validating records set a field; bound once,
-# since orders and profiles are built in the scan and proof loops
-_set = object.__setattr__
 
 
 class Record:
@@ -72,12 +68,12 @@ class Record:
             raise TypeError(f"{type(self).__name__} takes {len(names)} "
                             f"fields, got {len(values)} values")
         for name, value in zip(names, values):
-            _set(self, name, value)
+            object.__setattr__(self, name, value)
         for name in names[len(values):]:
             if name in named:
-                _set(self, name, named.pop(name))
+                object.__setattr__(self, name, named.pop(name))
             elif name in self._defaults:
-                _set(self, name, self._defaults[name])
+                object.__setattr__(self, name, self._defaults[name])
             else:
                 raise TypeError(f"{type(self).__name__} is missing field "
                                 f"{name!r}")
@@ -164,17 +160,7 @@ class LinearOrder(Record):
         m = len(ranking)
         if sorted(ranking) != list(range(m)):
             raise PrefRevError(f"not a permutation of 0..{m - 1}: {ranking}")
-        _set(self, "ranking", ranking)
-
-    # the base's comparison and hash, specialised to the one field: orders
-    # and profiles are compared and hashed in the scan and proof loops
-    def __eq__(self, other):
-        if other.__class__ is not LinearOrder:
-            return NotImplemented
-        return self.ranking == other.ranking
-
-    def __hash__(self) -> int:
-        return hash((self.ranking,))
+        super().__init__(ranking)
 
     @property
     def m(self) -> int:
@@ -260,15 +246,7 @@ class Profile(Record):
         for vote in votes:
             if len(vote.ranking) != m:
                 raise PrefRevError("all voters must rank the same alternatives")
-        _set(self, "votes", votes)
-
-    def __eq__(self, other):
-        if other.__class__ is not Profile:
-            return NotImplemented
-        return self.votes == other.votes
-
-    def __hash__(self) -> int:
-        return hash((self.votes,))
+        super().__init__(votes)
 
     @property
     def n(self) -> int:
@@ -477,15 +455,8 @@ def _parse_profile_header(line: str, source: str, lineno: int) -> Alternatives:
 def format_profile(profile: Profile, alternatives: Alternatives) -> str:
     """Render a profile in the text format, grouping equal consecutive votes."""
     lines = [f"m={profile.m} labels={','.join(alternatives.labels)}"]
-    run_order = profile.votes[0]
-    run_len = 0
-    for vote in profile.votes:
-        if vote == run_order:
-            run_len += 1
-        else:
-            lines.append(f"{run_len}: {format_order(run_order, alternatives)}")
-            run_order, run_len = vote, 1
-    lines.append(f"{run_len}: {format_order(run_order, alternatives)}")
+    for order, run in groupby(profile.votes):
+        lines.append(f"{len(list(run))}: {format_order(order, alternatives)}")
     return "\n".join(lines) + "\n"
 
 

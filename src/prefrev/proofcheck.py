@@ -105,21 +105,15 @@ def reversal_positions(profile: Profile,
     """Canonical voter positions for the stated reversals: for each order,
     the lowest-index voters submitting it, in ascending order."""
     claimed: set[int] = set()
-    positions: list[int] = []
     for count, order in reversals:
-        found = 0
-        for i, vote in enumerate(profile.votes):
-            if i not in claimed and vote == order:
-                claimed.add(i)
-                positions.append(i)
-                found += 1
-                if found == count:
-                    break
-        if found < count:
+        found = [i for i, vote in enumerate(profile.votes)
+                 if vote == order and i not in claimed][:count]
+        if len(found) < count:
             raise EdgeMismatch(
-                f"profile has only {found} unclaimed voters with the order "
+                f"profile has only {len(found)} unclaimed voters with the order "
                 f"required for a {count}-voter reversal")
-    return tuple(sorted(positions))
+        claimed.update(found)
+    return tuple(sorted(claimed))
 
 
 def apply_reversals(profile: Profile,
@@ -547,19 +541,9 @@ def write_proof_tree(tree: ProofTree, sink: TextIO) -> None:
 
 
 def read_proof_tree(source: TextIO) -> ProofTree:
-    lines = source.read().splitlines()
-    pos = 0
-
-    def next_content() -> str | None:
-        nonlocal pos
-        while pos < len(lines):
-            line = lines[pos].strip()
-            pos += 1
-            if line and not line.startswith("#"):
-                return line
-        return None
-
-    header = next_content()
+    content = (line for line in map(str.strip, source.read().splitlines())
+               if line and not line.startswith("#"))
+    header = next(content, None)
     if header is None:
         raise PrefRevError("empty proof tree file")
     try:
@@ -571,18 +555,16 @@ def read_proof_tree(source: TextIO) -> ProofTree:
     profiles: dict[str, Profile] = {}
     edges: list[ReversalEdge] = []
     leaf_specs: list[tuple[str, int]] = []
-    line = next_content()
-    while line is not None:
+    for line in content:
         if line.startswith("PROFILE "):
             name = line.split(maxsplit=1)[1]
             block: list[str] = []
-            while True:
-                inner = next_content()
-                if inner is None:
-                    raise PrefRevError(f"PROFILE {name} not terminated by END")
+            for inner in content:
                 if inner == "END":
                     break
                 block.append(inner)
+            else:
+                raise PrefRevError(f"PROFILE {name} not terminated by END")
             profile, _ = parse_profile("\n".join(block), source=f"PROFILE {name}")
             profiles[name] = profile
         elif line.startswith("EDGE "):
@@ -594,7 +576,6 @@ def read_proof_tree(source: TextIO) -> ProofTree:
             leaf_specs.append((parts[1], alternatives.id_of(parts[3])))
         else:
             raise PrefRevError(f"unexpected proof tree line: {line!r}")
-        line = next_content()
 
     targets = {e.dst for e in edges}
     roots = [name for name in profiles if name not in targets]

@@ -27,7 +27,6 @@ external solver binary and feed its output back through
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import (
@@ -248,11 +247,7 @@ def _template(clauses: list[list[tuple[bool, int]]]):
     strings, in template order, out of a sequence."""
     line = "".join(" ".join(("-%s" if negated else "%s") for negated, _ in clause)
                    + " 0\n" for clause in clauses)
-    slots = [slot for clause in clauses for _, slot in clause]
-    if len(slots) > 1:
-        return line, itemgetter(*slots)
-    # one slot (m = 1) or none (an edge with no clause)
-    return line, lambda names: tuple(names[slot] for slot in slots)
+    return line, keyspace.getter([slot for clause in clauses for _, slot in clause])
 
 
 def _functionality(m: int):

@@ -296,6 +296,16 @@ class TestCheck:
         assert code == 0
         assert out == (GOLDEN_DIR / f"sampled_hwm_{rule}_m4_n6.txt").read_text()
 
+    @pytest.mark.parametrize("flags,suffix", [("", "txt"), (" --json", "json")],
+                             ids=["text", "json"])
+    def test_participation_witness_matches_golden(self, run, flags, suffix):
+        # the no-show witness's profile_without holds the run 2: d>a>b>c
+        code, out = run(f"check --property participation --rule black "
+                        f"--m 4 --n 4{flags}")
+        assert code == 1
+        golden = GOLDEN_DIR / f"participation_black_m4_n4.{suffix}"
+        assert out.encode() == golden.read_bytes()
+
     def test_sample_mode_reports_seed(self, run):
         code, out = run("check --property hwm --rule borda --m 3 --n 3 "
                         "--sample 5 --seed 42")
@@ -673,6 +683,18 @@ class TestEncodeDecodePipeline:
             again = io.StringIO()
             write_rule_table(read_rule_table(handle), again)
         assert again.getvalue() == golden
+
+
+    def test_verify_table_stopped_by_the_budget(self, run, monkeypatch):
+        monkeypatch.setattr(monotonicity, "DEFAULT_BUDGET", 5)
+        code, out = run(f"verify-table {GOLDEN_DIR / 'decode_c2_m3_n3.table'}")
+        assert code == 1
+        assert out == (
+            "== rule table verification (n=3, m=3) ==\n"
+            "[ok] Condorcet-consistency over all 216 profiles\n"
+            "[FAIL] reversal scan stopped early: scanned 5 of 648 scan units "
+            "without a verdict\n"
+            "result: FAIL\n\n")
 
 
 class TestPad:

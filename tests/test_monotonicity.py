@@ -25,6 +25,7 @@ from prefrev.monotonicity import (
     check_participation,
     check_strong_reversal,
     explain_hwm_via_participation,
+    family_rule,
 )
 from prefrev.prefs import (
     LinearOrder,
@@ -201,6 +202,11 @@ class TestParticipation:
         with pytest.raises(errors.MissingSize):
             check_participation(table, 3, 3)
 
+    def test_family_neither_mapping_nor_callable(self):
+        with pytest.raises(errors.MissingSize) as caught:
+            family_rule(42, 2)
+        assert str(caught.value) == "cannot resolve a rule for n=2"
+
 
 class TestExplainViaParticipation:
     def test_planted_fixtures_yield_valid_participation_witnesses(self):
@@ -235,6 +241,14 @@ class TestExplainViaParticipation:
         with pytest.raises(errors.NotAViolation):
             explain_hwm_via_participation(fake, {2: tabulate_rule(
                 resolute_rule("borda", 3), 2, 3), 3: table})
+
+    def test_single_voter_witness_is_not_explained(self):
+        profile = index_to_profile(0, 1, 3)
+        fake = ReversalWitness(profile, 0, 0, 2)
+        with pytest.raises(errors.NotAViolation) as caught:
+            explain_hwm_via_participation(fake, resolute_rule("borda", 3))
+        assert str(caught.value) == ("a reversal witness needs at least 2 "
+                                     "voters to explain")
 
     def test_fabricated_witness_fails_revalidation(self):
         table = tabulate_rule(resolute_rule("borda", 3), 3, 3)

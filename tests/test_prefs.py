@@ -191,6 +191,18 @@ class TestProfileEditing:
         with pytest.raises(errors.VoterOutOfRange):
             self.profile.remove_voter(-1)
 
+    def test_last_voter_cannot_be_removed(self):
+        single = Profile((order("a>b>c>d"),))
+        with pytest.raises(errors.VoterOutOfRange) as caught:
+            single.remove_voter(0)
+        assert str(caught.value) == "cannot remove the last voter"
+
+    @pytest.mark.parametrize("position", [-1, 4])
+    def test_insert_position_out_of_range(self, position):
+        with pytest.raises(errors.VoterOutOfRange) as caught:
+            self.profile.insert_voter(position, order("a>b>c>d"))
+        assert str(caught.value) == f"insert position {position} not in 0..3"
+
 
 class TestPadProfile:
     @settings(max_examples=1000, deadline=None)

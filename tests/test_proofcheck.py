@@ -16,6 +16,7 @@ from prefrev.proofcheck import (
     pad_tree,
     read_proof_tree,
     replayed_carry,
+    reversal_positions,
     transport_blockers,
     verify_edge,
     verify_perez,
@@ -204,6 +205,39 @@ class TestTamperedTrees:
         report = verify_tree(tampered)
         assert any("cover" in line.text for line in report.failures)
 
+    @pytest.mark.parametrize("counts,message", [
+        ((21,), "P0: profile has only 2 unclaimed voters with the order "
+                "required for a 21-voter reversal"),
+        # the first reversal claims both d>c>b>a voters; the second may not
+        # reuse them
+        ((2, 1), "P0: profile has only 0 unclaimed voters with the order "
+                 "required for a 1-voter reversal"),
+    ], ids=["too-many", "claimed-voters-not-reused"])
+    def test_reversal_beyond_the_matching_voters(self, counts, message):
+        tree = build_odd_tree(4)
+        edge = tree.edges[0]  # P0 -> P1 reverses d>c>b>a; P0 has 2 such voters
+        bad = edge.replace(reversals=tuple((count, edge.reversals[0][1])
+                                           for count in counts))
+        report = verify_tree(tree.replace(edges=(bad,) + tree.edges[1:]))
+        assert message in [line.text for line in report.failures]
+
+    def test_zero_count_reversal_claims_no_voter(self):
+        tree = build_odd_tree(4)
+        order = tree.edges[0].reversals[0][1]
+        profile = tree.profiles["P0"]
+        assert reversal_positions(profile, ((0, order),)) == ()
+        assert reversal_positions(profile, ((1, order), (0, order))) == (13,)
+        assert apply_reversals(profile, ((0, order),)) == profile
+
+    def test_edge_to_an_unknown_profile(self):
+        tree = build_odd_tree(4)
+        bad = tree.edges[0].replace(dst="Q")
+        tampered = tree.replace(edges=(bad,) + tree.edges[1:])
+        assert [line.text for line in verify_edge(tampered, bad).failures] == [
+            "unknown profile name in edge P0->Q"]
+        assert "edge P0->Q references an unknown profile" in [
+            line.text for line in verify_tree(tampered).failures]
+
     @pytest.mark.parametrize("verify", [
         verify_tree,
         lambda tree: verify_tree_irresolute(tree, "optimistic"),
@@ -330,8 +364,10 @@ class TestPerez:
     def test_too_many_reversals_rejected(self):
         profile, alternatives = build_perez_profile()
         order = parse_order("t>y>z>u>x", alternatives)  # only 1 such voter
-        with pytest.raises(errors.EdgeMismatch):
+        with pytest.raises(errors.EdgeMismatch) as caught:
             apply_reversals(profile, ((2, order),))
+        assert str(caught.value) == ("profile has only 1 unclaimed voters with "
+                                     "the order required for a 2-voter reversal")
 
 
 class TestFileFormat:
@@ -348,6 +384,18 @@ class TestFileFormat:
         assert again.edges == tree.edges
         assert again.leaves == tree.leaves
         assert verify_tree(again).ok
+
+    @pytest.mark.parametrize("builder", [build_odd_tree, build_even_tree])
+    def test_blank_and_comment_lines_are_skipped(self, builder):
+        tree = builder(4)
+        out = io.StringIO()
+        write_proof_tree(tree, out)
+        # a blank and a comment line after every line, PROFILE blocks included
+        padded = "# a proof tree\n\n" + "".join(
+            f"{line}\n\n   # after {line}\n" for line in out.getvalue().splitlines())
+        assert padded.count("\n") > 3 * out.getvalue().count("\n")
+        again = read_proof_tree(io.StringIO(padded))
+        assert again == tree
 
     def test_rendering_is_stable(self):
         first, second = io.StringIO(), io.StringIO()

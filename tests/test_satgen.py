@@ -91,6 +91,11 @@ class TestClauseCounts:
         with pytest.raises(errors.BudgetExceeded):
             satgen.encode_full(5, 4, budget=1000)
 
+    def test_unknown_mode(self):
+        with pytest.raises(errors.PrefRevError) as caught:
+            satgen.encode_full(2, 3, "x")
+        assert str(caught.value) == "unknown encode mode 'x'"
+
 
 class TestDimacs:
     def test_golden_bytes_m2_n1(self):
