@@ -13,12 +13,11 @@ verified proof tree and is expected unsatisfiable; it is small enough to
 hand to core-extraction tooling unchanged.
 
 A :class:`CnfFormula` holds its clauses as DIMACS text, the lines that
-:func:`write_dimacs` writes after the header, and no clause objects.  Both
-encoders render that text straight from ``%`` clause templates (see
-:func:`_template`): one functionality template per key, a unit line per
-Condorcet winner and one template per reversal edge.  Each range-checks
-the keys and winners it fills in instead of checking every literal.  A
-formula's ``clauses`` parses the text back on request.
+:func:`write_dimacs` writes after the header.  One renderer, :func:`_encode`,
+writes it from ``%`` clause templates (see :func:`_template`) for three key
+spaces, profile mode, c2 mode and the proof tree, each a stream of Condorcet
+winners and of edges; it range-checks the keys and winners it fills in
+instead of checking every literal.  ``clauses`` parses the text back.
 
 Solving is never done in-process: callers hand the DIMACS file to any
 external solver binary and feed its output back through
@@ -27,6 +26,7 @@ external solver binary and feed its output back through
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import (
@@ -132,8 +132,8 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
     Profile mode spends one variable block per profile; c2 mode keys the
     blocks by realizable margin matrices instead, and gates a key's
     reversal edges on its witness orders, read off level n-1 (see
-    :func:`_c2_key_space`).  Both feed the same encoder a key space: per
-    key its Condorcet winner and its reversal edges.
+    :func:`_c2_key_space`).  Each mode is a key space, its Condorcet
+    winners and its reversal edges, that :func:`_encode` renders.
     """
     if mode == "profile":
         budget = DEFAULT_KEY_BUDGET if budget is None else budget
@@ -142,25 +142,29 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
             raise BudgetExceeded(f"profile mode needs {total} keys, budget is {budget}",
                                  scanned=0, total=total)
         varmap = VariableMap(n=n, m=m, mode="profile")
-        key_space = _profile_key_space(n, m)
+        winners, edges = _profile_key_space(n, m)
     elif mode == "c2":
         varmap, previous = c2_variable_map(n, m, budget=budget)
-        key_space = _c2_key_space(varmap, previous)
+        winners, edges = _c2_key_space(varmap, previous)
     else:
         raise PrefRevError(f"unknown encode mode {mode!r}")
-    return _encode_key_space(varmap, key_space)
+    return _encode(varmap, winners, edges)
 
 
 def _profile_key_space(n: int, m: int):
-    """Per profile index: its Condorcet winner and, per voter, the edge
-    (vote, index of the profile where that voter reversed)."""
+    """Profile mode's winners, (index, Condorcet winner), and edges, per
+    voter (its vote's template, index, index with that voter reversed), in
+    index order."""
     place_values = places(n, m)
     rev = reverse_index_table(m)
-    winners = tally.CondorcetWinners(m)  # the margin key fixes the winner
-    for key, digits in iter_digits(n, m):
-        edges = [(d, key + (rev[d] - d) * place)
-                 for d, place in zip(digits, place_values)]
-        yield key, winners[keyspace.digits_key(m, digits)], edges
+    condorcet = tally.CondorcetWinners(m)  # the margin key fixes the winner
+    templates = _reversal_templates(m)
+    winners = ((key, winner) for key, digits in iter_digits(n, m)
+               if (winner := condorcet[keyspace.digits_key(m, digits)]) is not None)
+    edges = ((templates[d], key, key + (rev[d] - d) * place)
+             for key, digits in iter_digits(n, m)
+             for d, place in zip(digits, place_values))
+    return winners, edges
 
 
 def c2_variable_map(n: int, m: int, *, budget: int | None = None
@@ -176,95 +180,81 @@ def c2_variable_map(n: int, m: int, *, budget: int | None = None
 
 
 def _c2_key_space(varmap: VariableMap, previous: keyspace.Level):
-    """Per margin key, in sorted order: its Condorcet winner and, per
-    witness order o ascending (key - vote(o) lies in ``previous``, level
-    n-1), the edge (o, rank of the key after one voter of that order
-    reversed)."""
-    m = varmap.m
-    rank = {key: i for i, key in enumerate(varmap.keys)}
+    """c2 mode's winners, (rank, Condorcet winner), and edges, per witness
+    order o ascending (key - vote(o) in ``previous``, level n-1), (o's
+    template, rank, rank with one voter of o reversed), in key order."""
+    m, keys = varmap.m, varmap.keys
+    rank = {key: i for i, key in enumerate(keys)}
     votes = keyspace.vote_keys(m)
     rev = reverse_index_table(m)
-    for key_rank, key in enumerate(varmap.keys):
-        # reversing a witness voter lands on a realizable key again
-        edges = [(order_ix, rank[key + votes[rev[order_ix]] - vote])
-                 for order_ix, vote in enumerate(votes) if key - vote in previous]
-        yield key_rank, tally.key_condorcet_winner(key, m), edges
+    templates = _reversal_templates(m)
+    winners = ((i, winner) for i, key in enumerate(keys)
+               if (winner := tally.key_condorcet_winner(key, m)) is not None)
+    # reversing a witness voter lands on a realizable key again
+    edges = ((templates[o], i, rank[key + votes[rev[o]] - vote])
+             for i, key in enumerate(keys)
+             for o, vote in enumerate(votes) if key - vote in previous)
+    return winners, edges
 
 
-def _encode_key_space(varmap: VariableMap, key_space) -> EncodeResult:
-    """Functionality, a Condorcet unit clause per key with a Condorcet
-    winner, and per edge (order, reversed key) one binary clause per
-    ordered pair forbidding the reversal from strictly improving the
-    outcome for that order.
-
-    The clauses are rendered straight to DIMACS lines from ``%`` templates
-    (see :func:`_template`), filled with the variables' decimal strings,
-    each made once: per key its functionality block, per edge the
-    template of its order over the key's and the reversed key's ``m``
-    variables, and per Condorcet winner a unit line.  Every key, reversed
-    key and winner is range-checked here, which keeps every literal in
-    1..num_vars.
-    """
-    m, num_keys = varmap.m, varmap.num_keys
-    names = [str(var) for var in range(varmap.num_vars + 1)]
-    functionality_line, take_functionality = _functionality(m)
-    # per order, a clause -x[key, below] -x[reversed key, above] for each
-    # pair it ranks above over below; the reversed key's variables follow
-    # the key's
-    reversal = [_template([[(True, below), (True, m + above)]
-                           for i, above in enumerate(order.ranking)
-                           for below in order.ranking[i + 1:]])
-                for order in enumerate_orders(m)]
-    functionality: list[str] = []
-    condorcet: list[str] = []
-    hwm: list[str] = []
-    for key, winner, edges in key_space:
-        if not 0 <= key < num_keys:
-            raise PrefRevError(f"key {key} is not a key rank in 0..{num_keys - 1}")
-        own = names[key * m + 1:key * m + m + 1]
-        functionality.append(functionality_line % take_functionality(own))
-        if winner is not None:
-            if not 0 <= winner < m:
-                raise PrefRevError(f"key {key}: Condorcet winner {winner} "
-                                   f"is not an alternative in 0..{m - 1}")
-            condorcet.append(own[winner] + " 0\n")
-        for order_ix, rev_key in edges:
-            if not 0 <= rev_key < num_keys:
-                raise PrefRevError(f"key {key}: reversal edge to {rev_key}, "
-                                   f"not a key rank in 0..{num_keys - 1}")
-            line, take = reversal[order_ix]
-            hwm.append(line % take(own + names[rev_key * m + 1:rev_key * m + m + 1]))
-    pairs = m * (m - 1) // 2  # the clauses of a reversal template
-    return _encode_result(varmap, functionality, condorcet, hwm,
-                          {"keys": num_keys,
-                           "functionality": len(functionality) * (1 + pairs),
-                           "condorcet": len(condorcet), "hwm": len(hwm) * pairs})
+def _reversal_templates(m: int):
+    """Per order, its edge template: -x[key, b] -x[reversed key, a] per pair
+    it ranks a over b; the reversed key's variables follow the key's."""
+    return [_template([[(True, below), (True, m + above)]
+                       for above, below in combinations(order.ranking, 2)])
+            for order in enumerate_orders(m)]
 
 
 def _template(clauses: list[list[tuple[bool, int]]]):
     """The ``%`` template of these clauses' DIMACS lines, each literal given
-    as (negated, slot), and the picker that takes the slots' variable
-    strings, in template order, out of a sequence."""
+    as (negated, slot), the picker that takes the slots' variable strings,
+    in template order, out of a sequence, and the number of clauses."""
     line = "".join(" ".join(("-%s" if negated else "%s") for negated, _ in clause)
                    + " 0\n" for clause in clauses)
-    return line, keyspace.getter([slot for clause in clauses for _, slot in clause])
+    return (line, keyspace.getter([slot for clause in clauses for _, slot in clause]),
+            len(clauses))
 
 
-def _functionality(m: int):
-    """The template of one key's functionality clauses over its ``m``
-    variables: the at-least-one clause, then per pair (a, b), a < b, the
-    at-most-one clause -x[a] -x[b]."""
-    return _template([[(False, a) for a in range(m)]]
-                     + [[(True, a), (True, b)]
-                        for a in range(m) for b in range(a + 1, m)])
+def _encode(varmap: VariableMap, winners, edges) -> EncodeResult:
+    """The formula's DIMACS lines, rendered from ``%`` templates filled with
+    the variables' decimal strings, each made once: per key of ``varmap``,
+    in rank order, its functionality block (at least one winner, then at
+    most one per pair a < b); per (key, winner) of ``winners`` a unit line;
+    per (template, key, other) of ``edges`` the template over the key's
+    ``m`` variables, then the other's.  Keys are ranks.  Every key, edge end
+    and winner is range-checked here, which keeps every literal in
+    1..num_vars."""
+    m, num_keys = varmap.m, varmap.num_keys
+    ranks, alternatives = range(num_keys), range(m)
+    # per key rank, its m variables' decimal strings
+    own = list(zip(*[map(str, range(1, varmap.num_vars + 1))] * m))
 
+    def bad(key, problem: str) -> PrefRevError:
+        if key not in ranks:
+            return PrefRevError(f"key {key} is not a key rank in 0..{num_keys - 1}")
+        return PrefRevError(f"key {varmap.key_name(key)}: {problem}")
 
-def _encode_result(varmap: VariableMap, functionality: list[str],
-                   condorcet: list[str], hwm: list[str], counts: dict) -> EncodeResult:
-    """The formula of the three families' rendered lines, in that order,
-    whose clauses ``counts`` gives per family."""
-    num_clauses = counts["functionality"] + counts["condorcet"] + counts["hwm"]
-    formula = CnfFormula(varmap.num_vars, num_clauses,
+    block, pick, per_key = _template([[(False, a) for a in alternatives]]
+                                     + [[(True, a), (True, b)]
+                                        for a, b in combinations(alternatives, 2)])
+    functionality = [block % pick(variables) for variables in own]
+    condorcet: list[str] = []
+    for key, winner in winners:
+        if key not in ranks or winner not in alternatives:
+            raise bad(key, f"Condorcet winner {winner} is not an alternative "
+                           f"in 0..{m - 1}")
+        condorcet.append(own[key][winner] + " 0\n")
+    hwm: list[str] = []
+    num_hwm = 0
+    for (line, take, count), key, other in edges:
+        if key not in ranks or other not in ranks:
+            raise bad(key, f"reversal edge to {other}, not a key rank "
+                           f"in 0..{num_keys - 1}")
+        hwm.append(line % take(own[key] + own[other]))
+        num_hwm += count
+    counts = {"keys": num_keys, "functionality": num_keys * per_key,
+              "condorcet": len(condorcet), "hwm": num_hwm}
+    formula = CnfFormula(varmap.num_vars, num_keys * per_key + len(condorcet) + num_hwm,
                          "".join(functionality + condorcet + hwm))
     return EncodeResult(formula, varmap, counts)
 
@@ -296,51 +286,34 @@ def encode_proof_neighborhood(tree: ProofTree) -> EncodeResult:
     and head winners directly: picking b at the tail forbids at the head
     everything the replayed single reversals cannot reach from b.
 
-    The clauses are rendered as the full formula's are (see
-    :func:`_template`): per profile the same functionality block, per leaf,
-    in ``tree.leaves`` order, a unit line, and per edge, in ``tree.edges``
-    order, a template over the tail's and the head's ``m`` variables.
-    Every leaf's and edge's profile and every leaf's winner is checked
-    here, which keeps every literal in 1..num_vars.
+    The tree is a key space of :func:`_encode`: its winners are the
+    leaves', its edges ``tree.edges``, each with its own template over the
+    tail's and the head's variables.  A leaf or edge on a node that is not
+    a profile of the tree is an error naming it.
     """
     from .proofcheck import replayed_carry
 
-    keys = tuple(tree.profiles)
     m = tree.m
-    varmap = VariableMap(n=tree.n, m=m, mode="proof", keys=keys)
-    names = [str(var) for var in range(varmap.num_vars + 1)]
-    own = {key: names[i * m + 1:i * m + m + 1] for i, key in enumerate(keys)}
-
-    functionality_line, take_functionality = _functionality(m)
-    functionality = [functionality_line % take_functionality(own[key]) for key in keys]
-    condorcet: list[str] = []
+    varmap = VariableMap(n=tree.n, m=m, mode="proof", keys=tuple(tree.profiles))
+    rank = {key: i for i, key in enumerate(varmap.keys)}
+    winners = []
     for leaf in tree.leaves:
-        if leaf.node not in own:
+        if leaf.node not in rank:
             raise PrefRevError(f"leaf {leaf.node}: not a profile of the tree")
-        if leaf.condorcet not in range(m):
-            raise PrefRevError(f"leaf {leaf.node}: Condorcet winner {leaf.condorcet} "
-                               f"is not an alternative in 0..{m - 1}")
-        condorcet.append(own[leaf.node][leaf.condorcet] + " 0\n")
-    hwm: list[str] = []
-    num_hwm = 0
+        winners.append((rank[leaf.node], leaf.condorcet))
+    edges = []
     for edge in tree.edges:
         for node in (edge.src, edge.dst):
-            if node not in own:
+            if node not in rank:
                 raise PrefRevError(f"edge {edge.src} -> {edge.dst}: {node} is not "
                                    f"a profile of the tree")
         # -x[src, b] -x[dst, a] for each a the reversals cannot reach from b;
         # the head's variables follow the tail's
         reachable = [replayed_carry(edge, frozenset((b,))) for b in range(m)]
-        clauses = [[(True, b), (True, m + a)]
-                   for b in range(m) for a in range(m) if a not in reachable[b]]
-        line, take = _template(clauses)
-        hwm.append(line % take(own[edge.src] + own[edge.dst]))
-        num_hwm += len(clauses)
-
-    return _encode_result(varmap, functionality, condorcet, hwm,
-                          {"keys": len(keys),
-                           "functionality": len(functionality) * (1 + m * (m - 1) // 2),
-                           "condorcet": len(condorcet), "hwm": num_hwm})
+        edges.append((_template([[(True, b), (True, m + a)] for b in range(m)
+                                 for a in range(m) if a not in reachable[b]]),
+                      rank[edge.src], rank[edge.dst]))
+    return _encode(varmap, winners, edges)
 
 
 # --- DIMACS and models ------------------------------------------------------------
@@ -483,7 +456,8 @@ def verify_rule(table: RuleTable) -> Report:
 
 def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
     """(profile index, Condorcet winner, table's pick) of the first profile
-    where the table misses the Condorcet winner, if any."""
+    where the table misses the Condorcet winner, if any; a c2 entry on a
+    key that no n-voter profile has is an error."""
     n, m = table.n, table.m
     c2 = table.mode == "c2"
     if c2:
@@ -492,6 +466,10 @@ def _first_condorcet_failure(table: RuleTable) -> tuple[int, int, int] | None:
         except BudgetExceeded:
             pass  # some key has no entry: walk
         else:
+            if stray := table.chosen.keys() - level:
+                raise PrefRevError(f"c2 table entry for margin key "
+                                   f"{keyspace.key_text(min(stray), m)}, which no "
+                                   f"{n}-voter profile has")
             for key in level:
                 winner = tally.key_condorcet_winner(key, m)
                 if winner is not None and table.chosen.get(key) != winner:

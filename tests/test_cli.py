@@ -524,14 +524,37 @@ class TestEncodeDecodePipeline:
             assert code == 0
             assert "solver: UNSAT" in out
 
-    @pytest.mark.parametrize("which,m", [("odd", 4), ("even", 6)])
-    def test_proof_encode_matches_golden(self, run, tmp_path, which, m):
+    @pytest.mark.parametrize("which,m,variables,counts", [
+        ("odd", 4, 32, "102 (functionality=56 condorcet=4 hwm=42)"),
+        ("even", 6, 54, "268 (functionality=144 condorcet=4 hwm=120)"),
+    ])
+    def test_proof_encode_matches_golden(self, run, tmp_path, which, m, variables,
+                                         counts):
         cnf, varmap = tmp_path / "proof.cnf", tmp_path / "proof.map"
-        code, _ = run(f"encode --proof {which} --m {m} --out {cnf} --map {varmap}")
+        code, out = run(f"encode --proof {which} --m {m} --out {cnf} --map {varmap}")
         assert code == 0
+        assert out == (f"cnf: {cnf}\nmap: {varmap}\nvariables: {variables}\n"
+                       f"clauses: {counts}\n")
         golden = GOLDEN_DIR / f"encode_proof_{which}_m{m}"
         assert cnf.read_bytes() == golden.with_suffix(".cnf").read_bytes()
         assert varmap.read_bytes() == golden.with_suffix(".map").read_bytes()
+
+    @pytest.mark.parametrize("flags,golden,variables,counts,map_text", [
+        ("--mode c2 --n 3 --m 3", "encode_c2_m3_n3", 132,
+         "560 (functionality=176 condorcet=42 hwm=342)",
+         (GOLDEN_DIR / "encode_c2_m3_n3.map").read_text()),
+        ("--mode profile --n 1 --m 2", "encode_m2_n1", 4,
+         "8 (functionality=4 condorcet=2 hwm=2)", "1 0 a\n2 0 b\n3 1 a\n4 1 b\n"),
+    ], ids=["c2", "profile"])
+    def test_full_encode_matches_golden(self, run, tmp_path, flags, golden, variables,
+                                        counts, map_text):
+        cnf, varmap = tmp_path / "full.cnf", tmp_path / "full.map"
+        code, out = run(f"encode {flags} --out {cnf} --map {varmap}")
+        assert code == 0
+        assert out == (f"cnf: {cnf}\nmap: {varmap}\nvariables: {variables}\n"
+                       f"clauses: {counts}\n")
+        assert cnf.read_bytes() == (GOLDEN_DIR / f"{golden}.cnf").read_bytes()
+        assert varmap.read_text() == map_text
 
     def test_proof_rejects_full_formula_flags(self, capsys, tmp_path):
         cnf = tmp_path / "odd.cnf"
@@ -817,6 +840,27 @@ class TestBadInputFiles:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (
             3, "", f"error: no entry for margin key {keyspace.key_text(removed, 3)}\n")
+
+    @pytest.mark.parametrize("m, entries, stray", [
+        (2, ["0_1_-1_0,a", "0_-1_1_0,b", "0_3_-3_0,a"], "0_3_-3_0"),
+        # level 1 of m=3, each key with its Condorcet winner, and a cyclic
+        # key whose parity and bounds are fine
+        (3, ["0_1_1_-1_0_1_-1_-1_0,a", "0_1_1_-1_0_-1_-1_1_0,a",
+             "0_-1_1_1_0_1_-1_-1_0,b", "0_-1_-1_1_0_1_1_-1_0,b",
+             "0_1_-1_-1_0_-1_1_1_0,c", "0_-1_-1_1_0_-1_1_1_0,c",
+             "0_1_-1_-1_0_1_1_-1_0,a"], "0_1_-1_-1_0_1_1_-1_0"),
+    ], ids=["m2-out-of-bounds", "m3-cyclic"])
+    def test_c2_table_with_an_unrealizable_key(self, capsys, tmp_path, m, entries,
+                                               stray):
+        # every realizable key holds its Condorcet winner, so only the level
+        # test rejects the table
+        path = tmp_path / "c2.table"
+        path.write_text(f"n=1 m={m} mode=c2\n" + "".join(f"{e}\n" for e in entries))
+        code = main(["verify-table", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            3, "", f"error: c2 table entry for margin key {stray}, which no "
+                   f"1-voter profile has\n")
 
     def test_oversized_table_header_fails_fast(self, capsys, tmp_path):
         # (8!)^3000000 has about 46 million bits: the missing entry is

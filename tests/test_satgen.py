@@ -186,34 +186,39 @@ class TestDimacs:
 
 
 class TestKeySpaceRanges:
-    """The encoder range-checks the key spaces it renders, so that every
-    literal of the full formula lies in 1..num_vars."""
+    """The renderer range-checks the key spaces it renders, so that every
+    literal of every formula lies in 1..num_vars."""
 
     varmap = satgen.VariableMap(n=1, m=3, mode="profile")  # 6 keys
+    reversal = satgen._reversal_templates(3)
 
-    def encode(self, key_space):
-        return satgen._encode_key_space(self.varmap, iter(key_space))
+    def encode(self, winners=(), edges=()):
+        return satgen._encode(self.varmap, winners, edges)
 
     def test_a_good_key_space_encodes(self):
-        result = self.encode([(0, 2, [(0, 5)]), (5, None, [])])
-        # after the two keys' functionality blocks (4 lines each): the
+        result = self.encode([(0, 2)], [(self.reversal[0], 0, 5)])
+        # after the six keys' functionality blocks (4 lines each): the
         # Condorcet unit x[0, 2], then a>b>c reversed into key 5
-        assert result.formula.text.splitlines()[8:] == ["3 0", "-2 -16 0", "-3 -16 0",
-                                                         "-3 -17 0"]
-        assert result.formula.num_clauses == result.formula.text.count("\n") == 12
+        assert result.formula.text.splitlines()[24:] == ["3 0", "-2 -16 0", "-3 -16 0",
+                                                          "-3 -17 0"]
+        assert result.formula.num_clauses == result.formula.text.count("\n") == 28
 
-    @pytest.mark.parametrize("key_space, message", [
-        ([(6, None, [])], "key 6 is not a key rank in 0..5"),
-        ([(-1, None, [])], "key -1 is not a key rank"),
-        ([(0, None, [(0, 6)])], "key 0: reversal edge to 6, not a key rank in 0..5"),
-        ([(2, None, [(1, -1)])], "key 2: reversal edge to -1"),
-        ([(1, 3, [])], "key 1: Condorcet winner 3 is not an alternative in 0..2"),
-        ([(1, -1, [])], "key 1: Condorcet winner -1"),
-    ], ids=["rank-num-keys", "rank-negative", "edge-num-keys", "edge-negative",
-            "winner-m", "winner-negative"])
-    def test_out_of_range_is_an_error_naming_the_key(self, key_space, message):
+    @pytest.mark.parametrize("winners, edges, message", [
+        ([(6, 0)], [], "key 6 is not a key rank in 0..5"),
+        ([], [(0, 6, 0)], "key 6 is not a key rank in 0..5"),
+        ([(-1, 0)], [], "key -1 is not a key rank"),
+        ([], [(0, -1, 0)], "key -1 is not a key rank"),
+        ([], [(0, 0, 6)], "key 0: reversal edge to 6, not a key rank in 0..5"),
+        ([], [(1, 2, -1)], "key 2: reversal edge to -1"),
+        ([(1, 3)], [], "key 1: Condorcet winner 3 is not an alternative in 0..2"),
+        ([(1, -1)], [], "key 1: Condorcet winner -1"),
+    ], ids=["rank-num-keys", "edge-rank-num-keys", "rank-negative",
+            "edge-rank-negative", "edge-num-keys", "edge-negative", "winner-m",
+            "winner-negative"])
+    def test_out_of_range_is_an_error_naming_the_key(self, winners, edges, message):
+        edges = [(self.reversal[order], key, other) for order, key, other in edges]
         with pytest.raises(errors.PrefRevError, match=message):
-            self.encode(key_space)
+            self.encode(winners, edges)
 
 
 class TestModelReader:
@@ -471,27 +476,31 @@ class TestProofNeighborhood:
     @pytest.mark.parametrize("m", [4, 5])
     def test_tampered_tree_is_rejected(self, builder, m):
         # every node and winner that names a variable is checked: a bad one
-        # is a PrefRevError naming the edge or leaf, never a KeyError, an
-        # IndexError or a unit on another profile's variable
+        # is a PrefRevError naming the edge, the leaf or the leaf's key,
+        # never a KeyError, an IndexError or a unit on another profile's
+        # variable
         tree = builder(m)
         first = tree.edges[0]
         bad_leaf = tree.leaves[0]  # not the last node of the tree
         assert bad_leaf.node != list(tree.profiles)[-1]
         tampered = {
-            rf"edge NOPE -> {first.dst}: NOPE": tree.replace(
+            f"edge NOPE -> {first.dst}: NOPE is not a profile of the tree": tree.replace(
                 edges=(first.replace(src="NOPE"),) + tree.edges[1:]),
-            rf"edge {first.src} -> NOPE: NOPE": tree.replace(
+            f"edge {first.src} -> NOPE: NOPE is not a profile of the tree": tree.replace(
                 edges=(first.replace(dst="NOPE"),) + tree.edges[1:]),
-            rf"leaf {bad_leaf.node}: Condorcet winner {m} ": tree.replace(
+            f"key {bad_leaf.node}: Condorcet winner {m} is not an alternative "
+            f"in 0..{m - 1}": tree.replace(
                 leaves=(bad_leaf.replace(condorcet=m),) + tree.leaves[1:]),
-            rf"leaf {bad_leaf.node}: Condorcet winner -1 ": tree.replace(
+            f"key {bad_leaf.node}: Condorcet winner -1 is not an alternative "
+            f"in 0..{m - 1}": tree.replace(
                 leaves=(bad_leaf.replace(condorcet=-1),) + tree.leaves[1:]),
-            "leaf NOPE: not a profile": tree.replace(
+            "leaf NOPE: not a profile of the tree": tree.replace(
                 leaves=(bad_leaf.replace(node="NOPE"),) + tree.leaves[1:]),
         }
         for message, candidate in tampered.items():
-            with pytest.raises(errors.PrefRevError, match=message):
+            with pytest.raises(errors.PrefRevError) as caught:
                 satgen.encode_proof_neighborhood(candidate)
+            assert str(caught.value) == message
 
     def test_unsat_iff_tree_verifies_on_mutations(self, solver_cmd, tmp_path):
         tree = build_odd_tree(4)
@@ -558,10 +567,19 @@ class TestC2Mode:
                     order_index(v) for v in profile.votes)
             assert keys == sorted(keys) and len(keys) == len(oracle)
             # the gate, K - vote(o) at level n-1, gives each key's edges the
-            # orders its realizations use, ascending
+            # orders its realizations use, ascending; an edge's order is the
+            # one whose reversal template it fills the same way
             varmap = satgen.VariableMap(n=n, m=m, mode="c2", keys=tuple(keys))
-            assert {keyspace.key_rows(keys[rank], m): [o for o, _ in edges]
-                    for rank, _, edges in satgen._c2_key_space(varmap, previous)} == {
+            slots = [str(slot) for slot in range(2 * m)]
+            order_of = {line % take(slots): o for o, (line, take, _)
+                        in enumerate(satgen._reversal_templates(m))}
+            edge_orders: dict[tuple, list[int]] = {
+                keyspace.key_rows(key, m): [] for key in keys}
+            _, edges = satgen._c2_key_space(varmap, previous)
+            for (line, take, _), rank, _ in edges:
+                edge_orders[keyspace.key_rows(keys[rank], m)].append(
+                    order_of[line % take(slots)])
+            assert edge_orders == {
                 rows: sorted(orders) for rows, orders in oracle.items()}
 
     def test_pipeline(self, solver_cmd, tmp_path):
