@@ -21,7 +21,7 @@ import os
 import sys
 from functools import partial
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 # json, monotonicity, proofcheck, rules and satgen are imported by the
 # commands and outputs that use them, so that each process loads only what
@@ -32,11 +32,13 @@ from .errors import (
     MTooLargeForExactKemeny,
     PrefRevError,
     UnknownRule,
+    printable_count,
 )
 from .prefs import (
     RESOLUTE_RULES,
     SET_RULES,
     Alternatives,
+    LinearOrder,
     default_labels,
     format_order,
     parse_order,
@@ -44,9 +46,6 @@ from .prefs import (
     write_profile,
 )
 from .tally import condorcet_winner, margin_matrix
-
-if TYPE_CHECKING:
-    from .rules import TieBreak
 
 SOLVER_ENV = "PREFREV_SOLVER"
 
@@ -65,8 +64,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except BudgetExceeded as exc:
-        detail = (f" ({exc.scanned}/{exc.total} units, {100 * exc.fraction:.1f}%)"
-                  if exc.total else "")
+        total = printable_count(exc.total)
+        detail = f" ({exc.scanned}/{total} units, {100 * exc.fraction:.1f}%)" if total else ""
         print(f"result: budget exceeded: {exc}{detail}")
         return EXIT_BUDGET
     except (PrefRevError, OSError) as exc:
@@ -179,12 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tie_break(text: str | None, alternatives: Alternatives) -> TieBreak:
-    from .rules import TieBreak
-
-    if text is None:
-        return TieBreak.lexicographic(alternatives.m)
-    return TieBreak(parse_order(text, alternatives))
+def _tie_break(text: str | None, alternatives: Alternatives) -> LinearOrder | None:
+    return None if text is None else parse_order(text, alternatives)
 
 
 def _require_positive(args, *names: str) -> None:
@@ -334,7 +329,7 @@ def cmd_check(args) -> int:
         if not args.json:
             raise  # main prints the text verdict line alone
         header.append({"record": "result", "result": "budget-exceeded",
-                       "scanned": exc.scanned, "total": exc.total})
+                       "scanned": exc.scanned, "total": printable_count(exc.total)})
         _emit(args, header)
         return EXIT_BUDGET
 

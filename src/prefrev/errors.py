@@ -81,6 +81,15 @@ class BudgetExceeded(PrefRevError):
         return self.scanned / self.total if self.total else 0.0
 
 
+def printable_count(count: int) -> int | str:
+    """``count``, or a bound if it has more digits than Python prints."""
+    try:
+        str(count)
+        return count
+    except ValueError:
+        return f"more than 2^{(count - 1).bit_length() - 1}"
+
+
 class MissingSize(PrefRevError):
     pass
 

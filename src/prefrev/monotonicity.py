@@ -137,6 +137,7 @@ from .errors import (
     EmptyOutcomeSet,
     MissingSize,
     NotAViolation,
+    printable_count,
 )
 from .prefs import (
     Alternatives,
@@ -696,7 +697,7 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
                if unit < region else None)
     if hit is None and region < total_units:
         raise BudgetExceeded(
-            f"scanned {region} of {total_units} scan units without a verdict",
+            f"scanned {region} of {printable_count(total_units)} scan units without a verdict",
             scanned=region, total=total_units)
     return hit
 

@@ -179,7 +179,7 @@ class LinearOrder(Record):
         return self.positions()[alt]
 
     def positions(self) -> tuple[int, ...]:
-        return _positions_of(self.ranking)
+        return positions_of(self.ranking)
 
     def prefers(self, a: int, b: int) -> bool:
         """True iff this order ranks ``a`` strictly above ``b``."""
@@ -199,7 +199,7 @@ class LinearOrder(Record):
 
 
 @lru_cache(maxsize=None)
-def _positions_of(ranking: tuple[int, ...]) -> tuple[int, ...]:
+def positions_of(ranking: tuple[int, ...]) -> tuple[int, ...]:
     pos = [0] * len(ranking)
     for i, a in enumerate(ranking):
         pos[a] = i

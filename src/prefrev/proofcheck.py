@@ -318,6 +318,9 @@ def _leaf_report(tree: ProofTree, leaf: Leaf) -> Report:
     alternatives = tree.alternatives
     label = alternatives.label_of
     report = Report(f"leaf {leaf.node}")
+    if leaf.node not in tree.profiles:
+        report.add(False, f"leaf {leaf.node}: not a profile of the tree")
+        return report
     actual = condorcet_winner(tree.profiles[leaf.node])
     report.add(actual == leaf.condorcet,
                f"{leaf.node}: Condorcet winner is "

@@ -3,7 +3,7 @@
 The top layer of the margin arithmetic (``prefs`` -> ``keyspace`` ->
 ``tally`` -> ``rules``).  A rule is obtained by name from
 :func:`resolute_rule` or :func:`set_rule`: a resolute rule takes a profile
-and returns a single alternative id, ties settled by a :class:`TieBreak`;
+and returns a single alternative id, ties settled by a tie-break order;
 a set-valued rule returns a frozenset.  All rules here are pure functions
 of the profile, so they can back the paradox checkers directly.
 :class:`RuleTable` wraps an explicit lookup table (e.g. decoded from a SAT
@@ -49,6 +49,7 @@ from .prefs import (
     default_labels,
     enumerate_orders,
     num_profiles,
+    positions_of,
     profile_to_index,
 )
 from .tally import margins_condorcet_winner
@@ -82,40 +83,24 @@ def plurality_vector(m: int) -> ScoreVector:
     return ScoreVector((1,) + (0,) * (m - 1))
 
 
-class TieBreak(Record):
-    """A fixed priority order over alternatives that resolves every tie."""
-
-    __slots__ = ("priority",)
-
-    @classmethod
-    def lexicographic(cls, m: int) -> "TieBreak":
-        return cls(LinearOrder(tuple(range(m))))
-
-    def best(self, alts: Iterable[int]) -> int:
-        return self.priority.best_of(alts)
-
-    def worst(self, alts: Iterable[int]) -> int:
-        return self.priority.worst_of(alts)
-
-
-def _first_top(scores: Sequence[int], tie_break: TieBreak) -> int:
+def _first_top(scores: Sequence[int], tie_break: LinearOrder) -> int:
     """The top scorer that comes first in the tie-break order."""
     return max(_ranking(tie_break, len(scores)), key=scores.__getitem__)
 
 
-def _ranking(tie_break: TieBreak, m: int) -> Sequence[int]:
-    """The tie-break order of 0..m-1 (a tie-break may rank more)."""
-    ranking = tie_break.priority.ranking
+def _ranking(tie_break: LinearOrder, m: int) -> tuple[int, ...]:
+    """The tie-break order of 0..m-1 (it may rank more), read by every rule."""
+    ranking = tie_break.ranking
     if len(ranking) < m:
         raise DomainMismatch(f"tie-break ranks {len(ranking)} alternatives, m={m}")
-    return ranking if len(ranking) == m else [a for a in ranking if a < m]
+    return ranking if len(ranking) == m else tuple(a for a in ranking if a < m)
 
 
 # --- scoring rules ----------------------------------------------------------
 
 
 def scoring_winner(profile: Profile, score_vector: ScoreVector,
-                   tie_break: TieBreak) -> int:
+                   tie_break: LinearOrder) -> int:
     if score_vector.m != profile.m:
         raise DomainMismatch(f"score vector length {score_vector.m} != m={profile.m}")
     totals = [0] * profile.m
@@ -125,7 +110,7 @@ def scoring_winner(profile: Profile, score_vector: ScoreVector,
     return _first_top(totals, tie_break)
 
 
-def plurality_winner(profile: Profile, tie_break: TieBreak) -> int:
+def plurality_winner(profile: Profile, tie_break: LinearOrder) -> int:
     return scoring_winner(profile, plurality_vector(profile.m), tie_break)
 
 
@@ -160,11 +145,11 @@ class MarginsRule:
         return self.impl(keyspace.key_margins(key, m), m, *self.args)
 
 
-def borda_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+def borda_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
     return _first_top(list(map(sum, zip(*[iter(margins)] * m))), tie_break)
 
 
-def black_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+def black_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
     """Condorcet winner if one exists, Borda winner otherwise."""
     winner = margins_condorcet_winner(margins, m)
     return borda_margins(margins, m, tie_break) if winner is None else winner
@@ -175,7 +160,7 @@ def maximin_scores(margins: Margins, m: int) -> list[int]:
     return [min(over_others(margins) or (0,)) for over_others in keyspace.off_diagonal(m)]
 
 
-def maximin_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+def maximin_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
     return _first_top(maximin_scores(margins, m), tie_break)
 
 
@@ -259,32 +244,29 @@ def kemeny_rankings(profile: Profile) -> tuple[LinearOrder, ...]:
         keyspace.key_margins(keyspace.profile_key(profile), profile.m), profile.m)
 
 
-def kemeny_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
-    pos = tie_break.priority.positions()
-    chosen = min(kemeny_margin_rankings(margins, m),
-                 key=lambda r: tuple(pos[a] for a in r.ranking))
-    return chosen.top
+def kemeny_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
+    place = positions_of(_ranking(tie_break, m)).__getitem__
+    return min(kemeny_margin_rankings(margins, m), key=lambda r: tuple(map(place, r.ranking))).top
 
 
 # --- elimination rules --------------------------------------------------------
 
 
-def baldwin_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+def baldwin_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
     """Repeatedly eliminate the single lowest-Borda alternative.
 
     Elimination ties are settled by removing the tie-break-lowest
     alternative among those tied.
     """
+    pos = positions_of(_ranking(tie_break, m))
     active = list(range(m))
     while len(active) > 1:
-        scores = [sum(map(margins[a * m:a * m + m].__getitem__, active)) for a in active]
-        low = min(scores)
-        active.remove(tie_break.worst(
-            [a for a, score in zip(active, scores) if score == low]))
+        active.remove(min(active, key=lambda a: (
+            sum(map(margins[a * m:a * m + m].__getitem__, active)), -pos[a])))
     return active[0]
 
 
-def nanson_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+def nanson_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
     """Repeatedly eliminate everything strictly below the average Borda
     score.  Over the active set the row sums add up to zero, so that is
     everything with a negative row sum there."""
@@ -294,7 +276,7 @@ def nanson_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
         if len(kept) == len(active):
             break
         active = kept
-    return tie_break.best(active)
+    return next(a for a in _ranking(tie_break, m) if a in active)
 
 
 # --- Dodgson ------------------------------------------------------------------
@@ -366,7 +348,7 @@ def dodgson_scores(profile: Profile) -> dict[int, int]:
     return scores
 
 
-def dodgson_winner(profile: Profile, tie_break: TieBreak) -> int:
+def dodgson_winner(profile: Profile, tie_break: LinearOrder) -> int:
     scores = dodgson_scores(profile)
     return min(_ranking(tie_break, profile.m), key=scores.__getitem__)
 
@@ -374,7 +356,7 @@ def dodgson_winner(profile: Profile, tie_break: TieBreak) -> int:
 # --- Schulze and Ranked Pairs ---------------------------------------------------
 
 
-def schulze_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+def schulze_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
     """Widest-path (beatpath) strengths over the margin matrix."""
     p = list(margins)
     for ik, kj, ij in _closure_steps(m):
@@ -386,13 +368,13 @@ def schulze_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
     return next(a for a in _ranking(tie_break, m) if all(holds[a * m:a * m + m]))
 
 
-def ranked_pairs_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
+def ranked_pairs_margins(margins: Margins, m: int, tie_break: LinearOrder) -> int:
     """Lock majority pairs by descending margin, skipping cycles.
 
     Equal margins are ordered by tie-break priority of the pair's winner,
     then of its loser.
     """
-    tpos = tie_break.priority.positions()
+    tpos = positions_of(_ranking(tie_break, m))
     pairs = sorted((-x, tpos[i // m], tpos[i % m], i // m, i % m)
                    for i, x in enumerate(margins) if x > 0)
     locked: list[set[int]] = [set() for _ in range(m)]
@@ -413,7 +395,7 @@ def ranked_pairs_margins(margins: Margins, m: int, tie_break: TieBreak) -> int:
         if not reaches(b, a):
             locked[a].add(b)
     has_in = set().union(*locked)
-    return tie_break.best([a for a in range(m) if a not in has_in])
+    return min((a for a in range(m) if a not in has_in), key=tpos.__getitem__)
 
 
 # --- explicit lookup tables -------------------------------------------------------
@@ -621,10 +603,10 @@ _SET_IMPL: dict[str, SetRule] = {
 }
 
 
-def resolute_rule(name: str, m: int, tie_break: TieBreak | None = None) -> Rule:
+def resolute_rule(name: str, m: int, tie_break: LinearOrder | None = None) -> Rule:
     """A resolute rule callable by registry name, declaring ``depends_on``
     "margins" (a :class:`MarginsRule`) or "multiset"."""
-    tie_break = tie_break or TieBreak.lexicographic(m)
+    tie_break = tie_break or LinearOrder(tuple(range(m)))
     if name == "condorcet":
         return _condorcet_rule
     if name in _MARGIN_IMPL:

@@ -35,6 +35,7 @@ from .errors import (
     NotAFunction,
     PrefRevError,
     VariableOutOfRange,
+    printable_count,
 )
 from .prefs import (
     Record,
@@ -139,8 +140,8 @@ def encode_full(n: int, m: int, mode: str = "profile", *,
         budget = DEFAULT_KEY_BUDGET if budget is None else budget
         total = num_profiles(n, m)
         if total > budget:
-            raise BudgetExceeded(f"profile mode needs {total} keys, budget is {budget}",
-                                 scanned=0, total=total)
+            raise BudgetExceeded(f"profile mode needs {printable_count(total)} keys, "
+                                 f"budget is {budget}", scanned=0, total=total)
         varmap = VariableMap(n=n, m=m, mode="profile")
         winners, edges = _profile_key_space(n, m)
     elif mode == "c2":

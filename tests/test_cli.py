@@ -14,7 +14,7 @@ import pytest
 from conftest import _Singleton, tabulate_rule
 from prefrev import keyspace, monotonicity, tally
 from prefrev.cli import main
-from prefrev.errors import BudgetExceeded, PrefRevError
+from prefrev.errors import BudgetExceeded, PrefRevError, printable_count
 from prefrev.monotonicity import SetReversalWitness, check_halfway_monotonicity
 from prefrev.prefs import (
     RESOLUTE_RULES,
@@ -27,6 +27,7 @@ from prefrev.prefs import (
 from prefrev.rules import RuleTable, read_rule_table, resolute_rule, write_rule_table
 from prefrev.tally import margin_matrix
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -60,6 +61,19 @@ class TestAnalyze:
         code, out = run(f"analyze {perez_profile_path}")
         assert code == 0
         assert out == (GOLDEN_DIR / "analyze_perez41.txt").read_text()
+
+    @pytest.mark.parametrize("profile,tie_break,golden", [
+        (GOLDEN_DIR / "profile_all_ties_m4.txt", "b>d>a>c",
+         "analyze_all_ties_m4_tie_break.txt"),
+        (REPO_ROOT / "data" / "perez41.txt", "t>u>z>y>x",
+         "analyze_perez41_tie_break.txt"),
+    ], ids=["all-ties", "perez"])
+    def test_tie_break_matches_golden(self, run, profile, tie_break, golden):
+        # every margin is 0 in the all-ties profile, so each rule falls back
+        # to the tie-break: plurality gives d, every other resolute rule b
+        code, out = run(f"analyze {profile} --tie-break {tie_break}")
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text()
 
     def test_byte_identical_across_runs(self, run, perez_profile_path):
         outputs = {run(f"analyze {perez_profile_path}")[1] for _ in range(2)}
@@ -192,6 +206,39 @@ class TestCheck:
         assert records[-1] == {"record": "result", "result": "budget-exceeded",
                                "scanned": scanned, "total": total}
         assert text.splitlines() == [text.strip()]  # the text verdict line alone
+
+    def test_a_count_too_long_to_print_is_bounded(self, run, tmp_path):
+        # (4!)^4000 x 4000 scan units and (4!)^4000 profiles have more
+        # digits than int-to-text conversion allows: the verdicts print a
+        # bound instead, and the JSON total stays valid JSON
+        units = printable_count(num_profiles(4000, 4) * 4000)
+        keys = printable_count(num_profiles(4000, 4))
+        check = "check --property hwm --rule plurality --m 4 --n 4000 --budget 10"
+        assert run(check) == (2, f"result: budget exceeded: scanned 10 of {units} "
+                                 f"scan units without a verdict (10/{units} units, "
+                                 f"0.0%)\n")
+        code, out = run(check + " --json")
+        assert code == 2
+        assert json.loads(out.splitlines()[-1]) == {
+            "record": "result", "result": "budget-exceeded", "scanned": 10,
+            "total": units}
+        target = tmp_path / "huge.cnf"
+        assert run(f"encode --n 4000 --m 4 --out {target}") == (
+            2, f"result: budget exceeded: profile mode needs {keys} keys, budget "
+               f"is 1000000 (0/{keys} units, 0.0%)\n")
+        assert not target.exists()
+
+    def test_printable_count(self):
+        assert printable_count(41472) == 41472
+        for count, bound in ((10 ** 5000, "more than 2^16609"),
+                             (2 ** 20000, "more than 2^19999")):
+            try:
+                str(count)
+            except ValueError:  # past the digit limit of this Python
+                assert printable_count(count) == bound
+                assert count > 2 ** int(bound.rpartition("^")[2])
+            else:
+                assert printable_count(count) == count
 
     def test_margin_pass_certifies_beyond_the_quotient_budget(self, run):
         # 39.8M scan units, but only 4175 margin keys of 4 voters x 24 orders
@@ -876,7 +923,6 @@ class TestBadInputFiles:
         assert elapsed < 1.0
 
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 DPLL = f"{sys.executable} {REPO_ROOT / 'tools' / 'dpll_solve.py'}"
 PEREZ = str(REPO_ROOT / "data" / "perez41.txt")
 

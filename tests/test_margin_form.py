@@ -23,8 +23,8 @@ import pytest
 from prefrev import keyspace, rules, tally
 from prefrev.errors import DomainMismatch, MTooLargeForExactKemeny
 from prefrev.keyspace import _entries, empty_key
-from prefrev.prefs import SET_RULES, LinearOrder, enumerate_orders
-from prefrev.rules import MAX_EXACT_KEMENY_M, TieBreak
+from prefrev.prefs import SET_RULES, LinearOrder, Profile, enumerate_orders
+from prefrev.rules import MAX_EXACT_KEMENY_M
 
 Rows = Sequence[Sequence[int]]
 
@@ -68,11 +68,11 @@ def _argmax_set(scores: list[int]) -> list[int]:
     return [a for a, v in enumerate(scores) if v == top]
 
 
-def borda_rows(rows: Rows, tie_break: TieBreak) -> int:
-    return tie_break.best(_argmax_set(list(map(sum, rows))))
+def borda_rows(rows: Rows, tie_break: LinearOrder) -> int:
+    return tie_break.best_of(_argmax_set(list(map(sum, rows))))
 
 
-def black_rows(rows: Rows, tie_break: TieBreak) -> int:
+def black_rows(rows: Rows, tie_break: LinearOrder) -> int:
     """Condorcet winner if one exists, Borda winner otherwise."""
     winner = rows_condorcet_winner(rows)
     return borda_rows(rows, tie_break) if winner is None else winner
@@ -83,8 +83,8 @@ def maximin_row_scores(rows: Rows) -> list[int]:
     return [min(row[:a] + row[a + 1:], default=0) for a, row in enumerate(rows)]
 
 
-def maximin_rows(rows: Rows, tie_break: TieBreak) -> int:
-    return tie_break.best(_argmax_set(maximin_row_scores(rows)))
+def maximin_rows(rows: Rows, tie_break: LinearOrder) -> int:
+    return tie_break.best_of(_argmax_set(maximin_row_scores(rows)))
 
 
 def copeland_rows(rows: Rows) -> frozenset[int]:
@@ -161,14 +161,14 @@ def kemeny_row_rankings(rows: Rows) -> tuple[LinearOrder, ...]:
     return tuple(best)
 
 
-def kemeny_rows(rows: Rows, tie_break: TieBreak) -> int:
-    pos = tie_break.priority.positions()
+def kemeny_rows(rows: Rows, tie_break: LinearOrder) -> int:
+    pos = tie_break.positions()
     chosen = min(kemeny_row_rankings(rows),
                  key=lambda r: tuple(pos[a] for a in r.ranking))
     return chosen.top
 
 
-def baldwin_rows(rows: Rows, tie_break: TieBreak) -> int:
+def baldwin_rows(rows: Rows, tie_break: LinearOrder) -> int:
     """Repeatedly eliminate the single lowest-Borda alternative.
 
     Elimination ties are settled by removing the tie-break-lowest
@@ -178,12 +178,12 @@ def baldwin_rows(rows: Rows, tie_break: TieBreak) -> int:
     while len(active) > 1:
         scores = [sum(map(rows[a].__getitem__, active)) for a in active]
         low = min(scores)
-        active.remove(tie_break.worst(
+        active.remove(tie_break.worst_of(
             [a for a, score in zip(active, scores) if score == low]))
     return active[0]
 
 
-def nanson_rows(rows: Rows, tie_break: TieBreak) -> int:
+def nanson_rows(rows: Rows, tie_break: LinearOrder) -> int:
     """Repeatedly eliminate everything strictly below the average Borda
     score.  Over the active set the row sums add up to zero, so that is
     everything with a negative row sum there."""
@@ -193,10 +193,10 @@ def nanson_rows(rows: Rows, tie_break: TieBreak) -> int:
         if len(kept) == len(active):
             break
         active = kept
-    return tie_break.best(active)
+    return tie_break.best_of(active)
 
 
-def schulze_rows(rows: Rows, tie_break: TieBreak) -> int:
+def schulze_rows(rows: Rows, tie_break: LinearOrder) -> int:
     """Widest-path (beatpath) strengths over the margin matrix."""
     m = len(rows)
     p = [list(row) for row in rows]
@@ -213,17 +213,17 @@ def schulze_rows(rows: Rows, tie_break: TieBreak) -> int:
                     if w > p_i[j]:
                         p_i[j] = w
     columns = list(zip(*p))  # a's column: the strengths of paths into a
-    return tie_break.best([a for a in range(m) if all(map(ge, p[a], columns[a]))])
+    return tie_break.best_of([a for a in range(m) if all(map(ge, p[a], columns[a]))])
 
 
-def ranked_pairs_rows(rows: Rows, tie_break: TieBreak) -> int:
+def ranked_pairs_rows(rows: Rows, tie_break: LinearOrder) -> int:
     """Lock majority pairs by descending margin, skipping cycles.
 
     Equal margins are ordered by tie-break priority of the pair's winner,
     then of its loser.
     """
     m = len(rows)
-    tpos = tie_break.priority.positions()
+    tpos = tie_break.positions()
     pairs = sorted((-x, tpos[a], tpos[b], a, b)
                    for a, row in enumerate(rows) for b, x in enumerate(row) if x > 0)
     locked: list[set[int]] = [set() for _ in range(m)]
@@ -246,7 +246,7 @@ def ranked_pairs_rows(rows: Rows, tie_break: TieBreak) -> int:
     has_in = set()
     for a in range(m):
         has_in |= locked[a]
-    return tie_break.best([a for a in range(m) if a not in has_in])
+    return tie_break.best_of([a for a in range(m) if a not in has_in])
 
 
 def _condorcet_rows(rows: Rows) -> int:
@@ -311,7 +311,7 @@ def test_flat_form_matches_the_rows_reference(m, n):
     rng = random.Random(f"tie-breaks:{m}:{n}")
     resolute = [[(name, tie_break, rules.resolute_rule(name, m, tie_break), impl)
                  for name, impl in REFERENCE_RESOLUTE.items()]
-                for tie_break in (TieBreak(LinearOrder(tuple(rng.sample(range(m), m))))
+                for tie_break in (LinearOrder(tuple(rng.sample(range(m), m)))
                                   for _ in range(3))]
     sets = [(name, rules.set_rule(name), impl) for name, impl in REFERENCE_SET.items()]
     condorcet = rules.resolute_rule("condorcet", m)
@@ -332,7 +332,7 @@ def test_flat_form_matches_the_rows_reference(m, n):
         for cases in resolute if (m, n) in EXHAUSTIVE else [resolute[i % 3]]:
             for name, tie_break, rule, impl in cases:
                 assert rule.on_key(key, n, m) == impl(rows, tie_break), (
-                    name, tie_break.priority.ranking, text)
+                    name, tie_break.ranking, text)
     assert errors  # some key has no Condorcet winner
 
 
@@ -341,7 +341,7 @@ def test_a_tie_break_over_more_alternatives():
     # orders the alternatives it shares with the key
     m, n = 3, 5
     rng = random.Random("wide-tie-break")
-    tie_break = TieBreak(LinearOrder(tuple(rng.sample(range(m + 2), m + 2))))
+    tie_break = LinearOrder(tuple(rng.sample(range(m + 2), m + 2)))
     for key in keyspace.margin_levels(n, m)[1]:
         rows = key_rows(key, m)
         for name, impl in REFERENCE_RESOLUTE.items():
@@ -351,9 +351,15 @@ def test_a_tie_break_over_more_alternatives():
 
 def test_a_tie_break_over_fewer_alternatives_is_refused():
     # the rows-based code raised IndexError only when an unranked
-    # alternative was among the top scorers
-    tie_break = TieBreak(LinearOrder((1, 0)))
-    key = keyspace.digits_key(3, (0, 5))  # a vote and its reverse: all tied
-    for name in ("borda", "black", "maximin", "schulze"):
+    # alternative was among the top scorers; every resolute rule reads its
+    # tie-break through rules._ranking, which refuses it
+    tie_break = LinearOrder((1, 0))
+    digits = (0, 5)  # a vote and its reverse: all tied
+    key = keyspace.digits_key(3, digits)
+    profile = Profile(tuple(enumerate_orders(3)[d] for d in digits))
+    for name in REFERENCE_RESOLUTE:
         with pytest.raises(DomainMismatch, match="tie-break ranks 2 alternatives, m=3"):
             rules.resolute_rule(name, 3, tie_break).on_key(key, 2, 3)
+    for name in ("plurality", "dodgson"):
+        with pytest.raises(DomainMismatch, match="tie-break ranks 2 alternatives, m=3"):
+            rules.resolute_rule(name, 3, tie_break)(profile)

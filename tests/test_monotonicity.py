@@ -40,7 +40,6 @@ from prefrev.prefs import (
 from prefrev.rules import (
     SET_RULES,
     RuleTable,
-    TieBreak,
     resolute_rule,
     set_rule,
 )
@@ -792,7 +791,7 @@ def margin_cases(prop: str, n: int, m: int):
     for name in names:
         priority = list(range(m))
         rng.shuffle(priority)
-        rule = resolute_rule(name, m, TieBreak(LinearOrder(tuple(priority))))
+        rule = resolute_rule(name, m, LinearOrder(tuple(priority)))
         cases.append((name, {size: rule for size in sizes}))
     cases.append(("c2", {size: random_c2_table(size, m, rng) for size in sizes}))
     return cases
@@ -1230,7 +1229,7 @@ def kernel_cases(prop: str, n: int, m: int):
         ]
     priority = list(range(m))
     rng.shuffle(priority)
-    tie_break = TieBreak(LinearOrder(tuple(priority)))
+    tie_break = LinearOrder(tuple(priority))
     borda = resolute_rule("borda", m, tie_break)
     return [
         ("table", {size: table(size) for size in sizes}),

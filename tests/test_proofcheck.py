@@ -191,6 +191,35 @@ class TestTamperedTrees:
         assert not report.ok
         assert any("P2" in line.text for line in report.failures)
 
+    def test_a_leaf_that_is_no_profile_fails_a_line(self):
+        # a leaf renamed in a built tree, and one added with its edge to a
+        # tree file read back: every verifier reports it, none raises
+        tree = build_odd_tree(4)
+        renamed = tree.replace(leaves=tuple(
+            leaf.replace(node="ZZ") if leaf.node == "P2" else leaf
+            for leaf in tree.leaves))
+        out = io.StringIO()
+        write_proof_tree(tree, out)
+        added = read_proof_tree(io.StringIO(
+            out.getvalue() + "EDGE P1 ZZ REVERSE 2xb>d>c>a CARRY a\n"
+                             "LEAF ZZ CONDORCET c\n"))
+        leaf_line = "[FAIL] leaf ZZ: not a profile of the tree"
+        cases = [
+            (renamed, ["[FAIL] declared leaves ['P3', 'P5', 'P6', 'ZZ'] are "
+                       "exactly the childless profiles", leaf_line]),
+            (added, ["[FAIL] edge P1->ZZ references an unknown profile",
+                     "[FAIL] every profile is reachable from the root",
+                     "[FAIL] declared leaves ['P2', 'P3', 'P5', 'P6', 'ZZ'] are "
+                     "exactly the childless profiles",
+                     "[FAIL] unknown profile name in edge P1->ZZ", leaf_line]),
+        ]
+        for tampered, failures in cases:
+            for report in (verify_tree(tampered),
+                           verify_tree_irresolute(tampered, "optimistic"),
+                           verify_tree_irresolute(tampered, "pessimistic")):
+                assert not report.ok
+                assert [line.render() for line in report.failures] == failures
+
     def test_undeclared_childless_node_fails(self):
         tree = build_odd_tree(4)
         tampered = tree.replace(leaves=tree.leaves[1:])

@@ -18,7 +18,7 @@ from prefrev.monotonicity import (
 from prefrev.prefs import Alternatives, LinearOrder, Profile, Record
 from prefrev.proofcheck import Leaf, ProofTree, ReversalEdge
 from prefrev.report import CheckLine, Report
-from prefrev.rules import RuleTable, ScoreVector, TieBreak
+from prefrev.rules import RuleTable, ScoreVector
 from prefrev.satgen import EncodeResult, SolverRun, VariableMap
 from prefrev.tally import MarginMatrix
 
@@ -66,8 +66,6 @@ RECORDS = (
     ("MarginMatrix", lambda: MarginMatrix(m=2, n=1, rows=((0, 1), (-1, 0))), True,
      {"n": 3}),
     ("ScoreVector", lambda: borda_vector(3), True, {"s": (1, 0, 0)}),
-    ("TieBreak", lambda: TieBreak.lexicographic(3), True,
-     {"priority": order(1, 0, 2)}),
     ("RuleTable-profile", lambda: RuleTable(1, 2, "profile", (0, 1)), True,
      {"chosen": (1, 1)}),
     ("RuleTable-c2", lambda: RuleTable(1, 2, "c2", {5: 0}), False,

@@ -20,7 +20,6 @@ from prefrev.rules import (
     SET_RULES,
     MarginsRule,
     RuleTable,
-    TieBreak,
     copeland_set,
     dodgson_scores,
     dodgson_winner,
@@ -55,7 +54,7 @@ def perez():
 
 @pytest.fixture(scope="module")
 def tb5():
-    return TieBreak.lexicographic(5)
+    return LinearOrder(tuple(range(5)))
 
 
 class TestPerezSuite:
@@ -127,16 +126,16 @@ class TestPerezSuite:
 class TestScoringRules:
     def test_plurality_unanimous(self):
         profile = profile_from(["b>a>c"] * 4, ABC)
-        assert plurality_winner(profile, TieBreak.lexicographic(3)) == 1
+        assert plurality_winner(profile, LinearOrder(tuple(range(3)))) == 1
 
     def test_borda_single_voter(self):
         profile = profile_from(["c>a>d>b"], ABCD)
-        assert resolute_rule("borda", 4, TieBreak.lexicographic(4))(profile) == 2
+        assert resolute_rule("borda", 4, LinearOrder(tuple(range(4))))(profile) == 2
 
     def test_score_vector_validation(self):
         with pytest.raises(errors.PrefRevError):
             scoring_winner(profile_from(["a>b>c"], ABC),
-                           borda_vector(4), TieBreak.lexicographic(3))
+                           borda_vector(4), LinearOrder(tuple(range(3))))
         from prefrev.rules import ScoreVector
         with pytest.raises(errors.PrefRevError):
             ScoreVector((0, 1, 2))
@@ -144,7 +143,7 @@ class TestScoringRules:
     def test_anonymity(self):
         rng = random.Random(5)
         orders = enumerate_orders(4)
-        tie = TieBreak.lexicographic(4)
+        tie = LinearOrder(tuple(range(4)))
         for _ in range(100):
             votes = [rng.choice(orders) for _ in range(5)]
             shuffled = votes[:]
@@ -171,9 +170,8 @@ class TestNeutralityWithTieBreak:
             profile = Profile(tuple(rng.choice(orders) for _ in range(5)))
             sigma = list(range(m))
             rng.shuffle(sigma)
-            tie = TieBreak(LinearOrder(tuple(rng.sample(range(m), m))))
-            relabeled_tie = TieBreak(
-                LinearOrder(tuple(sigma[a] for a in tie.priority.ranking)))
+            tie = LinearOrder(tuple(rng.sample(range(m), m)))
+            relabeled_tie = LinearOrder(tuple(sigma[a] for a in tie.ranking))
             rule = resolute_rule(name, m, tie)
             relabeled_rule = resolute_rule(name, m, relabeled_tie)
             assert relabeled_rule(relabel_profile(profile, sigma)) == \
@@ -279,21 +277,21 @@ class TestEliminationRules:
     def test_m2_majority(self):
         ab = Alternatives(("a", "b"))
         profile = profile_from(["b>a", "b>a", "a>b"], ab)
-        tie = TieBreak.lexicographic(2)
+        tie = LinearOrder(tuple(range(2)))
         assert resolute_rule("baldwin", 2, tie)(profile) == 1
         assert resolute_rule("nanson", 2, tie)(profile) == 1
 
     def test_nanson_all_tied_falls_back_to_tie_break(self):
         cycle = profile_from(["a>b>c", "b>c>a", "c>a>b"], ABC)
-        assert resolute_rule("nanson", 3, TieBreak(parse_order("c>b>a", ABC)))(cycle) == 2
-        assert resolute_rule("nanson", 3, TieBreak.lexicographic(3))(cycle) == 0
+        assert resolute_rule("nanson", 3, parse_order("c>b>a", ABC))(cycle) == 2
+        assert resolute_rule("nanson", 3, LinearOrder(tuple(range(3))))(cycle) == 0
 
     def test_baldwin_eliminates_tie_break_worst(self):
         # a,b,c tie at Borda 3; the priority-worst goes first, then the
         # remaining pair is settled by majority (b beats c, a beats b)
         cycle = profile_from(["a>b>c", "b>c>a", "c>a>b"], ABC)
-        assert resolute_rule("baldwin", 3, TieBreak(parse_order("c>b>a", ABC)))(cycle) == 1
-        assert resolute_rule("baldwin", 3, TieBreak.lexicographic(3))(cycle) == 0
+        assert resolute_rule("baldwin", 3, parse_order("c>b>a", ABC))(cycle) == 1
+        assert resolute_rule("baldwin", 3, LinearOrder(tuple(range(3))))(cycle) == 0
 
 
 class TestDodgson:
@@ -347,15 +345,15 @@ def bfs_swap_distances(profile: Profile, cap: int) -> dict[int, int | None]:
 class TestMaximin:
     def test_cycle_tie_break(self):
         cycle = profile_from(["a>b>c", "b>c>a", "c>a>b"], ABC)
-        assert resolute_rule("maximin", 3, TieBreak.lexicographic(3))(cycle) == 0
-        assert resolute_rule("maximin", 3, TieBreak(parse_order("b>a>c", ABC)))(cycle) == 1
+        assert resolute_rule("maximin", 3, LinearOrder(tuple(range(3))))(cycle) == 0
+        assert resolute_rule("maximin", 3, parse_order("b>a>c", ABC))(cycle) == 1
 
 
 class TestTwoAlternatives:
     def test_majority_winner_everywhere(self):
         ab = Alternatives(("a", "b"))
         profile = profile_from(["b>a", "b>a", "a>b"], ab)
-        tie = TieBreak.lexicographic(2)
+        tie = LinearOrder(tuple(range(2)))
         for name in ("maximin", "schulze", "ranked-pairs", "black",
                      "kemeny", "dodgson"):
             assert resolute_rule(name, 2, tie)(profile) == 1
@@ -365,7 +363,7 @@ class TestBlack:
     def test_no_condorcet_winner_means_borda(self):
         rng = random.Random(13)
         orders = enumerate_orders(4)
-        tie = TieBreak.lexicographic(4)
+        tie = LinearOrder(tuple(range(4)))
         black, borda = resolute_rule("black", 4, tie), resolute_rule("borda", 4, tie)
         seen = 0
         while seen < 20:
@@ -392,7 +390,7 @@ class TestRuleTable:
 
     def test_file_round_trip_c2_mode(self):
         chosen = {}
-        maximin = resolute_rule("maximin", 3, TieBreak.lexicographic(3))
+        maximin = resolute_rule("maximin", 3, LinearOrder(tuple(range(3))))
         for profile in iter_profiles(2, 3):
             chosen.setdefault(keyspace.profile_key(profile), maximin(profile))
         table = RuleTable(2, 3, "c2", chosen)
@@ -566,16 +564,16 @@ def restricted_borda(profile: Profile, active: list[int]) -> dict[int, int]:
     return scores
 
 
-def vote_baldwin(profile: Profile, tie: TieBreak) -> int:
+def vote_baldwin(profile: Profile, tie: LinearOrder) -> int:
     active = list(range(profile.m))
     while len(active) > 1:
         scores = restricted_borda(profile, active)
         low = min(scores.values())
-        active.remove(tie.worst([a for a in active if scores[a] == low]))
+        active.remove(tie.worst_of([a for a in active if scores[a] == low]))
     return active[0]
 
 
-def vote_nanson(profile: Profile, tie: TieBreak) -> int:
+def vote_nanson(profile: Profile, tie: LinearOrder) -> int:
     active = list(range(profile.m))
     while len(active) > 1:
         scores = restricted_borda(profile, active)
@@ -584,7 +582,7 @@ def vote_nanson(profile: Profile, tie: TieBreak) -> int:
         if len(kept) == len(active):
             break
         active = kept
-    return tie.best(active)
+    return tie.best_of(active)
 
 
 class TestDependsOn:
@@ -596,7 +594,7 @@ class TestDependsOn:
             rule = set_rule(name)
         else:
             priority = LinearOrder(tuple(rng.sample(range(m), m)))
-            rule = resolute_rule(name, m, TieBreak(priority))
+            rule = resolute_rule(name, m, priority)
         assert_declaration_holds(rule, n, m)
 
     def test_margin_rules_are_the_declared_ones(self):
@@ -614,7 +612,7 @@ class TestDependsOn:
         # Borda, Black, Baldwin and Nanson read the margins through row sums;
         # these references count restricted Borda scores from the votes
         rng = random.Random(f"borda-family:{m}:{n}")
-        tie = TieBreak(LinearOrder(tuple(rng.sample(range(m), m))))
+        tie = LinearOrder(tuple(rng.sample(range(m), m)))
         rule = {name: resolute_rule(name, m, tie)
                 for name in ("borda", "black", "baldwin", "nanson")}
         for profile in iter_profiles(n, m):
@@ -678,7 +676,7 @@ def keyed_cases(n: int, m: int, keys, rng: random.Random):
     lift, and random c2 tables (one with a missing entry)."""
     cases = []
     for name in RESOLUTE_RULES:
-        rule = resolute_rule(name, m, TieBreak(LinearOrder(tuple(rng.sample(range(m), m)))))
+        rule = resolute_rule(name, m, LinearOrder(tuple(rng.sample(range(m), m))))
         if rule.depends_on == "margins":
             cases.append((name, rule))
     cases += [(name, set_rule(name)) for name in SET_RULES]
