@@ -228,6 +228,28 @@ class TestCheck:
                f"is 1000000 (0/{keys} units, 0.0%)\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("n", [3112, 3113])
+    def test_a_count_prints_in_full_while_python_can_print_it(self, run, n):
+        # 24^n x n scan units: 4,299 digits at n=3112 and 4,301 at n=3113,
+        # either side of int-to-text conversion's default limit of 4,300
+        units = num_profiles(n, 4) * n
+        limit = sys.get_int_max_str_digits()
+        check = f"check --property hwm --rule maximin --m 4 --n {n} --budget 10"
+        code, out = run(check + " --json")
+        assert code == 2
+        total = json.loads(out.splitlines()[-1])["total"]
+        if not limit or units < 10 ** limit:
+            assert total == units
+        else:
+            k = int(re.fullmatch(r"more than 2\^(\d+)", total)[1])
+            assert 2 ** k < units <= 2 ** (k + 1)
+        if limit == 4300:
+            assert isinstance(total, int) == (n == 3112)
+        shown = units if isinstance(total, int) else total
+        assert run(check) == (2, f"result: budget exceeded: scanned 10 of {shown} "
+                                 f"scan units without a verdict (10/{shown} units, "
+                                 f"0.0%)\n")
+
     def test_printable_count(self):
         assert printable_count(41472) == 41472
         for count, bound in ((10 ** 5000, "more than 2^16609"),
