@@ -7,6 +7,7 @@ import importlib.util
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict, deque
 
 import pytest
@@ -354,22 +355,81 @@ class TestSearchMatchesReference:
         assert min(verdicts.count(True), verdicts.count(False)) > 500
 
     @pytest.mark.parametrize("case", ["profile-n2-m3", "c2-n3-m4", "proof-odd-m4",
-                                      "proof-even-m6"])
-    def test_stdout_is_the_reference_model(self, tmp_path, case):
-        if case.startswith("proof"):
-            builder, m = ((build_odd_tree, 4) if case == "proof-odd-m4"
-                          else (build_even_tree, 6))
-            result = satgen.encode_proof_neighborhood(builder(m))
-        elif case == "profile-n2-m3":
-            result = satgen.encode_full(2, 3)
-        else:
-            result = satgen.encode_full(3, 4, mode="c2")
-        path = tmp_path / "f.cnf"
-        with open(path, "w") as handle:
-            satgen.write_dimacs(result.formula, handle)
+                                      "proof-even-m6", "profile-n3-m4", "c2-n4-m4"])
+    def test_stdout_is_the_reference_model(self, encoded, case):
+        path = encoded(case)
         proc = run_solver(path)
         assert (proc.returncode, proc.stdout) == solver_output(
             reference_solve(*reference_parse(path)))
+
+
+@pytest.fixture(scope="module")
+def encoded(tmp_path_factory):
+    """The path of a CNF the encoder writes, by case name, each written once:
+    ``profile-nN-mM`` and ``c2-nN-mM`` are full formulas, ``proof-odd-m4``
+    and ``proof-even-m6`` the proof neighbourhoods."""
+    paths = {}
+
+    def path_of(case):
+        if case not in paths:
+            kind, *sizes = case.split("-")
+            if kind == "proof":
+                builder = build_odd_tree if sizes[0] == "odd" else build_even_tree
+                result = satgen.encode_proof_neighborhood(builder(int(sizes[1][1:])))
+            else:
+                n, m = (int(size[1:]) for size in sizes)
+                result = satgen.encode_full(n, m, mode=kind)
+            paths[case] = tmp_path_factory.mktemp("cnf") / f"{case}.cnf"
+            with open(paths[case], "w") as handle:
+                satgen.write_dimacs(result.formula, handle)
+        return paths[case]
+
+    return path_of
+
+
+def traced_mib(build):
+    """``(result, current, peak)``: what ``build()`` returns and the memory
+    in MiB that it holds and that it held at most, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current / 2**20, peak / 2**20
+
+
+class TestMemory:
+    def test_the_token_table_and_implication_lists_never_coexist(self, dpll, encoded):
+        # the reader's str -> int token table lives until the last clause is
+        # read, and the implication lists are filed only after that: the
+        # solve peaks below the two together (on the profile (3,4) formula,
+        # whose 2 VARS + 1 table entries make the table as large as the lists)
+        path = encoded("profile-n3-m4")
+        body = dpll._read(path)
+        num_vars = next(body)
+        next(body)  # the first clause: the table is built
+        table, table_mib, _ = traced_mib(
+            lambda: {str(lit): lit for lit in range(-num_vars, num_vars + 1)})
+        assert table == body.gi_frame.f_locals["table"]
+        del table, body
+
+        clauses = dpll.parse_dimacs(path)[1]  # shared ints, outside the count
+
+        def filed():
+            imp = [[] for _ in range(2 * num_vars + 1)]
+            for clause in clauses:
+                if len(clause) == 2:
+                    a, b = clause
+                    imp[-a].append(b)
+                    imp[-b].append(a)
+            return imp
+
+        _, imp_mib, _ = traced_mib(filed)
+        del clauses
+        model, _, peak_mib = traced_mib(lambda: dpll.solve(*dpll.read_dimacs(path)))
+        assert model is not None
+        assert peak_mib < table_mib + imp_mib, (peak_mib, table_mib, imp_mib)
 
 
 MALFORMED = {  # file text, expected message
@@ -384,6 +444,13 @@ MALFORMED = {  # file text, expected message
     "empty-file": ("", "no 'p cnf' header"),
     "bad-header": ("p cnf two 1\n1 0\n", "line 1: bad header"),
     "second-header": ("p cnf 2 1\n1 0\np cnf 2 1\n", "line 3: a second 'p' line"),
+    # refused before the token table, which would need 2 VARS + 1 entries
+    "header-2^31-vars": ("p cnf 2147483648 1\n1 0\n",
+                         "line 1: header declares 2147483648 variables, "
+                         "more than 2147483647"),
+    "header-10^20-vars": ("p cnf 100000000000000000000 1\n1 0\n",
+                          "line 1: header declares 100000000000000000000 variables, "
+                          "more than 2147483647"),
 }
 
 

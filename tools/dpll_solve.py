@@ -29,28 +29,38 @@ conflicts, does not depend on the order in which it is computed.
 
 The file is streamed: :func:`read_dimacs` reads the header at once and
 returns an iterator that reads the body in blocks of about 64 KiB and
-yields its clauses, which :func:`solve` files as they come, so no list of
-the file's clauses is kept (:func:`parse_dimacs` is the list form, for
-callers that want one).  After the ``p cnf VARS CLAUSES`` header every
-token is a literal or a ``0`` that ends a clause; clauses may span lines
-or share one, ``c`` lines are comments, and a last clause may omit its
-``0``.  Tokens map to integers through one table built from the header,
-so each literal value is a single shared object.  A block whose clauses
-all have one length, as the encoder writes them family by family, is cut
-into clauses by slices.  A malformed file (no header, a clause before it,
-a second header, a non-integer token or a literal beyond the header's
-variable count) prints one ``error:`` line naming the line to stderr and
-exits 1; :func:`solve` reads every clause before it returns, so an error
-in the body surfaces before any ``s`` line.  The cyclic GC is off while
+yields its clauses, so no list of the file's clauses is kept
+(:func:`parse_dimacs` is the list form, for callers that want one).
+After the ``p cnf VARS CLAUSES`` header every token is a literal or a
+``0`` that ends a clause; clauses may span lines or share one, ``c``
+lines are comments, and a last clause may omit its ``0``.  Tokens map to
+integers through one table built from the header, so each literal value
+is a single shared object.  A block whose clauses all have one length, as
+the encoder writes them family by family, is cut into clauses by slices.
+A malformed file (no header, a header that declares more than 2^31 - 1
+variables, a clause before the header, a second header, a non-integer
+token or a literal beyond the header's variable count) prints one
+``error:`` line naming the line to stderr and exits 1; :func:`solve`
+reads every clause before it returns, so an error in the body surfaces
+before any ``s`` line.
+
+While it reads, :func:`solve` keeps each binary clause as two entries of
+two flat lists of literals, and the other clauses as they come.  Only
+once the iterator is exhausted, and its token table freed with it, does
+it file the binary clauses into the implication lists, so the table and
+the lists never coexist; each later set-up structure goes as soon as the
+search stops reading it.  The cyclic GC is off while
 :func:`main` runs and back as the caller had it on return.
 """
 
 import gc
 import sys
+from array import array
 from collections import Counter, defaultdict
 from itertools import chain
 
 _BLOCK = 1 << 16  # about this many characters of lines read at a time
+_MAX_VARS = 2**31 - 1  # the signed 32-bit literal range of MiniSat-style solvers
 
 
 class DimacsError(ValueError):
@@ -120,7 +130,13 @@ def _read_header(handle):
                 or not (parts[2].isdecimal() and parts[3].isdecimal())):
             raise DimacsError(f"line {lineno}: bad header {line!r}, "
                               f"expected 'p cnf VARS CLAUSES'")
-        return int(parts[2]), lineno
+        # the digits are counted before they are converted, as a count of
+        # thousands of digits is past what int() converts
+        declared = parts[2].lstrip("0") or "0"
+        if len(declared) > len(str(_MAX_VARS)) or int(declared) > _MAX_VARS:
+            raise DimacsError(f"line {lineno}: header declares {declared} variables, "
+                              f"more than {_MAX_VARS}")
+        return int(declared), lineno
     raise DimacsError("no 'p cnf' header")
 
 
@@ -151,30 +167,44 @@ def _block_values(block, lineno, table, num_vars):
 def solve(num_vars, clauses):
     """Return a model as a list of signed literals, or None if unsatisfiable.
 
-    ``clauses`` is any iterable of clauses, read once: each binary clause
-    is filed into the implication lists as it comes, and only the clauses
-    of other lengths are kept."""
-    # lists of 2 VARS + 1 entries are indexed by a literal: -v wraps to the end
-    size = 2 * num_vars + 1
-    imp = [[] for _ in range(size)]  # imp[lit]: the literals lit true implies
+    ``clauses`` is any iterable of clauses, read once: a binary clause's
+    two literals go to two flat lists and the clauses of other lengths are
+    kept, and only once the read has ended are the binary clauses filed
+    into the implication lists."""
+    heads, tails = [], []  # the binary clauses (heads[i], tails[i])
     others = []  # the clauses of other lengths than 2
     for clause in clauses:
         if len(clause) == 2:
             a, b = clause
-            imp[-a].append(b)
-            imp[-b].append(a)
+            heads.append(a)
+            tails.append(b)
         else:
             others.append(clause)
     if not all(others):
         return None  # an empty clause
+
+    # the read has ended, and a reader's token table with it: the implication
+    # lists come now, and each set-up structure goes once the search no
+    # longer reads it. Lists of 2 VARS + 1 entries are indexed by a literal:
+    # -v wraps to the end
+    size = 2 * num_vars + 1
+    imp = [[] for _ in range(size)]  # imp[lit]: the literals lit true implies
+    for a, b in zip(heads, tails):
+        imp[-a].append(b)
+        imp[-b].append(a)
+    del heads, tails
 
     # frequency[v]: the occurrences of v and -v, every repeat counted;
     # imp[-lit] holds one entry per occurrence of lit in a binary clause
     count = Counter(chain.from_iterable(others)).get
     frequency = [0] + [len(imp[v]) + len(imp[-v]) + count(v, 0) + count(-v, 0)
                        for v in range(1, num_vars + 1)]
-    # the most frequent first, ties by variable id (a stable sort)
-    order = sorted(range(1, num_vars + 1), key=frequency.__getitem__, reverse=True)
+    del count
+    # the most frequent first, ties by variable id (a stable sort); a C int
+    # holds every variable id the header bound lets through
+    order = array("i", sorted(range(1, num_vars + 1), key=frequency.__getitem__,
+                              reverse=True))
+    del frequency
 
     watch = defaultdict(list)  # watch[lit]: the longer clauses watching lit
     value = [None] * size  # value[lit]: True, False or None (unassigned)
@@ -197,6 +227,7 @@ def solve(num_vars, clauses):
             a, b = lits[0], lits[-1]
             imp[-a].append(b)
             imp[-b].append(a)
+    del others  # the watches' lists hold the longer clauses now
     levels = []  # per decision: (trail length before it, order position, flipped)
     pos = 0
     ok = _propagate(trail, 0, value, imp, watch)
@@ -222,6 +253,7 @@ def solve(num_vars, clauses):
         while pos < num_vars and value[order[pos]] is not None:
             pos += 1
         if pos == num_vars:
+            del imp, watch
             return [v if value[v] else -v for v in range(1, num_vars + 1)]
         var = order[pos]
         levels.append((len(trail), pos, False))
