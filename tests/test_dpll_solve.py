@@ -451,6 +451,10 @@ MALFORMED = {  # file text, expected message
     "header-10^20-vars": ("p cnf 100000000000000000000 1\n1 0\n",
                           "line 1: header declares 100000000000000000000 variables, "
                           "more than 2147483647"),
+    # more digits than int() converts: refused by its length, not a traceback
+    "header-5000-digit-vars": (f"p cnf {'9' * 5000} 1\n1 0\n",
+                               f"line 1: header declares {'9' * 5000} variables, "
+                               "more than 2147483647"),
 }
 
 
