@@ -27,11 +27,9 @@ from typing import Sequence
 # commands and outputs that use them, so that each process loads only what
 # it runs
 from .errors import (
-    BadBudget,
     BudgetExceeded,
     MTooLargeForExactKemeny,
     PrefRevError,
-    UnknownRule,
     printable_count,
 )
 from .prefs import (
@@ -183,10 +181,7 @@ def _tie_break(text: str | None, alternatives: Alternatives) -> LinearOrder | No
 
 
 def _require_positive(args, *names: str) -> None:
-    """Reject a non-positive ``--budget`` or size/count flag with exit 3."""
-    budget = getattr(args, "budget", None)
-    if budget is not None and budget <= 0:
-        raise BadBudget(f"budget must be positive, got {budget}")
+    """Reject a non-positive budget, size or count flag with exit 3."""
     for name in names:
         value = getattr(args, name)
         if value is not None and value <= 0:
@@ -286,7 +281,7 @@ _RULE_DETAILS = {"kemeny": _kemeny_detail, "dodgson": _dodgson_detail}
 def cmd_check(args) -> int:
     from . import rules
 
-    _require_positive(args, "n", "m", "sample")
+    _require_positive(args, "budget", "n", "m", "sample")
     _reject_ignored_flags(args)
     alternatives = Alternatives(default_labels(args.m))
     tie_break = _tie_break(args.tie_break, alternatives)
@@ -302,8 +297,8 @@ def cmd_check(args) -> int:
                                f"flags say n={args.n} m={args.m}")
     elif args.rule in SET_RULES:
         if args.property not in ("hwm-optimistic", "hwm-pessimistic"):
-            raise UnknownRule(f"{args.rule} is set-valued; use the "
-                              f"hwm-optimistic/hwm-pessimistic properties")
+            raise PrefRevError(f"{args.rule} is set-valued; use the "
+                               f"hwm-optimistic/hwm-pessimistic properties")
         rule_name, rule = args.rule, rules.set_rule(args.rule)
     else:
         # a size no budget can reach is bad input, not a budget verdict
@@ -441,7 +436,7 @@ def _solver_command(args) -> str:
 def cmd_encode(args) -> int:
     from . import satgen
 
-    _require_positive(args, "n", "m")
+    _require_positive(args, "budget", "n", "m")
     if not args.solve and (args.solver or args.model_out):
         raise PrefRevError("--solver and --model-out apply only with --solve")
     solver = _solver_command(args) if args.solve else None

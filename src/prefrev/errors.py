@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""The package's one error type, and the few subclasses callers catch.
 
-Every error raised on bad input or exhausted budgets derives from
-:class:`PrefRevError`, so callers can catch one base class at API
-boundaries (the CLI does exactly that).
+Every error raised on bad input or an exhausted budget is a
+:class:`PrefRevError`, so a caller catches one class at its boundary (the
+CLI prints it as one ``error:`` line and exits 3).  Every message names the
+input it refuses: the file and line, the flag, the label, key or index (an
+unknown label in ``--tie-break``, ``--order`` or a proof tree's EDGE or
+LEAF line does not name its flag or line yet).  A subclass exists only
+where a caller catches it by type to act on it: :class:`BudgetExceeded`
+(exit 2 with the units scanned), :class:`MTooLargeForExactKemeny`
+(``analyze`` reports the rule as skipped) and :class:`EdgeMismatch` (the
+proof checker records a failed check).  Every other error is a plain
+:class:`PrefRevError`, told apart by its message.
 """
 
 from __future__ import annotations
@@ -12,56 +20,8 @@ class PrefRevError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- preference / profile construction ---------------------------------
-
-
-class UnknownLabel(PrefRevError):
-    def __init__(self, label: str, where: str | None = None):
-        message = f"unknown alternative label: {label!r}"
-        super().__init__(f"{where}: {message}" if where else message)
-        self.label = label
-
-
-class DuplicateLabel(PrefRevError):
-    def __init__(self, label: str):
-        super().__init__(f"duplicate alternative label: {label!r}")
-        self.label = label
-
-
-class MissingAlternative(PrefRevError):
-    def __init__(self, label: str):
-        super().__init__(f"order does not rank alternative: {label!r}")
-        self.label = label
-
-
-class MTooLarge(PrefRevError):
-    pass
-
-
-class IndexOutOfRange(PrefRevError):
-    pass
-
-
-class VoterOutOfRange(PrefRevError):
-    pass
-
-
-# --- rules ---------------------------------------------------------------
-
-
 class MTooLargeForExactKemeny(PrefRevError):
     pass
-
-
-class DomainMismatch(PrefRevError):
-    pass
-
-
-class MissingEntry(PrefRevError):
-    pass
-
-
-# --- scans and search budgets --------------------------------------------
 
 
 class BudgetExceeded(PrefRevError):
@@ -90,50 +50,5 @@ def printable_count(count: int) -> int | str:
         return f"more than 2^{(count - 1).bit_length() - 1}"
 
 
-class MissingSize(PrefRevError):
-    pass
-
-
-class NotAViolation(PrefRevError):
-    pass
-
-
-class EmptyOutcomeSet(PrefRevError):
-    pass
-
-
-# --- proof checking -------------------------------------------------------
-
-
-class MTooSmall(PrefRevError):
-    pass
-
-
 class EdgeMismatch(PrefRevError):
-    pass
-
-
-# --- CNF pipeline ----------------------------------------------------------
-
-
-class MalformedModel(PrefRevError):
-    pass
-
-
-class VariableOutOfRange(PrefRevError):
-    pass
-
-
-class NotAFunction(PrefRevError):
-    pass
-
-
-# --- CLI -------------------------------------------------------------------
-
-
-class UnknownRule(PrefRevError):
-    pass
-
-
-class BadBudget(PrefRevError):
     pass

@@ -132,13 +132,7 @@ import random
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import (
-    BudgetExceeded,
-    EmptyOutcomeSet,
-    MissingSize,
-    NotAViolation,
-    printable_count,
-)
+from .errors import BudgetExceeded, PrefRevError, printable_count
 from .prefs import (
     Alternatives,
     LinearOrder,
@@ -371,7 +365,7 @@ class _Outcomes(dict):
         stored unless ``keep`` is false.  A "margins" rule runs on the key,
         a "multiset" rule on the sorted profile the probe spells, an "order"
         rule on the profile whose digits ``where(*args)`` gives.  An empty
-        set raises :class:`EmptyOutcomeSet` naming that profile, the one met
+        set raises :class:`PrefRevError` naming that profile, the one met
         (the margin key without ``where``)."""
         value = self.get(probe)
         if value is not None:
@@ -384,7 +378,7 @@ class _Outcomes(dict):
         if self.sets and not value:
             place = (f"profile index {digits_to_index(where(*args), self.m)}" if where
                      else f"margin key {keyspace.key_text(probe, self.m)}")
-            raise EmptyOutcomeSet(f"set-valued rule returned an empty set at {place}")
+            raise PrefRevError(f"set-valued rule returned an empty set at {place}")
         if self.keep:
             self[probe] = value
         return value
@@ -704,12 +698,12 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
 
 def _revalidate(witness, rule, deviated_rule, compare: str) -> None:
     """Call the rules again on the witness's truthful and deviated profiles
-    and re-apply the comparison; :class:`NotAViolation` on any mismatch."""
+    and re-apply the comparison; :class:`PrefRevError` on any mismatch."""
     order, truthful, before, deviated, after = witness._event()
     if (rule(truthful) != before or deviated_rule(deviated) != after
             or not _COMPARE[compare](order.positions(), before, after)):
-        raise NotAViolation(f"{type(witness).__name__} failed revalidation "
-                            f"against the rule")
+        raise PrefRevError(f"{type(witness).__name__} failed revalidation "
+                           f"against the rule")
 
 
 def _check(scan: _Scan, *, budget, sample, seed):
@@ -785,19 +779,19 @@ def family_rule(family: RuleFamily, size: int) -> Rule:
 
     Accepts a mapping from sizes to rules, or a single profile-to-winner
     callable, returned as it is, that works at every size (a table fixed
-    to another size raises :class:`MissingSize`).
+    to another size raises :class:`PrefRevError`).
     """
     if isinstance(family, Mapping):
         try:
             return family[size]
         except KeyError:
-            raise MissingSize(f"rule family has no member for n={size}") from None
+            raise PrefRevError(f"rule family has no member for n={size}") from None
     if callable(family):
         fixed = getattr(family, "n", None)  # lookup tables are single-size
         if fixed is not None and fixed != size:
-            raise MissingSize(f"rule is fixed to n={fixed}, need n={size}")
+            raise PrefRevError(f"rule is fixed to n={fixed}, need n={size}")
         return family  # type: ignore[return-value]
-    raise MissingSize(f"cannot resolve a rule for n={size}")
+    raise PrefRevError(f"cannot resolve a rule for n={size}")
 
 
 def check_participation(family: RuleFamily, n: int, m: int, *,
@@ -845,7 +839,7 @@ def explain_hwm_via_participation(witness: ReversalWitness,
     n = witness.profile.n
     rule_big = family_rule(family, n)
     if n < 2:
-        raise NotAViolation("a reversal witness needs at least 2 voters to explain")
+        raise PrefRevError("a reversal witness needs at least 2 voters to explain")
     rule_small = family_rule(family, n - 1)
 
     _revalidate(witness, rule_big, rule_big, "weak")

@@ -24,15 +24,7 @@ from functools import lru_cache
 from itertools import groupby, permutations
 from typing import Iterable, Iterator
 
-from .errors import (
-    DuplicateLabel,
-    IndexOutOfRange,
-    MissingAlternative,
-    MTooLarge,
-    PrefRevError,
-    UnknownLabel,
-    VoterOutOfRange,
-)
+from .errors import PrefRevError
 
 MAX_ENUMERABLE_M = 8
 
@@ -130,7 +122,8 @@ class Alternatives(Record):
 
     def __init__(self, labels: tuple[str, ...]) -> None:
         if len(set(labels)) != len(labels):
-            raise DuplicateLabel(next(x for x in labels if labels.count(x) > 1))
+            label = next(x for x in labels if labels.count(x) > 1)
+            raise PrefRevError(f"duplicate alternative label: {label!r}")
         super().__init__(labels)
 
     @property
@@ -141,7 +134,7 @@ class Alternatives(Record):
         try:
             return self.labels.index(label)
         except ValueError:
-            raise UnknownLabel(label) from None
+            raise PrefRevError(f"unknown alternative label: {label!r}") from None
 
     def label_of(self, alt: int) -> str:
         return self.labels[alt]
@@ -213,7 +206,7 @@ def enumerate_orders(m: int) -> tuple[LinearOrder, ...]:
     Index 0 is the identity order; the sequence is stable across runs.
     """
     if not 1 <= m <= MAX_ENUMERABLE_M:
-        raise MTooLarge(f"m={m} outside enumerable range 1..{MAX_ENUMERABLE_M}")
+        raise PrefRevError(f"m={m} outside enumerable range 1..{MAX_ENUMERABLE_M}")
     return tuple(LinearOrder(p) for p in permutations(range(m)))
 
 
@@ -258,7 +251,7 @@ class Profile(Record):
 
     def _check_voter(self, i: int) -> None:
         if not 0 <= i < self.n:
-            raise VoterOutOfRange(f"voter {i} not in 0..{self.n - 1}")
+            raise PrefRevError(f"voter {i} not in 0..{self.n - 1}")
 
     def replace_vote(self, i: int, order: LinearOrder) -> "Profile":
         self._check_voter(i)
@@ -273,13 +266,13 @@ class Profile(Record):
     def remove_voter(self, i: int) -> "Profile":
         self._check_voter(i)
         if self.n == 1:
-            raise VoterOutOfRange("cannot remove the last voter")
+            raise PrefRevError("cannot remove the last voter")
         return Profile(self.votes[:i] + self.votes[i + 1:])
 
     def insert_voter(self, i: int, order: LinearOrder) -> "Profile":
         """Join at position ``i`` (``i == n`` appends); later voters shift."""
         if not 0 <= i <= self.n:
-            raise VoterOutOfRange(f"insert position {i} not in 0..{self.n}")
+            raise PrefRevError(f"insert position {i} not in 0..{self.n}")
         return Profile(self.votes[:i] + (order,) + self.votes[i:])
 
     def pad(self, order: LinearOrder) -> "Profile":
@@ -365,7 +358,7 @@ def iter_digits(n: int, m: int, start: int = 0, stop: int | None = None, *,
 
 def index_to_profile(index: int, n: int, m: int) -> Profile:
     if not 0 <= index < num_profiles(n, m):
-        raise IndexOutOfRange(f"profile index {index} not in 0..{num_profiles(n, m) - 1}")
+        raise PrefRevError(f"profile index {index} not in 0..{num_profiles(n, m) - 1}")
     orders = enumerate_orders(m)
     return Profile(tuple(orders[d] for d in profile_digits(index, n, m)))
 
@@ -388,12 +381,13 @@ def parse_order(text: str, alternatives: Alternatives) -> LinearOrder:
     for label in labels:
         alt = alternatives.id_of(label)
         if alt in seen:
-            raise DuplicateLabel(label)
+            raise PrefRevError(f"duplicate alternative label: {label!r}")
         seen.add(alt)
         ranking.append(alt)
     for alt in range(alternatives.m):
         if alt not in seen:
-            raise MissingAlternative(alternatives.label_of(alt))
+            raise PrefRevError(f"order does not rank alternative: "
+                               f"{alternatives.label_of(alt)!r}")
     return LinearOrder(tuple(ranking))
 
 
@@ -429,7 +423,7 @@ def parse_profile(text: str, *, source: str = "<string>") -> tuple[Profile, Alte
         try:
             order = parse_order(order_part, alternatives)
         except PrefRevError as exc:
-            raise type(exc)(f"{source}:{lineno}: {exc}") from None
+            raise PrefRevError(f"{source}:{lineno}: {exc}") from None
         votes.extend([order] * count)
     if alternatives is None:
         raise PrefRevError(f"{source}: missing 'm=... labels=...' header")
@@ -449,7 +443,10 @@ def _parse_profile_header(line: str, source: str, lineno: int) -> Alternatives:
     labels = tuple(x.strip() for x in fields["labels"].split(","))
     if len(labels) != m:
         raise PrefRevError(f"{source}:{lineno}: m={m} but {len(labels)} labels given")
-    return Alternatives(labels)
+    try:
+        return Alternatives(labels)
+    except PrefRevError as exc:  # a repeated label
+        raise PrefRevError(f"{source}:{lineno}: {exc}") from None
 
 
 def format_profile(profile: Profile, alternatives: Alternatives) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TextIO
 
-from .errors import EdgeMismatch, MTooSmall, PrefRevError
+from .errors import EdgeMismatch, PrefRevError
 from .prefs import (
     Alternatives,
     LinearOrder,
@@ -126,7 +126,7 @@ def apply_reversals(profile: Profile,
 
 def _build_tree(m: int, columns, edge_shape, counts) -> ProofTree:
     if m < 4:
-        raise MTooSmall(f"the proof trees need m >= 4 alternatives (got m={m})")
+        raise PrefRevError(f"the proof trees need m >= 4 alternatives (got m={m})")
     alternatives = Alternatives(default_labels(m))
     votes: list[LinearOrder] = []
     for count, core in columns:

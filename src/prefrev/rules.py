@@ -31,15 +31,7 @@ from itertools import chain, combinations
 from operator import ge
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .errors import (
-    BudgetExceeded,
-    DomainMismatch,
-    MissingEntry,
-    MTooLargeForExactKemeny,
-    PrefRevError,
-    UnknownLabel,
-    UnknownRule,
-)
+from .errors import BudgetExceeded, MTooLargeForExactKemeny, PrefRevError
 from .prefs import (
     RESOLUTE_RULES,
     SET_RULES,
@@ -92,7 +84,7 @@ def _ranking(tie_break: LinearOrder, m: int) -> tuple[int, ...]:
     """The tie-break order of 0..m-1 (it may rank more), read by every rule."""
     ranking = tie_break.ranking
     if len(ranking) < m:
-        raise DomainMismatch(f"tie-break ranks {len(ranking)} alternatives, m={m}")
+        raise PrefRevError(f"tie-break ranks {len(ranking)} alternatives, m={m}")
     return ranking if len(ranking) == m else tuple(a for a in ranking if a < m)
 
 
@@ -102,7 +94,7 @@ def _ranking(tie_break: LinearOrder, m: int) -> tuple[int, ...]:
 def scoring_winner(profile: Profile, score_vector: ScoreVector,
                    tie_break: LinearOrder) -> int:
     if score_vector.m != profile.m:
-        raise DomainMismatch(f"score vector length {score_vector.m} != m={profile.m}")
+        raise PrefRevError(f"score vector length {score_vector.m} != m={profile.m}")
     totals = [0] * profile.m
     for vote in profile.votes:
         for pos, alt in enumerate(vote.ranking):
@@ -416,7 +408,7 @@ class RuleTable(Record):
         if mode not in ("profile", "c2"):
             raise PrefRevError(f"unknown table mode: {mode!r}")
         if mode == "profile" and len(chosen) != num_profiles(n, m):
-            raise MissingEntry(f"profile table has {len(chosen)} entries, "
+            raise PrefRevError(f"profile table has {len(chosen)} entries, "
                                f"needs {num_profiles(n, m)}")
         super().__init__(n, m, mode, chosen)
 
@@ -435,12 +427,12 @@ class RuleTable(Record):
         try:
             return self.chosen[key]
         except KeyError:
-            raise MissingEntry(f"no entry for margin key "
+            raise PrefRevError(f"no entry for margin key "
                                f"{keyspace.key_text(key, self.m)}") from None
 
     def _check_size(self, n: int, m: int) -> None:
         if n != self.n or m != self.m:
-            raise DomainMismatch(
+            raise PrefRevError(
                 f"table is for n={self.n}, m={self.m}; "
                 f"profile has n={n}, m={m}")
 
@@ -547,8 +539,8 @@ def read_rule_table(source: TextIO) -> RuleTable:
     alts = list(map(ids.get, map(str.strip, labels)))
     if None in alts:
         bad = alts.index(None)
-        raise UnknownLabel(labels[bad].strip(),
-                           f"rule-table line {list(lines.values())[bad]}")
+        raise PrefRevError(f"rule-table line {list(lines.values())[bad]}: unknown "
+                           f"alternative label: {labels[bad].strip()!r}")
     entries = dict(zip(lines, alts))
     if not profile:
         return RuleTable(n, m, mode, entries)
@@ -557,12 +549,12 @@ def read_rule_table(source: TextIO) -> RuleTable:
     if max(entries, default=0).bit_length() >= floor:
         total = num_profiles(n, m)
         if beyond := [ix for ix in entries if ix >= total]:
-            raise MissingEntry(f"profile index {beyond[0]} out of range")
+            raise PrefRevError(f"profile index {beyond[0]} out of range")
         if len(entries) == total:
             return RuleTable(n, m, mode, tuple(map(entries.__getitem__, range(total))))
     # the keys are distinct, so the first gap lies at most at len(entries)
     missing = next(ix for ix in range(len(entries) + 1) if ix not in entries)
-    raise MissingEntry(f"no entry for profile index {missing}")
+    raise PrefRevError(f"no entry for profile index {missing}")
 
 
 # --- registry -----------------------------------------------------------------
@@ -571,8 +563,8 @@ def read_rule_table(source: TextIO) -> RuleTable:
 def _condorcet_margins(margins: Margins, m: int) -> int:
     winner = margins_condorcet_winner(margins, m)
     if winner is None:
-        raise DomainMismatch("the Condorcet rule is only defined on profiles "
-                             "with a Condorcet winner")
+        raise PrefRevError("the Condorcet rule is only defined on profiles "
+                           "with a Condorcet winner")
     return winner
 
 
@@ -614,8 +606,8 @@ def resolute_rule(name: str, m: int, tie_break: LinearOrder | None = None) -> Ru
     try:
         impl = _MULTISET_IMPL[name]
     except KeyError:
-        raise UnknownRule(f"unknown rule {name!r}; known: "
-                          f"{', '.join(RESOLUTE_RULES)}") from None
+        raise PrefRevError(f"unknown rule {name!r}; known: "
+                           f"{', '.join(RESOLUTE_RULES)}") from None
     rule = partial(impl, tie_break=tie_break)
     rule.depends_on = "multiset"
     return rule
@@ -625,5 +617,5 @@ def set_rule(name: str) -> SetRule:
     try:
         return _SET_IMPL[name]
     except KeyError:
-        raise UnknownRule(f"unknown set rule {name!r}; known: "
-                          f"{', '.join(SET_RULES)}") from None
+        raise PrefRevError(f"unknown set rule {name!r}; known: "
+                           f"{', '.join(SET_RULES)}") from None

@@ -29,14 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
-from .errors import (
-    BudgetExceeded,
-    MalformedModel,
-    NotAFunction,
-    PrefRevError,
-    VariableOutOfRange,
-    printable_count,
-)
+from .errors import BudgetExceeded, PrefRevError, printable_count
 from .prefs import (
     Record,
     enumerate_orders,
@@ -107,7 +100,7 @@ class VariableMap(Record):
 
     def decode_var(self, var: int) -> tuple[int, int]:
         if not 1 <= var <= self.num_vars:
-            raise VariableOutOfRange(f"variable {var} not in 1..{self.num_vars}")
+            raise PrefRevError(f"variable {var} not in 1..{self.num_vars}")
         return divmod(var - 1, self.m)
 
     def key_name(self, key_rank: int) -> str:
@@ -371,22 +364,22 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
             try:
                 lit = int(token)
             except ValueError:
-                raise MalformedModel(f"non-integer token {token!r} in model") from None
+                raise PrefRevError(f"non-integer token {token!r} in model") from None
             if lit == 0:
                 done = True
                 continue
             saw_literal = True
             var = abs(lit)
             if var > num_vars:
-                raise VariableOutOfRange(
+                raise PrefRevError(
                     f"model mentions variable {var}, map has {num_vars}")
             value = lit > 0
             if assignment.get(var, value) != value:
-                raise MalformedModel(f"model assigns variable {var} both ways")
+                raise PrefRevError(f"model assigns variable {var} both ways")
             assignment[var] = value
     if not saw_literal:
-        raise MalformedModel("no model literals found; was the formula "
-                             "unsatisfiable or the file not a model?")
+        raise PrefRevError("no model literals found; was the formula "
+                           "unsatisfiable or the file not a model?")
     return assignment
 
 
@@ -405,7 +398,7 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
         true_alts = [alt for alt in range(varmap.m)
                      if assignment.get(varmap.var(key_rank, alt), False)]
         if len(true_alts) != 1:
-            raise NotAFunction(
+            raise PrefRevError(
                 f"key {varmap.key_name(key_rank)} has {len(true_alts)} winners")
         winners.append(true_alts[0])
     if varmap.mode == "profile":

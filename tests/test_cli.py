@@ -520,6 +520,16 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: prefrev")
 
+    @pytest.mark.parametrize("argv,value", [
+        ("check --property hwm --rule maximin --m 3 --n 3 --budget 0", "0"),
+        ("encode --n 2 --m 3 --out {tmp}/x.cnf --budget -1", "-1"),
+    ], ids=["check", "encode"])
+    def test_nonpositive_budget_names_the_flag(self, capsys, tmp_path, argv, value):
+        code = main(shlex.split(argv.format(tmp=tmp_path)))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            3, "", f"error: --budget must be positive, got {value}\n")
+
 
 class TestReadmeExamples:
     def test_check_examples_exit_as_documented(self, capsys):
@@ -930,6 +940,21 @@ class TestBadInputFiles:
         assert (code, captured.out, captured.err) == (
             3, "", f"error: c2 table entry for margin key {stray}, which no "
                    f"1-voter profile has\n")
+
+    @pytest.mark.parametrize("body,message", [
+        ("m=3 labels=a,b,c\n2: a>b>q\n", "2: unknown alternative label: 'q'"),
+        ("m=3 labels=a,b,c\n2: a>b>b\n", "2: duplicate alternative label: 'b'"),
+        ("m=3 labels=a,b,c\n2: a>b\n", "2: order does not rank alternative: 'c'"),
+        ("m=3 labels=a,a,b\n2: a>b\n", "1: duplicate alternative label: 'a'"),
+    ], ids=["unknown-label", "repeated-label", "missing-alternative",
+            "header-repeated-label"])
+    def test_profile_error_names_file_and_line_once(self, capsys, tmp_path, body,
+                                                    message):
+        path = tmp_path / "p.txt"
+        path.write_text(body)
+        code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: {path}:{message}\n")
 
     def test_oversized_table_header_fails_fast(self, capsys, tmp_path):
         # (8!)^3000000 has about 46 million bits: the missing entry is

@@ -21,7 +21,7 @@ from typing import Sequence
 import pytest
 
 from prefrev import keyspace, rules, tally
-from prefrev.errors import DomainMismatch, MTooLargeForExactKemeny
+from prefrev.errors import MTooLargeForExactKemeny, PrefRevError
 from prefrev.keyspace import _entries, empty_key
 from prefrev.prefs import SET_RULES, LinearOrder, Profile, enumerate_orders
 from prefrev.rules import MAX_EXACT_KEMENY_M
@@ -252,8 +252,8 @@ def ranked_pairs_rows(rows: Rows, tie_break: LinearOrder) -> int:
 def _condorcet_rows(rows: Rows) -> int:
     winner = rows_condorcet_winner(rows)
     if winner is None:
-        raise DomainMismatch("the Condorcet rule is only defined on profiles "
-                             "with a Condorcet winner")
+        raise PrefRevError("the Condorcet rule is only defined on profiles "
+                           "with a Condorcet winner")
     return winner
 
 
@@ -295,7 +295,7 @@ def keys_of(m: int, n: int) -> list[int]:
 def outcome(call, *args):
     try:
         return call(*args)
-    except DomainMismatch as exc:
+    except PrefRevError as exc:
         return ("error", str(exc))
 
 
@@ -358,8 +358,8 @@ def test_a_tie_break_over_fewer_alternatives_is_refused():
     key = keyspace.digits_key(3, digits)
     profile = Profile(tuple(enumerate_orders(3)[d] for d in digits))
     for name in REFERENCE_RESOLUTE:
-        with pytest.raises(DomainMismatch, match="tie-break ranks 2 alternatives, m=3"):
+        with pytest.raises(PrefRevError, match="tie-break ranks 2 alternatives, m=3"):
             rules.resolute_rule(name, 3, tie_break).on_key(key, 2, 3)
     for name in ("plurality", "dodgson"):
-        with pytest.raises(DomainMismatch, match="tie-break ranks 2 alternatives, m=3"):
+        with pytest.raises(PrefRevError, match="tie-break ranks 2 alternatives, m=3"):
             rules.resolute_rule(name, 3, tie_break)(profile)

@@ -193,16 +193,17 @@ class TestParticipation:
         assert check_participation(resolute_rule("borda", 3), 1, 3) is None
 
     def test_missing_size(self):
-        with pytest.raises(errors.MissingSize):
+        with pytest.raises(errors.PrefRevError,
+                           match="rule family has no member for n=2"):
             check_participation({3: resolute_rule("borda", 3)}, 3, 3)
 
     def test_single_size_table_cannot_span_the_boundary(self):
         table = tabulate_rule(resolute_rule("borda", 3), 3, 3)
-        with pytest.raises(errors.MissingSize):
+        with pytest.raises(errors.PrefRevError, match="rule is fixed to n=3, need n=2"):
             check_participation(table, 3, 3)
 
     def test_family_neither_mapping_nor_callable(self):
-        with pytest.raises(errors.MissingSize) as caught:
+        with pytest.raises(errors.PrefRevError) as caught:
             family_rule(42, 2)
         assert str(caught.value) == "cannot resolve a rule for n=2"
 
@@ -237,14 +238,15 @@ class TestExplainViaParticipation:
         profile = index_to_profile(7, 3, 3)
         winner = table(profile)
         fake = ReversalWitness(profile, 0, winner, winner)
-        with pytest.raises(errors.NotAViolation):
+        with pytest.raises(errors.PrefRevError,
+                           match="failed revalidation against the rule"):
             explain_hwm_via_participation(fake, {2: tabulate_rule(
                 resolute_rule("borda", 3), 2, 3), 3: table})
 
     def test_single_voter_witness_is_not_explained(self):
         profile = index_to_profile(0, 1, 3)
         fake = ReversalWitness(profile, 0, 0, 2)
-        with pytest.raises(errors.NotAViolation) as caught:
+        with pytest.raises(errors.PrefRevError) as caught:
             explain_hwm_via_participation(fake, resolute_rule("borda", 3))
         assert str(caught.value) == ("a reversal witness needs at least 2 "
                                      "voters to explain")
@@ -255,7 +257,8 @@ class TestExplainViaParticipation:
         profile = index_to_profile(10, 3, 3)
         truthful = profile.votes[0]
         fake = ReversalWitness(profile, 0, truthful.bottom, truthful.top)
-        with pytest.raises(errors.NotAViolation):
+        with pytest.raises(errors.PrefRevError,
+                           match="failed revalidation against the rule"):
             explain_hwm_via_participation(fake, {2: small, 3: table})
 
 
@@ -307,7 +310,8 @@ class TestSetValuedCheckers:
 
     def test_empty_outcome_set_rejected(self):
         empty = lambda profile: frozenset()  # noqa: E731
-        with pytest.raises(errors.EmptyOutcomeSet):
+        with pytest.raises(errors.PrefRevError,
+                           match="set-valued rule returned an empty set at profile index 0"):
             check_hwm_optimistic(empty, 2, 3)
 
 
@@ -388,14 +392,16 @@ class TestRevalidation:
     @pytest.mark.parametrize("prop", sorted(ALL_CHECKERS))
     def test_rule_answering_differently_on_recheck_is_rejected(self, prop):
         rule = FickleRule(sets=prop in SET_PROPERTIES)
-        with pytest.raises(errors.NotAViolation):
+        with pytest.raises(errors.PrefRevError,
+                           match="failed revalidation against the rule"):
             ALL_CHECKERS[prop](rule, 3, 3)
 
     def test_explain_revalidates_through_the_family(self):
         witness = check_halfway_monotonicity(last_voters_bottom, 3, 3)
         fickle = FickleRule()
         fickle(witness.profile)
-        with pytest.raises(errors.NotAViolation):
+        with pytest.raises(errors.PrefRevError,
+                           match="failed revalidation against the rule"):
             explain_hwm_via_participation(witness, fickle)
 
 
@@ -1007,11 +1013,12 @@ class TestSampledKeyMemo:
             for wrap in (lambda rule: rule, CountingRule):
                 try:
                     check_hwm_pessimistic(wrap(rule), 4, 3, sample=300, seed=attempt)
-                except errors.EmptyOutcomeSet as exc:
+                except errors.PrefRevError as exc:
                     messages.append(str(exc))
             assert len(messages) in (0, 2)
             if messages:
                 assert messages[0] == messages[1]
+                assert messages[0].startswith("set-valued rule returned an empty set at ")
                 raised += 1
         assert raised
 
@@ -1103,8 +1110,8 @@ def first_event(prop: str, family, n: int, m: int, lo: int, hi: int, *,
             profile = Profile(tuple(sorted(profile.votes, key=order_index)))
         value = rule(profile)
         if kind in SET_PROPERTIES and not value:
-            raise errors.EmptyOutcomeSet(f"set-valued rule returned an empty set at "
-                                         f"profile index {profile_to_index(profile)}")
+            raise errors.PrefRevError(f"set-valued rule returned an empty set at "
+                                      f"profile index {profile_to_index(profile)}")
         return value
 
     for unit in range(lo, hi):
@@ -1295,10 +1302,11 @@ class TestKernelAgainstUnitReference:
 
     def test_table_of_another_size_still_raises(self):
         table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
-        with pytest.raises(errors.DomainMismatch):
+        message = "table is for n=2, m=3; profile has n=3, m=3"
+        with pytest.raises(errors.PrefRevError, match=message):
             check_halfway_monotonicity(table, 3, 3)
         lifted = _Singleton(table)
-        with pytest.raises(errors.DomainMismatch):
+        with pytest.raises(errors.PrefRevError, match=message):
             check_hwm_pessimistic(lifted, 3, 3)
 
 

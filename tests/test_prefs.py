@@ -50,19 +50,19 @@ class TestParseOrder:
         assert order(" a > b>c >d ").ranking == (0, 1, 2, 3)
 
     def test_duplicate_label(self):
-        with pytest.raises(errors.DuplicateLabel) as exc:
+        with pytest.raises(errors.PrefRevError,
+                           match="^duplicate alternative label: 'b'$"):
             order("a>b>b>d")
-        assert exc.value.label == "b"
 
     def test_unknown_label(self):
-        with pytest.raises(errors.UnknownLabel) as exc:
+        with pytest.raises(errors.PrefRevError,
+                           match="^unknown alternative label: 'e'$"):
             order("a>b>c>e")
-        assert exc.value.label == "e"
 
     def test_missing_alternative(self):
-        with pytest.raises(errors.MissingAlternative) as exc:
+        with pytest.raises(errors.PrefRevError,
+                           match="^order does not rank alternative: 'd'$"):
             order("a>b>c")
-        assert exc.value.label == "d"
 
     def test_format_round_trip(self):
         for text in ("a>b>c>d", "d>b>a>c", "c>a>d>b"):
@@ -102,7 +102,8 @@ class TestEnumerateOrders:
         assert enumerate_orders(1) == (LinearOrder((0,)),)
 
     def test_too_large(self):
-        with pytest.raises(errors.MTooLarge):
+        with pytest.raises(errors.PrefRevError,
+                           match=r"m=9 outside enumerable range 1\.\.8"):
             enumerate_orders(9)
 
     def test_order_index_inverse(self):
@@ -121,9 +122,11 @@ class TestProfileIndex:
         assert profile_to_index(profile) == 1 * 6 + 4
 
     def test_out_of_range(self):
-        with pytest.raises(errors.IndexOutOfRange):
+        with pytest.raises(errors.PrefRevError,
+                           match=r"profile index 36 not in 0\.\.35"):
             index_to_profile(num_profiles(2, 3), 2, 3)
-        with pytest.raises(errors.IndexOutOfRange):
+        with pytest.raises(errors.PrefRevError,
+                           match=r"profile index -1 not in 0\.\.35"):
             index_to_profile(-1, 2, 3)
 
     @settings(max_examples=1000, deadline=None)
@@ -186,20 +189,20 @@ class TestProfileEditing:
         assert flipped.votes[:2] == self.profile.votes[:2]
 
     def test_voter_out_of_range(self):
-        with pytest.raises(errors.VoterOutOfRange):
+        with pytest.raises(errors.PrefRevError, match=r"voter 3 not in 0\.\.2"):
             self.profile.replace_vote(3, order("a>b>c>d"))
-        with pytest.raises(errors.VoterOutOfRange):
+        with pytest.raises(errors.PrefRevError, match=r"voter -1 not in 0\.\.2"):
             self.profile.remove_voter(-1)
 
     def test_last_voter_cannot_be_removed(self):
         single = Profile((order("a>b>c>d"),))
-        with pytest.raises(errors.VoterOutOfRange) as caught:
+        with pytest.raises(errors.PrefRevError) as caught:
             single.remove_voter(0)
         assert str(caught.value) == "cannot remove the last voter"
 
     @pytest.mark.parametrize("position", [-1, 4])
     def test_insert_position_out_of_range(self, position):
-        with pytest.raises(errors.VoterOutOfRange) as caught:
+        with pytest.raises(errors.PrefRevError) as caught:
             self.profile.insert_voter(position, order("a>b>c>d"))
         assert str(caught.value) == f"insert position {position} not in 0..3"
 

@@ -80,7 +80,8 @@ class TestTreeConstruction:
         assert {"G1", "G2"} <= set(tree.profiles)
 
     def test_m_too_small(self):
-        with pytest.raises(errors.MTooSmall):
+        with pytest.raises(errors.PrefRevError,
+                           match=r"the proof trees need m >= 4 alternatives \(got m=3\)"):
             build_odd_tree(3)
 
     @pytest.mark.parametrize("node", sorted(ODD_TABLES))
@@ -465,6 +466,17 @@ class TestFileFormat:
         with pytest.raises(errors.PrefRevError) as caught:
             read_proof_tree(io.StringIO(edit(out.getvalue())))
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("order_text,message", [
+        ("a>b>c>q", "unknown alternative label: 'q'"),
+        ("a>b>c>c", "duplicate alternative label: 'c'"),
+        ("a>b>c", "order does not rank alternative: 'd'"),
+    ])
+    def test_bad_order_in_a_profile_names_its_line_once(self, order_text, message):
+        text = f"2 4\nPROFILE P0\nm=4 labels=a,b,c,d\n1: a>b>c>d\n1: {order_text}\nEND\n"
+        with pytest.raises(errors.PrefRevError) as caught:
+            read_proof_tree(io.StringIO(text))
+        assert str(caught.value) == f"PROFILE P0:3: {message}"
 
     def test_edge_carrying_nothing_is_a_clear_error(self):
         tree = build_odd_tree(4)

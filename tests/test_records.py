@@ -218,10 +218,11 @@ class TestValidation:
     """Each constructor validates as before, also under ``replace``."""
 
     def test_duplicate_label(self):
-        with pytest.raises(errors.DuplicateLabel,
+        with pytest.raises(errors.PrefRevError,
                            match="duplicate alternative label: 'a'"):
             Alternatives(("a", "b", "a"))
-        with pytest.raises(errors.DuplicateLabel):
+        with pytest.raises(errors.PrefRevError,
+                           match="duplicate alternative label: 'b'"):
             Alternatives(("a", "b")).replace(labels=("b", "b"))
 
     def test_not_a_permutation(self):
@@ -258,10 +259,11 @@ class TestValidation:
             RuleTable(1, 2, "profile", (0, 1)).replace(mode="bogus")
 
     def test_missing_entry(self):
-        with pytest.raises(errors.MissingEntry,
+        with pytest.raises(errors.PrefRevError,
                            match="profile table has 1 entries, needs 2"):
             RuleTable(1, 2, "profile", (0,))
-        with pytest.raises(errors.MissingEntry):
+        with pytest.raises(errors.PrefRevError,
+                           match="profile table has 2 entries, needs 4"):
             RuleTable(1, 2, "profile", (0, 1)).replace(n=2)
 
     def test_formula_fields_are_its_rendered_clauses(self):

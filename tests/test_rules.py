@@ -412,13 +412,14 @@ class TestRuleTable:
     def test_domain_mismatch_on_wrong_n(self):
         table = tabulate_rule(resolute_rule("borda", 3), 2, 3)
         three_voters = Profile(tuple(enumerate_orders(3)[:1]) * 3)
-        with pytest.raises(errors.DomainMismatch):
+        with pytest.raises(errors.PrefRevError,
+                           match="table is for n=2, m=3; profile has n=3, m=3"):
             table(three_voters)
 
     def test_missing_entry_in_c2(self):
         table = RuleTable(2, 3, "c2", {})
         profile = Profile(tuple(enumerate_orders(3)[:1]) * 2)
-        with pytest.raises(errors.MissingEntry):
+        with pytest.raises(errors.PrefRevError, match="no entry for margin key "):
             table(profile)
 
     @pytest.mark.parametrize("mode,lines", [
@@ -447,8 +448,8 @@ class TestRuleTable:
             read_rule_table(source)
 
     def test_unknown_label_in_table(self):
-        with pytest.raises(errors.UnknownLabel,
-                           match="rule-table line 3: unknown alternative label: 'c'"):
+        with pytest.raises(errors.PrefRevError,
+                           match="^rule-table line 3: unknown alternative label: 'c'$"):
             read_rule_table(io.StringIO("n=1 m=2 mode=profile\n0,a\n1,c\n"))
 
     def test_written_body_is_read_in_bulk(self):
@@ -517,13 +518,15 @@ class TestRuleTable:
             assert isinstance(bulk[0], RuleTable)
 
     def test_partial_profile_table_rejected(self):
-        with pytest.raises(errors.MissingEntry):
+        with pytest.raises(errors.PrefRevError,
+                           match="profile table has 35 entries, needs 36"):
             RuleTable(2, 3, "profile", (0,) * 35)
 
     def test_unknown_rule(self):
-        with pytest.raises(errors.UnknownRule):
+        with pytest.raises(errors.PrefRevError, match="unknown rule 'approval'; known: "):
             resolute_rule("approval", 3)
-        with pytest.raises(errors.UnknownRule):
+        with pytest.raises(errors.PrefRevError,
+                           match="unknown set rule 'bipartisan'; known: "):
             set_rule("bipartisan")
 
 
@@ -533,7 +536,8 @@ class TestRuleTable:
 def outcome_or_undefined(rule, profile):
     try:
         return rule(profile)
-    except errors.DomainMismatch:  # the Condorcet rule off its domain
+    except errors.PrefRevError as exc:  # the Condorcet rule off its domain
+        assert str(exc).startswith("the Condorcet rule is only defined")
         return None
 
 
@@ -738,7 +742,7 @@ class TestKeyEntryPoint:
         key = keyspace.digits_key(3, (0, 0, 0))
         assert (outcome_or_error(table.on_key, key, 3, 3)
                 == outcome_or_error(table, three_voters)
-                == ("error", "DomainMismatch",
+                == ("error", "PrefRevError",
                     "table is for n=2, m=3; profile has n=3, m=3"))
         with pytest.raises(errors.PrefRevError, match="not keyed by margins"):
             tabulate_rule(resolute_rule("borda", 3), 2, 3).on_key(key, 2, 3)

@@ -181,7 +181,7 @@ class TestDimacs:
                 assert varmap.decode_var(var) == (key, alt)
                 seen.add(var)
         assert seen == set(range(1, varmap.num_vars + 1))
-        with pytest.raises(errors.VariableOutOfRange):
+        with pytest.raises(errors.PrefRevError, match=r"variable 109 not in 1\.\.108"):
             varmap.decode_var(varmap.num_vars + 1)
 
 
@@ -242,20 +242,23 @@ class TestModelReader:
         assert model == {1: True}
 
     def test_unsat_output_gives_hint(self):
-        with pytest.raises(errors.MalformedModel, match="unsatisfiable"):
+        with pytest.raises(errors.PrefRevError, match="unsatisfiable"):
             satgen.read_dimacs_model(io.StringIO("s UNSATISFIABLE\n"),
                                      self.varmap())
 
     def test_variable_out_of_range(self):
-        with pytest.raises(errors.VariableOutOfRange):
+        with pytest.raises(errors.PrefRevError,
+                           match="model mentions variable 999, map has 4"):
             satgen.read_dimacs_model(io.StringIO("v 999 0\n"), self.varmap())
 
     def test_contradictory_assignment(self):
-        with pytest.raises(errors.MalformedModel):
+        with pytest.raises(errors.PrefRevError,
+                           match="model assigns variable 1 both ways"):
             satgen.read_dimacs_model(io.StringIO("v 1 -1 0\n"), self.varmap())
 
     def test_non_integer_token(self):
-        with pytest.raises(errors.MalformedModel):
+        with pytest.raises(errors.PrefRevError,
+                           match="non-integer token 'one' in model"):
             satgen.read_dimacs_model(io.StringIO("v one 0\n"), self.varmap())
 
     def test_round_trip_through_model_text(self):
@@ -271,12 +274,12 @@ class TestDecode:
     def test_not_a_function_on_double_winner(self):
         varmap = satgen.VariableMap(n=1, m=2, mode="profile")
         assignment = {1: True, 2: True, 3: True, 4: False}
-        with pytest.raises(errors.NotAFunction, match="key 0"):
+        with pytest.raises(errors.PrefRevError, match="key 0 has 2 winners"):
             satgen.decode_model(assignment, varmap)
 
     def test_not_a_function_on_missing_winner(self):
         varmap = satgen.VariableMap(n=1, m=2, mode="profile")
-        with pytest.raises(errors.NotAFunction, match="key 1"):
+        with pytest.raises(errors.PrefRevError, match="key 1 has 0 winners"):
             satgen.decode_model({1: True}, varmap)
 
     def test_decode_rejects_proof_maps(self):
@@ -652,5 +655,5 @@ class TestRunSolver:
                                              varmap)
             assert model == {1: True, 2: False}
         else:
-            with pytest.raises(errors.MalformedModel, match="no model literals"):
+            with pytest.raises(errors.PrefRevError, match="no model literals"):
                 satgen.read_dimacs_model(io.StringIO(f"{line}\n"), varmap)

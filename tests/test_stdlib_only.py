@@ -75,3 +75,25 @@ def test_margin_layers_import_only_the_layers_below(module, below):
             imported.update([node.module] if node.module
                             else (alias.name for alias in node.names))
     assert imported == below
+
+
+def caught_names(path: Path) -> set[str]:
+    """Every name an ``except`` clause of the file catches, bare or dotted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {expr.id if isinstance(expr, ast.Name) else expr.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for expr in ast.walk(node.type)
+            if isinstance(expr, (ast.Name, ast.Attribute))}
+
+
+def test_every_error_class_is_caught_by_type():
+    """The package raises one error type; a subclass of it exists only where
+    a caller acts on it, so every class of ``errors.py`` is named in an
+    ``except`` clause of another package module."""
+    errors_path = REPO_ROOT / "src" / "prefrev" / "errors.py"
+    tree = ast.parse(errors_path.read_text(encoding="utf-8"), filename=str(errors_path))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    caught = set().union(*(caught_names(path) for path in PACKAGE if path != errors_path))
+    assert "PrefRevError" in defined
+    assert defined <= caught, f"never caught by type: {sorted(defined - caught)}"
