@@ -176,8 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tie_break(text: str | None, alternatives: Alternatives) -> LinearOrder | None:
-    return None if text is None else parse_order(text, alternatives)
+def _flag_order(flag: str, text: str | None,
+                alternatives: Alternatives) -> LinearOrder | None:
+    """The order ``text`` spells (None for None); an error names ``flag``."""
+    try:
+        return None if text is None else parse_order(text, alternatives)
+    except PrefRevError as exc:
+        raise PrefRevError(f"{flag}: {exc}") from None
 
 
 def _require_positive(args, *names: str) -> None:
@@ -207,7 +212,7 @@ def cmd_analyze(args) -> int:
     from . import rules
 
     profile, alternatives = read_profile(args.profile)
-    tie_break = _tie_break(args.tie_break, alternatives)
+    tie_break = _flag_order("--tie-break", args.tie_break, alternatives)
     margins = margin_matrix(profile)
     records: list[dict] = [{
         "_text": f"profile: n={profile.n} m={profile.m} "
@@ -284,7 +289,7 @@ def cmd_check(args) -> int:
     _require_positive(args, "budget", "n", "m", "sample")
     _reject_ignored_flags(args)
     alternatives = Alternatives(default_labels(args.m))
-    tie_break = _tie_break(args.tie_break, alternatives)
+    tie_break = _flag_order("--tie-break", args.tie_break, alternatives)
     seed = 0 if args.seed is None else args.seed
     scan = dict(budget=args.budget, sample=args.sample, seed=seed)
 
@@ -530,7 +535,7 @@ def cmd_verify_table(args) -> int:
 def cmd_pad(args) -> int:
     _require_positive(args, "times")
     profile, alternatives = read_profile(args.profile)
-    order = parse_order(args.order, alternatives)
+    order = _flag_order("--order", args.order, alternatives)
     for _ in range(args.times):
         profile = profile.pad(order)
     write_profile(profile, alternatives, args.out)

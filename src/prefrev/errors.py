@@ -3,14 +3,13 @@
 Every error raised on bad input or an exhausted budget is a
 :class:`PrefRevError`, so a caller catches one class at its boundary (the
 CLI prints it as one ``error:`` line and exits 3).  Every message names the
-input it refuses: the file and line, the flag, the label, key or index (an
-unknown label in ``--tie-break``, ``--order`` or a proof tree's EDGE or
-LEAF line does not name its flag or line yet).  A subclass exists only
-where a caller catches it by type to act on it: :class:`BudgetExceeded`
-(exit 2 with the units scanned), :class:`MTooLargeForExactKemeny`
-(``analyze`` reports the rule as skipped) and :class:`EdgeMismatch` (the
-proof checker records a failed check).  Every other error is a plain
-:class:`PrefRevError`, told apart by its message.
+input it refuses: the file and line, the flag, the label, key or index.  A
+subclass exists only where a caller catches it by type to act on it:
+:class:`BudgetExceeded` (exit 2 with the units scanned),
+:class:`MTooLargeForExactKemeny` (``analyze`` reports the rule as skipped)
+and :class:`EdgeMismatch` (the proof checker records a failed check).
+Every other error is a plain :class:`PrefRevError`, told apart by its
+message.
 """
 
 from __future__ import annotations

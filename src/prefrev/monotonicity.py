@@ -85,7 +85,7 @@ truthful profiles of the first two):
   the first witness, or the error, as before.
 - the table pass serves exhaustive reversal scans (half-way monotonicity
   and strong reversal) over a resolute profile table of the scan's own
-  (n, m), one whose entries are ints in range(m), for m <= 16.  It reads
+  (n, m), one whose entries are ints in range(m).  It reads
   the table's entries as bytes and compares, for each voter and order,
   whole slices of truthful profiles with the slices of their reversals, at
   C speed: the sum of the truthful outcomes times m and the deviated
@@ -115,7 +115,8 @@ region [0, budget) as well, so budget verdicts and counts do not change.
 
 Every witness is revalidated before it is returned: the rule is called
 again on both the truthful and the deviated profile and the comparison is
-re-applied.
+re-applied.  A witness prints as one record of its fields by name, with
+profiles, orders and alternatives in labels and voter positions as numbers.
 
 Rules are plain callables from :class:`~prefrev.prefs.Profile` to an
 alternative id (or to a frozenset for the set-valued checkers), so tables,
@@ -158,7 +159,41 @@ RuleFamily = Rule | Mapping[int, Rule]
 DEFAULT_BUDGET = 10_000_000
 
 
-class ReversalWitness(Record):
+class _Witness(Record):
+    """A voter's deviation and the outcomes it compares.
+
+    ``_event()`` gives ``(order, truthful, before, deviated, after)``: the
+    deviating voter's truthful order, then each profile and its outcome.
+    The deviation pays under the weak comparison, or the witness's own
+    ``mode``.  :meth:`describe` prints a profile in the profile text
+    format, an order as ``a>b>c``, a set as ``{a,b}``, ``voter``,
+    ``position`` and ``mode`` as they are and any other int as its
+    alternative's label.
+    """
+
+    __slots__ = ()
+
+    def is_violation(self) -> bool:
+        order, _, before, _, after = self._event()
+        return _COMPARE[getattr(self, "mode", "weak")](order.positions(), before, after)
+
+    def describe(self, alternatives: Alternatives) -> dict:
+        record = {}
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if isinstance(value, Profile):
+                value = format_profile(value, alternatives)
+            elif isinstance(value, LinearOrder):
+                value = format_order(value, alternatives)
+            elif isinstance(value, frozenset):
+                value = alternatives.label_set(value)
+            elif name not in ("voter", "position", "mode"):
+                value = alternatives.label_of(value)
+            record[name] = value
+        return record
+
+
+class ReversalWitness(_Witness):
     """A voter who strictly gains by submitting their reversed ranking."""
 
     __slots__ = ("profile", "voter", "winner_before", "winner_after")
@@ -166,9 +201,6 @@ class ReversalWitness(Record):
     @property
     def truthful_order(self) -> LinearOrder:
         return self.profile.votes[self.voter]
-
-    def is_violation(self) -> bool:
-        return self.truthful_order.prefers(self.winner_after, self.winner_before)
 
     def is_strong(self) -> bool:
         return (self.winner_after == self.truthful_order.top
@@ -178,16 +210,8 @@ class ReversalWitness(Record):
         return (self.truthful_order, self.profile, self.winner_before,
                 self.profile.reverse_vote(self.voter), self.winner_after)
 
-    def describe(self, alternatives: Alternatives) -> dict:
-        return {
-            "profile": format_profile(self.profile, alternatives),
-            "voter": self.voter,
-            "winner_before": alternatives.label_of(self.winner_before),
-            "winner_after": alternatives.label_of(self.winner_after),
-        }
 
-
-class SetReversalWitness(Record):
+class SetReversalWitness(_Witness):
     """Set-valued analogue: the compared representative strictly improves.
     ``mode`` is "optimistic" or "pessimistic"."""
 
@@ -197,17 +221,8 @@ class SetReversalWitness(Record):
         return (self.profile.votes[self.voter], self.profile, self.set_before,
                 self.profile.reverse_vote(self.voter), self.set_after)
 
-    def describe(self, alternatives: Alternatives) -> dict:
-        return {
-            "profile": format_profile(self.profile, alternatives),
-            "voter": self.voter,
-            "set_before": alternatives.label_set(self.set_before),
-            "set_after": alternatives.label_set(self.set_after),
-            "mode": self.mode,
-        }
 
-
-class ParticipationWitness(Record):
+class ParticipationWitness(_Witness):
     """A voter who would have done strictly better by abstaining.
 
     ``position`` records where the joiner sits in the joined profile;
@@ -221,46 +236,21 @@ class ParticipationWitness(Record):
     def joined_profile(self) -> Profile:
         return self.profile_without.insert_voter(self.position, self.joiner_order)
 
-    def is_violation(self) -> bool:
-        return self.joiner_order.prefers(self.winner_without, self.winner_with)
-
     def _event(self):
         return (self.joiner_order, self.joined_profile(), self.winner_with,
                 self.profile_without, self.winner_without)
 
-    def describe(self, alternatives: Alternatives) -> dict:
-        return {
-            "profile_without": format_profile(self.profile_without, alternatives),
-            "joiner_order": format_order(self.joiner_order, alternatives),
-            "position": self.position,
-            "winner_without": alternatives.label_of(self.winner_without),
-            "winner_with": alternatives.label_of(self.winner_with),
-        }
 
-
-class ManipulationWitness(Record):
+class ManipulationWitness(_Witness):
     """A voter whose misreport strictly beats their truthful vote."""
 
     __slots__ = ("profile", "voter", "misreport", "winner_truthful",
                  "winner_misreport")
 
-    def is_violation(self) -> bool:
-        truthful = self.profile.votes[self.voter]
-        return truthful.prefers(self.winner_misreport, self.winner_truthful)
-
     def _event(self):
         return (self.profile.votes[self.voter], self.profile, self.winner_truthful,
                 self.profile.replace_vote(self.voter, self.misreport),
                 self.winner_misreport)
-
-    def describe(self, alternatives: Alternatives) -> dict:
-        return {
-            "profile": format_profile(self.profile, alternatives),
-            "voter": self.voter,
-            "misreport": format_order(self.misreport, alternatives),
-            "winner_truthful": alternatives.label_of(self.winner_truthful),
-            "winner_misreport": alternatives.label_of(self.winner_misreport),
-        }
 
 
 # --- comparisons -------------------------------------------------------------
@@ -597,10 +587,10 @@ def _table_pass(scan: _Scan, outcome: _Outcomes, region: int) -> int | None:
     """
     n, m, chosen = scan.n, scan.m, outcome.chosen
     if (chosen is None or scan.deviation != "reverse" or scan.condorcet_only
-            or scan.compare not in ("weak", "strong") or m > 16):
+            or scan.compare not in ("weak", "strong")):
         return None
     try:
-        outcomes = bytearray(chosen)  # so every code, below m² <= 256, fits a byte
+        outcomes = bytearray(chosen)  # every code, below m² <= 64, fits a byte
     except (TypeError, ValueError):
         return None  # an entry that is not an int in range(256)
     if len(outcomes) != num_profiles(n, m) or outcomes.translate(None, bytes(range(m))):
@@ -843,21 +833,18 @@ def explain_hwm_via_participation(witness: ReversalWitness,
     rule_small = family_rule(family, n - 1)
 
     _revalidate(witness, rule_big, rule_big, "weak")
-    before, after = witness.winner_before, witness.winner_after
 
     truthful = witness.truthful_order
     without_profile = witness.profile.remove_voter(witness.voter)
     middle = rule_small(without_profile)
-
-    # link 1: the truthful voter joining must not hurt them
-    if truthful.prefers(middle, before):
-        return ParticipationWitness(without_profile, truthful, middle, before,
+    # link 1: the truthful voter joining must not hurt them; link 2: the
+    # reversed voter joining must not hurt the reversed order
+    for joiner, outcome in ((truthful, witness.winner_before),
+                            (truthful.reverse(), witness.winner_after)):
+        link = ParticipationWitness(without_profile, joiner, middle, outcome,
                                     position=witness.voter)
-    # link 2: the reversed voter joining must not hurt the reversed order
-    reversed_order = truthful.reverse()
-    if reversed_order.prefers(middle, after):
-        return ParticipationWitness(without_profile, reversed_order, middle,
-                                    after, position=witness.voter)
+        if link.is_violation():
+            return link
     # both links holding would chain into before >= after, contradicting
     # the revalidated witness
     raise AssertionError("unreachable: a valid reversal witness breaks a link")

@@ -576,7 +576,11 @@ def read_proof_tree(source: TextIO) -> ProofTree:
             parts = line.split()
             if len(parts) != 4 or parts[2] != "CONDORCET":
                 raise PrefRevError(f"bad LEAF line: {line!r}")
-            leaf_specs.append((parts[1], alternatives.id_of(parts[3])))
+            try:
+                winner = alternatives.id_of(parts[3])
+            except PrefRevError as exc:
+                raise PrefRevError(f"bad LEAF line: {line!r}: {exc}") from None
+            leaf_specs.append((parts[1], winner))
         else:
             raise PrefRevError(f"unexpected proof tree line: {line!r}")
 
@@ -604,12 +608,16 @@ def _parse_edge_line(line: str, alternatives: Alternatives) -> ReversalEdge:
         raise PrefRevError(f"bad EDGE line: {line!r}") from None
     if carry_at + 1 >= len(parts):
         raise PrefRevError(f"EDGE line carries no alternative: {line!r}")
-    reversals = []
+    counted = []
     for token in parts[rev_at + 1:carry_at]:
         count_text, x, order_text = token.partition("x")
         if not x or not count_text.isdecimal():
             raise PrefRevError(f"bad reversal {token!r} in EDGE line: {line!r}")
-        reversals.append((int(count_text), parse_order(order_text, alternatives)))
-    carried = frozenset(alternatives.id_of(x)
-                        for x in parts[carry_at + 1].split(","))
-    return ReversalEdge(src, dst, tuple(reversals), carried)
+        counted.append((int(count_text), order_text))
+    try:
+        reversals = tuple((count, parse_order(text, alternatives))
+                          for count, text in counted)
+        carried = frozenset(map(alternatives.id_of, parts[carry_at + 1].split(",")))
+    except PrefRevError as exc:
+        raise PrefRevError(f"bad EDGE line: {line!r}: {exc}") from None
+    return ReversalEdge(src, dst, reversals, carried)

@@ -98,11 +98,6 @@ class VariableMap(Record):
     def var(self, key_rank: int, alt: int) -> int:
         return key_rank * self.m + alt + 1
 
-    def decode_var(self, var: int) -> tuple[int, int]:
-        if not 1 <= var <= self.num_vars:
-            raise PrefRevError(f"variable {var} not in 1..{self.num_vars}")
-        return divmod(var - 1, self.m)
-
     def key_name(self, key_rank: int) -> str:
         if self.keys is None:
             return str(key_rank)

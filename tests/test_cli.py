@@ -375,6 +375,15 @@ class TestCheck:
         golden = GOLDEN_DIR / f"participation_black_m4_n4.{suffix}"
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize("flags,suffix", [("", "txt"), (" --json", "json")],
+                             ids=["text", "json"])
+    def test_manipulation_witness_matches_golden(self, run, flags, suffix):
+        code, out = run(f"check --property manipulability --rule borda "
+                        f"--m 3 --n 3{flags}")
+        assert code == 1
+        golden = GOLDEN_DIR / f"manipulability_borda_m3_n3.{suffix}"
+        assert out.encode() == golden.read_bytes()
+
     def test_sample_mode_reports_seed(self, run):
         code, out = run("check --property hwm --rule borda --m 3 --n 3 "
                         "--sample 5 --seed 42")
@@ -529,6 +538,24 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (
             3, "", f"error: --budget must be positive, got {value}\n")
+
+
+    @pytest.mark.parametrize("argv,message", [
+        ("check --property hwm --rule maximin --m 3 --n 2 --tie-break a>b>q",
+         "--tie-break: unknown alternative label: 'q'"),
+        (f"analyze {REPO_ROOT / 'data' / 'perez41.txt'} --tie-break x>y>z>u>q",
+         "--tie-break: unknown alternative label: 'q'"),
+        ("check --property hwm --rule maximin --m 3 --n 2 --tie-break a>b",
+         "--tie-break: order does not rank alternative: 'c'"),
+        ("pad {profile} --order a>q --out {tmp}/out.txt",
+         "--order: unknown alternative label: 'q'"),
+    ], ids=["check-tie-break", "analyze-tie-break", "tie-break-short", "pad-order"])
+    def test_bad_order_flag_names_the_flag(self, capsys, tmp_path, argv, message):
+        profile = tmp_path / "p.txt"
+        profile.write_text("m=3 labels=a,b,c\n1: a>b>c\n")
+        code = main(shlex.split(argv.format(profile=profile, tmp=tmp_path)))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 
 
 class TestReadmeExamples:

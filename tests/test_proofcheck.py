@@ -457,9 +457,18 @@ class TestFileFormat:
         (lambda text: text + "LEAF P0 CONDORCET a\n", "leaf P0 has no incoming edge"),
         (lambda text: text + "EDGE P0 P1 CARRY a\n", "bad EDGE line: 'EDGE P0 P1 CARRY a'"),
         (lambda text: text + "EDGE P0\n", "bad EDGE line: 'EDGE P0'"),
+        (lambda text: text.replace("REVERSE 1xd>c>b>a", "REVERSE 1xd>c>b>q", 1),
+         "bad EDGE line: 'EDGE P0 P1 REVERSE 1xd>c>b>q CARRY a,b': "
+         "unknown alternative label: 'q'"),
+        (lambda text: text.replace("CARRY a,b", "CARRY a,q", 1),
+         "bad EDGE line: 'EDGE P0 P1 REVERSE 1xd>c>b>a CARRY a,q': "
+         "unknown alternative label: 'q'"),
+        (lambda text: text.replace("LEAF P2 CONDORCET c", "LEAF P2 CONDORCET q", 1),
+         "bad LEAF line: 'LEAF P2 CONDORCET q': unknown alternative label: 'q'"),
     ], ids=["empty", "comments-only", "profile-without-end", "leaf-short",
             "leaf-not-condorcet", "unknown-line", "two-roots", "leaf-without-edge",
-            "edge-without-reverse", "edge-one-end"])
+            "edge-without-reverse", "edge-one-end", "edge-reverse-label",
+            "edge-carry-label", "leaf-label"])
     def test_malformed_file_is_a_clear_error(self, edit, message):
         out = io.StringIO()
         write_proof_tree(build_odd_tree(4), out)
