@@ -410,7 +410,6 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     """
     n, m = scan.n, scan.m
     fact = math.factorial(m)
-    places = place_values(n, m)
     rev = reverse_index_table(m)
     rows = _position_rows(m)
     votes = keyspace.vote_keys(m)
@@ -437,6 +436,12 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
         return tuple(sorted(changed)) if quotient else changed
 
     first_voter = n - 1 if abstain else 0  # the first voter who deviates
+    # the place values of the voters the region reaches: all n of them grow
+    # as n², and a budget may stop inside the first profile
+    start = lo // per_profile * per_profile
+    places = place_values(n, m, range(first_voter + (lo - start) // width,
+                                      first_voter + (hi - start - 1) // width + 1)
+                          if hi - start <= per_profile else None)
     # every truthful profile with a unit in [lo, hi); on the quotient path
     # only the sorted ones (for participation a sorted (n-1)-voter prefix
     # and any joiner)

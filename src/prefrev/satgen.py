@@ -26,7 +26,8 @@ external solver binary and feed its output back through
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import truth
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import BudgetExceeded, PrefRevError, printable_count
@@ -317,11 +318,15 @@ def write_dimacs(formula: CnfFormula, sink: TextIO) -> None:
 def write_varmap(varmap: VariableMap, alternatives_labels: Sequence[str],
                  sink: TextIO) -> None:
     """Sidecar map: one ``<variable-id> <key> <alternative-label>`` per line."""
-    for key_rank in range(varmap.num_keys):
-        name = varmap.key_name(key_rank)
-        for alt in range(varmap.m):
-            sink.write(f"{varmap.var(key_rank, alt)} {name} "
-                       f"{alternatives_labels[alt]}\n")
+    m, num_vars = varmap.m, varmap.num_vars
+    # per key, its m lines: argument a is the key's a-th variable, argument
+    # m its name
+    labels = [alternatives_labels[alt].replace("{", "{{").replace("}", "}}")
+              for alt in range(m)]
+    block = "".join(f"{{{alt}}} {{{m}}} {label}\n" for alt, label in enumerate(labels))
+    columns = [range(varmap.var(0, alt), num_vars + 1, m) for alt in range(m)]
+    names = map(varmap.key_name, range(varmap.num_keys))
+    sink.write("".join(map(block.format, *columns, names)))
 
 
 # a solver's verdict line, upper-cased: the DIMACS ``s`` line or a bare word
@@ -343,36 +348,38 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
     ``s`` lines and the verdict lines of :func:`solver_status` are ignored.
     The assignment may stop at a ``0`` terminator.
     """
-    num_vars = varmap.num_vars
-    assignment: dict[int, bool] = {}
-    done = False
-    saw_literal = False
+    tokens: list[str] = []
     for raw in source:
         line = raw.strip()
-        if not line or line[0] in "cs" or solver_status(line):
-            continue
-        if line.startswith(("v", "V")):
-            line = line[1:]
-        for token in line.split():
-            if done:
-                break
-            try:
-                lit = int(token)
-            except ValueError:
-                raise PrefRevError(f"non-integer token {token!r} in model") from None
-            if lit == 0:
-                done = True
-                continue
-            saw_literal = True
-            var = abs(lit)
+        if line[:1] in ("v", "V"):  # no verdict line starts so
+            tokens += line[1:].split()
+        elif line and line[0] not in "cs" and not solver_status(line):
+            tokens += line.split()
+    # the literals up to the first 0, and the first non-integer token before it
+    literals: list[int] = []
+    try:
+        literals += map(int, tokens)
+        bad = None
+    except ValueError:
+        bad = tokens[len(literals)]
+    if 0 in literals:
+        del literals[literals.index(0):]
+        bad = None
+    num_vars = varmap.num_vars
+    assignment = {abs(lit): lit > 0 for lit in literals}
+    if assignment and (max(assignment) > num_vars or len(assignment) < len(literals)
+                       and len(set(literals)) > len(assignment)):
+        # a variable beyond the map or assigned both ways: name the first
+        seen: dict[int, bool] = {}
+        for lit in literals:
+            var, value = abs(lit), lit > 0
             if var > num_vars:
-                raise PrefRevError(
-                    f"model mentions variable {var}, map has {num_vars}")
-            value = lit > 0
-            if assignment.get(var, value) != value:
+                raise PrefRevError(f"model mentions variable {var}, map has {num_vars}")
+            if seen.setdefault(var, value) != value:
                 raise PrefRevError(f"model assigns variable {var} both ways")
-            assignment[var] = value
-    if not saw_literal:
+    if bad is not None:
+        raise PrefRevError(f"non-integer token {bad!r} in model")
+    if not assignment:
         raise PrefRevError("no model literals found; was the formula "
                            "unsatisfiable or the file not a model?")
     return assignment
@@ -388,14 +395,15 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
 
     if varmap.mode not in ("profile", "c2"):
         raise PrefRevError(f"cannot decode a rule from a {varmap.mode!r} map")
-    winners: list[int] = []
-    for key_rank in range(varmap.num_keys):
-        true_alts = [alt for alt in range(varmap.m)
-                     if assignment.get(varmap.var(key_rank, alt), False)]
-        if len(true_alts) != 1:
-            raise PrefRevError(
-                f"key {varmap.key_name(key_rank)} has {len(true_alts)} winners")
-        winners.append(true_alts[0])
+    # per key rank, the truth of its m variables
+    truths = map(truth, map(assignment.get, range(1, varmap.num_vars + 1), repeat(False)))
+    rows = list(zip(*[truths] * varmap.m))
+    counts = list(map(sum, rows))
+    if counts.count(1) != len(counts):
+        key_rank = next(rank for rank, count in enumerate(counts) if count != 1)
+        raise PrefRevError(
+            f"key {varmap.key_name(key_rank)} has {counts[key_rank]} winners")
+    winners = list(map(tuple.index, rows, repeat(True)))
     if varmap.mode == "profile":
         return RuleTable(varmap.n, varmap.m, "profile", tuple(winners))
     return RuleTable(varmap.n, varmap.m, "c2", dict(zip(varmap.keys, winners)))

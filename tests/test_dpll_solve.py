@@ -230,31 +230,70 @@ class TestLoaderMatchesReference:
         lined = write(tmp_path, one_per_line(3, clauses), "lined.cnf")
         assert loaded(dpll, split) == reference_parse(lined) == (3, clauses)
 
-    @pytest.mark.parametrize("layout", ["runs", "mixed", "unterminated", "odd-spellings"])
+    @pytest.mark.parametrize("layout", ["runs", "mixed", "periodic", "unterminated",
+                                        "odd-spellings", "comment-in-run",
+                                        "periodic-odd-spellings"])
     def test_uniform_and_mixed_blocks(self, dpll, tmp_path, layout):
         # "runs": families of one length, each longer than a read block, as
         # the encoder writes them; "mixed": one 4-literal clause, then six
-        # binary ones, over and over, so that every block mixes lengths
+        # binary ones, over and over, so that every block mixes lengths;
+        # "periodic": that pattern between two uniform families, over many
+        # read blocks, from and to the middle of one
         rng = random.Random(layout)
 
         def family(length, count):
             return [[rng.choice((-1, 1)) * rng.randint(1, 300) for _ in range(length)]
                     for _ in range(count)]
 
+        def pattern(count):
+            return [c for _ in range(count) for c in family(4, 1) + family(2, 6)]
+
         if layout == "mixed":
-            clauses = [c for _ in range(5000) for c in family(4, 1) + family(2, 6)]
+            clauses = pattern(5000)
+        elif layout.startswith("periodic"):
+            clauses = family(2, 3001) + pattern(4000) + family(1, 5003)
         else:
             clauses = family(2, 20_000) + family(3, 12_000) + family(1, 30_000)
         lines = [" ".join(map(str, clause)) + " 0\n" for clause in clauses]
         if layout == "unterminated":
             lines[-1] = lines[-1].removesuffix(" 0\n")
-        elif layout == "odd-spellings":
-            # inside the binary family: +1 for 1, -0 for the closing 0
-            for i in rng.sample(range(20_000), 50):
+        elif layout.endswith("odd-spellings"):
+            # inside a run of binary clauses: +1 for 1, -0 for the closing 0
+            for i in rng.sample([i for i, c in enumerate(clauses) if len(c) == 2], 50):
                 lines[i] = f"+1 {clauses[i][1]} -0\n"
+        elif layout == "comment-in-run":
+            for i in rng.sample(range(20_000), 20):
+                lines[i] += "c a comment 1 2 0\n"
         path = write(tmp_path, "p cnf 300 %d\n" % len(lines) + "".join(lines))
         assert path.stat().st_size > 4 * dpll._BLOCK
         assert loaded(dpll, path) == reference_parse(path)
+
+    def test_a_repeating_pattern_is_cut_into_runs(self, dpll, tmp_path):
+        # one 4-literal clause, then six binary ones, from and to the middle
+        # of a read block: each block's clauses go to solve as 7 runs, one
+        # per place in the pattern, and only the pattern's edges in a block
+        # go as single clauses
+        rng = random.Random(7)
+        clauses = [[rng.randint(1, 300) for _ in range(length)]
+                   for _ in range(6000) for length in (4, 2, 2, 2, 2, 2, 2)]
+        path = write(tmp_path, one_per_line(300, clauses))
+        assert path.stat().st_size > 4 * dpll._BLOCK
+        body = dpll._read(path)
+        next(body)
+        items = list(body)
+        runs = [item for item in items if type(item) is dpll._Runs]
+        assert [len(item) for item in runs].count(7) > 4
+        assert len(items) - len(runs) < 2 * 7 * len(runs)
+        assert list(dpll._clauses(items)) == list(map(tuple, clauses))
+
+    def test_zeros_inside_a_run_split_it(self, dpll, tmp_path):
+        # a unit and an empty clause on one line in a run of binary clauses
+        # put a 0 where the run has a literal: the block is split at its 0s
+        clauses = [[1, -2]] * 20_000 + [[3], []] + [[2, 3]] * 20_000
+        path = write(tmp_path, "p cnf 3 40002\n" + "1 -2 0\n" * 20_000 + "3 0 0\n"
+                     + "2 3 0\n" * 20_000)
+        assert path.stat().st_size > 2 * dpll._BLOCK
+        assert loaded(dpll, path) == (3, clauses)
 
     def test_larger_than_a_read_block(self, dpll, tmp_path):
         rng = random.Random(11)
@@ -271,6 +310,12 @@ class TestLoaderMatchesReference:
 
 
 class TestSolverRuns:
+    @pytest.mark.parametrize("name", ["c2_m3_n3", "m2_n1"])
+    def test_golden_models(self, name):
+        proc = run_solver(GOLDEN / f"encode_{name}.cnf")
+        assert proc.returncode == 10
+        assert proc.stdout == (GOLDEN / f"dpll_{name}.model").read_text()
+
     def test_empty_clause_is_unsat(self, tmp_path):
         proc = run_solver(write(tmp_path, "p cnf 2 2\n1 2 0\n0\n"))
         assert (proc.returncode, proc.stdout) == (20, "s UNSATISFIABLE\n")
@@ -292,8 +337,8 @@ class TestPropagation:
         size = 2 * num_vars + 1
         imp = [[] for _ in range(size)]
         for a, b in binary:
-            imp[-a].append(b)
-            imp[-b].append(a)
+            imp[a].append(b)
+            imp[b].append(a)
         watch = defaultdict(list)
         for clause in map(list, longer):
             watch[clause[0]].append(clause)
@@ -354,6 +399,14 @@ class TestSearchMatchesReference:
         # both verdicts, each many times over
         assert min(verdicts.count(True), verdicts.count(False)) > 500
 
+    def test_random_cnfs_read_from_files(self, dpll, tmp_path):
+        # as main reads them: the reader hands solve single clauses and runs
+        for seed in range(200):
+            num_vars, clauses = random_cnf(random.Random(seed))
+            path = write(tmp_path, one_per_line(num_vars, clauses), f"{seed}.cnf")
+            body = dpll._read(path)
+            assert dpll.solve(next(body), body) == reference_solve(num_vars, clauses), seed
+
     @pytest.mark.parametrize("case", ["profile-n2-m3", "c2-n3-m4", "proof-odd-m4",
                                       "proof-even-m6", "profile-n3-m4", "c2-n4-m4"])
     def test_stdout_is_the_reference_model(self, encoded, case):
@@ -400,36 +453,16 @@ def traced_mib(build):
 
 
 class TestMemory:
-    def test_the_token_table_and_implication_lists_never_coexist(self, dpll, encoded):
-        # the reader's str -> int token table lives until the last clause is
-        # read, and the implication lists are filed only after that: the
-        # solve peaks below the two together (on the profile (3,4) formula,
-        # whose 2 VARS + 1 table entries make the table as large as the lists)
+    def test_reading_holds_less_than_a_token_table(self, dpll, encoded):
+        # the reader turns tokens into literals with int() and one list of
+        # the 2 VARS + 1 shared literals: reading the whole body of the
+        # profile (3,4) formula peaks below a str -> int table of its tokens
         path = encoded("profile-n3-m4")
-        body = dpll._read(path)
-        num_vars = next(body)
-        next(body)  # the first clause: the table is built
-        table, table_mib, _ = traced_mib(
+        num_vars, clauses = dpll.read_dimacs(path)
+        _, table_mib, _ = traced_mib(
             lambda: {str(lit): lit for lit in range(-num_vars, num_vars + 1)})
-        assert table == body.gi_frame.f_locals["table"]
-        del table, body
-
-        clauses = dpll.parse_dimacs(path)[1]  # shared ints, outside the count
-
-        def filed():
-            imp = [[] for _ in range(2 * num_vars + 1)]
-            for clause in clauses:
-                if len(clause) == 2:
-                    a, b = clause
-                    imp[-a].append(b)
-                    imp[-b].append(a)
-            return imp
-
-        _, imp_mib, _ = traced_mib(filed)
-        del clauses
-        model, _, peak_mib = traced_mib(lambda: dpll.solve(*dpll.read_dimacs(path)))
-        assert model is not None
-        assert peak_mib < table_mib + imp_mib, (peak_mib, table_mib, imp_mib)
+        _, _, read_mib = traced_mib(lambda: deque(clauses, maxlen=0))
+        assert read_mib < table_mib, (read_mib, table_mib)
 
 
 MALFORMED = {  # file text, expected message
@@ -444,7 +477,7 @@ MALFORMED = {  # file text, expected message
     "empty-file": ("", "no 'p cnf' header"),
     "bad-header": ("p cnf two 1\n1 0\n", "line 1: bad header"),
     "second-header": ("p cnf 2 1\n1 0\np cnf 2 1\n", "line 3: a second 'p' line"),
-    # refused before the token table, which would need 2 VARS + 1 entries
+    # refused before the list of shared literals, which would need 2 VARS + 1 entries
     "header-2^31-vars": ("p cnf 2147483648 1\n1 0\n",
                          "line 1: header declares 2147483648 variables, "
                          "more than 2147483647"),
@@ -498,3 +531,15 @@ class TestMalformed:
         path = write(tmp_path, one_per_line(2, clauses))
         with pytest.raises(dpll.DimacsError, match="line 20002: literal 7 beyond"):
             dpll.parse_dimacs(path)
+
+    @pytest.mark.parametrize("literal", [3, 4, -3, -5, 7, 10**30])
+    def test_literal_beyond_the_header_inside_a_run(self, tmp_path, literal):
+        # 3 and 4 would index the shared literals within their 2 VARS + 1
+        # entries, -5 too, 10**30 past any list: each is an error on its line
+        clauses = [[1, -2]] * 20_000
+        clauses[10_000] = [literal, 2]
+        path = write(tmp_path, one_per_line(2, clauses))
+        proc = run_solver(path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: {path}: line 10002: literal {literal} beyond "
+                               "the header's 2 variables\n")

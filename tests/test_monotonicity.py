@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -122,6 +123,20 @@ class TestHalfwayMonotonicity:
         assert exc.value.scanned == 100
         assert exc.value.total == 216 * 3
         assert 0 < exc.value.fraction < 1
+
+    def test_budget_inside_the_first_profile_builds_few_place_values(self):
+        # the place values of all 20,000 voters would hold about 110 MiB; a
+        # budget of 10 units reaches 10 voters of the first profile
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.BudgetExceeded) as exc:
+                check_halfway_monotonicity(resolute_rule("plurality", 4), 20_000, 4,
+                                           budget=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.scanned == 10
+        assert peak < 16 * 2**20, peak
 
     def test_witness_found_within_budget_is_returned(self):
         table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)

@@ -130,6 +130,16 @@ class TestDimacs:
         assert hashlib.sha256(cnf.getvalue().encode()).hexdigest() == cnf_sha
         assert hashlib.sha256(varmap.getvalue().encode()).hexdigest() == map_sha
 
+    def test_varmap_labels_print_as_given(self):
+        # a label holding format or % characters prints as it is
+        varmap = satgen.VariableMap(n=1, m=3, mode="profile")
+        labels = ["{0}", "%s", "}{"]
+        out = io.StringIO()
+        satgen.write_varmap(varmap, labels, out)
+        assert out.getvalue() == "".join(
+            f"{key * 3 + alt + 1} {key} {labels[alt]}\n"
+            for key in range(varmap.num_keys) for alt in range(3))
+
     @pytest.mark.parametrize("make", [
         lambda: satgen.encode_full(2, 3).formula,
         lambda: satgen.encode_full(3, 3, mode="c2").formula,
@@ -258,6 +268,45 @@ class TestModelReader:
         with pytest.raises(errors.PrefRevError,
                            match="non-integer token 'one' in model"):
             satgen.read_dimacs_model(io.StringIO("v one 0\n"), self.varmap())
+
+    @staticmethod
+    def reference_read(text, num_vars):
+        """The model reader's earlier per-token loop: its assignment, or
+        the message of the first error in token order."""
+        assignment, done = {}, False
+        for line in map(str.strip, text.splitlines()):
+            if not line or line[0] in "cs" or satgen.solver_status(line):
+                continue
+            for token in (line[1:] if line[0] in "vV" else line).split():
+                if done:
+                    break
+                try:
+                    lit = int(token)
+                except ValueError:
+                    return f"non-integer token {token!r} in model"
+                if lit == 0:
+                    done = True
+                    continue
+                var, value = abs(lit), lit > 0
+                if var > num_vars:
+                    return f"model mentions variable {var}, map has {num_vars}"
+                if assignment.setdefault(var, value) != value:
+                    return f"model assigns variable {var} both ways"
+        return assignment or "no model literals found"
+
+    @pytest.mark.parametrize("text", [
+        "v 1 -1 9 0\n", "v 9 1 -1 0\n", "v 1 one -1 0\n", "v 1 -1 one\n",
+        "v 9 one\n", "v 1 -0 one\n", "v 1 0 one 9 -1\n", "V 2 2 -3\nv1 0\n",
+        "c x\nSAT\n1 2\nv -3 00 4\n", "s SATISFIABLE\nv 0 1\n", "v +1 -2 0\n",
+    ])
+    def test_first_error_in_token_order(self, text):
+        expected = self.reference_read(text, 4)
+        if isinstance(expected, dict):
+            assert satgen.read_dimacs_model(io.StringIO(text), self.varmap()) == expected
+        else:
+            with pytest.raises(errors.PrefRevError) as exc:
+                satgen.read_dimacs_model(io.StringIO(text), self.varmap())
+            assert str(exc.value).startswith(expected)
 
     def test_round_trip_through_model_text(self):
         varmap = satgen.VariableMap(n=2, m=3, mode="profile")

@@ -13,7 +13,8 @@ occurrences first, ties by variable id), True tried first, and
 chronological backtracking that retries the latest unflipped decision
 with False.  Propagation follows the two-watched-literal scheme of Chaff
 (Moskewicz et al., DAC 2001).  A binary clause (a, b) is two entries of
-implication lists, b in the list of -a and a in the list of -b.  A longer
+implication lists, b in the list of a and a in the list of b, each read
+when the literal whose list it is in turns false.  A longer
 clause is visited only when one of its two watched literals turns false,
 and then either watches another literal that is not false, or is unit or
 in conflict.  Backtracking resets values and nothing else.
@@ -33,24 +34,29 @@ yields its clauses, so no list of the file's clauses is kept
 (:func:`parse_dimacs` is the list form, for callers that want one).
 After the ``p cnf VARS CLAUSES`` header every token is a literal or a
 ``0`` that ends a clause; clauses may span lines or share one, ``c``
-lines are comments, and a last clause may omit its ``0``.  Tokens map to
-integers through one table built from the header, so each literal value
-is a single shared object.  A block whose clauses all have one length, as
-the encoder writes them family by family, is cut into clauses by slices.
-A malformed file (no header, a header that declares more than 2^31 - 1
-variables, a clause before the header, a second header, a non-integer
-token or a literal beyond the header's variable count) prints one
-``error:`` line naming the line to stderr and exits 1; :func:`solve`
-reads every clause before it returns, so an error in the body surfaces
-before any ``s`` line.
+lines are comments, and a last clause may omit its ``0``.  Tokens become
+literals through ``int()`` and one list of the 2 VARS + 1 literals, so
+each literal value is a single shared object and no table of token
+strings is kept.  Where a block's clauses repeat a pattern of lengths, as
+the encoder writes them (per key one at-least-one clause, then its
+at-most-one pairs, or one family of one length), strided slices cut the
+block into runs, one per place in the pattern, each the list of its
+clauses' columns: the 0s are checked as text and never converted, and the
+literals are converted a column at a time.  The clauses around the runs,
+and a block that repeats no pattern, are cut at each 0; a block with a
+comment, an odd spelling such as ``+1`` or ``-0`` or a token to diagnose
+is read line by line.  A malformed file (no header, a header that declares
+more than 2^31 - 1 variables, a clause before the header, a second header,
+a non-integer token or a literal beyond the header's variable count)
+prints one ``error:`` line naming the line to stderr and exits 1;
+:func:`solve` reads every clause before it returns, so an error in the
+body surfaces before any ``s`` line.
 
-While it reads, :func:`solve` keeps each binary clause as two entries of
-two flat lists of literals, and the other clauses as they come.  Only
-once the iterator is exhausted, and its token table freed with it, does
-it file the binary clauses into the implication lists, so the table and
-the lists never coexist; each later set-up structure goes as soon as the
-search stops reading it.  The cyclic GC is off while
-:func:`main` runs and back as the caller had it on return.
+:func:`solve` files each binary clause into the implication lists as it
+arrives, a run's two columns at a time, and keeps the clauses of other
+lengths; each later set-up structure goes as soon as the search stops
+reading it.  The cyclic GC is off while :func:`main` runs and back as the
+caller had it on return.
 """
 
 import gc
@@ -58,9 +64,11 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from itertools import chain
+from operator import add
 
 _BLOCK = 1 << 16  # about this many characters of lines read at a time
 _MAX_VARS = 2**31 - 1  # the signed 32-bit literal range of MiniSat-style solvers
+_PERIOD = 32  # the most clauses in a pattern of lengths that a block repeats
 
 
 class DimacsError(ValueError):
@@ -73,7 +81,7 @@ def read_dimacs(path):
     yields each clause as a tuple of nonzero literals.  A malformed header
     raises DimacsError here, a malformed body while ``clauses`` is read."""
     body = _read(path)
-    return next(body), body
+    return next(body), _clauses(body)
 
 
 def parse_dimacs(path):
@@ -83,37 +91,114 @@ def parse_dimacs(path):
     return num_vars, list(clauses)
 
 
+class _Runs(tuple):
+    """Clauses of a block that repeat a pattern of lengths, one run per
+    place in the pattern: a run is the list of its clauses' columns, and
+    the file holds the first clause of each run in turn, then the second."""
+
+    __slots__ = ()
+
+
+def _clauses(items):
+    """Each clause of the reader's clauses and runs, in file order."""
+    for item in items:
+        if type(item) is _Runs:
+            yield from chain.from_iterable(zip(*[zip(*run) for run in item]))
+        else:
+            yield item
+
+
 def _read(path):
-    """The header's variable count, then each clause of the body."""
+    """The header's variable count, then each clause of the body, or
+    :class:`_Runs` of them."""
     with open(path, encoding="utf-8") as handle:
         num_vars, lineno = _read_header(handle)
         yield num_vars
-        # str(lit) -> lit for every token a well-formed body can hold
-        table = {str(lit): lit for lit in range(-num_vars, num_vars + 1)}
+        # lits[x] is the literal x, one shared object, for |x| <= num_vars:
+        # -x wraps to the end
+        lits = list(range(num_vars + 1)) + list(range(-num_vars, 0))
         pending = ()  # the literals after the last 0 read so far
         while block := handle.readlines(_BLOCK):
             try:
-                values = tuple(map(table.__getitem__, "".join(block).split()))
-            except KeyError:  # a comment, or a token to diagnose
-                values = tuple(_block_values(block, lineno, table, num_vars))
+                lead, runs, tail = _cut("".join(block).split(), lits, num_vars)
+            except (ValueError, IndexError):  # a comment, or a token to diagnose
+                lead, runs = (), None
+                tail = tuple(_block_values(block, lineno, lits, num_vars))
             lineno += len(block)
-            values = pending + values
-            zeros = values.count(0)
-            step = values.index(0) + 1 if zeros else 0  # the first clause's length + 1
-            start = zeros * step
-            if step > 1 and values[step - 1:start:step].count(0) == zeros:
-                # every 0 at a multiple of step: all the block's clauses have
-                # the first one's length, one zip of its columns
-                yield from zip(*[values[i:start:step] for i in range(step - 1)])
-            else:
-                index, start = values.index, 0
-                for _ in range(zeros):
-                    end = index(0, start)
-                    yield values[start:end]
-                    start = end + 1
-            pending = values[start:]
+            pending = yield from _split(pending + lead)
+            if runs:
+                yield runs
+            pending = yield from _split(pending + tail)
     if pending:
         yield pending
+
+
+def _split(values):
+    """Yield each clause that a 0 of ``values`` ends, and return the
+    literals after the last 0."""
+    index, start = values.index, 0
+    for _ in range(values.count(0)):
+        end = index(0, start)
+        yield values[start:end]
+        start = end + 1
+    return values[start:]
+
+
+def _cut(tokens, lits, num_vars):
+    """``(lead, runs, tail)``: the values of a block's tokens up to its
+    first ``0``, the :class:`_Runs` of the whole periods after it if their
+    clauses repeat a pattern of lengths (None if not), and the values after
+    those.  Raises ValueError or IndexError on a token that is neither a
+    literal in range nor 0, and on a 0 in a run where the pattern puts a
+    literal."""
+    zeros = tokens.count("0")
+    base = tokens.index("0") + 1 if zeros else 0
+    runs, stop = _runs(tokens, base, zeros - 1, lits) if zeros > 2 else (None, base)
+    return (_values(tokens[:base], lits, num_vars), runs,
+            _values(tokens[stop:], lits, num_vars))
+
+
+def _runs(tokens, base, zeros, lits):
+    """``(runs, stop)``: the clauses from ``tokens[base]`` on, which hold
+    ``zeros`` 0s, cut into columns up to ``tokens[stop]``, the end of their
+    last whole period, if they repeat the pattern of lengths of the first
+    clauses; ``(None, base)`` if not.  Only the literals are converted:
+    the 0s are checked as text, and :func:`_column` finds a 0 elsewhere."""
+    index, starts = tokens.index, [base]  # starts[i]: where clause i starts
+    for _ in range(min(zeros, 2 * _PERIOD)):
+        starts.append(index("0", starts[-1]) + 1)
+    lengths = [end - start - 1 for start, end in zip(starts, starts[1:])]
+    period = next((p for p in range(1, len(lengths) // 2 + 1)
+                   if lengths[p:] == lengths[:-p]), 0)
+    if not period or not all(lengths[:period]):
+        return None, base  # no pattern, or an empty clause in it
+    span, count = starts[period] - base, zeros // period  # a period's tokens, periods
+    stop = base + count * span
+    # a 0 wherever the pattern puts one, count of them in each 0's column
+    if any(tokens[end - 1:stop:span].count("0") != count for end in starts[1:period + 1]):
+        return None, base
+    runs = _Runs([_column(tokens[start + i:stop:span], lits) for i in range(length)]
+                 for start, length in zip(starts, lengths[:period]))
+    return runs, stop
+
+
+def _column(tokens, lits):
+    """The shared literals of a column's tokens; ValueError or IndexError
+    on one that is 0 or beyond the header."""
+    values = list(map(int, tokens))
+    column = list(map(lits.__getitem__, values))
+    # lits[x] == x exactly when |x| <= num_vars; 0 ends a clause instead
+    if column != values or 0 in values:
+        raise ValueError("not a column of literals")
+    return column
+
+
+def _values(tokens, lits, num_vars):
+    """The shared literals and 0s of tokens; ValueError on any other token."""
+    values = list(map(int, tokens))
+    if values and (min(values) < -num_vars or max(values) > num_vars):
+        raise ValueError("a literal beyond the header")
+    return tuple(map(lits.__getitem__, values))
 
 
 def _read_header(handle):
@@ -140,7 +225,7 @@ def _read_header(handle):
     raise DimacsError("no 'p cnf' header")
 
 
-def _block_values(block, lineno, table, num_vars):
+def _block_values(block, lineno, lits, num_vars):
     """The literals and 0s of a block line by line, skipping comments;
     ``lineno`` is the number of the line before the block."""
     for lineno, raw in enumerate(block, start=lineno + 1):
@@ -150,56 +235,51 @@ def _block_values(block, lineno, table, num_vars):
         if line[0] == "p":
             raise DimacsError(f"line {lineno}: a second 'p' line")
         for token in line.split():
-            value = table.get(token)
-            if value is None:
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise DimacsError(
-                        f"line {lineno}: non-integer token {token!r}") from None
-                if abs(value) > num_vars:
-                    raise DimacsError(f"line {lineno}: literal {value} beyond "
-                                      f"the header's {num_vars} variables")
-                value = table[str(value)]  # an odd spelling, such as +1 or -0
-            yield value
+            try:
+                value = int(token)
+            except ValueError:
+                raise DimacsError(f"line {lineno}: non-integer token {token!r}") from None
+            if abs(value) > num_vars:
+                raise DimacsError(f"line {lineno}: literal {value} beyond "
+                                  f"the header's {num_vars} variables")
+            yield lits[value]
 
 
 def solve(num_vars, clauses):
     """Return a model as a list of signed literals, or None if unsatisfiable.
 
-    ``clauses`` is any iterable of clauses, read once: a binary clause's
-    two literals go to two flat lists and the clauses of other lengths are
-    kept, and only once the read has ended are the binary clauses filed
-    into the implication lists."""
-    heads, tails = [], []  # the binary clauses (heads[i], tails[i])
+    ``clauses`` is any iterable of clauses, and of the reader's
+    :class:`_Runs`, read once: a binary clause is filed into the
+    implication lists as it arrives, and the clauses of other lengths are
+    kept."""
+    # lists of 2 VARS + 1 entries are indexed by a literal: -v wraps to the end
+    size = 2 * num_vars + 1
+    imp = [[] for _ in range(size)]  # imp[lit]: the literals lit false implies
     others = []  # the clauses of other lengths than 2
     for clause in clauses:
-        if len(clause) == 2:
+        if type(clause) is _Runs:
+            for run in clause:
+                if len(run) == 2:
+                    for a, b in zip(*run):
+                        imp[a].append(b)
+                        imp[b].append(a)
+                else:
+                    others += zip(*run)
+        elif len(clause) == 2:
             a, b = clause
-            heads.append(a)
-            tails.append(b)
+            imp[a].append(b)
+            imp[b].append(a)
         else:
             others.append(clause)
     if not all(others):
         return None  # an empty clause
 
-    # the read has ended, and a reader's token table with it: the implication
-    # lists come now, and each set-up structure goes once the search no
-    # longer reads it. Lists of 2 VARS + 1 entries are indexed by a literal:
-    # -v wraps to the end
-    size = 2 * num_vars + 1
-    imp = [[] for _ in range(size)]  # imp[lit]: the literals lit true implies
-    for a, b in zip(heads, tails):
-        imp[-a].append(b)
-        imp[-b].append(a)
-    del heads, tails
-
+    # each set-up structure goes once the search no longer reads it.
     # frequency[v]: the occurrences of v and -v, every repeat counted;
-    # imp[-lit] holds one entry per occurrence of lit in a binary clause
-    count = Counter(chain.from_iterable(others)).get
-    frequency = [0] + [len(imp[v]) + len(imp[-v]) + count(v, 0) + count(-v, 0)
-                       for v in range(1, num_vars + 1)]
-    del count
+    # imp[lit] holds one entry per occurrence of lit in a binary clause
+    frequency = [0, *map(add, map(len, imp[1:num_vars + 1]), map(len, imp[:num_vars:-1]))]
+    for lit, count in Counter(chain.from_iterable(others)).items():
+        frequency[abs(lit)] += count
     # the most frequent first, ties by variable id (a stable sort); a C int
     # holds every variable id the header bound lets through
     order = array("i", sorted(range(1, num_vars + 1), key=frequency.__getitem__,
@@ -218,15 +298,15 @@ def solve(num_vars, clauses):
             elif not value[lit]:
                 return None
             continue
-        lits = list(dict.fromkeys(clause))  # a repeat is watched only once
-        if len(lits) > 2:
-            # the watched literals are lits[0] and lits[1]
-            watch[lits[0]].append(lits)
-            watch[lits[1]].append(lits)
+        distinct = list(dict.fromkeys(clause))  # a repeat is watched only once
+        if len(distinct) > 2:
+            # the watched literals are distinct[0] and distinct[1]
+            watch[distinct[0]].append(distinct)
+            watch[distinct[1]].append(distinct)
         else:  # repeats left one or two literals; (a, a) conflicts once a is false
-            a, b = lits[0], lits[-1]
-            imp[-a].append(b)
-            imp[-b].append(a)
+            a, b = distinct[0], distinct[-1]
+            imp[a].append(b)
+            imp[b].append(a)
     del others  # the watches' lists hold the longer clauses now
     levels = []  # per decision: (trail length before it, order position, flipped)
     pos = 0
@@ -266,16 +346,15 @@ def _propagate(trail, head, value, imp, watch):
     """Set every literal the clauses imply, from ``trail[head]`` on; False
     on a conflict."""
     while head < len(trail):
-        lit = trail[head]
+        false = -trail[head]
         head += 1
-        for implied in imp[lit]:
+        for implied in imp[false]:
             state = value[implied]
             if state is None:
                 value[implied], value[-implied] = True, False
                 trail.append(implied)
             elif not state:
                 return False
-        false = -lit
         watching = watch.get(false)
         if not watching:
             continue
@@ -318,8 +397,8 @@ def main():
         try:
             # solve reads every clause before it returns, so a malformed
             # body is reported before any s line
-            num_vars, clauses = read_dimacs(sys.argv[1])
-            model = solve(num_vars, clauses)
+            body = _read(sys.argv[1])
+            model = solve(next(body), body)
         except (DimacsError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {sys.argv[1]}: {exc}", file=sys.stderr)
             return 1
