@@ -68,7 +68,9 @@ from operator import add
 
 _BLOCK = 1 << 16  # about this many characters of lines read at a time
 _MAX_VARS = 2**31 - 1  # the signed 32-bit literal range of MiniSat-style solvers
-_PERIOD = 32  # the most clauses in a pattern of lengths that a block repeats
+# the most clauses in a repeating pattern of lengths: the encoder's longest
+# is one at-least-one clause and its 28 at-most-one pairs, at m = 8
+_PERIOD = 32
 
 
 class DimacsError(ValueError):
@@ -121,7 +123,7 @@ def _read(path):
         while block := handle.readlines(_BLOCK):
             try:
                 lead, runs, tail = _cut("".join(block).split(), lits, num_vars)
-            except (ValueError, IndexError):  # a comment, or a token to diagnose
+            except (ValueError, IndexError):  # a comment, an odd spelling or a bad token
                 lead, runs = (), None
                 tail = tuple(_block_values(block, lineno, lits, num_vars))
             lineno += len(block)
