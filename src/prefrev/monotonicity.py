@@ -6,8 +6,12 @@ six checkers run a single scan kernel over *units*, each naming an n-voter
 truthful profile (by canonical index), a voter and a deviation, in
 ascending unit order, so the first witness returned is deterministic.  A
 ``None`` result from an exhaustive scan is a certificate that the property
-holds on the whole domain; sampled scans visit seeded random blocks of
-consecutive units and only report on those.
+holds on the whole domain; sampled scans draw seeded random blocks of
+consecutive units, visit the distinct ones in ascending order and only
+report on those.  The blocks are disjoint, so the first hit is the least
+witness of the sampled region, and as on an exhaustive scan the first
+event in unit order, a hit or a rule's error, ends the scan; a scan with
+no hit visits every drawn block.
 
 Unit layouts and sampled block spans, with ``index`` the truthful n-voter
 profile:
@@ -47,18 +51,24 @@ scan's readers (one, or two when the last voter abstains):
   sorted profile;
 - an "order" rule: memoised by profile index and evaluated on the profile.
 
-A sampled scan keeps the key memo across its blocks, so the rule runs once
-per margin key visited, and memory is bounded by the distinct keys visited
-(at most ``sample * (span + 1)``, span the block's units); it clears the
-other memos after each block.  Participation stores no n-voter outcome of
-an "order" rule: it meets each such profile once.  An empty outcome set
-names the profile met, or the margin key in the margin pass.
+A sampled scan keeps the key memo across the blocks it visits, in
+ascending order up to the first hit, so the rule runs once per margin key
+visited, and memory is bounded by the distinct keys visited (at most
+``sample * (span + 1)``, span the block's units); it clears the other
+memos after each block, the last included.  Participation stores no
+n-voter outcome of an "order" rule: it meets each such profile once.  An
+empty outcome set names the profile met, or the margin key in the margin
+pass.
 
 The paths (one walker, :func:`~prefrev.prefs.iter_digits`, gives the
 truthful profiles of the first two):
 
 - the ordered path meets every profile with a unit in the region.
-  Sampled scans and scans with a reader by profile index take it.
+  Sampled scans and scans with a reader by profile index take it.  When
+  the deviated profile is not read by profile index, voters of one vote
+  give one outcome pair, so only the first voter of each vote whose units
+  all lie in the region deviates, and only an index reader gets the
+  deviated index and the place values it needs.
 - the quotient path serves exhaustive scans when no reader reads by
   profile index.  It keeps the digits sorted (a carry resets the digits
   after the one that moved to that digit, not to 0; participation's
@@ -402,9 +412,12 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     voters (and a misreporting voter's orders), clipped to [lo, hi); on
     the quotient path (for anonymous rules only) only the sorted profiles
     and the first voter of each distinct order.  Both paths return the
-    same first hit.  The deviated profile's index and margin key come from
-    arithmetic on the truthful one's; its digits are built only for a
-    "multiset" probe or for :meth:`_Outcomes.read`.  ``outcomes`` are the
+    same first hit.  Unless the deviated profile is read by index, the
+    ordered path too tries a vote once, at its first voter whose units all
+    lie in [lo, hi).  The deviated profile's margin key, and its index for
+    an index reader, come from arithmetic on the truthful one's; its
+    digits are built only for a "multiset" probe or for
+    :meth:`_Outcomes.read`.  ``outcomes`` are the
     outcome memos to use and ``winners`` the Condorcet-winner memo (fresh
     ones by default).
     """
@@ -436,12 +449,18 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
         return tuple(sorted(changed)) if quotient else changed
 
     first_voter = n - 1 if abstain else 0  # the first voter who deviates
-    # the place values of the voters the region reaches: all n of them grow
-    # as n², and a budget may stop inside the first profile
-    start = lo // per_profile * per_profile
-    places = place_values(n, m, range(first_voter + (lo - start) // width,
-                                      first_voter + (hi - start - 1) // width + 1)
-                          if hi - start <= per_profile else None)
+    by_index = deviated_by == "index"
+    # read by key or multiset, the voters of one vote give one outcome pair
+    distinct = not (by_index or abstain)
+    # only a reader by profile index needs the deviated index, and so the
+    # place values of the voters the region reaches: all n of them grow as
+    # n², and a budget may stop inside the first profile
+    places = None
+    if by_index and not abstain:
+        start = lo // per_profile * per_profile
+        places = place_values(n, m, range(first_voter + (lo - start) // width,
+                                          first_voter + (hi - start - 1) // width + 1)
+                              if hi - start <= per_profile else None)
     # every truthful profile with a unit in [lo, hi); on the quotient path
     # only the sorted ones (for participation a sorted (n-1)-voter prefix
     # and any joiner)
@@ -454,22 +473,27 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
         start = index * per_profile
         voters = range(first_voter + max(lo - start, 0) // width,
                        first_voter + (min(hi - start, per_profile) - 1) // width + 1)
-        if quotient and not abstain:
-            voters = [voter for voter in voters
-                      if not voter or digits[voter] != digits[voter - 1]]
+        # with ``distinct`` each vote deviates once, at its first voter: on
+        # the quotient path its first in the profile, on the ordered path
+        # its first whose units all lie in the region
+        tried = set(digits[:voters.start]) if quotient and distinct else set()
         before = None
         for voter in voters:
             d = digits[voter]
+            if d in tried:
+                continue
             first = start + (voter - first_voter) * width
+            if distinct and (quotient or first >= lo):
+                tried.add(d)
             for target in (range(max(lo - first, 0), min(hi - first, width))
                            if misreport else (rev[d] if reverse else d,)):
                 if abstain:
-                    other = index // fact
+                    other = index // fact if by_index else None
                     other_key = key - votes[d] if keys else None
                 else:
                     if misreport and target == d:
                         continue  # a misreport of one's own order
-                    other = index + (target - d) * places[voter]
+                    other = index + (target - d) * places[voter] if by_index else None
                     other_key = key + votes[target] - votes[d] if keys else None
                 if condorcet_only and winners[other_key] is None:
                     continue
@@ -648,9 +672,12 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
     unit it found), on the quotient path when no reader probes by profile
     index, and otherwise on the ordered path, and raises
     :class:`BudgetExceeded` if that had to stop short without a witness.
-    Sampled mode visits ``sample`` random blocks of ``scan.block_span``
-    units drawn from a seeded generator.  Either way one Condorcet-domain
-    memo serves the whole scan.
+    Sampled mode draws ``sample`` random blocks of ``scan.block_span``
+    units from a seeded generator, visits the distinct ones in ascending
+    order and returns the first hit, the least one; a rule's error ends
+    the scan where it is met, so the first event in unit order wins, as
+    on the exhaustive paths.  Either way one Condorcet-domain memo serves
+    the whole scan.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     total_units = scan.total_units
@@ -659,18 +686,17 @@ def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,
         rng = random.Random(seed)
         span = scan.block_span
         blocks = total_units // span
+        drawn = sorted({rng.randrange(blocks) for _ in range(sample)})
         outcomes = _outcomes(scan)
-        hit = None
-        for _ in range(sample):
-            block = rng.randrange(blocks)
+        for block in drawn:  # disjoint ranges of units: the first hit is the least
             found = _scan_chunk(scan, block * span, (block + 1) * span,
                                 outcomes=outcomes, winners=winners)
-            if found is not None and (hit is None or found[0] < hit[0]):
-                hit = found
             for memo in outcomes:
                 if not memo.keyed:  # a key memo is bounded by the keys
                     memo.clear()
-        return hit
+            if found is not None:
+                return found
+        return None
 
     region = min(total_units, budget)
     outcomes = _outcomes(scan)

@@ -367,6 +367,16 @@ class TestCheck:
 
     @pytest.mark.parametrize("flags,suffix", [("", "txt"), (" --json", "json")],
                              ids=["text", "json"])
+    def test_sampled_witness_matches_golden(self, run, flags, suffix):
+        # the least witness over the 4000 drawn blocks
+        code, out = run(f"check --property hwm --rule maximin --m 4 --n 6 "
+                        f"--sample 4000 --seed 5{flags}")
+        assert code == 1
+        golden = GOLDEN_DIR / f"sampled_hwm_maximin_m4_n6_witness.{suffix}"
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("flags,suffix", [("", "txt"), (" --json", "json")],
+                             ids=["text", "json"])
     def test_participation_witness_matches_golden(self, run, flags, suffix):
         # the no-show witness's profile_without holds the run 2: d>a>b>c
         code, out = run(f"check --property participation --rule black "

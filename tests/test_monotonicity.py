@@ -956,16 +956,26 @@ def undeclared(scan: _Scan) -> _Scan:
         rule_small=None if scan.rule_small is None else CountingRule(scan.rule_small))
 
 
-def visited_profiles(scan: _Scan, sample: int, seed: int) -> int:
-    """Profiles a sampled hwm scan visits, block by block: the truthful one
-    and one per reversal tried up to the block's first hit."""
+def drawn_blocks(scan: _Scan, sample: int, seed: int) -> list[int]:
+    """The distinct blocks a sampled scan draws, in ascending order."""
     rng = random.Random(seed)
-    visits = 0
-    for _ in range(sample):
-        block = rng.randrange(scan.total_units // scan.block_span)
+    blocks = scan.total_units // scan.block_span
+    return sorted({rng.randrange(blocks) for _ in range(sample)})
+
+
+def visited_profiles(scan: _Scan, sample: int, seed: int) -> list[Profile]:
+    """The profiles a sampled hwm scan visits, block by block in ascending
+    order up to the first block with a hit: the truthful one and one per
+    reversal tried up to the block's first hit."""
+    visited = []
+    for block in drawn_blocks(scan, sample, seed):
         hit = _scan_chunk(scan, block * scan.n, (block + 1) * scan.n)
-        visits += 1 + (scan.n if hit is None else hit[2] + 1)
-    return visits
+        profile = index_to_profile(block, scan.n, scan.m)
+        voters = scan.n if hit is None else hit[2] + 1
+        visited += [profile, *map(profile.reverse_vote, range(voters))]
+        if hit is not None:
+            break
+    return visited
 
 
 class TestSampledKeyMemo:
@@ -998,10 +1008,12 @@ class TestSampledKeyMemo:
 
         plain = CountingRule(resolute_rule("maximin", m))
         assert check_halfway_monotonicity(plain, n, m, sample=sample, seed=seed) == witness
-        visits = visited_profiles(_Scan(resolute_rule("maximin", m), n, m, "reverse",
-                                        "weak"), sample, seed)
-        assert plain.calls == visits + 2
-        assert sum(declared.calls.values()) < visits / 2
+        visited = visited_profiles(_Scan(resolute_rule("maximin", m), n, m, "reverse",
+                                         "weak"), sample, seed)
+        assert plain.calls == len(visited) + 2
+        # the declared rule runs on exactly the keys of the visited profiles
+        assert set(declared.calls) == set(map(keyspace.profile_key, visited))
+        assert len(declared.calls) < len(visited)
 
     def test_hwm_maximin_counts_margins_only_to_revalidate(self, monkeypatch):
         # the kernel evaluates a "margins" rule on the margin key: no profile
@@ -1090,6 +1102,82 @@ class TestSampledKeyMemo:
         assert all(memo.keyed for memo in memos)
         assert all(x <= y for a, b in zip(sizes, sizes[1:]) for x, y in zip(a, b))
         assert 0 < len(memos[0]) <= sample * (scan.block_span + 1)
+
+
+class EmptyAtProfile:
+    """Maximin as a singleton set rule, declared by voter order, that
+    returns the empty set on the one profile with index ``empty``."""
+
+    def __init__(self, m: int, empty: int):
+        self.rule, self.empty = resolute_rule("maximin", m), empty
+
+    def __call__(self, profile: Profile) -> frozenset[int]:
+        if profile_to_index(profile) == self.empty:
+            return frozenset()
+        return frozenset((self.rule(profile),))
+
+
+class TestSampledBlockOrder:
+    # the sampled maximin scan of the golden witness: 4000 distinct blocks,
+    # the least with a hit the 359th in ascending order and the 1818th drawn
+    N, M, SAMPLE, SEED = 6, 4, 4000, 5
+
+    def drawn_and_witness(self):
+        scan = _Scan(resolute_rule("maximin", self.M), self.N, self.M, "reverse", "weak")
+        witness = check_halfway_monotonicity(scan.rule, self.N, self.M,
+                                             sample=self.SAMPLE, seed=self.SEED)
+        return drawn_blocks(scan, self.SAMPLE, self.SEED), witness
+
+    def test_an_error_past_the_least_hit_is_not_reached(self):
+        drawn, witness = self.drawn_and_witness()
+        hit = profile_to_index(witness.profile)
+        # the first block drawn lies past the least hit in ascending order
+        first = random.Random(self.SEED).randrange(num_profiles(self.N, self.M))
+        assert hit < first and first in drawn
+        found = check_hwm_optimistic(EmptyAtProfile(self.M, first), self.N, self.M,
+                                     sample=self.SAMPLE, seed=self.SEED)
+        assert found == SetReversalWitness(witness.profile, witness.voter,
+                                           frozenset((witness.winner_before,)),
+                                           frozenset((witness.winner_after,)),
+                                           "optimistic")
+
+    def test_an_error_before_the_least_hit_names_its_profile(self):
+        drawn, witness = self.drawn_and_witness()
+        hit = profile_to_index(witness.profile)
+        before = drawn[drawn.index(hit) - 1]
+        with pytest.raises(errors.PrefRevError) as exc:
+            check_hwm_optimistic(EmptyAtProfile(self.M, before), self.N, self.M,
+                                 sample=self.SAMPLE, seed=self.SEED)
+        assert str(exc.value) == ("set-valued rule returned an empty set at "
+                                  f"profile index {before}")
+
+    def test_repeated_draws_visit_each_block_once(self):
+        # 3000 draws over 216 blocks draw every block, most of them again and
+        # again; the scan gives the exhaustive first witness and meets each
+        # block once, up to the one with that witness
+        table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
+        corrupted, _, _ = plant_reversal_violation(table, rng=random.Random(1))
+        scan = _Scan(corrupted, 3, 3, "reverse", "weak")
+        sample, seed = 3000, 4
+        assert drawn_blocks(scan, sample, seed) == list(range(num_profiles(3, 3)))
+        plain = CountingRule(corrupted)
+        witness = check_halfway_monotonicity(plain, 3, 3, sample=sample, seed=seed)
+        assert witness == check_halfway_monotonicity(corrupted, 3, 3) is not None
+        assert plain.calls == len(visited_profiles(scan, sample, seed)) + 2
+
+    def test_a_large_block_tries_each_vote_once(self):
+        # one block of 20,000 voters over 24 orders: the "multiset" rule runs
+        # on the truthful profile and once per distinct vote, and no place
+        # values are built (all 20,000 of them hold about 110 MiB)
+        rule = CountingRule(resolute_rule("plurality", 4), "multiset")
+        tracemalloc.start()
+        try:
+            assert check_halfway_monotonicity(rule, 20_000, 4, sample=1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.calls <= 1 + 24
+        assert peak < 16 * 2**20, peak
 
 
 # --- the per-profile kernel against a per-unit reference --------------------------
@@ -1291,22 +1379,13 @@ class TestKernelAgainstUnitReference:
                     (name, budget)
                 checked.add(expected[0])
 
-            # sampled runs: the first event in each drawn block, the least
-            # hit over the blocks, an error in draw order
+            # sampled runs: the first event, hit or error, over the distinct
+            # drawn blocks in ascending order
             for seed, sample in ((0, 1), (1, 7), (2, 40)):
-                rng = random.Random(seed)
                 span = scan.block_span
-                expected, hit = None, None
-                for _ in range(sample):
-                    block = rng.randrange(total // span)
-                    found = first_event(prop, family, n, m, block * span, (block + 1) * span)
-                    if found is not None and found[2] is not None:
-                        expected = event_result(found, total, total)
-                        break
-                    if found is not None and (hit is None or found[0] < hit[0]):
-                        hit = found
-                if expected is None:
-                    expected = event_result(hit, total, total)
+                events = (first_event(prop, family, n, m, block * span, (block + 1) * span)
+                          for block in drawn_blocks(scan, sample, seed))
+                expected = event_result(next(filter(None, events), None), total, total)
                 assert checker_result(prop, check, n, m, sample=sample, seed=seed) \
                     == expected, (name, seed, sample)
                 checked.add(expected[0])
