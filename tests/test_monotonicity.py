@@ -1162,7 +1162,8 @@ class TestSampledBlockOrder:
         assert drawn_blocks(scan, sample, seed) == list(range(num_profiles(3, 3)))
         plain = CountingRule(corrupted)
         witness = check_halfway_monotonicity(plain, 3, 3, sample=sample, seed=seed)
-        assert witness == check_halfway_monotonicity(corrupted, 3, 3) is not None
+        exhaustive = check_halfway_monotonicity(corrupted, 3, 3)
+        assert exhaustive is not None and witness == exhaustive
         assert plain.calls == len(visited_profiles(scan, sample, seed)) + 2
 
     def test_a_large_block_tries_each_vote_once(self):
