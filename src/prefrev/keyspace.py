@@ -162,11 +162,14 @@ def margin_levels(n: int, m: int, *, budget: int | None = None
     """Levels n-1 and n (level -1 is empty), as the set-like key views of
     the dicts they were built in.
 
-    ``budget`` caps the keys of any level, checked on each insertion while
-    a level is built (levels never shrink: adding one fixed vote maps level
+    ``budget`` caps the keys of any level, checked on level 0 and on each
+    insertion while a later level is built (levels never shrink: adding one fixed vote maps level
     k into level k+1 one-to-one), so :class:`BudgetExceeded` means level n
     has more than ``budget`` keys.
     """
+    if budget is not None and budget < 1:  # level 0 holds one key
+        raise BudgetExceeded(f"margin enumeration at n=0 passed {budget} keys",
+                             scanned=budget)
     votes = vote_keys(m)
     # levels are built as dicts: walking one in insertion order and probing
     # the next ran about 1.6 times as fast as with sets, whose probing

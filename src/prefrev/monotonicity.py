@@ -68,7 +68,9 @@ truthful profiles of the first two):
   the deviated profile is not read by profile index, voters of one vote
   give one outcome pair, so only the first voter of each vote whose units
   all lie in the region deviates, and only an index reader gets the
-  deviated index and the place values it needs.
+  deviated index.  It steps each voter's place value, (m!)^(n-1-voter):
+  one power at the first voter the region reaches in a profile, then one
+  division by m! per voter, so no table of all n place values is built.
 - the quotient path serves exhaustive scans when no reader reads by
   profile index.  It keeps the digits sorted (a carry resets the digits
   after the one that moved to that digit, not to 0; participation's
@@ -156,7 +158,6 @@ from .prefs import (
     index_to_profile,
     iter_digits,
     num_profiles,
-    places as place_values,
     reverse_index_table,
 )
 from .rules import Rule, SetRule
@@ -452,15 +453,6 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     by_index = deviated_by == "index"
     # read by key or multiset, the voters of one vote give one outcome pair
     distinct = not (by_index or abstain)
-    # only a reader by profile index needs the deviated index, and so the
-    # place values of the voters the region reaches: all n of them grow as
-    # n², and a budget may stop inside the first profile
-    places = None
-    if by_index and not abstain:
-        start = lo // per_profile * per_profile
-        places = place_values(n, m, range(first_voter + (lo - start) // width,
-                                          first_voter + (hi - start - 1) // width + 1)
-                              if hi - start <= per_profile else None)
     # every truthful profile with a unit in [lo, hi); on the quotient path
     # only the sorted ones (for participation a sorted (n-1)-voter prefix
     # and any joiner)
@@ -478,7 +470,11 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
         # its first whose units all lie in the region
         tried = set(digits[:voters.start]) if quotient and distinct else set()
         before = None
+        # an index reader's deviated index steps each voter's place value,
+        # (m!)^(n-1-voter), from one power at the first voter reached
+        place = fact ** (n - voters.start) if by_index and not abstain else 0
         for voter in voters:
+            place //= fact
             d = digits[voter]
             if d in tried:
                 continue
@@ -493,7 +489,7 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
                 else:
                     if misreport and target == d:
                         continue  # a misreport of one's own order
-                    other = index + (target - d) * places[voter] if by_index else None
+                    other = index + (target - d) * place if by_index else None
                     other_key = key + votes[target] - votes[d] if keys else None
                 if condorcet_only and winners[other_key] is None:
                     continue
@@ -539,8 +535,6 @@ def _margin_pass(scan: _Scan, outcome: _Outcomes, deviated: _Outcomes,
     try:
         level = keyspace.margin_levels(scan.n - 1, m, budget=budget // per_key)[1]
     except BudgetExceeded:
-        return False
-    if len(level) * per_key > budget:
         return False
     votes = keyspace.vote_keys(m)
     rows = _position_rows(m)
@@ -627,9 +621,8 @@ def _table_pass(scan: _Scan, outcome: _Outcomes, region: int) -> int | None:
     scaled = outcomes.translate(bytes(x * m & 255 for x in range(256)))
     gains = _gain_tables(m, scan.compare)
     rev = reverse_index_table(m)
-    places = place_values(n, m)
     fact = math.factorial(m)
-    window = places[0]
+    window = fact ** (n - 1)
     for first in range(fact):  # the window of the profiles whose first vote is this
         lo, end = first * window, (first + 1) * window
         if lo * n >= region:
@@ -637,8 +630,9 @@ def _table_pass(scan: _Scan, outcome: _Outcomes, region: int) -> int | None:
         mirror = rev[first] * window
         k = _first_gain(scaled[lo:end], outcomes[mirror:mirror + window], gains[first])
         found = [] if k < 0 else [(lo + k) * n]
+        place = window
         for voter in range(1, n):
-            place = places[voter]
+            place //= fact  # (m!)^(n-1-voter)
             step = fact * place
             for d in range(fact):
                 mine, theirs = lo + d * place, lo + rev[d] * place

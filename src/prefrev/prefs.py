@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import groupby, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import PrefRevError
 
@@ -313,21 +313,11 @@ def profile_digits(index: int, n: int, m: int) -> list[int]:
     return digits
 
 
-def places(n: int, m: int, voters: range | None = None) -> Sequence[int | None]:
-    """The place value of each voter's digit in a profile index, by voter.
-    All n of them hold about n² log2(m!) / 2 bits, so with ``voters`` only
-    theirs are built, and the others are None."""
-    if voters is None or len(voters) == n:
-        return _all_places(n, m)
-    fact = math.factorial(m)
-    values: list[int | None] = [None] * n
-    for voter in voters:
-        values[voter] = fact ** (n - 1 - voter)
-    return values
-
-
-@lru_cache(maxsize=None)
-def _all_places(n: int, m: int) -> tuple[int, ...]:
+def places(n: int, m: int) -> tuple[int, ...]:
+    """The place value (m!)^(n-1-voter) of each voter's digit in a profile
+    index, voter 0 first.  All n of them hold about n² log2(m!) / 2 bits, so
+    the scan kernel and the table pass step one instead, dividing by m! from
+    voter to voter."""
     fact = math.factorial(m)
     return tuple(fact ** (n - 1 - voter) for voter in range(n))
 

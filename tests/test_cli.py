@@ -1048,12 +1048,18 @@ COMMAND_RUNS = (
 )
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so
+    that a child interpreter imports the package under test, installed or
+    not."""
+    path = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def imported_modules(argv: list[str], cwd) -> tuple[int, set[str]]:
     """Exit code and every module whose import ``-X importtime`` reports."""
-    path = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-                          capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     return proc.returncode, {line.rsplit("|", 1)[1].strip()
                              for line in proc.stderr.splitlines()
                              if line.startswith("import time:")}
@@ -1088,6 +1094,6 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "prefrev.cli", "analyze",
              str(perez_profile_path)],
-            capture_output=True, text=True)
+            env=src_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert "maximin: t" in proc.stdout

@@ -130,6 +130,13 @@ def test_budget_caps_every_level():
         keyspace.margin_levels(3, 4, budget=1135)
 
 
+def test_budget_caps_level_zero():
+    # level 0 holds the empty key alone: a budget of 1 fits it, 0 does not
+    assert keyspace.margin_levels(0, 3, budget=1)[1] == {keyspace.empty_key(3)}
+    with pytest.raises(errors.BudgetExceeded, match="n=0 passed 0 keys"):
+        keyspace.margin_levels(0, 3, budget=0)
+
+
 @pytest.mark.parametrize("n,m", [(3, 4), (2, 5)])
 def test_key_text_round_trips(n, m):
     for key in keyspace.margin_levels(n, m)[1]:

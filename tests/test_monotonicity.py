@@ -124,19 +124,39 @@ class TestHalfwayMonotonicity:
         assert exc.value.total == 216 * 3
         assert 0 < exc.value.fraction < 1
 
-    def test_budget_inside_the_first_profile_builds_few_place_values(self):
-        # the place values of all 20,000 voters would hold about 110 MiB; a
-        # budget of 10 units reaches 10 voters of the first profile
+    @staticmethod
+    def budgeted_peak(rule, n: int, m: int, budget: int) -> tuple[int, int]:
+        """The units a budgeted hwm scan covers before it stops, and its
+        ``tracemalloc`` peak."""
         tracemalloc.start()
         try:
             with pytest.raises(errors.BudgetExceeded) as exc:
-                check_halfway_monotonicity(resolute_rule("plurality", 4), 20_000, 4,
-                                           budget=10)
-            peak = tracemalloc.get_traced_memory()[1]
+                check_halfway_monotonicity(rule, n, m, budget=budget)
+            return exc.value.scanned, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exc.value.scanned == 10
+
+    @pytest.mark.parametrize("order_reader", [False, True], ids=["multiset", "order"])
+    def test_budget_inside_the_first_profile_builds_few_place_values(self, order_reader):
+        # the place values of all 20,000 voters would hold about 110 MiB; a
+        # budget of 10 units reaches 10 voters of the first profile.  An
+        # undeclared callable reads by profile index, so it steps place
+        # values; plurality reads multisets and needs none
+        plurality = resolute_rule("plurality", 4)
+        rule = (lambda profile: plurality(profile)) if order_reader else plurality
+        scanned, peak = self.budgeted_peak(rule, 20_000, 4, budget=10)
+        assert scanned == 10
         assert peak < 16 * 2**20, peak
+
+    def test_budget_past_the_first_profile_holds_no_place_table(self):
+        # a region over two profiles of an index reader: all 2,000 place
+        # values would hold about 1.1 MiB, the deviated indices as much
+        n = 2_000
+        plurality = resolute_rule("plurality", 4)
+        scanned, peak = self.budgeted_peak(lambda profile: plurality(profile), n, 4,
+                                           budget=n + 1)
+        assert scanned == n + 1
+        assert peak < 2 * 2**20, peak
 
     def test_witness_found_within_budget_is_returned(self):
         table = tabulate_rule(resolute_rule("maximin", 3), 3, 3)
@@ -880,8 +900,8 @@ class TestMarginPass:
     def test_budget_counts_margin_units(self, prop, n):
         # maximin certifies all of these at m=3; the margin pass runs
         # exactly when its units fit, else the quotient path runs out.  At
-        # n=1 the pass reads level 0, which no level build budget-checks,
-        # and has as many units as the full space
+        # n=1 the pass reads level 0, whose one key the level budget checks
+        # too, and has as many units as the full space
         m = 3
         rule = resolute_rule("maximin", m)
         scan, check = margin_scan(prop, n, m, {n - 1: rule, n: rule})
