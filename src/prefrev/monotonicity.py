@@ -55,8 +55,10 @@ A sampled scan keeps the key memo across the blocks it visits, in
 ascending order up to the first hit, so the rule runs once per margin key
 visited, and memory is bounded by the distinct keys visited (at most
 ``sample * (span + 1)``, span the block's units); it clears the other
-memos after each block, the last included.  Participation stores no
-n-voter outcome of an "order" rule: it meets each such profile once.  An
+memos after each block, the last included.  A reader by profile index
+stores an outcome only below the region's last truthful profile: past
+it, a deviated profile is never met again as a truthful one, and
+participation, which meets each n-voter profile once, stores none.  An
 empty outcome set names the profile met, or the margin key in the margin
 pass.
 
@@ -348,7 +350,7 @@ class _Outcomes(dict):
         self.n, self.m = n, m
         self.orders = enumerate_orders(m)
         self.sets = sets
-        self.keep = True
+        self.limit = math.inf  # an index reader stores the indexes below it
         self.chosen = None
         declared = getattr(rule, "depends_on", "order")
         if (getattr(rule, "mode", None) == "profile" and getattr(rule, "n", None) == n
@@ -363,11 +365,12 @@ class _Outcomes(dict):
 
     def read(self, probe, where=None, *args) -> object:
         """The outcome at ``probe``: the stored one, or else the rule's,
-        stored unless ``keep`` is false.  A "margins" rule runs on the key,
-        a "multiset" rule on the sorted profile the probe spells, an "order"
-        rule on the profile whose digits ``where(*args)`` gives.  An empty
-        set raises :class:`PrefRevError` naming that profile, the one met
-        (the margin key without ``where``)."""
+        which is stored (by an index reader only below ``limit``).  A
+        "margins" rule runs on the key, a "multiset" rule on the sorted
+        profile the probe spells, an "order" rule on the profile whose
+        digits ``where(*args)`` gives.  An empty set raises
+        :class:`PrefRevError` naming that profile, the one met (the margin
+        key without ``where``)."""
         value = self.get(probe)
         if value is not None:
             return value
@@ -380,7 +383,7 @@ class _Outcomes(dict):
             place = (f"profile index {digits_to_index(where(*args), self.m)}" if where
                      else f"margin key {keyspace.key_text(probe, self.m)}")
             raise PrefRevError(f"set-valued rule returned an empty set at {place}")
-        if self.keep:
+        if self.by != "index" or probe < self.limit:
             self[probe] = value
         return value
 
@@ -392,9 +395,6 @@ def _outcomes(scan: _Scan) -> tuple[_Outcomes, _Outcomes]:
     outcome = _Outcomes(scan.rule, scan.n, scan.m, sets=sets)
     if scan.deviation != "abstain":
         return outcome, outcome
-    # participation meets each n-voter profile once: storing an "order"
-    # rule's outcomes by index is waste
-    outcome.keep = outcome.by != "index"
     return outcome, _Outcomes(scan.rule_small, scan.n - 1, scan.m, sets=sets)
 
 
@@ -435,6 +435,9 @@ def _scan_chunk(scan: _Scan, lo: int, hi: int, *, quotient: bool = False,
     width = scan.width
     per_profile = scan.voters * width
     outcome, deviated = outcomes or _outcomes(scan)
+    # an index past the region's last truthful profile is never met as a
+    # truthful one again, and participation meets each n-voter profile once
+    outcome.limit = 0 if abstain else -(-hi // per_profile)
     truthful_by, deviated_by = outcome.by, deviated.by
     truthful_table, deviated_table = outcome.chosen, deviated.chosen
     keys = condorcet_only or outcome.keyed or deviated.keyed  # track margin keys

@@ -26,8 +26,7 @@ external solver binary and feed its output back through
 
 from __future__ import annotations
 
-from itertools import combinations, repeat
-from operator import truth
+from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import BudgetExceeded, PrefRevError, printable_count
@@ -317,16 +316,15 @@ def write_dimacs(formula: CnfFormula, sink: TextIO) -> None:
 
 def write_varmap(varmap: VariableMap, alternatives_labels: Sequence[str],
                  sink: TextIO) -> None:
-    """Sidecar map: one ``<variable-id> <key> <alternative-label>`` per line."""
-    m, num_vars = varmap.m, varmap.num_vars
-    # per key, its m lines: argument a is the key's a-th variable, argument
-    # m its name
-    labels = [alternatives_labels[alt].replace("{", "{{").replace("}", "}}")
-              for alt in range(m)]
-    block = "".join(f"{{{alt}}} {{{m}}} {label}\n" for alt, label in enumerate(labels))
-    columns = [range(varmap.var(0, alt), num_vars + 1, m) for alt in range(m)]
-    names = map(varmap.key_name, range(varmap.num_keys))
-    sink.write("".join(map(block.format, *columns, names)))
+    """Sidecar map: one ``<variable-id> <key> <alternative-label>`` per line,
+    written key by key."""
+    labels = [alternatives_labels[alt] for alt in range(varmap.m)]
+    var = 0  # the variables run 1..num_vars in (key, alternative) order
+    for rank in range(varmap.num_keys):
+        name = varmap.key_name(rank)
+        for label in labels:
+            var += 1
+            sink.write(f"{var} {name} {label}\n")
 
 
 # a solver's verdict line, upper-cased: the DIMACS ``s`` line or a bare word
@@ -346,39 +344,27 @@ def read_dimacs_model(source: TextIO, varmap: VariableMap) -> dict[int, bool]:
 
     Accepts ``v``-prefixed literal lines and bare literal lists; ``c`` and
     ``s`` lines and the verdict lines of :func:`solver_status` are ignored.
-    The assignment may stop at a ``0`` terminator.
+    Tokens are read in order up to the first ``0``, where reading stops;
+    the first bad one (not an integer, a variable beyond the map, or a
+    variable assigned both ways) is the error.
     """
-    tokens: list[str] = []
-    for raw in source:
-        line = raw.strip()
-        if line[:1] in ("v", "V"):  # no verdict line starts so
-            tokens += line[1:].split()
-        elif line and line[0] not in "cs" and not solver_status(line):
-            tokens += line.split()
-    # the literals up to the first 0, and the first non-integer token before it
-    literals: list[int] = []
-    try:
-        literals += map(int, tokens)
-        bad = None
-    except ValueError:
-        bad = tokens[len(literals)]
-    if 0 in literals:
-        del literals[literals.index(0):]
-        bad = None
     num_vars = varmap.num_vars
-    assignment = {abs(lit): lit > 0 for lit in literals}
-    if assignment and (max(assignment) > num_vars or len(assignment) < len(literals)
-                       and len(set(literals)) > len(assignment)):
-        # a variable beyond the map or assigned both ways: name the first
-        seen: dict[int, bool] = {}
-        for lit in literals:
-            var, value = abs(lit), lit > 0
-            if var > num_vars:
-                raise PrefRevError(f"model mentions variable {var}, map has {num_vars}")
-            if seen.setdefault(var, value) != value:
-                raise PrefRevError(f"model assigns variable {var} both ways")
-    if bad is not None:
-        raise PrefRevError(f"non-integer token {bad!r} in model")
+    tokens = (token for raw in source
+              if (line := raw.strip()) and line[0] not in "cs" and not solver_status(line)
+              for token in (line[1:] if line[0] in "vV" else line).split())
+    assignment: dict[int, bool] = {}
+    for token in tokens:
+        try:
+            lit = int(token)
+        except ValueError:
+            raise PrefRevError(f"non-integer token {token!r} in model") from None
+        if lit == 0:
+            break
+        var, value = abs(lit), lit > 0
+        if var > num_vars:
+            raise PrefRevError(f"model mentions variable {var}, map has {num_vars}")
+        if assignment.setdefault(var, value) != value:
+            raise PrefRevError(f"model assigns variable {var} both ways")
     if not assignment:
         raise PrefRevError("no model literals found; was the formula "
                            "unsatisfiable or the file not a model?")
@@ -389,21 +375,24 @@ def decode_model(assignment: Mapping[int, bool], varmap: VariableMap) -> RuleTab
     """Turn a satisfying assignment into a lookup-table rule.
 
     Exactly one winner variable must be true per key; unassigned variables
-    count as false.
+    count as false.  Keys are read in rank order, and the first key without
+    exactly one winner is the error.
     """
     from .rules import RuleTable
 
     if varmap.mode not in ("profile", "c2"):
         raise PrefRevError(f"cannot decode a rule from a {varmap.mode!r} map")
-    # per key rank, the truth of its m variables
-    truths = map(truth, map(assignment.get, range(1, varmap.num_vars + 1), repeat(False)))
-    rows = list(zip(*[truths] * varmap.m))
-    counts = list(map(sum, rows))
-    if counts.count(1) != len(counts):
-        key_rank = next(rank for rank, count in enumerate(counts) if count != 1)
-        raise PrefRevError(
-            f"key {varmap.key_name(key_rank)} has {counts[key_rank]} winners")
-    winners = list(map(tuple.index, rows, repeat(True)))
+    winners: list[int] = []
+    var = 0  # the variables run 1..num_vars in (key, alternative) order
+    for rank in range(varmap.num_keys):
+        count = 0
+        for alt in range(varmap.m):
+            var += 1
+            if assignment.get(var):
+                winner, count = alt, count + 1
+        if count != 1:
+            raise PrefRevError(f"key {varmap.key_name(rank)} has {count} winners")
+        winners.append(winner)
     if varmap.mode == "profile":
         return RuleTable(varmap.n, varmap.m, "profile", tuple(winners))
     return RuleTable(varmap.n, varmap.m, "c2", dict(zip(varmap.keys, winners)))

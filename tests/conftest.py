@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,29 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # any DIMACS solver with the s/v output protocol works here; the repo ships
 # a minimal one so the suite has no external dependency
 SOLVER_CMD = [sys.executable, str(REPO_ROOT / "tools" / "dpll_solve.py")]
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so
+    that a child interpreter imports the package under test, installed or
+    not."""
+    path = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def run_capped(argv: list[str], *, memory: int = 256 * 2**20,
+               timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``python argv`` with this checkout's package, in a child whose
+    address space is capped at ``memory`` bytes: an allocation that grows
+    without bound ends in a ``MemoryError`` there, not in the machine
+    running out of memory."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    return subprocess.run([sys.executable, *argv], env=src_env(), capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=cap)
 
 
 @pytest.fixture(scope="session")

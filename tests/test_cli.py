@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import random
 import re
 import shlex
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import _Singleton, tabulate_rule
+from conftest import _Singleton, run_capped, src_env, tabulate_rule
 from prefrev import keyspace, monotonicity, tally
 from prefrev.cli import main
 from prefrev.errors import BudgetExceeded, PrefRevError, printable_count
@@ -823,6 +822,28 @@ class TestEncodeDecodePipeline:
             write_rule_table(read_rule_table(handle), again)
         assert again.getvalue() == golden
 
+    def test_m2_n1_decode_matches_golden_table(self, run, tmp_path):
+        table = tmp_path / "m2.table"
+        code, _ = run(f"decode --model {GOLDEN_DIR / 'dpll_m2_n1.model'} --n 1 --m 2 "
+                      f"--out {table}")
+        assert code == 0
+        assert table.read_text() == (GOLDEN_DIR / "decode_m2_n1.table").read_text()
+
+    def test_decode_stops_at_the_first_key_without_a_winner(self, tmp_path):
+        # the (8, 4) profile map has 24^8 keys; the model covers only key 0.
+        # A decoder that builds the whole table first runs out of memory:
+        # the child's address space is capped so that it fails there
+        model = tmp_path / "one.model"
+        model.write_text("v 1 0\n")
+        started = time.perf_counter()
+        proc = run_capped(["-m", "prefrev.cli", "decode", "--model", str(model),
+                           "--n", "8", "--m", "4", "--out", str(tmp_path / "t.table")])
+        elapsed = time.perf_counter() - started
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "error: key 1 has 0 winners\n")
+        assert elapsed < 10, elapsed
+        assert not (tmp_path / "t.table").exists()
+
 
     def test_verify_table_stopped_by_the_budget(self, run, monkeypatch):
         monkeypatch.setattr(monotonicity, "DEFAULT_BUDGET", 5)
@@ -1046,14 +1067,6 @@ COMMAND_RUNS = (
     ("pad", f"pad {PEREZ} --order x>y>z>u>t --out padded.txt", 0,
      ("prefrev.rules",), ()),
 )
-
-
-def src_env() -> dict[str, str]:
-    """The environment with this checkout's ``src`` first on PYTHONPATH, so
-    that a child interpreter imports the package under test, installed or
-    not."""
-    path = [str(REPO_ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def imported_modules(argv: list[str], cwd) -> tuple[int, set[str]]:

@@ -180,6 +180,37 @@ class TestHalfwayMonotonicity:
             assert check_halfway_monotonicity(rule, 3, 3) is None
 
 
+class TestOrderedPathMemo:
+    """A reader by profile index stores only the outcomes of indexes below
+    the region's last truthful profile: past it, no profile is met again as
+    a truthful one."""
+
+    def test_memo_holds_no_deviated_profile_past_the_region(self):
+        # units [0, 2001) reach the first two profiles; the 2,001 deviated
+        # ones all lie past them
+        n = 2_000
+        rule = CountingRule(lambda profile: 0)
+        scan = _Scan(rule, n, 4, "reverse", "weak")
+        outcomes = _outcomes(scan)
+        assert _scan_chunk(scan, 0, n + 1, outcomes=outcomes) is None
+        assert rule.calls == n + 3
+        assert len(outcomes[0]) <= 2
+
+    @pytest.mark.parametrize("check, name, calls", [
+        (check_halfway_monotonicity, "maximin", 216),
+        (check_manipulability, "maximin", 124),
+        (check_manipulability, "dictatorship", 216),
+        (check_participation, "maximin", 252),
+    ], ids=["hwm", "manipulability-witness", "manipulability", "participation"])
+    def test_rule_calls_over_the_whole_domain(self, check, name, calls):
+        # recorded before the memo was bounded: a region that covers the
+        # whole domain stores what it did
+        rule = CountingRule(dictatorship_of_first_voter if name == "dictatorship"
+                            else resolute_rule(name, 3))
+        check(rule, 3, 3)
+        assert rule.calls == calls
+
+
 class TestStrongReversal:
     def test_maximin_no_strong_paradox_m3_n3(self):
         assert check_strong_reversal(resolute_rule("maximin", 3), 3, 3) is None

@@ -4,12 +4,13 @@ import io
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import cnf_formula, tabulate_rule, without_leaf_unit
+from conftest import cnf_formula, run_capped, tabulate_rule, without_leaf_unit
 from prefrev import errors, keyspace, satgen, tally
 from prefrev.monotonicity import check_halfway_monotonicity
 from prefrev.prefs import (
@@ -22,7 +23,7 @@ from prefrev.prefs import (
     parse_order,
 )
 from prefrev.proofcheck import apply_reversals, build_even_tree, build_odd_tree, verify_tree
-from prefrev.rules import RuleTable, resolute_rule
+from prefrev.rules import RuleTable, resolute_rule, write_rule_table
 from prefrev.tally import condorcet_winner, key_condorcet_winner, margin_matrix
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -50,6 +51,33 @@ def decoded_c2_table(solver_cmd, tmp_path):
     run = solve(result.formula, solver_cmd, tmp_path, "c2.cnf")
     model = satgen.read_dimacs_model(io.StringIO(run.output), result.varmap)
     return satgen.decode_model(model, result.varmap)
+
+
+def rule_model(varmap: satgen.VariableMap, rule) -> str:
+    """Solver output whose model picks the rule's winner at every key of
+    the map: the verdict, then the literals nineteen to a ``v`` line and
+    the ``0``, as the bundled solver lays them out."""
+    m = varmap.m
+    winners = ([rule(profile) for profile in iter_profiles(varmap.n, m)]
+               if varmap.keys is None else
+               [rule.on_key(key, varmap.n, m) for key in varmap.keys])
+    literals = [varmap.var(rank, alt) * (1 if alt == winner else -1)
+                for rank, winner in enumerate(winners) for alt in range(m)] + [0]
+    return "s SATISFIABLE\n" + "".join(
+        "v " + " ".join(map(str, literals[i:i + 19])) + "\n"
+        for i in range(0, len(literals), 19))
+
+
+def traced_peak(call):
+    """``call()``, the memory it still holds once it has returned, and its
+    ``tracemalloc`` peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def mixed_formula(num_clauses: int) -> satgen.CnfFormula:
@@ -129,6 +157,22 @@ class TestDimacs:
         satgen.write_varmap(result.varmap, default_labels(m), varmap)
         assert hashlib.sha256(cnf.getvalue().encode()).hexdigest() == cnf_sha
         assert hashlib.sha256(varmap.getvalue().encode()).hexdigest() == map_sha
+
+    @pytest.mark.parametrize("mode,n,m,table_sha", [
+        ("profile", 3, 4, "1683ecf32efeb5d0f3802102e24af1ab18dfa32f064a8a275ba20591754f3168"),
+        ("c2", 4, 4, "8faa70ffe96e1b2d0f4738339d0190d0e4d96084260ba6ad6f41af17f191cbdf"),
+    ], ids=["profile-3-4", "c2-4-4"])
+    def test_decoded_table_bytes_digest(self, mode, n, m, table_sha):
+        # digests of the table decoded from a model of maximin's winners,
+        # too large for a golden file
+        varmap = (satgen.VariableMap(n=n, m=m, mode="profile") if mode == "profile"
+                  else satgen.c2_variable_map(n, m)[0])
+        model = rule_model(varmap, resolute_rule("maximin", m))
+        table = satgen.decode_model(satgen.read_dimacs_model(io.StringIO(model), varmap),
+                                    varmap)
+        out = io.StringIO()
+        write_rule_table(table, out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == table_sha
 
     def test_varmap_labels_print_as_given(self):
         # a label holding format or % characters prints as it is
@@ -334,6 +378,47 @@ class TestDecode:
         result = satgen.encode_proof_neighborhood(tree)
         with pytest.raises(errors.PrefRevError):
             satgen.decode_model({}, result.varmap)
+
+    def test_stops_at_the_first_key_without_a_winner(self):
+        # the (8, 4) profile map has 24^8 keys.  A decoder that builds the
+        # whole table first runs out of memory, so the call runs in a child
+        # whose address space is capped
+        proc = run_capped(["-c", (
+            "from prefrev import errors, satgen\n"
+            "varmap = satgen.VariableMap(n=8, m=4, mode='profile')\n"
+            "try:\n"
+            "    satgen.decode_model({1: True}, varmap)\n"
+            "except errors.PrefRevError as exc:\n"
+            "    print(exc)\n")])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "key 1 has 0 winners\n", "")
+
+
+class TestStreaming:
+    """The map is written key by key and the model read token by token, so
+    neither holds the whole text."""
+
+    def test_varmap_is_written_a_line_at_a_time(self):
+        varmap = satgen.VariableMap(n=3, m=4, mode="profile")
+        labels = default_labels(4)
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        _, _, peak = traced_peak(lambda: satgen.write_varmap(varmap, labels, Discard()))
+        # one key's lines are about 60 bytes, the whole map 718 KB
+        assert peak < 4096, peak
+
+    def test_model_reader_holds_little_beyond_the_assignment(self):
+        varmap = satgen.VariableMap(n=3, m=4, mode="profile")
+        source = io.StringIO(rule_model(varmap, resolute_rule("maximin", 4)))
+        model, held, peak = traced_peak(lambda: satgen.read_dimacs_model(source, varmap))
+        assert len(model) == varmap.num_vars
+        # 1.22 under CPython 3.11, from the assignment's last resize; the
+        # model's 55,297 tokens held at once would add about 3 MiB to its
+        # 4.1 MiB (2.41)
+        assert peak < 1.5 * held, (peak, held)
 
 
 class KeyCountingTable:
