@@ -25,19 +25,18 @@ def src_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
-def run_capped(argv: list[str], *, memory: int = 256 * 2**20,
-               timeout: float = 60) -> subprocess.CompletedProcess:
+def run_capped(argv: list[str]) -> subprocess.CompletedProcess:
     """Run ``python argv`` with this checkout's package, in a child whose
-    address space is capped at ``memory`` bytes: an allocation that grows
-    without bound ends in a ``MemoryError`` there, not in the machine
-    running out of memory."""
+    address space is capped at 256 MiB: an allocation that grows without
+    bound ends in a ``MemoryError`` there, not in the machine running out
+    of memory."""
     import resource
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+        resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
 
     return subprocess.run([sys.executable, *argv], env=src_env(), capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=cap)
+                          text=True, timeout=60, preexec_fn=cap)
 
 
 @pytest.fixture(scope="session")
