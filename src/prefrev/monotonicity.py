@@ -99,18 +99,17 @@ truthful profiles of the first two):
   the first witness, or the error, as before.
 - the table pass serves exhaustive reversal scans (half-way monotonicity
   and strong reversal) over a resolute profile table of the scan's own
-  (n, m), one whose entries are ints in range(m).  It reads
-  the table's entries as bytes and compares, for each voter and order,
-  whole slices of truthful profiles with the slices of their reversals, at
-  C speed: the sum of the truthful outcomes times m and the deviated
+  (n, m), one whose entries are ints in range(m).  It reads the table's
+  entries as bytes and compares, voter by voter over the whole table, each
+  order's slices of truthful profiles with the slices of their reversals,
+  at C speed: the sum of the truthful outcomes times m and the deviated
   outcomes, as big-endian integers, spells each pair's code in one byte,
   and a translate table per order marks the codes at which that voter
-  gains.  It walks windows of the (m!)^(n-1) profiles that share a first
-  vote in ascending order and stops at the first window with a gain, whose
-  least unit is the first witness; the kernel then builds that one unit's
-  hit.  The CLI checks a resolute table under hwm-optimistic or
-  hwm-pessimistic with a half-way monotonicity scan (on singletons both
-  set comparisons are the weak one), so those checks take the pass too.
+  gains.  The least unit with a gain, over every voter, is the first
+  witness; the kernel then builds that one unit's hit.  The CLI checks a
+  resolute table under hwm-optimistic or hwm-pessimistic with a half-way
+  monotonicity scan (on singletons both set comparisons are the weak
+  one), so those checks take the pass too.
   Misreport, participation, sampled and Condorcet-domain scans, set-valued
   tables, c2 tables and other callables take the paths above.
 
@@ -600,16 +599,14 @@ def _table_pass(scan: _Scan, outcome: _Outcomes, region: int) -> int | None:
     resolute profile table, or ``region`` when no unit before it violates;
     None for a scan the pass does not serve (the kernel takes it).
 
-    The table's entries, as bytes, are compared a whole slice at a time, by
-    windows of the (m!)^(n-1) profiles that share a first vote, in
-    ascending order.  In a window, voter 0's slice pairs with the window of
-    their reversed vote.  Voter v >= 1 of order d, at place p, sits in runs
-    of p profiles, one per value of the digits between voter 0 and v; with
+    The table's entries, as bytes, are compared a whole slice at a time,
+    voter by voter over the whole table.  Voter v of order d, at place p,
+    sits in runs of p profiles, one per value of the digits before v; with
     more runs than p, the pass instead takes p strided slices of step
     m! * p, one per value of the digits after v.  Each slice pairs with the
-    one whose digit v is the reverse of d.  The least unit with a gain in a
-    window is the first witness, so the pass stops at the first window with
-    one, and scans no window that starts at or past ``region``.
+    one whose digit v is the reverse of d.  Voter 0 has one run per vote.
+    The least unit with a gain, over every voter and order, is the first
+    witness.
     """
     n, m, chosen = scan.n, scan.m, outcome.chosen
     if (chosen is None or scan.deviation != "reverse" or scan.condorcet_only
@@ -619,43 +616,34 @@ def _table_pass(scan: _Scan, outcome: _Outcomes, region: int) -> int | None:
         outcomes = bytearray(chosen)  # every code, below m² <= 64, fits a byte
     except (TypeError, ValueError):
         return None  # an entry that is not an int in range(256)
-    if len(outcomes) != num_profiles(n, m) or outcomes.translate(None, bytes(range(m))):
+    size = len(outcomes)
+    if size != num_profiles(n, m) or outcomes.translate(None, bytes(range(m))):
         return None  # not one entry per profile, or an entry of m or more
     scaled = outcomes.translate(bytes(x * m & 255 for x in range(256)))
     gains = _gain_tables(m, scan.compare)
     rev = reverse_index_table(m)
     fact = math.factorial(m)
-    window = fact ** (n - 1)
-    for first in range(fact):  # the window of the profiles whose first vote is this
-        lo, end = first * window, (first + 1) * window
-        if lo * n >= region:
-            break
-        mirror = rev[first] * window
-        k = _first_gain(scaled[lo:end], outcomes[mirror:mirror + window], gains[first])
-        found = [] if k < 0 else [(lo + k) * n]
-        place = window
-        for voter in range(1, n):
-            place //= fact  # (m!)^(n-1-voter)
-            step = fact * place
-            for d in range(fact):
-                mine, theirs = lo + d * place, lo + rev[d] * place
-                if place >= window // step:  # runs of ascending profiles
-                    for run in range(0, window, step):
-                        k = _first_gain(scaled[mine + run:mine + run + place],
-                                        outcomes[theirs + run:theirs + run + place],
-                                        gains[d])
-                        if k >= 0:
-                            found.append((mine + run + k) * n + voter)
-                            break
-                else:  # strides, one per low part
-                    for low in range(place):
-                        k = _first_gain(scaled[mine + low:end:step],
-                                        outcomes[theirs + low:end:step], gains[d])
-                        if k >= 0:
-                            found.append((mine + low + k * step) * n + voter)
-        if found:
-            return min(min(found), region)
-    return region
+    found = [region]
+    place = size
+    for voter in range(n):
+        place //= fact  # (m!)^(n-1-voter)
+        step = fact * place
+        for d in range(fact):
+            mine, theirs = d * place, rev[d] * place
+            if place >= size // step:  # runs of ascending profiles
+                for run in range(0, size, step):
+                    k = _first_gain(scaled[mine + run:mine + run + place],
+                                    outcomes[theirs + run:theirs + run + place], gains[d])
+                    if k >= 0:
+                        found.append((mine + run + k) * n + voter)
+                        break
+            else:  # strides, one per low part
+                for low in range(place):
+                    k = _first_gain(scaled[mine + low::step],
+                                    outcomes[theirs + low::step], gains[d])
+                    if k >= 0:
+                        found.append((mine + low + k * step) * n + voter)
+    return min(found)
 
 
 def _run_scan(scan: _Scan, *, budget: int | None, sample: int | None,

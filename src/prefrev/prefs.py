@@ -313,15 +313,6 @@ def profile_digits(index: int, n: int, m: int) -> list[int]:
     return digits
 
 
-def places(n: int, m: int) -> tuple[int, ...]:
-    """The place value (m!)^(n-1-voter) of each voter's digit in a profile
-    index, voter 0 first.  All n of them hold about n² log2(m!) / 2 bits, so
-    the scan kernel and the table pass step one instead, dividing by m! from
-    voter to voter."""
-    fact = math.factorial(m)
-    return tuple(fact ** (n - 1 - voter) for voter in range(n))
-
-
 def iter_digits(n: int, m: int, start: int = 0, stop: int | None = None, *,
                 sorted_prefix: int = 0) -> Iterator[tuple[int, list[int]]]:
     """``(index, digits)`` of every profile with an index in [start, stop),

@@ -377,11 +377,11 @@ def verify_tree_irresolute(tree: ProofTree, mode: str) -> Report:
 
     if mode == "pessimistic":
         for edge in tree.edges:
-            report.add(_transports(edge),
+            report.add(verify_edge(tree, edge).ok,
                        f"F({edge.src}) meets {lbl(edge.carried)} implies "
                        f"F({edge.dst}) meets it: the worst carried "
                        f"alternative only drops within the set")
-        refuted = [_refutes(tree, leaf) for leaf in tree.leaves]
+        refuted = [_leaf_report(tree, leaf).ok for leaf in tree.leaves]
         for leaf, ok in zip(tree.leaves, refuted):
             report.add(ok, f"F({leaf.node}) = "
                            f"{{{alternatives.label_of(leaf.condorcet)}}} by "
@@ -400,7 +400,7 @@ def verify_tree_irresolute(tree: ProofTree, mode: str) -> Report:
         if not children:
             leaf = next(l for l in tree.leaves if l.node == name)
             excluded[name] = frozenset(range(tree.m)) - {leaf.condorcet}
-            report.add(_refutes(tree, leaf), f"{name}: F = "
+            report.add(_leaf_report(tree, leaf).ok, f"{name}: F = "
                              f"{{{alternatives.label_of(leaf.condorcet)}}}, so "
                              f"{lbl(leaf.forbidden)} is excluded")
         else:
@@ -408,7 +408,7 @@ def verify_tree_irresolute(tree: ProofTree, mode: str) -> Report:
             for edge in children:
                 if edge.carried <= excluded[edge.dst]:
                     gained |= edge.carried
-                    report.add(_transports(edge),
+                    report.add(verify_edge(tree, edge).ok,
                                f"{lbl(edge.carried)} excluded from F({edge.dst}), "
                                f"so excluded from F({name}): the best of the set "
                                f"could only have got worse along the edge")
@@ -418,21 +418,6 @@ def verify_tree_irresolute(tree: ProofTree, mode: str) -> Report:
                f"{lbl(root_excluded)} excluded from F({tree.root}): "
                f"F({tree.root}) is empty, contradiction")
     return report
-
-
-def _transports(edge: ReversalEdge) -> bool:
-    """Whether the carried set survives every single reversal of the edge:
-    no reversed vote has a transport blocker, and the replay returns it."""
-    return (not any(transport_blockers(order, edge.carried)
-                    for _, order in edge.reversals)
-            and replayed_carry(edge, edge.carried) == edge.carried)
-
-
-def _refutes(tree: ProofTree, leaf: Leaf) -> bool:
-    """Whether the leaf's profile has the claimed Condorcet winner and it
-    lies outside the forbidden set."""
-    return (condorcet_winner(tree.profiles[leaf.node]) == leaf.condorcet
-            and leaf.condorcet not in leaf.forbidden)
 
 
 def _postorder(tree: ProofTree) -> list[str]:

@@ -35,7 +35,6 @@ from .prefs import (
     enumerate_orders,
     iter_digits,
     num_profiles,
-    places,
     profile_to_index,
     reverse_index_table,
 )
@@ -144,8 +143,9 @@ def _profile_key_space(n: int, m: int):
     """Profile mode's winners, (index, Condorcet winner), and edges, per
     voter (its vote's template, index, index with that voter reversed), in
     index order."""
-    place_values = places(n, m)
     rev = reverse_index_table(m)
+    # each voter's place value (m!)^(n-1-voter), rev having one entry per order
+    place_values = [len(rev) ** (n - 1 - voter) for voter in range(n)]
     condorcet = tally.CondorcetWinners(m)  # the margin key fixes the winner
     templates = _reversal_templates(m)
     winners = ((key, winner) for key, digits in iter_digits(n, m)

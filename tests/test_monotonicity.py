@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -150,11 +151,11 @@ class TestHalfwayMonotonicity:
 
     def test_budget_past_the_first_profile_holds_no_place_table(self):
         # a region over two profiles of an index reader: all 2,000 place
-        # values would hold about 1.1 MiB, the deviated indices as much
+        # values would hold about 1.1 MiB, the deviated indices as much.  A
+        # constant undeclared callable reads by profile index as any does,
+        # and spends no time on rule work
         n = 2_000
-        plurality = resolute_rule("plurality", 4)
-        scanned, peak = self.budgeted_peak(lambda profile: plurality(profile), n, 4,
-                                           budget=n + 1)
+        scanned, peak = self.budgeted_peak(lambda profile: 0, n, 4, budget=n + 1)
         assert scanned == n + 1
         assert peak < 2 * 2**20, peak
 
@@ -1471,6 +1472,14 @@ def planted_table(n: int, m: int, rng: random.Random, planted: int | None) -> Ru
     return RuleTable(n, m, "profile", tuple(chosen))
 
 
+def changed_at(n: int, m: int, at: int, entry: int) -> RuleTable:
+    """A table of the constant entry m-1-``entry`` whose entry at profile
+    ``at`` is ``entry``."""
+    chosen = [m - 1 - entry] * num_profiles(n, m)
+    chosen[at] = entry
+    return RuleTable(n, m, "profile", tuple(chosen))
+
+
 def scan_result(check, rule, n: int, m: int, budget: int | None):
     try:
         witness = check(rule, n, m, budget=budget)
@@ -1491,10 +1500,19 @@ class TestTablePass:
         rng = random.Random(f"table-pass:{check.__name__}:{n}:{m}")
         total = num_profiles(n, m) * n
         verdicts = set()
-        for planted in (None, 0, 1, 2, 3, 4, 5):
-            table = planted_table(n, m, rng, planted)
+        # then one changed entry: at profile 0 and at the last profile, whose
+        # first witnesses lie in the first block of the profiles that share a
+        # first vote (voter 0's reversal pairs it with the last block), and at
+        # the first profile of the last block, whose first witness, for
+        # n > 1, lies there (voter 0 keeps their winner, voter 1 gains)
+        last_block = num_profiles(n, m) - num_profiles(n - 1, m)
+        tables = itertools.chain(
+            (planted_table(n, m, rng, planted) for planted in (None, 0, 1, 2, 3, 4, 5)),
+            (changed_at(n, m, at, entry) for at, entry in
+             ((0, m - 1), (num_profiles(n, m) - 1, 0), (last_block, m - 1))))
+        for case, table in enumerate(tables):
             expected = scan_result(check, lambda profile: table(profile), n, m, None)
-            assert scan_result(check, table, n, m, None) == expected, planted
+            assert scan_result(check, table, n, m, None) == expected, case
             verdicts.add(expected[0])
             # budgets that cut just before and just after the first witness,
             # or inside the domain when there is none
@@ -1503,7 +1521,7 @@ class TestTablePass:
             for budget in (cuts[0], cuts[1] + 1):
                 if 0 < budget <= total:
                     assert scan_result(check, table, n, m, budget) == scan_result(
-                        check, lambda profile: table(profile), n, m, budget), (planted, budget)
+                        check, lambda profile: table(profile), n, m, budget), (case, budget)
         assert "none" in verdicts
         assert "witness" in verdicts or num_profiles(n, m) <= 2
 

@@ -23,7 +23,6 @@ from prefrev.prefs import (
     order_index,
     parse_order,
     parse_profile,
-    places,
     profile_to_index,
 )
 from prefrev.tally import condorcet_winner, margin_matrix
@@ -137,9 +136,6 @@ class TestProfileIndex:
         m = data.draw(st.integers(1, 4))
         index = data.draw(st.integers(0, num_profiles(n, m) - 1))
         assert profile_to_index(index_to_profile(index, n, m)) == index
-
-    def test_places_are_powers_of_m_factorial(self):
-        assert places(5, 3) == tuple(6 ** (4 - voter) for voter in range(5))
 
     def test_iter_profiles_matches_indexing(self):
         for index, profile in enumerate(iter_profiles(2, 3)):
