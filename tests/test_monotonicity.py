@@ -1500,11 +1500,12 @@ class TestTablePass:
         rng = random.Random(f"table-pass:{check.__name__}:{n}:{m}")
         total = num_profiles(n, m) * n
         verdicts = set()
-        # then one changed entry: at profile 0 and at the last profile, whose
-        # first witnesses lie in the first block of the profiles that share a
-        # first vote (voter 0's reversal pairs it with the last block), and at
-        # the first profile of the last block, whose first witness, for
-        # n > 1, lies there (voter 0 keeps their winner, voter 1 gains)
+        # after the planted tables, one changed entry: at profile 0 and at the
+        # last profile, whose first witnesses lie in the first block of the
+        # profiles that share a first vote (voter 0's reversal pairs it with
+        # the last block), and at the first profile of the last block, whose
+        # first witness, for n > 1, lies there (voter 0 keeps their winner,
+        # voter 1 gains)
         last_block = num_profiles(n, m) - num_profiles(n - 1, m)
         tables = itertools.chain(
             (planted_table(n, m, rng, planted) for planted in (None, 0, 1, 2, 3, 4, 5)),
