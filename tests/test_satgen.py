@@ -21,6 +21,7 @@ from prefrev.prefs import (
     num_profiles,
     order_index,
     parse_order,
+    profile_to_index,
 )
 from prefrev.proofcheck import apply_reversals, build_even_tree, build_odd_tree, verify_tree
 from prefrev.rules import RuleTable, resolute_rule, write_rule_table
@@ -271,6 +272,20 @@ class TestKeySpaceRanges:
         edges = [(self.reversal[order], key, other) for order, key, other in edges]
         with pytest.raises(errors.PrefRevError, match=message):
             self.encode(winners, edges)
+
+    def test_profile_edges_step_each_voter_by_its_place_value(self):
+        # voter v's digit sits at place (m!)^(n-1-v): each edge of profile
+        # mode joins a profile to the one with that voter's vote reversed
+        n, m = 4, 3
+        _, edges = satgen._profile_key_space(n, m)
+        # a template's picker is an itemgetter, equal by its repr only
+        template = lambda t: (t[0], repr(t[1]), t[2])
+        expected = [(template(self.reversal[order_index(vote)]), key,
+                     profile_to_index(profile.reverse_vote(voter)))
+                    for key, profile in enumerate(iter_profiles(n, m))
+                    for voter, vote in enumerate(profile.votes)]
+        assert [(template(t), key, other) for t, key, other in edges] == expected
+        assert len(expected) == n * num_profiles(n, m)
 
 
 class TestModelReader:
